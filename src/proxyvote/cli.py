@@ -365,10 +365,12 @@ def cmd_report(args) -> int:
         raise FileNotFoundError("no trace CSV files found")
 
     traces = {}
+    modes = {}
     length = None
     for p in paths:
         m = _TRACE_RE.search(os.path.basename(p))
-        label = f"{m.group(2)}_seed{m.group(3)}" if m else os.path.basename(p)
+        label = f"{m.group(1)}_{m.group(2)}_seed{m.group(3)}" if m else os.path.basename(p)
+        modes[label] = m.group(2) if m else label
         data = _read_trace(p)
         if length is None:
             length = len(data)
@@ -389,8 +391,7 @@ def cmd_report(args) -> int:
     # per-mode summary: final values and iterations to the L_pv threshold
     by_mode = {}
     for lab in labels:
-        mode = lab.rsplit("_seed", 1)[0]
-        by_mode.setdefault(mode, []).append(traces[lab])
+        by_mode.setdefault(modes[lab], []).append(traces[lab])
     thr = cfg["lpv_threshold"]
     table = ["mode  n_traces  median_final_l_pv  median_final_proxy  median_iters_to_threshold"]
     report = {}

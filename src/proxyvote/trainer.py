@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, ProxyVoteError
 from .geometry import pixel_centers
 from .losses import DEFAULT_SCHEDULE, WeightSchedule, schedule_weights
 from .metrics import evaluate
@@ -64,6 +64,8 @@ class TrainTrace:
     alpha: np.ndarray
     beta: np.ndarray
     keypoint_errors: np.ndarray = field(default_factory=lambda: np.empty(0))
+    # (K, 2) voted keypoints of the fitted field; NaN where voting failed
+    keypoint_locations: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
 
     def rows(self):
         for i in range(len(self.iters)):
@@ -186,13 +188,15 @@ def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
 
     vote_cfg = VotingConfig(rng_seed=int(substream(cfg.rng_seed, "voting").integers(2 ** 63)))
     errs = np.full(k, np.inf)
+    locs = np.full((k, 2), np.nan)
     for ki in range(k):
         try:
-            loc, _ = vote_keypoint(fields[ki], mask, vote_cfg)
-            errs[ki] = float(np.linalg.norm(loc - sample.keypoints2[ki]))
-        except Exception:
-            pass  # unresolvable field counts as a failed keypoint
-    trace = TrainTrace(tr_iter, tr_lvf, tr_lpv, tr_mpd, tr_a, tr_b, keypoint_errors=errs)
+            locs[ki], _ = vote_keypoint(fields[ki], mask, vote_cfg)
+        except ProxyVoteError:
+            continue  # unresolvable field counts as a failed keypoint
+        errs[ki] = float(np.linalg.norm(locs[ki] - sample.keypoints2[ki]))
+    trace = TrainTrace(tr_iter, tr_lvf, tr_lpv, tr_mpd, tr_a, tr_b,
+                       keypoint_errors=errs, keypoint_locations=locs)
     return fields, trace
 
 
@@ -211,7 +215,7 @@ def run_experiment(scenes, modes, seeds, cfg_base: TrainConfig, out_dir,
             init = random_init_field(sample, substream(seed, "init"))
             for mode in modes:
                 cfg = replace(cfg_base, mode=mode, rng_seed=seed)
-                fields, trace = fit_field(sample, init, cfg)
+                _, trace = fit_field(sample, init, cfg)
                 tag = f"scene{si:03d}_{mode}_seed{seed}"
                 trace.to_csv(os.path.join(out_dir, f"trace_{tag}.csv"))
 
@@ -226,8 +230,7 @@ def run_experiment(scenes, modes, seeds, cfg_base: TrainConfig, out_dir,
                 }
                 if np.all(np.isfinite(trace.keypoint_errors)):
                     try:
-                        est = solve_epnp(sample.keypoints3,
-                                         _voted_points(fields, sample, cfg),
+                        est = solve_epnp(sample.keypoints3, trace.keypoint_locations,
                                          sample.intr)
                         dia = diameter if diameter is not None else _cloud_diameter(sample)
                         rec = evaluate(sample.pose, est, sample.keypoints3,
@@ -236,7 +239,7 @@ def run_experiment(scenes, modes, seeds, cfg_base: TrainConfig, out_dir,
                         run["proj2d"] = rec.proj2d
                         run["add_correct"] = bool(rec.add_correct)
                         run["proj_correct"] = bool(rec.proj_correct)
-                    except Exception as e:
+                    except (ProxyVoteError, np.linalg.LinAlgError) as e:
                         run["pose_error"] = str(e)
                 write_atomic(os.path.join(out_dir, f"summary_{tag}.json"),
                              json.dumps(run, indent=2, sort_keys=True) + "\n")
@@ -245,15 +248,6 @@ def run_experiment(scenes, modes, seeds, cfg_base: TrainConfig, out_dir,
     write_atomic(os.path.join(out_dir, "summary.json"),
                  json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
-
-
-def _voted_points(fields, sample: SceneSample, cfg: TrainConfig):
-    vote_cfg = VotingConfig(rng_seed=int(substream(cfg.rng_seed, "voting").integers(2 ** 63)))
-    pts = []
-    for ki in range(len(fields)):
-        loc, _ = vote_keypoint(fields[ki], sample.mask, vote_cfg)
-        pts.append(loc)
-    return np.asarray(pts)
 
 
 def _cloud_diameter(sample: SceneSample) -> float:

@@ -4,6 +4,17 @@ Hypotheses are intersections of the direction rays of sampled pixel
 pairs; each is scored by the number of masked pixels whose direction
 agrees with it (cosine above a threshold). The winner is optionally
 refined as the least-squares intersection of its inlier rays.
+
+Inlier rule. A masked pixel p with direction v, |v| >= EPS_NORM, is an
+inlier of hypothesis h when |d| >= 0.5 and cos(d, v) = dot / (|d| |v|)
+>= thr, with d = h - p and dot = d·v. Since thr > 0, the cosine test
+holds exactly when dot >= 0 and dot² >= thr²·|d|²·|v|²: both sides of
+dot >= thr·|d|·|v| are then non-negative, so squaring keeps the order.
+Likewise |d| >= 0.5 is |d|² >= 0.25. That holds in exact arithmetic; in
+float64 the two forms can part only for a pair within rounding of the
+threshold. The squared form needs no square root or division per
+pixel-hypothesis pair, and it is the one test that counting, scoring the
+hypotheses and refining the winner all use.
 """
 
 from __future__ import annotations
@@ -13,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSupportError, NoValidHypothesisError
-from .geometry import EPS_NORM, EPS_PARALLEL, pixel_centers
+from .geometry import EPS_NORM, EPS_PARALLEL
 
 
 @dataclass(frozen=True)
@@ -36,18 +47,24 @@ class Hypothesis:
     votes: int = 0
 
 
+# Hypotheses scored per block, so that a block's (_BLOCK, M) scratch
+# arrays stay in cache. On 700-1,800-pixel masks, blocks of 16 to 128
+# time within 10-30 % of each other; 512 takes 2-2.5 times as long.
+_BLOCK = 64
+
+
 def _masked_pixels(field, mask):
+    """Centres (j + 0.5, i + 0.5) and directions of the masked pixels, (M, 2) each.
+
+    Row-major order, the same values as ``pixel_centers(h, w)[mask]``.
+    """
     field = np.asarray(field, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
-    h, w = mask.shape
-    ctr = pixel_centers(h, w)
-    pts = ctr[mask]  # (M, 2)
-    dirs = field[mask]  # (M, 2)
-    return pts, dirs
+    ii, jj = np.nonzero(np.asarray(mask, dtype=bool))
+    pts = np.stack([jj + 0.5, ii + 0.5], axis=-1)
+    return pts, field[ii, jj]
 
 
-def _hypothesis_locations(field, mask, cfg: VotingConfig) -> np.ndarray:
-    pts, dirs = _masked_pixels(field, mask)
+def _hypothesis_locations(pts, dirs, cfg: VotingConfig) -> np.ndarray:
     m = len(pts)
     if m < 2:
         raise InsufficientSupportError(f"need >= 2 masked pixels, got {m}")
@@ -74,30 +91,78 @@ def _hypothesis_locations(field, mask, cfg: VotingConfig) -> np.ndarray:
 
 def generate_hypotheses(field, mask, cfg: VotingConfig) -> list[Hypothesis]:
     """Sample pixel pairs and intersect their rays. Deterministic per seed."""
-    locs = _hypothesis_locations(field, mask, cfg)
+    locs = _hypothesis_locations(*_masked_pixels(field, mask), cfg)
     return [Hypothesis(location=loc.copy()) for loc in locs]
 
 
-def _vote_matrix(hyps, pts, dirs, threshold):
-    """(n_hyp, M) bool inlier matrix for hypothesis locations vs pixels."""
-    diff = hyps[:, None, :] - pts[None, :, :]  # (n, M, 2)
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    nv = np.hypot(dirs[:, 0], dirs[:, 1])
-    usable = (dist >= 0.5) & (nv[None, :] >= EPS_NORM)
-    dot = diff[..., 0] * dirs[None, :, 0] + diff[..., 1] * dirs[None, :, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos = dot / (dist * nv[None, :])
-    return usable & (cos >= threshold)
+def _voters(pts, dirs, threshold):
+    """Pixels that can vote (|v| >= EPS_NORM): centres, directions and thr²·|v|².
+
+    Column-major copies, so that the x and y columns the counting loop
+    reads are contiguous.
+    """
+    ok = np.hypot(dirs[:, 0], dirs[:, 1]) >= EPS_NORM
+    pts, dirs = np.asfortranarray(pts[ok]), np.asfortranarray(dirs[ok])
+    vx, vy = dirs[:, 0], dirs[:, 1]
+    return pts, dirs, threshold * threshold * (vx * vx + vy * vy)
+
+
+def _workspace(n, m):
+    """Scratch arrays for ``_inliers`` on up to n hypotheses and m voters."""
+    return [np.empty((n, m)) for _ in range(4)] + [np.empty((n, m), dtype=bool) for _ in range(2)]
+
+
+def _inliers(hyps, voters, work=None):
+    """(n, M) bool: voter m is an inlier of hypothesis n (see module docstring).
+
+    voters comes from ``_voters``. With d = h - p and dot = d·v, the test
+    is d² >= 0.25, dot >= 0 and dot² >= thr²·d²·|v|². work holds four
+    float and two bool (>= n, M) scratch arrays to compute in, so that a
+    loop over blocks allocates nothing; the result is a view of work[4].
+    """
+    pts, dirs, weight = voters
+    n = len(hyps)
+    if work is None:
+        work = _workspace(n, len(pts))
+    dx, dy, dot, tmp, ok, cond = (a[:n] for a in work)
+    np.subtract(hyps[:, :1], pts[:, 0], out=dx)
+    np.subtract(hyps[:, 1:], pts[:, 1], out=dy)
+    np.multiply(dx, dirs[:, 0], out=dot)
+    np.multiply(dy, dirs[:, 1], out=tmp)
+    dot += tmp
+    dx *= dx
+    dy *= dy
+    dx += dy  # d²
+    np.greater_equal(dx, 0.25, out=ok)
+    np.greater_equal(dot, 0.0, out=cond)
+    ok &= cond
+    dx *= weight
+    dot *= dot
+    np.greater_equal(dot, dx, out=cond)
+    ok &= cond
+    return ok
+
+
+def _vote_counts(hyps, voters) -> np.ndarray:
+    """Inlier count per hypothesis, scored _BLOCK hypotheses at a time."""
+    counts = np.empty(len(hyps), dtype=np.intp)
+    work = _workspace(min(_BLOCK, len(hyps)), len(voters[0]))
+    for s in range(0, len(hyps), _BLOCK):
+        block = hyps[s:s + _BLOCK]
+        counts[s:s + len(block)] = np.count_nonzero(_inliers(block, voters, work), axis=1)
+    return counts
 
 
 def count_inliers(h, field, mask, threshold) -> int:
     """Masked pixels whose direction points at h within the cosine threshold.
 
     Pixels closer than 0.5 px to h or with near-zero direction are excluded.
+    The cosine rule cos(d, v) >= thr is tested in squared form (see the
+    module docstring), with no square root or division.
     """
-    pts, dirs = _masked_pixels(field, mask)
+    voters = _voters(*_masked_pixels(field, mask), threshold)
     h = np.asarray(h, dtype=float).reshape(1, 2)
-    return int(np.count_nonzero(_vote_matrix(h, pts, dirs, threshold)))
+    return int(np.count_nonzero(_inliers(h, voters)))
 
 
 def _refine_location(best, pts, dirs, inliers):
@@ -134,18 +199,18 @@ def vote_keypoint(field, mask, cfg: VotingConfig):
     Ties go to the lexicographically smallest (x, y) location. With
     cfg.refine the winner is re-estimated from its inlier rays.
     """
-    locs = _hypothesis_locations(field, mask, cfg)
+    pts, dirs = _masked_pixels(field, mask)
+    locs = _hypothesis_locations(pts, dirs, cfg)
     if len(locs) == 0:
         raise NoValidHypothesisError("all sampled pixel pairs were parallel")
-    pts, dirs = _masked_pixels(field, mask)
-    votes_mat = _vote_matrix(locs, pts, dirs, cfg.inlier_cos_threshold)
-    votes = votes_mat.sum(axis=1)
+    voters = _voters(pts, dirs, cfg.inlier_cos_threshold)
+    votes = _vote_counts(locs, voters)
     best_votes = votes.max()
     cand = np.flatnonzero(votes == best_votes)
     # lexicographic (x, y) tie-break
     order = np.lexsort((locs[cand, 1], locs[cand, 0]))
-    idx = cand[order[0]]
-    best = locs[idx]
+    best = locs[cand[order[0]]]
     if cfg.refine:
-        best = _refine_location(best, pts, dirs, votes_mat[idx])
+        vpts, vdirs, _ = voters
+        best = _refine_location(best, vpts, vdirs, _inliers(best[None, :], voters)[0])
     return np.asarray(best, dtype=float), int(best_votes)

@@ -2,8 +2,8 @@
 
 Deliberately naive and written without sharing code with the production
 paths: dense line-scan distance minimizer, central-difference gradient
-checker, exhaustive all-pairs hypothesis enumerator, greedy FPS
-re-verifier and a second pinhole projection.
+checker, exhaustive all-pairs hypothesis enumerator, dense cosine
+inlier counter, greedy FPS re-verifier and a second pinhole projection.
 """
 
 from dataclasses import dataclass
@@ -104,6 +104,26 @@ def oracle_all_pairs_vote(field, mask, k_true, inlier_cos=0.99):
             best_votes = votes
             best_loc = h
     return AllPairsStats(hyps, med, best_loc, best_votes)
+
+
+def oracle_inlier_counts(hyps, field, mask, inlier_cos=0.99):
+    """Per-hypothesis inlier counts from the dense cosine matrix.
+
+    A masked pixel p with direction v votes for h when |h - p| >= 0.5,
+    |v| >= 1e-8 and (h - p)·v / (|h - p| |v|) >= inlier_cos.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    ii, jj = np.nonzero(mask)
+    pts = np.stack([jj + 0.5, ii + 0.5], axis=-1).astype(float)
+    dirs = np.asarray(field, dtype=float)[mask]
+    hyps = np.asarray(hyps, dtype=float).reshape(-1, 2)
+    diff = hyps[:, None, :] - pts[None, :, :]
+    dist = np.hypot(diff[..., 0], diff[..., 1])
+    nv = np.hypot(dirs[:, 0], dirs[:, 1])
+    ok = (dist >= 0.5) & (nv >= 1e-8)
+    cos = np.where(ok, (diff[..., 0] * dirs[:, 0] + diff[..., 1] * dirs[:, 1])
+                   / np.where(ok, dist * nv, 1.0), -2.0)
+    return np.count_nonzero(cos >= inlier_cos, axis=1)
 
 
 def oracle_project(R, t, fx, fy, cx, cy, X):

@@ -222,6 +222,23 @@ class TestTrainAndReport:
         assert curves[0].startswith("iter,")
         assert len(curves) == 121
 
+    def test_report_keeps_scenes_apart(self, scenes_dir, tmp_path):
+        # traces of different scenes with the same mode and seed are
+        # separate curves of that mode, not overwrites of one another
+        train = str(tmp_path / "train")
+        assert main(["train", "--scenes", scenes_dir, "--out", train,
+                     "--mode", "vf_only,vf_plus_dpvl", "--seeds", "0",
+                     "--iters", "20", "--scene-limit", "2"]) == 0
+        out = str(tmp_path / "report")
+        assert main(["report", "--traces", train, "--out", out]) == 0
+        rep = json.loads(open(os.path.join(out, "report.json")).read())
+        assert {mode: rep[mode]["n_traces"] for mode in rep} == {"vf_only": 2,
+                                                                  "vf_plus_dpvl": 2}
+        header = open(os.path.join(out, "curves.csv")).readline().strip().split(",")
+        assert header == ["iter", "scene000_vf_only_seed0_l_pv",
+                          "scene000_vf_plus_dpvl_seed0_l_pv", "scene001_vf_only_seed0_l_pv",
+                          "scene001_vf_plus_dpvl_seed0_l_pv"]
+
     def test_report_row_mismatch(self, train_dir, tmp_path):
         short = tmp_path / "trace_scene000_vf_only_seed9.csv"
         src = open(os.path.join(train_dir, "trace_scene000_vf_only_seed0.csv")).read()

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from helpers import make_cube_scene
-from proxyvote.errors import DivergenceError
+from proxyvote import trainer
+from proxyvote.errors import (DegenerateConfigurationError, DivergenceError,
+                              NoValidHypothesisError)
 from proxyvote.geometry import pixel_centers
 from proxyvote.losses import dpvl, vf_loss
 from proxyvote.trainer import (MODES, TrainConfig, _masked_losses, fit_field,
                                random_init_field, run_experiment, substream)
+from proxyvote.voting import VotingConfig, vote_keypoint
 
 
 @pytest.fixture(scope="module")
@@ -170,3 +173,59 @@ class TestRunExperiment:
         assert data.shape == (50, 6)
         assert np.array_equal(data[:, 0], np.arange(50))
         assert np.all(np.isfinite(data))
+
+
+def raising(exc):
+    def fn(*args, **kwargs):
+        raise exc
+    return fn
+
+
+class TestVotedKeypoints:
+    def test_locations_are_the_voted_points(self, scene):
+        init = random_init_field(scene, substream(6, "init"))
+        fields, trace = fit_field(scene, init, short_cfg(iterations=100, rng_seed=6))
+        vcfg = VotingConfig(rng_seed=int(substream(6, "voting").integers(2 ** 63)))
+        for ki in range(len(fields)):
+            loc, _ = vote_keypoint(fields[ki], scene.mask, vcfg)
+            assert np.array_equal(trace.keypoint_locations[ki], loc)
+            assert trace.keypoint_errors[ki] == float(np.linalg.norm(loc - scene.keypoints2[ki]))
+
+    def test_each_fitted_field_is_voted_once(self, scene, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return vote_keypoint(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "vote_keypoint", counting)
+        summary = run_experiment([scene], ["vf_only"], [0], short_cfg(iterations=300),
+                                 tmp_path / "exp")
+        assert "add" in summary["runs"][0]
+        assert len(calls) == len(scene.keypoints2)
+
+    def test_vote_failure_is_a_failed_keypoint(self, scene, monkeypatch):
+        monkeypatch.setattr(trainer, "vote_keypoint", raising(NoValidHypothesisError("parallel")))
+        init = random_init_field(scene, substream(0, "init"))
+        _, trace = fit_field(scene, init, short_cfg(iterations=5))
+        assert np.all(np.isinf(trace.keypoint_errors))
+        assert np.all(np.isnan(trace.keypoint_locations))
+
+    def test_vote_bug_propagates(self, scene, monkeypatch):
+        # a programming error must not be scored as an inf keypoint error
+        monkeypatch.setattr(trainer, "vote_keypoint", raising(TypeError("bug")))
+        init = random_init_field(scene, substream(0, "init"))
+        with pytest.raises(TypeError):
+            fit_field(scene, init, short_cfg(iterations=5))
+
+    def test_pose_failure_is_recorded(self, scene, tmp_path, monkeypatch):
+        monkeypatch.setattr(trainer, "solve_epnp",
+                            raising(DegenerateConfigurationError("rank-deficient")))
+        summary = run_experiment([scene], ["vf_only"], [0], short_cfg(iterations=50),
+                                 tmp_path / "exp")
+        assert summary["runs"][0]["pose_error"] == "rank-deficient"
+
+    def test_pose_bug_propagates(self, scene, tmp_path, monkeypatch):
+        monkeypatch.setattr(trainer, "solve_epnp", raising(TypeError("bug")))
+        with pytest.raises(TypeError):
+            run_experiment([scene], ["vf_only"], [0], short_cfg(iterations=50), tmp_path / "exp")

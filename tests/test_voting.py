@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from helpers import disc_mask, exact_field, rotate_field
-from oracles import oracle_all_pairs_vote
+from oracles import oracle_all_pairs_vote, oracle_inlier_counts
 from proxyvote.errors import InsufficientSupportError, NoValidHypothesisError
-from proxyvote.voting import (VotingConfig, count_inliers, generate_hypotheses,
-                              vote_keypoint)
+from proxyvote.voting import (VotingConfig, _masked_pixels, _vote_counts, _voters,
+                              count_inliers, generate_hypotheses, vote_keypoint)
 
 K = np.array([20.3, 41.7])
 
@@ -105,6 +105,79 @@ class TestCountInliers:
                 want += 1
         assert got == want
         assert abs(got - np.count_nonzero(mask) / 2) < 0.2 * np.count_nonzero(mask)
+
+
+def parity_field(kind, mask, rng):
+    """Noisy, half-flipped or partly zero direction fields of mixed magnitude."""
+    field = rotate_field(exact_field(mask, K), mask, 5.0, rng)
+    field = field * rng.uniform(0.1, 3.0, mask.shape)[..., None]
+    if kind == "half_flipped":
+        field = np.where((rng.random(mask.shape) < 0.5)[..., None], -field, field)
+    elif kind == "zero_dirs":
+        # exact zeros, and lengths just under and just over EPS_NORM (1e-8)
+        u = np.where(mask, rng.random(mask.shape), 1.0)
+        field[u < 0.15] = 0.0
+        for lo, length in ((0.15, 5e-9), (0.2, 2e-8)):
+            sel = (u >= lo) & (u < lo + 0.05)
+            field[sel] *= length / np.linalg.norm(field[sel], axis=-1, keepdims=True)
+    return field
+
+
+def package_counts(hyps, field, mask, thr=0.99):
+    return _vote_counts(hyps, _voters(*_masked_pixels(field, mask), thr))
+
+
+class TestInlierParity:
+    """The blocked squared-form counts equal the cosine rule exactly."""
+
+    @pytest.mark.parametrize("kind", ["noisy", "half_flipped", "zero_dirs"])
+    @pytest.mark.parametrize("n_hyp", [1, 63, 64, 65, 513])
+    def test_counts_match_cosine_oracle(self, kind, n_hyp):
+        mask = disc_mask(48, 48, center=(24, 24), radius=9)
+        rng = np.random.default_rng(n_hyp)
+        field = parity_field(kind, mask, rng)
+        # near the keypoint, where votes are decided, and anywhere on the image
+        hyps = np.concatenate([K + rng.normal(0.0, 3.0, (n_hyp, 2))[: (n_hyp + 1) // 2],
+                               rng.uniform(-10.0, 58.0, (n_hyp // 2, 2))])
+        hyps[0] = K
+        got = package_counts(hyps, field, mask)
+        assert np.array_equal(got, oracle_inlier_counts(hyps, field, mask))
+        for i in sorted({0, 62, 63, 64, n_hyp - 1} & set(range(n_hyp))):
+            assert got[i] == recount(hyps[i], field, mask)
+
+    def test_sampled_hypotheses_match_cosine_oracle(self):
+        mask = disc_mask(48, 48, center=(24, 24), radius=9)
+        field = parity_field("half_flipped", mask, np.random.default_rng(8))
+        hyps = np.array([h.location for h in
+                         generate_hypotheses(field, mask, VotingConfig(rng_seed=8))])
+        assert len(hyps) > 2 * 64
+        assert np.array_equal(package_counts(hyps, field, mask),
+                              oracle_inlier_counts(hyps, field, mask))
+
+    def test_hypothesis_half_pixel_from_centre(self):
+        # one row of pixels all pointing +x; h sits exactly 0.5 px right of
+        # pixel (2, 5), so pixels 0..5 of that row vote and pixel 5 is on
+        # the distance cut-off
+        mask = np.zeros((5, 10), bool)
+        mask[2, :] = True
+        field = np.zeros((5, 10, 2))
+        field[mask] = [1.0, 0.0]
+        h = np.array([5.5 + 0.5, 2.5])
+        inside = np.array([5.5 + 0.5 - 1e-9, 2.5])
+        hyps = np.array([h, inside, [5.5, 2.5 + 0.5], [5.5, 2.5]])
+        got = package_counts(hyps, field, mask)
+        assert np.array_equal(got, oracle_inlier_counts(hyps, field, mask))
+        assert got[0] == 6 and got[1] == 5
+        assert count_inliers(h, field, mask, 0.99) == recount(h, field, mask) == 6
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_winner_votes_are_its_inlier_count(self, seed):
+        mask = disc_mask(48, 48, center=(24, 24), radius=12)
+        field = parity_field("half_flipped", mask, np.random.default_rng(seed))
+        raw, votes = vote_keypoint(field, mask, VotingConfig(rng_seed=seed, refine=False))
+        assert votes == count_inliers(raw, field, mask, 0.99)
+        _, refined_votes = vote_keypoint(field, mask, VotingConfig(rng_seed=seed))
+        assert refined_votes == votes
 
 
 class TestVoteKeypoint:
