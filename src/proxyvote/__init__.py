@@ -10,7 +10,7 @@ from .geometry import (Intrinsics, Pose, foot_of_perpendicular, pixel_centers,
                        point_line_distance, project, ray_intersection,
                        unit_direction)
 from .losses import (DEFAULT_SCHEDULE, LossReport, WeightSchedule, dpvl,
-                     schedule_weights, seg_loss, smooth_l1, total_loss, vf_loss)
+                     schedule_weights, smooth_l1, vf_loss)
 from .metrics import EvalRecord, add_s_score, add_score, evaluate, judge, proj2d_error
 from .model_tools import (KeypointSet, ModelCloud, farthest_point_sampling,
                           load_model, model_diameter)
@@ -18,6 +18,6 @@ from .pnp import refine_pose, reprojection_rmse, solve_epnp, umeyama
 from .synth import (NoiseSpec, PoseRanges, SceneSample, corrupt, load_scene,
                     make_scene, sample_pose, save_scene)
 from .trainer import TrainConfig, TrainTrace, fit_field, random_init_field, run_experiment
-from .voting import Hypothesis, VotingConfig, count_inliers, generate_hypotheses, vote_keypoint
+from .voting import VotingConfig, count_inliers, vote_keypoint
 
 __version__ = "0.1.0"

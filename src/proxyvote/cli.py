@@ -364,13 +364,18 @@ def cmd_report(args) -> int:
     if not paths:
         raise FileNotFoundError("no trace CSV files found")
 
+    # traces from several directories are labelled by their directory
+    # relative to the common parent, so equal file names stay apart
+    dirs = [os.path.dirname(os.path.abspath(p)) for p in paths]
+    root = os.path.commonpath(dirs)
     traces = {}
     modes = {}
     length = None
-    for p in paths:
+    for p, d in zip(paths, dirs):
         m = _TRACE_RE.search(os.path.basename(p))
-        label = f"{m.group(1)}_{m.group(2)}_seed{m.group(3)}" if m else os.path.basename(p)
-        modes[label] = m.group(2) if m else label
+        name = f"{m.group(1)}_{m.group(2)}_seed{m.group(3)}" if m else os.path.basename(p)
+        label = os.path.normpath(os.path.join(os.path.relpath(d, root), name))
+        modes[label] = m.group(2) if m else name
         data = _read_trace(p)
         if length is None:
             length = len(data)
@@ -492,7 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(r)
     r.add_argument("--traces", nargs="+")
     r.add_argument("--out")
-    r.add_argument("--lpv-threshold", dest="lpv_threshold", type=float)
+    r.add_argument("--lpv-threshold", dest="lpv_threshold", type=float,
+                   help="l_pv level for iterations-to-threshold; the traced l_pv is a "
+                        "raw sum over masked pixels and keypoints, not a per-pixel mean")
     r.set_defaults(func=cmd_report)
 
     return parser

@@ -3,8 +3,11 @@ by Adam against the regression and proxy-voting losses.
 
 Modes: vf_only (regression only), vf_plus_dpvl (regression plus the
 scheduled proxy term), dpvl_only (proxy term alone; expected to suffer
-the direction/sign ambiguity). Losses are normalized by masked-pixel
-count inside the trainer so learning rates transfer across mask sizes.
+the direction/sign ambiguity). The losses come from ``losses.py``,
+computed on the masked pixels of all keypoints at once. Only the
+gradients are divided by the masked-pixel count, so that learning rates
+transfer across mask sizes; the traced l_vf and l_pv are raw sums over
+masked pixels and keypoints.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import numpy as np
 
 from .errors import DivergenceError, ProxyVoteError
 from .geometry import pixel_centers
-from .losses import DEFAULT_SCHEDULE, WeightSchedule, schedule_weights
+from .losses import (DEFAULT_SCHEDULE, WeightSchedule, proxy_grad, proxy_terms,
+                     schedule_weights, vf_terms)
 from .metrics import evaluate
 from .pnp import solve_epnp
 from .synth import SceneSample, _fmt, write_atomic
@@ -92,40 +96,6 @@ def random_init_field(sample: SceneSample, rng) -> np.ndarray:
     return np.where(sample.mask[None, :, :, None], init, 0.0)
 
 
-def _masked_losses(est, gt, A, B, eps_norm=1e-8):
-    """Field losses and gradients over masked-pixel arrays.
-
-    est, gt: (K, M, 2); A = k^y - p^y, B = k^x - p^x: (K, M). Returns
-    (l_vf, g_vf, l_pv, g_pv, d, valid) with sums over all pixels and
-    keypoints. Matches the losses-module definitions exactly (asserted
-    in the test suite); restated here on compact arrays for speed.
-    """
-    # non-finite fields are tolerated here; the caller checks the summed
-    # losses and raises DivergenceError
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        r = est - gt
-        a = np.abs(r[..., 0]) + np.abs(r[..., 1])
-        quad = a < 1.0
-        l_vf = float(np.sum(np.where(quad, 0.5 * a * a, a - 0.5)))
-        g_vf = np.where(quad, a, 1.0)[..., None] * np.sign(r)
-
-        n = np.hypot(est[..., 0], est[..., 1])
-        valid = n >= eps_norm
-        nsafe = np.where(valid, n, 1.0)
-        cross = est[..., 0] * A - est[..., 1] * B
-        d = np.where(valid, np.abs(cross) / nsafe, 0.0)
-        quad_d = d < 1.0
-        l_pv = float(np.sum(np.where(valid, np.where(quad_d, 0.5 * d * d, d - 0.5), 0.0)))
-        dval = np.where(quad_d, d, 1.0)
-        s = np.sign(cross)
-        n3 = nsafe ** 3
-        g_pv = np.stack(
-            [dval * (s * A / nsafe - np.abs(cross) * est[..., 0] / n3),
-             dval * (-s * B / nsafe - np.abs(cross) * est[..., 1] / n3)], axis=-1)
-        g_pv = np.where(valid[..., None], g_pv, 0.0)
-    return l_vf, g_vf, l_pv, g_pv, d, valid
-
-
 def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
     """Adam on the stacked (K, H, W, 2) field. Returns (field, trace).
 
@@ -137,11 +107,9 @@ def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
     mask = sample.mask
     n_masked = max(int(np.count_nonzero(mask)), 1)
 
-    ctr = pixel_centers(h, w)[mask]  # (M, 2)
     est = init[:, mask, :].copy()  # (K, M, 2)
     gt = sample.gt_fields[:, mask, :]
-    A = sample.keypoints2[:, 1][:, None] - ctr[None, :, 1]  # k^y - p^y
-    B = sample.keypoints2[:, 0][:, None] - ctr[None, :, 0]  # k^x - p^x
+    off = sample.keypoints2[:, None, :] - pixel_centers(h, w)[mask]  # k - p, (K, M, 2)
 
     m = np.zeros_like(est)
     v = np.zeros_like(est)
@@ -158,17 +126,22 @@ def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
         alpha, beta = schedule_weights(epoch, cfg.schedule)
         lr = _decayed_lr(cfg, epoch)
 
-        l_vf, g_vf, l_pv, g_pv, d, valid = _masked_losses(est, gt, A, B)
-        if cfg.mode == "vf_only":
-            grad = g_vf / n_masked
-        elif cfg.mode == "vf_plus_dpvl":
-            grad = (g_vf + beta * g_pv) / n_masked
-        else:  # dpvl_only
-            grad = beta * g_pv / n_masked
+        # non-finite fields are tolerated here; the summed losses are
+        # checked below and raise DivergenceError
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            l_vf, g_vf = vf_terms(est, gt)
+            pt = proxy_terms(est, off)
+            l_pv = pt.value
+            if cfg.mode == "vf_only":
+                grad = g_vf / n_masked
+            elif cfg.mode == "vf_plus_dpvl":
+                grad = (g_vf + beta * proxy_grad(est, off, pt)) / n_masked
+            else:  # dpvl_only
+                grad = beta * proxy_grad(est, off, pt) / n_masked
 
         tr_lvf[it] = l_vf
         tr_lpv[it] = l_pv
-        tr_mpd[it] = float(np.sum(d[valid])) / max(int(np.count_nonzero(valid)), 1)
+        tr_mpd[it] = float(np.sum(pt.d[pt.valid])) / max(int(np.count_nonzero(pt.valid)), 1)
         tr_a[it] = alpha
         tr_b[it] = beta
         if not (np.isfinite(l_vf) and np.isfinite(l_pv)):

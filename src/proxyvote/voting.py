@@ -41,12 +41,6 @@ class VotingConfig:
             raise ValueError("inlier_cos_threshold must be in (0, 1)")
 
 
-@dataclass
-class Hypothesis:
-    location: np.ndarray  # (2,) pixels
-    votes: int = 0
-
-
 # Hypotheses scored per block, so that a block's (_BLOCK, M) scratch
 # arrays stay in cache. On 700-1,800-pixel masks, blocks of 16 to 128
 # time within 10-30 % of each other; 512 takes 2-2.5 times as long.
@@ -65,6 +59,10 @@ def _masked_pixels(field, mask):
 
 
 def _hypothesis_locations(pts, dirs, cfg: VotingConfig) -> np.ndarray:
+    """(n, 2) intersections of the rays of sampled pixel pairs; deterministic per seed.
+
+    Pairs of parallel or near-zero directions give none, so n may be 0.
+    """
     m = len(pts)
     if m < 2:
         raise InsufficientSupportError(f"need >= 2 masked pixels, got {m}")
@@ -87,12 +85,6 @@ def _hypothesis_locations(pts, dirs, cfg: VotingConfig) -> np.ndarray:
     d = p2 - p1
     t1 = (d[:, 0] * v2[:, 1] - d[:, 1] * v2[:, 0]) / cross
     return p1 + t1[:, None] * v1
-
-
-def generate_hypotheses(field, mask, cfg: VotingConfig) -> list[Hypothesis]:
-    """Sample pixel pairs and intersect their rays. Deterministic per seed."""
-    locs = _hypothesis_locations(*_masked_pixels(field, mask), cfg)
-    return [Hypothesis(location=loc.copy()) for loc in locs]
 
 
 def _voters(pts, dirs, threshold):

@@ -239,6 +239,23 @@ class TestTrainAndReport:
                           "scene000_vf_plus_dpvl_seed0_l_pv", "scene001_vf_only_seed0_l_pv",
                           "scene001_vf_plus_dpvl_seed0_l_pv"]
 
+    def test_report_keeps_directories_apart(self, scenes_dir, tmp_path):
+        # equal trace names in different directories are separate curves
+        dirs = [str(tmp_path / name) for name in ("a", "b")]
+        for out in dirs:
+            assert main(["train", "--scenes", scenes_dir, "--out", out,
+                         "--mode", "vf_only,vf_plus_dpvl", "--seeds", "0",
+                         "--iters", "20", "--scene-limit", "1"]) == 0
+        out = str(tmp_path / "report")
+        assert main(["report", "--traces", *dirs, "--out", out]) == 0
+        rep = json.loads(open(os.path.join(out, "report.json")).read())
+        assert {mode: rep[mode]["n_traces"] for mode in rep} == {"vf_only": 2,
+                                                                  "vf_plus_dpvl": 2}
+        header = open(os.path.join(out, "curves.csv")).readline().strip().split(",")
+        assert header == ["iter", "a/scene000_vf_only_seed0_l_pv",
+                          "a/scene000_vf_plus_dpvl_seed0_l_pv", "b/scene000_vf_only_seed0_l_pv",
+                          "b/scene000_vf_plus_dpvl_seed0_l_pv"]
+
     def test_report_row_mismatch(self, train_dir, tmp_path):
         short = tmp_path / "trace_scene000_vf_only_seed9.csv"
         src = open(os.path.join(train_dir, "trace_scene000_vf_only_seed0.csv")).read()

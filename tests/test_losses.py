@@ -3,9 +3,10 @@ import pytest
 
 from oracles import oracle_fd_gradient, oracle_fd_scalar
 from proxyvote.errors import DimensionMismatchError
-from proxyvote.losses import (DEFAULT_SCHEDULE, WeightSchedule, dpvl,
-                              schedule_weights, seg_loss, smooth_l1,
-                              total_loss, vf_loss)
+from proxyvote.geometry import pixel_centers
+from proxyvote.losses import (DEFAULT_SCHEDULE, WeightSchedule, dpvl, proxy_distances,
+                              proxy_grad, proxy_terms, schedule_weights, smooth_l1,
+                              vf_loss, vf_terms)
 
 
 class TestSmoothL1:
@@ -95,8 +96,6 @@ class TestDpvl:
         k = rng.uniform(0, 8, 2)
         rep = dpvl(est, mask, k)
         fd = oracle_fd_gradient(lambda f: dpvl(f, mask, k).value, est, mask)
-        from proxyvote.losses import proxy_distances
-
         d, valid, _ = proxy_distances(est, mask, k)
         smooth = valid & (np.abs(d - 1.0) > 1e-3) & (d > 1e-3)
         rel = np.abs(rep.grad - fd) / np.maximum(np.abs(fd), 1e-8)
@@ -122,44 +121,40 @@ class TestDpvl:
         assert np.isfinite(rep.value)
         assert np.all(rep.grad[0, 1] == 0.0)
 
-
-class TestSegLoss:
-    def test_perfect_scores(self):
-        mask = np.ones((3, 3), bool)
-        assert seg_loss(np.ones((3, 3)), mask) == pytest.approx(0.0, abs=1e-5)
-
-    def test_log_inverse(self):
-        mask = np.zeros((2, 2), bool)
-        mask[0, 0] = True
-        scores = np.full((2, 2), 0.5)
-        scores[0, 0] = np.exp(-1.0)
-        assert seg_loss(scores, mask) == pytest.approx(1.0)
-
-    def test_clamp_keeps_finite(self):
+    def test_degenerate_pixels_add_nothing(self):
+        # lengths just over and just under EPS_NORM (1e-8), and an exact zero
+        est = np.zeros((2, 2, 2))
+        est[0, 0] = [1.0, 0.0]
+        est[0, 1] = [0.0, 2e-8]
+        est[1, 0] = [5e-9, 0.0]
         mask = np.ones((2, 2), bool)
-        assert np.isfinite(seg_loss(np.zeros((2, 2)), mask))
-
-    def test_background_variant(self):
-        mask = np.zeros((1, 2), bool)
-        mask[0, 0] = True
-        scores = np.array([[0.9, 0.2]])
-        expect = -np.log(0.9) - np.log(0.8)
-        assert seg_loss(scores, mask, include_background=True) == pytest.approx(expect)
+        k = np.array([10.0, 10.0])
+        d, valid, skipped = proxy_distances(est, mask, k)
+        assert valid.tolist() == [[True, True], [False, False]] and skipped == 2
+        assert np.all(d[~valid] == 0.0)
+        alone = dpvl(est[:1], mask[:1], k).value  # the two valid pixels only
+        assert dpvl(est, mask, k).value == alone == sum(smooth_l1(d[0])[0])
 
 
-class TestTotalLoss:
-    def test_arithmetic(self):
-        assert total_loss(2, 3, 4, 10, 0.01) == pytest.approx(23.04)
-
-    def test_ablation_baseline(self):
-        assert total_loss(2, 3, 4, 10, 0.0) == pytest.approx(23.0)
-        assert total_loss(2, 3, 4, 0.0, 0.0) == pytest.approx(3.0)
-
-    def test_linear_in_each_term(self):
-        base = total_loss(1, 1, 1, 2.0, 0.5)
-        assert total_loss(2, 1, 1, 2.0, 0.5) - base == pytest.approx(2.0)
-        assert total_loss(1, 2, 1, 2.0, 0.5) - base == pytest.approx(1.0)
-        assert total_loss(1, 1, 2, 2.0, 0.5) - base == pytest.approx(0.5)
+class TestMaskedCore:
+    def test_batch_axis_matches_per_field_losses(self):
+        # one (K, M, 2) call, as the trainer makes it, equals K (H, W) calls
+        rng = np.random.default_rng(6)
+        mask = rng.random((8, 8)) < 0.7
+        est = rng.normal(0, 1, (3, 8, 8, 2))
+        gt = rng.normal(0, 1, (3, 8, 8, 2))
+        ks = rng.uniform(0, 8, (3, 2))
+        off = ks[:, None, :] - pixel_centers(8, 8)[mask]
+        l_vf, g_vf = vf_terms(est[:, mask], gt[:, mask])
+        pt = proxy_terms(est[:, mask], off)
+        g_pv = proxy_grad(est[:, mask], off, pt)
+        vfs = [vf_loss(est[i], gt[i], mask) for i in range(3)]
+        pvs = [dpvl(est[i], mask, ks[i]) for i in range(3)]
+        assert l_vf == pytest.approx(sum(r.value for r in vfs), rel=1e-12)
+        assert pt.value == pytest.approx(sum(r.value for r in pvs), rel=1e-12)
+        for i in range(3):
+            assert np.array_equal(g_vf[i], vfs[i].grad[mask])
+            assert np.array_equal(g_pv[i], pvs[i].grad[mask])
 
 
 class TestSchedule:

@@ -7,10 +7,9 @@ from helpers import make_cube_scene
 from proxyvote import trainer
 from proxyvote.errors import (DegenerateConfigurationError, DivergenceError,
                               NoValidHypothesisError)
-from proxyvote.geometry import pixel_centers
-from proxyvote.losses import dpvl, vf_loss
-from proxyvote.trainer import (MODES, TrainConfig, _masked_losses, fit_field,
-                               random_init_field, run_experiment, substream)
+from proxyvote.losses import dpvl, proxy_distances, vf_loss
+from proxyvote.trainer import (MODES, TrainConfig, fit_field, random_init_field,
+                               run_experiment, substream)
 from proxyvote.voting import VotingConfig, vote_keypoint
 
 
@@ -47,30 +46,21 @@ class TestSubstream:
             substream(0, "nope")
 
 
-class TestMaskedLosses:
-    def test_matches_loss_module(self, scene):
-        # the fast masked restatement must agree with the reference losses
-        rng = np.random.default_rng(0)
-        est_full = np.where(scene.mask[None, :, :, None],
-                            rng.normal(0, 1, scene.gt_fields.shape), 0.0)
-        ctr = pixel_centers(scene.height, scene.width)[scene.mask]
-        est = est_full[:, scene.mask, :]
-        gt = scene.gt_fields[:, scene.mask, :]
-        A = scene.keypoints2[:, 1][:, None] - ctr[None, :, 1]
-        B = scene.keypoints2[:, 0][:, None] - ctr[None, :, 0]
-        l_vf, g_vf, l_pv, g_pv, _, _ = _masked_losses(est, gt, A, B)
-
-        want_vf = sum(vf_loss(est_full[i], scene.gt_fields[i], scene.mask).value
-                      for i in range(len(est_full)))
-        want_pv = sum(dpvl(est_full[i], scene.mask, scene.keypoints2[i]).value
-                      for i in range(len(est_full)))
-        assert l_vf == pytest.approx(want_vf, rel=1e-12)
-        assert l_pv == pytest.approx(want_pv, rel=1e-12)
-        for i in range(len(est_full)):
-            assert np.allclose(g_vf[i], vf_loss(est_full[i], scene.gt_fields[i],
-                                                scene.mask).grad[scene.mask])
-            assert np.allclose(g_pv[i], dpvl(est_full[i], scene.mask,
-                                             scene.keypoints2[i]).grad[scene.mask])
+class TestTraceMatchesLosses:
+    def test_first_iteration_matches_public_losses(self, scene):
+        # the traced values before the first step are the (H, W) losses
+        # summed over keypoints, in every mode, whichever gradients it uses
+        init = random_init_field(scene, substream(0, "init"))
+        kps = range(len(init))
+        want_vf = sum(vf_loss(init[i], scene.gt_fields[i], scene.mask).value for i in kps)
+        want_pv = sum(dpvl(init[i], scene.mask, scene.keypoints2[i]).value for i in kps)
+        dists = [proxy_distances(init[i], scene.mask, scene.keypoints2[i]) for i in kps]
+        want_mpd = np.mean(np.concatenate([d[valid] for d, valid, _ in dists]))
+        for mode in MODES:
+            _, trace = fit_field(scene, init, short_cfg(iterations=1, mode=mode))
+            assert trace.l_vf[0] == pytest.approx(want_vf, rel=1e-12)
+            assert trace.l_pv[0] == pytest.approx(want_pv, rel=1e-12)
+            assert trace.mean_proxy_dist[0] == pytest.approx(want_mpd, rel=1e-12)
 
 
 class TestFitField:

@@ -4,10 +4,14 @@ import pytest
 from helpers import disc_mask, exact_field, rotate_field
 from oracles import oracle_all_pairs_vote, oracle_inlier_counts
 from proxyvote.errors import InsufficientSupportError, NoValidHypothesisError
-from proxyvote.voting import (VotingConfig, _masked_pixels, _vote_counts, _voters,
-                              count_inliers, generate_hypotheses, vote_keypoint)
+from proxyvote.voting import (VotingConfig, _hypothesis_locations, _masked_pixels,
+                              _vote_counts, _voters, count_inliers, vote_keypoint)
 
 K = np.array([20.3, 41.7])
+
+
+def sample_hypotheses(field, mask, cfg):
+    return _hypothesis_locations(*_masked_pixels(field, mask), cfg)
 
 
 @pytest.fixture(scope="module")
@@ -19,38 +23,38 @@ def disc():
 class TestGenerateHypotheses:
     def test_exact_field_hits_keypoint(self, disc):
         mask, field = disc
-        hyps = generate_hypotheses(field, mask, VotingConfig(num_samples=64, rng_seed=1))
+        hyps = sample_hypotheses(field, mask, VotingConfig(num_samples=64, rng_seed=1))
         assert len(hyps) > 0
         for h in hyps:
-            assert np.linalg.norm(h.location - K) < 1e-9
+            assert np.linalg.norm(h - K) < 1e-9
 
     def test_parallel_field_empty(self):
         mask = disc_mask(16, 16, center=(8, 8), radius=5)
         field = np.zeros((16, 16, 2))
         field[mask] = [1.0, 0.0]
-        assert generate_hypotheses(field, mask, VotingConfig(rng_seed=0)) == []
+        assert sample_hypotheses(field, mask, VotingConfig(rng_seed=0)).shape == (0, 2)
 
     def test_insufficient_support(self):
         mask = np.zeros((4, 4), bool)
         mask[0, 0] = True
         with pytest.raises(InsufficientSupportError):
-            generate_hypotheses(np.zeros((4, 4, 2)), mask, VotingConfig())
+            sample_hypotheses(np.zeros((4, 4, 2)), mask, VotingConfig())
 
     def test_deterministic_per_seed(self, disc):
         mask, field = disc
-        a = generate_hypotheses(field, mask, VotingConfig(rng_seed=9))
-        b = generate_hypotheses(field, mask, VotingConfig(rng_seed=9))
+        a = sample_hypotheses(field, mask, VotingConfig(rng_seed=9))
+        b = sample_hypotheses(field, mask, VotingConfig(rng_seed=9))
         assert len(a) == len(b)
         for ha, hb in zip(a, b):
-            assert np.array_equal(ha.location, hb.location)
+            assert np.array_equal(ha, hb)
 
     def test_noisy_scatter_matches_all_pairs_oracle(self):
         mask = disc_mask(24, 24, center=(12, 12), radius=8)
         rng = np.random.default_rng(12)
         field = rotate_field(exact_field(mask, K), mask, 5.0, rng)
         stats = oracle_all_pairs_vote(field, mask, K)
-        hyps = generate_hypotheses(field, mask, VotingConfig(num_samples=512, rng_seed=4))
-        med = np.median([np.linalg.norm(h.location - K) for h in hyps])
+        hyps = sample_hypotheses(field, mask, VotingConfig(num_samples=512, rng_seed=4))
+        med = np.median([np.linalg.norm(h - K) for h in hyps])
         # sampled subset of the exhaustive hypothesis population
         assert med == pytest.approx(stats.median_distance, rel=0.5, abs=2.0)
 
@@ -148,8 +152,7 @@ class TestInlierParity:
     def test_sampled_hypotheses_match_cosine_oracle(self):
         mask = disc_mask(48, 48, center=(24, 24), radius=9)
         field = parity_field("half_flipped", mask, np.random.default_rng(8))
-        hyps = np.array([h.location for h in
-                         generate_hypotheses(field, mask, VotingConfig(rng_seed=8))])
+        hyps = sample_hypotheses(field, mask, VotingConfig(rng_seed=8))
         assert len(hyps) > 2 * 64
         assert np.array_equal(package_counts(hyps, field, mask),
                               oracle_inlier_counts(hyps, field, mask))
