@@ -4,8 +4,8 @@ evaluate poses and build ablation reports.
 Exit codes: 0 success, 1 runtime/I/O failure, 2 usage error. Every
 command writes a manifest.json with its resolved configuration so runs
 can be reproduced bit-for-bit. Flag precedence: explicit flags >
---config JSON > built-in defaults. PROXY_VOTE_THREADS caps the worker
-pool used for scene generation.
+--config JSON > built-in defaults. PROXY_VOTE_THREADS, a positive
+integer (default 1), caps the worker pool used for scene generation.
 """
 
 from __future__ import annotations
@@ -46,10 +46,14 @@ def _version() -> str:
 
 
 def _max_workers() -> int:
+    text = os.environ.get("PROXY_VOTE_THREADS", "1")
     try:
-        return max(int(os.environ.get("PROXY_VOTE_THREADS", "1")), 1)
+        workers = int(text)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise UsageError(f"PROXY_VOTE_THREADS must be a positive integer, got {text!r}")
+    return workers
 
 
 def _resolve(args, defaults, config_path):
@@ -131,22 +135,11 @@ GEN_DEFAULTS = {
 
 
 def _gen_one(task):
-    (model_path, kp_count, seed, idx, width, height, intr_tuple,
-     sigma, flip_prob, occlusion, z_min, z_max, margin, directory) = task
-    cloud = load_model(model_path)
-    keys = farthest_point_sampling(cloud, kp_count)
-    intr = Intrinsics(*intr_tuple)
-    scene_rng = substream(seed, "scene")
-    # burn idx poses so sample idx is reproducible independently of workers
-    ranges = PoseRanges(z_range=(z_min, z_max), margin=margin)
-    pose = None
-    for _ in range(idx + 1):
-        pose = sample_pose(scene_rng, ranges, cloud, intr, width, height)
+    """Build, corrupt and save one scene from the pose drawn for it in cmd_gen."""
+    cloud, keys, pose, intr, width, height, noise, directory = task
     sample = make_scene(cloud, keys, pose, intr, width, height)
-    if sigma > 0 or flip_prob > 0 or occlusion > 0:
-        noise_seed = int(substream(seed, "noise").integers(2 ** 63)) + idx
-        sample = corrupt(sample, NoiseSpec(angular_sigma=sigma, flip_prob=flip_prob,
-                                           occlusion_frac=occlusion, rng_seed=noise_seed))
+    if noise is not None:
+        sample = corrupt(sample, noise)
     save_scene(directory, sample)
     return directory
 
@@ -162,17 +155,28 @@ def cmd_gen(args) -> int:
         cfg["cx"] = cfg["width"] / 2.0
     if cfg["cy"] is None:
         cfg["cy"] = cfg["height"] / 2.0
+    max_workers = _max_workers()
 
     os.makedirs(cfg["out"], exist_ok=True)
-    intr_tuple = (cfg["fx"], cfg["fy"], cfg["cx"], cfg["cy"])
-    tasks = [
-        (cfg["model"], cfg["keypoints"], cfg["seed"], i, cfg["width"], cfg["height"],
-         intr_tuple, cfg["sigma"], cfg["flip_prob"], cfg["occlusion"],
-         cfg["z_min"], cfg["z_max"], cfg["margin"],
-         os.path.join(cfg["out"], f"sample_{i:03d}"))
-        for i in range(cfg["n"])
-    ]
-    workers = min(_max_workers(), len(tasks))
+    width, height = cfg["width"], cfg["height"]
+    cloud = load_model(cfg["model"])
+    keys = farthest_point_sampling(cloud, cfg["keypoints"])
+    intr = Intrinsics(cfg["fx"], cfg["fy"], cfg["cx"], cfg["cy"])
+    # poses are drawn here, in scene order, from one stream, so scene i is
+    # the same whatever n or the worker count
+    scene_rng = substream(cfg["seed"], "scene")
+    ranges = PoseRanges(z_range=(cfg["z_min"], cfg["z_max"]), margin=cfg["margin"])
+    noisy = cfg["sigma"] > 0 or cfg["flip_prob"] > 0 or cfg["occlusion"] > 0
+    noise_seed = int(substream(cfg["seed"], "noise").integers(2 ** 63))
+    tasks = []
+    for i in range(cfg["n"]):
+        pose = sample_pose(scene_rng, ranges, cloud, intr, width, height)
+        noise = NoiseSpec(angular_sigma=cfg["sigma"], flip_prob=cfg["flip_prob"],
+                          occlusion_frac=cfg["occlusion"],
+                          rng_seed=noise_seed + i) if noisy else None
+        tasks.append((cloud, keys, pose, intr, width, height, noise,
+                      os.path.join(cfg["out"], f"sample_{i:03d}")))
+    workers = min(max_workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_gen_one, tasks))

@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from .errors import DegenerateConfigurationError, TooFewPointsError
+from .errors import DegenerateConfigurationError, ProxyVoteError, TooFewPointsError
 from .geometry import Intrinsics, Pose, project
 
 # eigenvalue ratio below which the cloud is treated as planar
@@ -199,6 +199,14 @@ def _apply_delta(pose: Pose, delta):
     return Pose(R, pose.translation + delta[3:])
 
 
+# What a trial step of refine_pose can raise, each a rejected step rather
+# than a bug: ProxyVoteError (BehindCameraError from project when a point
+# falls behind the camera), np.linalg.LinAlgError (the re-orthonormalising
+# SVD or the damped solve fails) and ValueError (Pose rejects a
+# non-orthonormal or non-finite result).
+_STEP_ERRORS = (ProxyVoteError, np.linalg.LinAlgError, ValueError)
+
+
 def refine_pose(init: Pose, object_points, image_points, intr: Intrinsics, iters=10) -> Pose:
     """Levenberg-damped Gauss-Newton on reprojection residuals.
 
@@ -222,7 +230,7 @@ def refine_pose(init: Pose, object_points, image_points, intr: Intrinsics, iters
             dp[j] = h
             try:
                 J[:, j] = (residuals(_apply_delta(best, dp)) - residuals(_apply_delta(best, -dp))) / (2 * h)
-            except Exception:
+            except _STEP_ERRORS:
                 J[:, j] = 0.0
         A = J.T @ J
         g = J.T @ r0
@@ -232,7 +240,7 @@ def refine_pose(init: Pose, object_points, image_points, intr: Intrinsics, iters
                 delta = np.linalg.solve(A + lam * np.eye(6), -g)
                 cand = _apply_delta(best, delta)
                 err = reprojection_rmse(cand, Pw, U, intr)
-            except Exception:
+            except _STEP_ERRORS:
                 err = np.inf
             if err < best_err:
                 best, best_err = cand, err

@@ -1,8 +1,10 @@
 """Synthetic scene generation and on-disk scene format.
 
 Scenes are built by sampling a pose, splatting the projected model
-points into a mask (1.5 px discs) and deriving the ideal per-keypoint
-direction fields. Corruption rotates directions by Gaussian angles,
+points into a mask (a pixel is set when its centre lies within 1.5 px
+of a projected point; all points are tested on one stencil array and
+set in one scatter) and deriving the ideal per-keypoint direction
+fields. Corruption rotates directions by Gaussian angles,
 flips them with some probability and removes a contiguous occlusion
 blob from the mask.
 
@@ -108,18 +110,31 @@ def sample_pose(rng, ranges: PoseRanges, cloud: ModelCloud, intr: Intrinsics,
 
 
 def _splat_mask(proj, width, height, radius=SPLAT_RADIUS) -> np.ndarray:
+    """Pixels whose centre lies within `radius` of any projected point.
+
+    Each point's clipped pixel box is laid on a fixed S x S stencil
+    (S = the widest box); the cells inside the box whose centre passes
+    the disc test are set in one scatter.
+    """
     mask = np.zeros((height, width), dtype=bool)
+    proj = np.asarray(proj, dtype=float).reshape(-1, 2)
+    px, py = proj[:, 0], proj[:, 1]
     r2 = radius * radius
-    for px, py in proj:
-        j0 = max(int(np.floor(px - radius - 0.5)), 0)
-        j1 = min(int(np.ceil(px + radius - 0.5)), width - 1)
-        i0 = max(int(np.floor(py - radius - 0.5)), 0)
-        i1 = min(int(np.ceil(py + radius - 0.5)), height - 1)
-        if j1 < j0 or i1 < i0:
-            continue
-        jj, ii = np.meshgrid(np.arange(j0, j1 + 1), np.arange(i0, i1 + 1))
-        d2 = (jj + 0.5 - px) ** 2 + (ii + 0.5 - py) ** 2
-        mask[i0:i1 + 1, j0:j1 + 1] |= d2 <= r2
+    j0 = np.maximum(np.floor(px - radius - 0.5).astype(np.int64), 0)
+    j1 = np.minimum(np.ceil(px + radius - 0.5).astype(np.int64), width - 1)
+    i0 = np.maximum(np.floor(py - radius - 0.5).astype(np.int64), 0)
+    i1 = np.minimum(np.ceil(py + radius - 0.5).astype(np.int64), height - 1)
+    keep = (j1 >= j0) & (i1 >= i0)
+    if not keep.any():
+        return mask
+    px, py, j0, j1, i0, i1 = (a[keep] for a in (px, py, j0, j1, i0, i1))
+    step = np.arange(1 + int(max((j1 - j0).max(), (i1 - i0).max())))
+    jj = j0[:, None, None] + step[None, None, :]  # (N, 1, S)
+    ii = i0[:, None, None] + step[None, :, None]  # (N, S, 1)
+    d2 = (jj + 0.5 - px[:, None, None]) ** 2 + (ii + 0.5 - py[:, None, None]) ** 2
+    hit = (d2 <= r2) & (jj <= j1[:, None, None]) & (ii <= i1[:, None, None])
+    n, i, j = np.nonzero(hit)
+    mask[ii[n, i, 0], jj[n, 0, j]] = True
     return mask
 
 
@@ -219,7 +234,7 @@ def write_atomic(path, text):
 def save_scene(directory, sample: SceneSample):
     os.makedirs(directory, exist_ok=True)
     # mask as P2 PGM
-    rows = [" ".join("255" if v else "0" for v in row) for row in sample.mask]
+    rows = [" ".join(row) for row in np.where(sample.mask, "255", "0").tolist()]
     pgm = f"P2\n{sample.width} {sample.height}\n255\n" + "\n".join(rows) + "\n"
     write_atomic(os.path.join(directory, "mask.pgm"), pgm)
 
@@ -241,11 +256,11 @@ def save_scene(directory, sample: SceneSample):
     write_atomic(os.path.join(directory, "keypoints.csv"), "\n".join(lines) + "\n")
 
     ii, jj = np.nonzero(sample.mask)
-    for fi in range(len(sample.gt_fields)):
+    cells = list(zip(ii.tolist(), jj.tolist()))
+    for fi, f in enumerate(sample.gt_fields):
+        # repr of a Python float is _fmt of the numpy scalar, -0.0 included
         lines = ["row,col,vx,vy"]
-        f = sample.gt_fields[fi]
-        for i, j in zip(ii, jj):
-            lines.append(f"{i},{j},{_fmt(f[i, j, 0])},{_fmt(f[i, j, 1])}")
+        lines += [f"{i},{j},{x!r},{y!r}" for (i, j), (x, y) in zip(cells, f[ii, jj].tolist())]
         write_atomic(os.path.join(directory, f"field_{fi:02d}.csv"),
                      "\n".join(lines) + "\n")
 
@@ -265,6 +280,22 @@ def _load_pgm(path):
     return vals > 0
 
 
+def _load_csv(path, columns) -> np.ndarray:
+    """(M, columns) floats of a comma-separated file below its header line."""
+    with open(path) as f:
+        rows = f.read().splitlines()[1:]
+    tokens = ",".join(rows).split(",") if rows else []
+    if len(tokens) != len(rows) * columns:
+        raise ModelLoadError(f"{path}: expected {columns} columns per row")
+    try:
+        data = np.array(tokens, dtype=float).reshape(-1, columns)
+    except ValueError as e:
+        raise ModelLoadError(f"{path}: {e}") from None
+    if not np.all(np.isfinite(data)):
+        raise ModelLoadError(f"{path}: non-finite values")
+    return data
+
+
 def load_scene(directory) -> SceneSample:
     mask = _load_pgm(os.path.join(directory, "mask.pgm"))
     h, w = mask.shape
@@ -273,21 +304,16 @@ def load_scene(directory) -> SceneSample:
     pose = Pose(np.array(doc["rotation"]).reshape(3, 3), np.array(doc["translation"]))
     intr = Intrinsics(fx=doc["fx"], fy=doc["fy"], cx=doc["cx"], cy=doc["cy"])
 
-    kp_path = os.path.join(directory, "keypoints.csv")
-    kp = np.genfromtxt(kp_path, delimiter=",", skip_header=1, ndmin=2)
-    keypoints2 = kp[:, :2]
-    keypoints3 = kp[:, 2:5]
+    keypoints = _load_csv(os.path.join(directory, "keypoints.csv"), 5)
+    keypoints2 = keypoints[:, :2]
+    keypoints3 = keypoints[:, 2:5]
 
-    fields = np.zeros((len(kp), h, w, 2))
-    for fi in range(len(kp)):
-        path = os.path.join(directory, f"field_{fi:02d}.csv")
-        data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
-        if data.size and not np.all(np.isfinite(data)):
-            raise ModelLoadError(f"{path}: non-finite field values")
-        if data.size:
-            rows = data[:, 0].astype(int)
-            cols = data[:, 1].astype(int)
-            fields[fi, rows, cols, 0] = data[:, 2]
-            fields[fi, rows, cols, 1] = data[:, 3]
+    fields = np.zeros((len(keypoints), h, w, 2))
+    for fi in range(len(keypoints)):
+        data = _load_csv(os.path.join(directory, f"field_{fi:02d}.csv"), 4)
+        rows = data[:, 0].astype(int)
+        cols = data[:, 1].astype(int)
+        fields[fi, rows, cols, 0] = data[:, 2]
+        fields[fi, rows, cols, 1] = data[:, 3]
     return SceneSample(pose=pose, intr=intr, mask=mask, keypoints2=keypoints2,
                        keypoints3=keypoints3, gt_fields=fields, width=w, height=h)

@@ -3,9 +3,11 @@
 Deliberately naive and written without sharing code with the production
 paths: dense line-scan distance minimizer, central-difference gradient
 checker, exhaustive all-pairs hypothesis enumerator, dense cosine
-inlier counter, greedy FPS re-verifier and a second pinhole projection.
+inlier counter, greedy FPS re-verifier, a second pinhole projection and
+a per-point disc splatter.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +135,23 @@ def oracle_project(R, t, fx, fy, cx, cy, X):
     Xh = np.append(np.asarray(X, dtype=float), 1.0)
     uvw = P @ Xh
     return uvw[:2] / uvw[2]
+
+
+def oracle_splat_mask(points, width, height, radius):
+    """Pixel (i, j) is set when its centre (j + 0.5, i + 0.5) lies within
+    `radius` of some point, tested one point and one pixel at a time."""
+    mask = np.zeros((height, width), dtype=bool)
+    r2 = radius * radius
+    for px, py in np.asarray(points, dtype=float).reshape(-1, 2).tolist():
+        for i in range(max(0, math.floor(py - radius) - 2),
+                       min(height, math.ceil(py + radius) + 2)):
+            for j in range(max(0, math.floor(px - radius) - 2),
+                           min(width, math.ceil(px + radius) + 2)):
+                dx = j + 0.5 - px
+                dy = i + 0.5 - py
+                if dx * dx + dy * dy <= r2:
+                    mask[i, j] = True
+    return mask
 
 
 def oracle_fps_verify(points, selected):

@@ -113,26 +113,102 @@ class TestGen:
                 fb = open(os.path.join(replay_out, d, f), "rb").read()
                 assert fa == fb
 
-    def test_worker_count_does_not_change_output(self, tmp_path, model_file):
+    def test_worker_count_does_not_change_output(self, tmp_path, model_file, monkeypatch):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         argbase = ["gen", "--model", model_file, "--n", "3", "--seed", "2",
                    "--z-min", "0.45", "--z-max", "0.7"]
-        old = os.environ.get("PROXY_VOTE_THREADS")
-        try:
-            os.environ["PROXY_VOTE_THREADS"] = "1"
-            assert main(argbase + ["--out", a]) == 0
-            os.environ["PROXY_VOTE_THREADS"] = "3"
-            assert main(argbase + ["--out", b]) == 0
-        finally:
-            if old is None:
-                os.environ.pop("PROXY_VOTE_THREADS", None)
-            else:
-                os.environ["PROXY_VOTE_THREADS"] = old
+        monkeypatch.setenv("PROXY_VOTE_THREADS", "1")
+        assert main(argbase + ["--out", a]) == 0
+        monkeypatch.setenv("PROXY_VOTE_THREADS", "3")
+        assert main(argbase + ["--out", b]) == 0
         for i in range(3):
             d = f"sample_{i:03d}"
             for f in sorted(os.listdir(os.path.join(a, d))):
                 assert open(os.path.join(a, d, f), "rb").read() == \
                     open(os.path.join(b, d, f), "rb").read()
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_thread_count_is_usage_error(self, tmp_path, model_file, monkeypatch,
+                                             capsys, value):
+        import proxyvote.cli as cli
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setenv("PROXY_VOTE_THREADS", value)
+        out = tmp_path / "x"
+        assert main(["gen", "--model", model_file, "--out", str(out), "--n", "2"]) == 2
+        assert "PROXY_VOTE_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_and_poses_are_prepared_once(self, tmp_path, model_file, monkeypatch):
+        import proxyvote.cli as cli
+
+        calls = {}
+
+        def counted(name):
+            real = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        for name in ("sample_pose", "load_model", "farthest_point_sampling"):
+            counted(name)
+        monkeypatch.delenv("PROXY_VOTE_THREADS", raising=False)
+        assert main(["gen", "--model", model_file, "--out", str(tmp_path / "g"),
+                     "--n", "6", "--z-min", "0.45", "--z-max", "0.7"]) == 0
+        assert calls == {"sample_pose": 6, "load_model": 1, "farthest_point_sampling": 1}
+
+    def test_scene_does_not_depend_on_n(self, tmp_path, model_file):
+        argbase = ["gen", "--model", model_file, "--seed", "4", "--sigma", "3",
+                   "--flip-prob", "0.1", "--occlusion", "0.2",
+                   "--z-min", "0.45", "--z-max", "0.7"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(argbase + ["--n", "3", "--out", str(a)]) == 0
+        assert main(argbase + ["--n", "6", "--out", str(b)]) == 0
+        for i in range(3):
+            d = f"sample_{i:03d}"
+            names = sorted(os.listdir(a / d))
+            assert names == sorted(os.listdir(b / d))
+            for f in names:
+                assert (a / d / f).read_bytes() == (b / d / f).read_bytes()
+
+    def test_scene_matches_replayed_recipe(self, tmp_path, model_file):
+        # scene i: the (i+1)-th pose of a fresh "scene" stream, corrupted
+        # with the "noise" stream's base seed + i
+        from proxyvote.geometry import Intrinsics
+        from proxyvote.model_tools import farthest_point_sampling, load_model
+        from proxyvote.synth import (NoiseSpec, PoseRanges, corrupt, make_scene,
+                                     sample_pose, save_scene)
+        from proxyvote.trainer import substream
+
+        out = tmp_path / "gen"
+        assert main(["gen", "--model", model_file, "--out", str(out), "--n", "3",
+                     "--seed", "6", "--sigma", "3", "--flip-prob", "0.1",
+                     "--occlusion", "0.2", "--z-min", "0.45", "--z-max", "0.7"]) == 0
+        cloud = load_model(model_file)
+        keys = farthest_point_sampling(cloud, 8)
+        intr = Intrinsics(80.0, 80.0, 32.0, 32.0)
+        ranges = PoseRanges(z_range=(0.45, 0.7))
+        base = int(substream(6, "noise").integers(2 ** 63))
+        for i in range(3):
+            rng = substream(6, "scene")
+            for _ in range(i + 1):
+                pose = sample_pose(rng, ranges, cloud, intr, 64, 64)
+            sample = corrupt(make_scene(cloud, keys, pose, intr, 64, 64),
+                             NoiseSpec(angular_sigma=3, flip_prob=0.1, occlusion_frac=0.2,
+                                       rng_seed=base + i))
+            ref = tmp_path / f"ref{i}"
+            save_scene(ref, sample)
+            d = out / f"sample_{i:03d}"
+            names = sorted(os.listdir(ref))
+            assert names == sorted(os.listdir(d))
+            for f in names:
+                assert (ref / f).read_bytes() == (d / f).read_bytes(), f"{d.name}/{f}"
 
     def test_missing_model_is_usage_error(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "x")]) == 2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import default_intrinsics, random_pose, rotation_angle
-from proxyvote.errors import TooFewPointsError
+from proxyvote.errors import BehindCameraError, TooFewPointsError
 from proxyvote.geometry import Intrinsics, Pose, project
 from proxyvote.pnp import refine_pose, reprojection_rmse, solve_epnp, umeyama
 
@@ -136,6 +136,42 @@ class TestRefinePose:
         before = reprojection_rmse(init, pts, img, INTR)
         after = reprojection_rmse(refine_pose(init, pts, img, INTR, iters=10), pts, img, INTR)
         assert after <= before + 1e-12
+
+    @staticmethod
+    def _fail_after_first_rmse(monkeypatch, error):
+        import proxyvote.pnp as pnp
+
+        real = pnp.reprojection_rmse
+        calls = []
+
+        def rmse(*args):
+            calls.append(1)
+            if len(calls) > 1:
+                raise error("trial step")
+            return real(*args)
+
+        monkeypatch.setattr(pnp, "reprojection_rmse", rmse)
+        return calls
+
+    def _noisy_problem(self):
+        rng = np.random.default_rng(9)
+        pose = random_pose(rng, t_scale=0.2, z_offset=2.0)
+        pts = noncoplanar_points(rng)
+        img = project(pose, INTR, pts) + rng.normal(0, 2.0, (len(pts), 2))
+        return solve_epnp(pts, img, INTR), pts, img
+
+    def test_failed_trial_steps_are_rejected(self, monkeypatch):
+        # a step that puts a point behind the camera is a rejected step
+        init, pts, img = self._noisy_problem()
+        calls = self._fail_after_first_rmse(monkeypatch, BehindCameraError)
+        assert refine_pose(init, pts, img, INTR, iters=3) is init
+        assert len(calls) > 1
+
+    def test_bug_in_trial_step_propagates(self, monkeypatch):
+        init, pts, img = self._noisy_problem()
+        self._fail_after_first_rmse(monkeypatch, TypeError)
+        with pytest.raises(TypeError, match="trial step"):
+            refine_pose(init, pts, img, INTR, iters=3)
 
 
 class TestReprojectionRmse:

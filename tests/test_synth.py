@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from helpers import cube_cloud, default_intrinsics, make_cube_scene
+from oracles import oracle_splat_mask
 from proxyvote.errors import ConfigurationError, ModelLoadError
 from proxyvote.geometry import pixel_centers, project
-from proxyvote.synth import (NoiseSpec, PoseRanges, corrupt, load_scene,
-                             sample_pose, save_scene)
+from proxyvote.synth import (NoiseSpec, PoseRanges, _fmt, _splat_mask, corrupt,
+                             load_scene, sample_pose, save_scene)
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +94,32 @@ class TestMakeScene:
     def test_keypoints2_match_projection(self, scene):
         _, keys, s = scene
         assert np.allclose(s.keypoints2, project(s.pose, s.intr, keys.points3))
+
+
+class TestSplatMask:
+    @pytest.mark.parametrize("radius", [0.25, 0.5, 1.5, 3.7])
+    def test_matches_per_point_oracle(self, radius):
+        rng = np.random.default_rng(int(radius * 100))
+        w, h = 23, 17
+        for _ in range(60):
+            n = int(rng.integers(0, 40))
+            # some points up to 8 px off the image, a third of them on the
+            # half-pixel lattice, where d^2 == r^2 exactly for lattice radii
+            pts = rng.uniform([-8, -8], [w + 8, h + 8], size=(n, 2))
+            lattice = rng.random(n) < 1 / 3
+            pts[lattice] = np.round(pts[lattice] * 2) / 2
+            got = _splat_mask(pts, w, h, radius)
+            assert np.array_equal(got, oracle_splat_mask(pts, w, h, radius))
+
+    def test_boundary_pixels_are_inside(self):
+        # centres exactly `radius` away are set, as the oracle says
+        mask = _splat_mask(np.array([[10.5, 10.5]]), 21, 21, 1.5)
+        assert mask[10, 9] and mask[10, 11] and mask[9, 10] and mask[11, 10]
+        assert np.array_equal(mask, oracle_splat_mask([[10.5, 10.5]], 21, 21, 1.5))
+
+    def test_no_points_or_all_off_image(self):
+        assert not _splat_mask(np.empty((0, 2)), 8, 6).any()
+        assert not _splat_mask(np.array([[-5.0, 3.0], [3.0, 20.0]]), 8, 6).any()
 
 
 class TestCorrupt:
@@ -224,3 +253,45 @@ class TestSceneIO:
         assert lines[2] == "255"
         vals = set(" ".join(lines[3:]).split())
         assert vals <= {"0", "255"}
+
+    def test_field_text_matches_per_pixel_formatter(self, scene, tmp_path):
+        _, _, s = scene
+        special = [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 0.1 + 0.2, -1e300,
+                   1 / 3, -2.5e-17, 123456789.125]
+        fields = np.zeros_like(s.gt_fields)
+        ii, jj = np.nonzero(s.mask)
+        for k in range(len(fields)):
+            vals = np.resize(np.roll(special, k), 2 * len(ii)).reshape(-1, 2)
+            fields[k, ii, jj] = vals
+        s = replace(s, gt_fields=fields)
+        d = tmp_path / "scene"
+        save_scene(d, s)
+        for k, f in enumerate(fields):
+            ref = ["row,col,vx,vy"] + [f"{i},{j},{_fmt(f[i, j, 0])},{_fmt(f[i, j, 1])}"
+                                       for i, j in zip(ii, jj)]
+            assert (d / f"field_{k:02d}.csv").read_text() == "\n".join(ref) + "\n"
+        back = load_scene(d)
+        assert np.array_equal(back.gt_fields, fields)
+        assert np.array_equal(np.signbit(back.gt_fields), np.signbit(fields))
+
+    def test_empty_mask_roundtrip(self, scene, tmp_path):
+        _, _, s = scene
+        s = replace(s, mask=np.zeros_like(s.mask), gt_fields=np.zeros_like(s.gt_fields))
+        d = tmp_path / "scene"
+        save_scene(d, s)
+        assert (d / "field_00.csv").read_text() == "row,col,vx,vy\n"
+        back = load_scene(d)
+        assert not back.mask.any()
+        assert back.gt_fields.shape == s.gt_fields.shape
+        assert not back.gt_fields.any()
+
+    def test_short_field_row_rejected(self, scene, tmp_path):
+        _, _, s = scene
+        d = tmp_path / "scene"
+        save_scene(d, s)
+        path = d / "field_01.csv"
+        text = path.read_text().splitlines()
+        text[2] = text[2].rsplit(",", 1)[0]
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(ModelLoadError, match="field_01"):
+            load_scene(d)
