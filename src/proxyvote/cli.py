@@ -37,11 +37,11 @@ class UsageError(ProxyVoteError):
 
 
 def _version() -> str:
-    try:
-        from importlib.metadata import version
+    from importlib.metadata import PackageNotFoundError, version
 
+    try:
         return version("proxyvote")
-    except Exception:
+    except PackageNotFoundError:  # running from a source tree
         return "unknown"
 
 
@@ -347,9 +347,28 @@ REPORT_DEFAULTS = {
 _TRACE_RE = re.compile(r"trace_(scene\d+)_(\w+?)_seed(\d+)\.csv$")
 
 
-def _read_trace(path):
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    return data
+_TRACE_NEEDS = ("iter", "l_pv", "mean_proxy_dist")
+
+
+def _trace_columns(path) -> dict:
+    """The columns of a trace CSV by header name: one read, one parse."""
+    with open(path) as f:
+        lines = f.read().splitlines()
+    names = lines[0].split(",") if lines else []
+    missing = [c for c in _TRACE_NEEDS if c not in names]
+    if missing:
+        raise ValueError(f"{path}: no {', '.join(missing)} column")
+    rows = lines[1:]
+    if not rows:
+        raise ValueError(f"{path}: no rows")
+    for lineno, row in enumerate(rows, 2):
+        if row.count(",") != len(names) - 1:
+            raise ValueError(f"{path}: line {lineno}: expected {len(names)} columns")
+    try:
+        data = np.array(",".join(rows).split(","), dtype=float).reshape(len(rows), -1)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    return {name: data[:, i] for i, name in enumerate(names)}
 
 
 def cmd_report(args) -> int:
@@ -380,12 +399,12 @@ def cmd_report(args) -> int:
         name = f"{m.group(1)}_{m.group(2)}_seed{m.group(3)}" if m else os.path.basename(p)
         label = os.path.normpath(os.path.join(os.path.relpath(d, root), name))
         modes[label] = m.group(2) if m else name
-        data = _read_trace(p)
+        data = _trace_columns(p)
+        rows = len(data["iter"])
         if length is None:
-            length = len(data)
-        elif len(data) != length:
-            raise AlignmentError(
-                f"trace {p} has {len(data)} rows, expected {length}")
+            length = rows
+        elif rows != length:
+            raise AlignmentError(f"trace {p} has {rows} rows, expected {length}")
         traces[label] = data
 
     os.makedirs(cfg["out"], exist_ok=True)

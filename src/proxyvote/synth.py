@@ -139,15 +139,14 @@ def _splat_mask(proj, width, height, radius=SPLAT_RADIUS) -> np.ndarray:
 
 
 def _ideal_fields(mask, keypoints2, height, width) -> np.ndarray:
-    ctr = pixel_centers(height, width)
-    fields = np.zeros((len(keypoints2), height, width, 2))
-    for i, k in enumerate(keypoints2):
-        diff = k[None, None, :] - ctr
-        r = np.hypot(diff[..., 0], diff[..., 1])
-        ok = mask & (r >= 1e-9)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f = diff / np.where(r[..., None] > 0, r[..., None], 1.0)
-        fields[i] = np.where(ok[..., None], f, 0.0)
+    """(K, H, W, 2) unit directions from each masked pixel centre to each
+    keypoint, zero outside the mask and within 1e-9 of the keypoint."""
+    diff = np.asarray(keypoints2, dtype=float)[:, None, :] - pixel_centers(height, width)[mask]
+    r = np.hypot(diff[..., 0], diff[..., 1])[..., None]  # (K, M, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = diff / np.where(r > 0, r, 1.0)
+    fields = np.zeros((len(diff), height, width, 2))
+    fields[:, mask] = np.where(r >= 1e-9, f, 0.0)
     return fields
 
 

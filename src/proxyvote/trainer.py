@@ -8,6 +8,14 @@ computed on the masked pixels of all keypoints at once. Only the
 gradients are divided by the masked-pixel count, so that learning rates
 transfer across mask sizes; the traced l_vf and l_pv are raw sums over
 masked pixels and keypoints.
+
+``fit_field`` keeps the parameters, the ground truth, the keypoint
+offsets and both Adam moments as component-planar (2, K, M) arrays, and
+one ``PlanarLosses`` and one set of gradient and Adam buffers serve every
+iteration. The Adam step runs in place with the operations of the
+textbook update in the same order, so its bits are those of
+m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+x -= lr m̂ / (sqrt(v̂) + eps).
 """
 
 from __future__ import annotations
@@ -20,8 +28,8 @@ import numpy as np
 
 from .errors import DivergenceError, ProxyVoteError
 from .geometry import pixel_centers
-from .losses import (DEFAULT_SCHEDULE, WeightSchedule, proxy_grad, proxy_terms,
-                     schedule_weights, vf_terms)
+from .losses import (DEFAULT_SCHEDULE, PlanarLosses, WeightSchedule, planar,
+                     schedule_weights)
 from .metrics import evaluate
 from .pnp import solve_epnp
 from .synth import SceneSample, _fmt, write_atomic
@@ -107,12 +115,13 @@ def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
     mask = sample.mask
     n_masked = max(int(np.count_nonzero(mask)), 1)
 
-    est = init[:, mask, :].copy()  # (K, M, 2)
-    gt = sample.gt_fields[:, mask, :]
-    off = sample.keypoints2[:, None, :] - pixel_centers(h, w)[mask]  # k - p, (K, M, 2)
+    est = planar(init[:, mask, :])  # (2, K, M)
+    gt = planar(sample.gt_fields[:, mask, :])
+    off = planar(sample.keypoints2[:, None, :] - pixel_centers(h, w)[mask])  # k - p
 
-    m = np.zeros_like(est)
-    v = np.zeros_like(est)
+    losses = PlanarLosses(est.shape[1:])
+    grad, m, v, step, denom = (np.zeros_like(est) for _ in range(5))
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     n = cfg.iterations
     tr_iter = np.arange(n)
     tr_lvf = np.zeros(n)
@@ -121,43 +130,52 @@ def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
     tr_a = np.zeros(n)
     tr_b = np.zeros(n)
 
-    for it in range(n):
-        epoch = it // cfg.iters_per_epoch
-        alpha, beta = schedule_weights(epoch, cfg.schedule)
-        lr = _decayed_lr(cfg, epoch)
+    # non-finite fields are tolerated here; the summed losses are checked
+    # in every iteration and raise DivergenceError
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for it in range(n):
+            epoch = it // cfg.iters_per_epoch
+            alpha, beta = schedule_weights(epoch, cfg.schedule)
+            lr = _decayed_lr(cfg, epoch)
 
-        # non-finite fields are tolerated here; the summed losses are
-        # checked below and raise DivergenceError
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            l_vf, g_vf = vf_terms(est, gt)
-            pt = proxy_terms(est, off)
-            l_pv = pt.value
+            l_vf = losses.vf(est, gt)
+            l_pv = losses.proxy(est, off)
             if cfg.mode == "vf_only":
-                grad = g_vf / n_masked
-            elif cfg.mode == "vf_plus_dpvl":
-                grad = (g_vf + beta * proxy_grad(est, off, pt)) / n_masked
-            else:  # dpvl_only
-                grad = beta * proxy_grad(est, off, pt) / n_masked
+                np.divide(losses.vf_grad, n_masked, out=grad)
+            else:
+                np.multiply(losses.proxy_grad(est, off), beta, out=grad)
+                if cfg.mode == "vf_plus_dpvl":
+                    np.add(losses.vf_grad, grad, out=grad)
+                np.divide(grad, n_masked, out=grad)
 
-        tr_lvf[it] = l_vf
-        tr_lpv[it] = l_pv
-        tr_mpd[it] = float(np.sum(pt.d[pt.valid])) / max(int(np.count_nonzero(pt.valid)), 1)
-        tr_a[it] = alpha
-        tr_b[it] = beta
-        if not (np.isfinite(l_vf) and np.isfinite(l_pv)):
-            trace = TrainTrace(tr_iter[: it + 1], tr_lvf[: it + 1], tr_lpv[: it + 1],
-                               tr_mpd[: it + 1], tr_a[: it + 1], tr_b[: it + 1])
-            raise DivergenceError(f"non-finite loss at iteration {it}", trace=trace)
+            tr_lvf[it] = l_vf
+            tr_lpv[it] = l_pv
+            tr_mpd[it] = losses.mean_proxy_dist()
+            tr_a[it] = alpha
+            tr_b[it] = beta
+            if not (np.isfinite(l_vf) and np.isfinite(l_pv)):
+                trace = TrainTrace(tr_iter[: it + 1], tr_lvf[: it + 1], tr_lpv[: it + 1],
+                                   tr_mpd[: it + 1], tr_a[: it + 1], tr_b[: it + 1])
+                raise DivergenceError(f"non-finite loss at iteration {it}", trace=trace)
 
-        # Adam step (bias-corrected)
-        m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * grad
-        v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * grad * grad
-        mhat = m / (1 - cfg.adam_beta1 ** (it + 1))
-        vhat = v / (1 - cfg.adam_beta2 ** (it + 1))
-        est -= lr * mhat / (np.sqrt(vhat) + cfg.adam_eps)
+            # Adam step (bias-corrected), in place
+            np.multiply(m, b1, out=m)
+            np.multiply(grad, 1 - b1, out=step)
+            np.add(m, step, out=m)
+            np.multiply(v, b2, out=v)
+            np.multiply(grad, 1 - b2, out=step)
+            np.multiply(step, grad, out=step)
+            np.add(v, step, out=v)
+            np.divide(m, 1 - b1 ** (it + 1), out=step)  # m-hat
+            np.divide(v, 1 - b2 ** (it + 1), out=denom)  # v-hat
+            np.sqrt(denom, out=denom)
+            np.add(denom, cfg.adam_eps, out=denom)
+            np.multiply(step, lr, out=step)
+            np.divide(step, denom, out=step)
+            np.subtract(est, step, out=est)
 
     fields = np.array(init, copy=True)
-    fields[:, mask, :] = est
+    fields[:, mask, :] = est.transpose(1, 2, 0)
 
     vote_cfg = VotingConfig(rng_seed=int(substream(cfg.rng_seed, "voting").integers(2 ** 63)))
     errs = np.full(k, np.inf)

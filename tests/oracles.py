@@ -3,8 +3,9 @@
 Deliberately naive and written without sharing code with the production
 paths: dense line-scan distance minimizer, central-difference gradient
 checker, exhaustive all-pairs hypothesis enumerator, dense cosine
-inlier counter, greedy FPS re-verifier, a second pinhole projection and
-a per-point disc splatter.
+inlier counter, greedy FPS re-verifier, a second pinhole projection, a
+per-point disc splatter, a per-pixel ideal-field builder and the
+straightforward (K, M, 2) field-fitting loop.
 """
 
 import math
@@ -154,6 +155,23 @@ def oracle_splat_mask(points, width, height, radius):
     return mask
 
 
+def oracle_ideal_fields(mask, keypoints2):
+    """Unit direction from pixel centre (j + 0.5, i + 0.5) to each
+    keypoint, one masked pixel at a time; zero off the mask and within
+    1e-9 of the keypoint."""
+    mask = np.asarray(mask, dtype=bool)
+    kps = np.asarray(keypoints2, dtype=float)
+    fields = np.zeros((len(kps),) + mask.shape + (2,))
+    for ki, (kx, ky) in enumerate(kps):
+        for i, j in zip(*np.nonzero(mask)):
+            dx = kx - (j + 0.5)
+            dy = ky - (i + 0.5)
+            r = np.hypot(dx, dy)
+            if r >= 1e-9:
+                fields[ki, i, j] = dx / r, dy / r
+    return fields
+
+
 def oracle_fps_verify(points, selected):
     """Re-check the greedy max-min property of an FPS selection order."""
     points = np.asarray(points, dtype=float)
@@ -173,3 +191,92 @@ def oracle_fps_verify(points, selected):
         ):
             return False
     return True
+
+
+def oracle_smooth_l1(a):
+    """Two-branch smooth-L1: (value, derivative)."""
+    abs_a = np.abs(a)
+    quad = abs_a < 1.0
+    return np.where(quad, 0.5 * a * a, abs_a - 0.5), np.where(quad, a, np.sign(a))
+
+
+def oracle_field_terms(est, gt, off):
+    """Regression and proxy-voting terms of (..., M, 2) masked-pixel arrays
+    (off = k - p), written out with two-branch smooth-L1.
+
+    Returns a dict of per-pixel arrays: vf (regression value), g_vf,
+    valid, d, pv (proxy value) and g_pv.
+    """
+    with np.errstate(all="ignore"):
+        r = est - gt
+        val, dval = oracle_smooth_l1(np.abs(r[..., 0]) + np.abs(r[..., 1]))
+        g_vf = dval[..., None] * np.sign(r)
+        n = np.hypot(est[..., 0], est[..., 1])
+        valid = n >= 1e-8
+        norm = np.where(valid, n, 1.0)
+        cross = est[..., 0] * off[..., 1] - est[..., 1] * off[..., 0]
+        d = np.where(valid, np.abs(cross) / norm, 0.0)
+        loss, dloss = oracle_smooth_l1(d)
+        s = np.sign(cross)
+        n3 = norm ** 3
+        g_pv = np.stack(
+            [dloss * (s * off[..., 1] / norm - np.abs(cross) * est[..., 0] / n3),
+             dloss * (-s * off[..., 0] / norm - np.abs(cross) * est[..., 1] / n3)],
+            axis=-1)
+    return {"vf": val, "g_vf": g_vf, "valid": valid, "d": d, "pv": loss,
+            "g_pv": np.where(valid[..., None], g_pv, 0.0)}
+
+
+def oracle_fit_field(init, mask, gt_fields, keypoints2, cfg):
+    """Adam on the regression and proxy-voting losses on (K, M, 2)
+    masked-pixel arrays, with fresh arrays at every step.
+
+    Returns (fields, columns, diverged): columns maps iter, l_vf, l_pv,
+    mean_proxy_dist, alpha and beta to their values up to and including
+    the last iteration run; diverged tells whether a loss went non-finite
+    there, in which case fields is None.
+    """
+    init = np.asarray(init, dtype=float)
+    mask = np.asarray(mask, dtype=bool)
+    ii, jj = np.nonzero(mask)
+    centres = np.stack([jj + 0.5, ii + 0.5], axis=-1).astype(float)
+    n_masked = max(len(ii), 1)
+    est = init[:, mask, :].copy()
+    gt = np.asarray(gt_fields, dtype=float)[:, mask, :]
+    off = np.asarray(keypoints2, dtype=float)[:, None, :] - centres[None, :, :]
+    m = np.zeros_like(est)
+    v = np.zeros_like(est)
+    sched = cfg.schedule
+    cols = {name: [] for name in ("iter", "l_vf", "l_pv", "mean_proxy_dist", "alpha", "beta")}
+    for it in range(cfg.iterations):
+        epoch = it // cfg.iters_per_epoch
+        alpha = min(sched.alpha0 * sched.alpha_factor ** epoch, sched.alpha_cap)
+        beta = min(sched.beta0 * sched.beta_factor ** epoch, sched.beta_cap)
+        lr = cfg.learning_rate
+        if cfg.lr_decay:
+            lr = max(lr * 0.85 ** (epoch // 5), 1e-5)
+        terms = oracle_field_terms(est, gt, off)
+        d, valid = terms["d"], terms["valid"]
+        with np.errstate(all="ignore"):
+            if cfg.mode == "vf_only":
+                grad = terms["g_vf"] / n_masked
+            elif cfg.mode == "vf_plus_dpvl":
+                grad = (terms["g_vf"] + beta * terms["g_pv"]) / n_masked
+            else:
+                grad = beta * terms["g_pv"] / n_masked
+        l_vf, l_pv = float(np.sum(terms["vf"])), float(np.sum(terms["pv"]))
+        for name, x in zip(cols, (it, l_vf, l_pv,
+                                  float(np.sum(d[valid])) / max(int(np.count_nonzero(valid)), 1),
+                                  alpha, beta)):
+            cols[name].append(x)
+        if not (np.isfinite(l_vf) and np.isfinite(l_pv)):
+            return None, {k: np.array(x) for k, x in cols.items()}, True
+        with np.errstate(all="ignore"):
+            m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * grad
+            v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * grad * grad
+            mhat = m / (1 - cfg.adam_beta1 ** (it + 1))
+            vhat = v / (1 - cfg.adam_beta2 ** (it + 1))
+            est = est - lr * mhat / (np.sqrt(vhat) + cfg.adam_eps)
+    fields = init.copy()
+    fields[:, mask, :] = est
+    return fields, {k: np.array(x) for k, x in cols.items()}, False

@@ -1,8 +1,10 @@
+import importlib.metadata
 import json
 import os
 
 import pytest
 
+from proxyvote import cli
 from proxyvote.cli import _parse_seeds, _resolve, main
 
 CUBE_PLY = """ply
@@ -340,6 +342,52 @@ class TestTrainAndReport:
                    os.path.join(train_dir, "trace_scene000_vf_only_seed0.csv"),
                    str(short), "--out", str(tmp_path / "r")])
         assert rc == 1
+
+    @pytest.mark.parametrize("damage", ["missing_column", "ragged_row", "short_row",
+                                        "non_numeric", "header_only"])
+    def test_report_bad_trace_names_the_file(self, train_dir, tmp_path, capsys, damage):
+        lines = open(os.path.join(train_dir, "trace_scene000_vf_only_seed0.csv")).read()
+        lines = lines.splitlines()
+        if damage == "missing_column":  # drop mean_proxy_dist
+            lines = [",".join(c for i, c in enumerate(x.split(",")) if i != 3) for x in lines]
+        elif damage == "ragged_row":  # one value too many, one too few: same total
+            lines[5] += ",1.0"
+            lines[9] = lines[9].rsplit(",", 1)[0]
+        elif damage == "short_row":
+            lines[7] = lines[7].rsplit(",", 1)[0]
+        elif damage == "non_numeric":
+            lines[3] = lines[3].replace(",", ",x", 1)
+        else:
+            lines = lines[:1]
+        bad = tmp_path / "trace_scene000_vf_only_seed3.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--traces", str(bad), "--out", str(tmp_path / "r")]) == 1
+        assert str(bad) in capsys.readouterr().err
+
+    def test_report_reads_a_one_row_trace(self, tmp_path):
+        trace = tmp_path / "trace_scene000_vf_only_seed0.csv"
+        trace.write_text("iter,l_vf,l_pv,mean_proxy_dist,alpha,beta\n0,1.5,0.25,3.0,1.0,0.001\n")
+        out = tmp_path / "r"
+        assert main(["report", "--traces", str(trace), "--out", str(out)]) == 0
+        assert (out / "curves.csv").read_text() == "iter,scene000_vf_only_seed0_l_pv\n0,0.25\n"
+        assert json.loads((out / "report.json").read_text())["vf_only"]["n_traces"] == 1
+
+
+class TestVersion:
+    def test_not_installed_is_unknown(self, monkeypatch):
+        def missing(name):
+            raise importlib.metadata.PackageNotFoundError(name)
+
+        monkeypatch.setattr(importlib.metadata, "version", missing)
+        assert cli._version() == "unknown"
+
+    def test_bug_propagates(self, monkeypatch):
+        def broken(name):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(importlib.metadata, "version", broken)
+        with pytest.raises(TypeError):
+            cli._version()
 
 
 def test_unknown_command_exits_2(capsys):

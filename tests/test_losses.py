@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import oracle_fd_gradient, oracle_fd_scalar
+from oracles import (oracle_fd_gradient, oracle_fd_scalar, oracle_field_terms,
+                     oracle_smooth_l1)
 from proxyvote.errors import DimensionMismatchError
 from proxyvote.geometry import pixel_centers
-from proxyvote.losses import (DEFAULT_SCHEDULE, WeightSchedule, dpvl, proxy_distances,
-                              proxy_grad, proxy_terms, schedule_weights, smooth_l1,
-                              vf_loss, vf_terms)
+from proxyvote.losses import (DEFAULT_SCHEDULE, PlanarLosses, WeightSchedule, dpvl,
+                              proxy_distances, schedule_weights, smooth_l1, vf_loss)
 
 
 class TestSmoothL1:
@@ -26,6 +26,19 @@ class TestSmoothL1:
             _, d = smooth_l1(a)
             fd = oracle_fd_scalar(lambda x: float(smooth_l1(x)[0]), a)
             assert d == pytest.approx(fd, abs=1e-6)
+
+    def test_bit_equal_to_two_branch_form(self):
+        sub = np.finfo(float).smallest_subnormal
+        normal = np.finfo(float).tiny
+        a = np.array([0.0, -0.0, sub, -sub, 3 * sub, normal, -1.5 * normal, 1e-160,
+                      1 - 2 ** -53, -(1 - 2 ** -53), 1.0, -1.0, 1 + 2 ** -52, 0.5, -3.0,
+                      1e308, np.inf, -np.inf, np.nan, -np.nan])
+        value, deriv = smooth_l1(a)
+        with np.errstate(over="ignore"):
+            want_value, want_deriv = oracle_smooth_l1(a)
+        assert np.array_equal(value.view(np.uint64), want_value.view(np.uint64))
+        assert np.array_equal(deriv.view(np.uint64), want_deriv.view(np.uint64))
+        assert np.signbit(deriv[1]) and np.signbit(deriv[-1])
 
 
 class TestVfLoss:
@@ -138,23 +151,62 @@ class TestDpvl:
 
 class TestMaskedCore:
     def test_batch_axis_matches_per_field_losses(self):
-        # one (K, M, 2) call, as the trainer makes it, equals K (H, W) calls
+        # one planar (2, K, M) call, as the trainer makes it, equals K (H, W) calls
         rng = np.random.default_rng(6)
         mask = rng.random((8, 8)) < 0.7
         est = rng.normal(0, 1, (3, 8, 8, 2))
         gt = rng.normal(0, 1, (3, 8, 8, 2))
         ks = rng.uniform(0, 8, (3, 2))
-        off = ks[:, None, :] - pixel_centers(8, 8)[mask]
-        l_vf, g_vf = vf_terms(est[:, mask], gt[:, mask])
-        pt = proxy_terms(est[:, mask], off)
-        g_pv = proxy_grad(est[:, mask], off, pt)
+
+        def planar(a):
+            return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+        est_p, gt_p = planar(est[:, mask]), planar(gt[:, mask])
+        off = planar(ks[:, None, :] - pixel_centers(8, 8)[mask])
+        losses = PlanarLosses(est_p.shape[1:])
+        l_vf = losses.vf(est_p, gt_p)
+        l_pv = losses.proxy(est_p, off)
+        g_pv = losses.proxy_grad(est_p, off)
         vfs = [vf_loss(est[i], gt[i], mask) for i in range(3)]
         pvs = [dpvl(est[i], mask, ks[i]) for i in range(3)]
         assert l_vf == pytest.approx(sum(r.value for r in vfs), rel=1e-12)
-        assert pt.value == pytest.approx(sum(r.value for r in pvs), rel=1e-12)
+        assert l_pv == pytest.approx(sum(r.value for r in pvs), rel=1e-12)
         for i in range(3):
-            assert np.array_equal(g_vf[i], vfs[i].grad[mask])
-            assert np.array_equal(g_pv[i], pvs[i].grad[mask])
+            assert np.array_equal(losses.vf_grad[:, i].T, vfs[i].grad[mask])
+            assert np.array_equal(g_pv[:, i].T, pvs[i].grad[mask])
+
+
+class TestTwoBranchParity:
+    def test_public_losses_match_bit_for_bit(self):
+        # random pixels plus zero and near-EPS_NORM directions, directions
+        # along k - p (cross exactly 0) and residuals exactly 0
+        rng = np.random.default_rng(7)
+        mask = rng.random((12, 12)) < 0.8
+        ii, jj = np.nonzero(mask)
+        k = np.array([5.3, 7.9])
+        est = rng.normal(0, 1, (12, 12, 2))
+        gt = rng.normal(0, 1, (12, 12, 2))
+        for p, vec in enumerate([[0.0, 0.0], [-0.0, -0.0], [5e-9, 0.0], [1e-8, 0.0],
+                                 [0.0, 2e-8], [5e-324, -0.0]]):
+            est[ii[p], jj[p]] = vec
+        for p, scale in zip(range(10, 14), (1.0, -1.0, 3.0, -0.5)):
+            est[ii[p], jj[p]] = scale * (k - [jj[p] + 0.5, ii[p] + 0.5])
+        gt[ii[20:23], jj[20:23]] = est[ii[20:23], jj[20:23]]
+        gt[ii[23], jj[23], 1] = est[ii[23], jj[23], 1]
+        est[ii[24], jj[24], 0], gt[ii[24], jj[24], 0] = -0.0, 0.0
+        want = oracle_field_terms(est[mask], gt[mask], k - pixel_centers(12, 12)[mask])
+
+        def bits(a):
+            return np.asarray(a, dtype=float).view(np.uint64)
+
+        vf, pv = vf_loss(est, gt, mask), dpvl(est, mask, k)
+        d, valid, _ = proxy_distances(est, mask, k)
+        assert np.array_equal(bits(vf.grad[mask]), bits(want["g_vf"]))
+        assert np.array_equal(bits(pv.grad[mask]), bits(want["g_pv"]))
+        assert np.array_equal(bits(d[mask]), bits(want["d"]))
+        assert np.array_equal(valid[mask], want["valid"])
+        assert bits(vf.value) == bits(np.sum(want["vf"]))
+        assert bits(pv.value) == bits(np.sum(want["pv"]))
 
 
 class TestSchedule:

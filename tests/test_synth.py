@@ -4,10 +4,10 @@ import pytest
 from dataclasses import replace
 
 from helpers import cube_cloud, default_intrinsics, make_cube_scene
-from oracles import oracle_splat_mask
+from oracles import oracle_ideal_fields, oracle_splat_mask
 from proxyvote.errors import ConfigurationError, ModelLoadError
 from proxyvote.geometry import pixel_centers, project
-from proxyvote.synth import (NoiseSpec, PoseRanges, _fmt, _splat_mask, corrupt,
+from proxyvote.synth import (NoiseSpec, PoseRanges, _fmt, _ideal_fields, _splat_mask, corrupt,
                              load_scene, sample_pose, save_scene)
 
 
@@ -120,6 +120,26 @@ class TestSplatMask:
     def test_no_points_or_all_off_image(self):
         assert not _splat_mask(np.empty((0, 2)), 8, 6).any()
         assert not _splat_mask(np.array([[-5.0, 3.0], [3.0, 20.0]]), 8, 6).any()
+
+
+class TestIdealFields:
+    def test_matches_per_pixel_oracle(self):
+        rng = np.random.default_rng(11)
+        w, h = 19, 13
+        mask = rng.random((h, w)) < 0.6
+        # keypoints inside and off the image, one on a pixel centre (a zero
+        # field there) and one 1e-10 from another centre
+        kps = np.vstack([rng.uniform([-5, -5], [w + 5, h + 5], (6, 2)),
+                         [[4.5, 6.5], [7.5 + 1e-10, 2.5]]])
+        mask[6, 4] = mask[2, 7] = True
+        got = _ideal_fields(mask, kps, h, w)
+        want = oracle_ideal_fields(mask, kps)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.all(got[6, 6, 4] == 0.0) and np.all(got[7, 2, 7] == 0.0)
+
+    def test_empty_mask_and_no_keypoints(self):
+        assert not _ideal_fields(np.zeros((5, 4), bool), np.ones((3, 2)), 5, 4).any()
+        assert _ideal_fields(np.ones((5, 4), bool), np.empty((0, 2)), 5, 4).shape == (0, 5, 4, 2)
 
 
 class TestCorrupt:

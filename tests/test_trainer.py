@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import make_cube_scene
+from oracles import oracle_fit_field
 from proxyvote import trainer
 from proxyvote.errors import (DegenerateConfigurationError, DivergenceError,
                               NoValidHypothesisError)
@@ -61,6 +62,71 @@ class TestTraceMatchesLosses:
             assert trace.l_vf[0] == pytest.approx(want_vf, rel=1e-12)
             assert trace.l_pv[0] == pytest.approx(want_pv, rel=1e-12)
             assert trace.mean_proxy_dist[0] == pytest.approx(want_mpd, rel=1e-12)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+class TestOracleParity:
+    """fit_field matches the straightforward (K, M, 2) loop bit for bit."""
+
+    def check(self, sample, init, cfg):
+        """Compare fields and trace columns; returns whether the fit diverged."""
+        want_fields, want, diverged = oracle_fit_field(
+            init, sample.mask, sample.gt_fields, sample.keypoints2, cfg)
+        if diverged:
+            with pytest.raises(DivergenceError) as exc:
+                fit_field(sample, init, cfg)
+            trace = exc.value.trace
+        else:
+            fields, trace = fit_field(sample, init, cfg)
+            assert np.array_equal(bits(fields), bits(want_fields))
+        assert np.array_equal(trace.iters, want["iter"])
+        for col in ("l_vf", "l_pv", "mean_proxy_dist", "alpha", "beta"):
+            assert np.array_equal(bits(getattr(trace, col)), bits(want[col])), col
+        return diverged
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_cube_scene(self, scene, mode):
+        # epochs of 50 iterations: beta grows five times and lr decays at 250
+        init = random_init_field(scene, substream(7, "init"))
+        assert not self.check(scene, init, short_cfg(iterations=300, iters_per_epoch=50,
+                                                     mode=mode))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_degenerate_pixels(self, scene, mode):
+        # zero and near-EPS_NORM directions (invalid pixels), directions
+        # along k - p (cross exactly 0 at a valid pixel) and components
+        # equal to the ground truth (residual exactly 0)
+        init = random_init_field(scene, substream(8, "init"))
+        ii, jj = np.nonzero(scene.mask)
+        tiny = [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [1e-8, 0.0],
+                [0.0, 2e-8], [5e-9, 0.0], [-7e-9, 7e-9], [5e-324, 0.0]]
+        for ki in range(len(init)):
+            for p, vec in enumerate(tiny):
+                init[ki, ii[p + ki], jj[p + ki]] = vec
+            for p, scale in zip(range(20, 23), (1.0, -1.0, 0.25)):
+                init[ki, ii[p], jj[p]] = scale * (scene.keypoints2[ki] - [jj[p] + 0.5, ii[p] + 0.5])
+            init[ki, ii[30:33], jj[30:33]] = scene.gt_fields[ki, ii[30:33], jj[30:33]]
+            init[ki, ii[33], jj[33], 0] = scene.gt_fields[ki, ii[33], jj[33], 0]
+            init[ki, ii[34], jj[34], 1] = -0.0
+        _, valid, skipped = proxy_distances(init[0], scene.mask, scene.keypoints2[0])
+        assert skipped == 7 and valid[ii[4], jj[4]]  # 1e-8 is EPS_NORM itself
+        assert not self.check(scene, init, short_cfg(iterations=40, mode=mode))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # voting the 1e300 field
+    @pytest.mark.parametrize("mode", MODES)
+    def test_divergence_partial_trace(self, scene, mode):
+        # a finite 1e300 direction keeps the losses finite at iteration 0,
+        # but the proxy gradient is inf / inf there, so fits using it
+        # diverge one iteration later
+        init = random_init_field(scene, substream(9, "init"))
+        ii, jj = np.nonzero(scene.mask)
+        init[2, ii[5], jj[5]] = [1e300, -1e300]
+        assert self.check(scene, init, short_cfg(iterations=5, mode=mode)) == (mode != "vf_only")
+        init[:, scene.mask, :] *= np.inf
+        assert self.check(scene, init, short_cfg(iterations=5, mode=mode))
 
 
 class TestFitField:
