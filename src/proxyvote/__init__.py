@@ -7,8 +7,7 @@ scene + training harness for desk-scale experiments.
 """
 
 from .geometry import (Intrinsics, Pose, foot_of_perpendicular, pixel_centers,
-                       point_line_distance, project, ray_intersection,
-                       unit_direction)
+                       point_line_distance, project, unit_direction)
 from .losses import (DEFAULT_SCHEDULE, LossReport, WeightSchedule, dpvl,
                      schedule_weights, smooth_l1, vf_loss)
 from .metrics import EvalRecord, add_s_score, add_score, evaluate, judge, proj2d_error

@@ -107,24 +107,6 @@ def foot_of_perpendicular(p, v, k):
     return p + t * v
 
 
-def ray_intersection(p1, v1, p2, v2):
-    """Intersection of the two infinite lines, or None when near-parallel."""
-    p1 = np.asarray(p1, dtype=float)
-    v1 = np.asarray(v1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    cross = v1[0] * v2[1] - v1[1] * v2[0]
-    n1 = np.hypot(v1[0], v1[1])
-    n2 = np.hypot(v2[0], v2[1])
-    if n1 < EPS_NORM or n2 < EPS_NORM:
-        return None
-    if abs(cross) / (n1 * n2) < EPS_PARALLEL:
-        return None
-    d = p2 - p1
-    t1 = (d[0] * v2[1] - d[1] * v2[0]) / cross
-    return p1 + t1 * v1
-
-
 def project(pose: Pose, intr: Intrinsics, points):
     """Pinhole projection of (..., 3) object points to (..., 2) pixels."""
     cam = pose.apply(points)

@@ -20,6 +20,7 @@ import json
 import os
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -265,27 +266,32 @@ def save_scene(directory, sample: SceneSample):
 
 
 def _load_pgm(path):
+    """Mask (value > 0) of a P2 PGM: any line wrapping, # comments, values past w·h ignored."""
     with open(path) as f:
-        tokens = []
-        for line in f:
-            hash_pos = line.find("#")
-            if hash_pos >= 0:
-                line = line[:hash_pos]
-            tokens.extend(line.split())
-    if not tokens or tokens[0] != "P2":
+        text = f.read()
+    if "#" in text:
+        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    head = text.split(maxsplit=4)
+    if len(head) < 4 or head[0] != "P2":
         raise ModelLoadError(f"{path}: not a P2 PGM")
-    w, h = int(tokens[1]), int(tokens[2])
-    vals = np.array(tokens[4:4 + w * h], dtype=int).reshape(h, w)
-    return vals > 0
+    try:
+        w, h = int(head[1]), int(head[2])
+        vals = np.fromstring(head[4] if len(head) > 4 else "", dtype=int, sep=" ")
+    except ValueError as e:
+        raise ModelLoadError(f"{path}: {e}") from None
+    if len(vals) < w * h:
+        raise ModelLoadError(f"{path}: {len(vals)} values for a {w}x{h} image")
+    return vals[:w * h].reshape(h, w) > 0
 
 
 def _load_csv(path, columns) -> np.ndarray:
     """(M, columns) floats of a comma-separated file below its header line."""
     with open(path) as f:
         rows = f.read().splitlines()[1:]
-    tokens = ",".join(rows).split(",") if rows else []
-    if len(tokens) != len(rows) * columns:
+    # checked per row: a long row and a short one keep the total token count
+    if set(map(str.count, rows, repeat(","))) - {columns - 1}:
         raise ModelLoadError(f"{path}: expected {columns} columns per row")
+    tokens = ",".join(rows).split(",") if rows else []
     try:
         data = np.array(tokens, dtype=float).reshape(-1, columns)
     except ValueError as e:

@@ -15,6 +15,24 @@ float64 the two forms can part only for a pair within rounding of the
 threshold. The squared form needs no square root or division per
 pixel-hypothesis pair, and it is the one test that counting, scoring the
 hypotheses and refining the winner all use.
+
+Pruned counting. The voters (masked pixels with |v| >= EPS_NORM) are
+split once into C strided chunks: chunk c holds voters c, c + C,
+c + 2C, ... of the row-major order, so each chunk is a spatially uniform
+sample of the mask. Every hypothesis is counted on chunk 0, and the
+chunk-0 leader is counted on all voters; its count is the bound best.
+Before each further chunk, a hypothesis is kept only while its count so
+far plus the number of voters in the chunks still to come is >= best.
+This is exact: a dropped hypothesis ends with fewer than best votes, and
+best is at most the maximum count, so it can neither win nor tie. The
+kept ones end with full counts, which do not depend on the voter order,
+and the winner and its (x, y) tie-break are taken among them. Counts on
+a chunk come from a (voters, hypotheses) table, voters on rows and
+hypotheses contiguous.
+
+Refinement sums over the winner's inliers in the original row-major
+order, not the chunk order: the order of a float sum decides its last
+bits.
 """
 
 from __future__ import annotations
@@ -39,12 +57,6 @@ class VotingConfig:
             raise ValueError("num_samples must be >= 1")
         if not (0.0 < self.inlier_cos_threshold < 1.0):
             raise ValueError("inlier_cos_threshold must be in (0, 1)")
-
-
-# Hypotheses scored per block, so that a block's (_BLOCK, M) scratch
-# arrays stay in cache. On 700-1,800-pixel masks, blocks of 16 to 128
-# time within 10-30 % of each other; 512 takes 2-2.5 times as long.
-_BLOCK = 64
 
 
 def _masked_pixels(field, mask):
@@ -88,39 +100,36 @@ def _hypothesis_locations(pts, dirs, cfg: VotingConfig) -> np.ndarray:
 
 
 def _voters(pts, dirs, threshold):
-    """Pixels that can vote (|v| >= EPS_NORM): centres, directions and thr²·|v|².
+    """Pixels that can vote (|v| >= EPS_NORM), in row-major order.
 
-    Column-major copies, so that the x and y columns the counting loop
-    reads are contiguous.
+    Returns the contiguous columns px, py, vx, vy and thr²·|v|².
     """
     ok = np.hypot(dirs[:, 0], dirs[:, 1]) >= EPS_NORM
-    pts, dirs = np.asfortranarray(pts[ok]), np.asfortranarray(dirs[ok])
-    vx, vy = dirs[:, 0], dirs[:, 1]
-    return pts, dirs, threshold * threshold * (vx * vx + vy * vy)
+    px, py, vx, vy = pts[ok, 0], pts[ok, 1], dirs[ok, 0], dirs[ok, 1]
+    return px, py, vx, vy, threshold * threshold * (vx * vx + vy * vy)
 
 
-def _workspace(n, m):
-    """Scratch arrays for ``_inliers`` on up to n hypotheses and m voters."""
-    return [np.empty((n, m)) for _ in range(4)] + [np.empty((n, m), dtype=bool) for _ in range(2)]
+def _workspace(size):
+    """Four float and two bool work arrays of size elements for ``_inliers``."""
+    return [np.empty(size) for _ in range(4)] + [np.empty(size, dtype=bool) for _ in range(2)]
 
 
-def _inliers(hyps, voters, work=None):
-    """(n, M) bool: voter m is an inlier of hypothesis n (see module docstring).
+def _inliers(hx, hy, voters, work):
+    """Bool table: voter is an inlier of hypothesis (hx, hy) (see module docstring).
 
-    voters comes from ``_voters``. With d = h - p and dot = d·v, the test
-    is d² >= 0.25, dot >= 0 and dot² >= thr²·d²·|v|². work holds four
-    float and two bool (>= n, M) scratch arrays to compute in, so that a
-    loop over blocks allocates nothing; the result is a view of work[4].
+    hx, hy and the voter columns of ``_voters`` broadcast against each
+    other: (1, n) hypothesis rows against (m, 1) voter columns give an
+    (m, n) table, scalars against (M,) columns one row. With d = h - p
+    and dot = d·v, the test is d² >= 0.25, dot >= 0 and
+    dot² >= thr²·d²·|v|². work holds four float and two bool arrays of
+    the result's shape to compute in; the result is work[4].
     """
-    pts, dirs, weight = voters
-    n = len(hyps)
-    if work is None:
-        work = _workspace(n, len(pts))
-    dx, dy, dot, tmp, ok, cond = (a[:n] for a in work)
-    np.subtract(hyps[:, :1], pts[:, 0], out=dx)
-    np.subtract(hyps[:, 1:], pts[:, 1], out=dy)
-    np.multiply(dx, dirs[:, 0], out=dot)
-    np.multiply(dy, dirs[:, 1], out=tmp)
+    px, py, vx, vy, weight = voters
+    dx, dy, dot, tmp, ok, cond = work
+    np.subtract(hx, px, out=dx)
+    np.subtract(hy, py, out=dy)
+    np.multiply(dx, vx, out=dot)
+    np.multiply(dy, vy, out=tmp)
     dot += tmp
     dx *= dx
     dy *= dy
@@ -135,14 +144,50 @@ def _inliers(hyps, voters, work=None):
     return ok
 
 
-def _vote_counts(hyps, voters) -> np.ndarray:
-    """Inlier count per hypothesis, scored _BLOCK hypotheses at a time."""
-    counts = np.empty(len(hyps), dtype=np.intp)
-    work = _workspace(min(_BLOCK, len(hyps)), len(voters[0]))
-    for s in range(0, len(hyps), _BLOCK):
-        block = hyps[s:s + _BLOCK]
-        counts[s:s + len(block)] = np.count_nonzero(_inliers(block, voters, work), axis=1)
-    return counts
+def _inlier_row(h, voters):
+    """(M,) bool: the voters that are inliers of the one hypothesis h, in voter order."""
+    return _inliers(h[0], h[1], voters, _workspace(len(voters[0])))
+
+
+def _chunks(voters, n):
+    """The voters in strided chunks of (m, 1) columns, for n hypotheses.
+
+    Chunk c holds voters c, c + C, c + 2C, ... There are C = max(16,
+    ceil(n / 32)) of them, so that a chunk's (m, n) table has about as
+    many cells as 32 hypotheses over all voters, or fewer. Chunks left
+    empty by fewer voters than C are left out.
+    """
+    stride = max(16, -(-n // 32))
+    return [tuple(a[c::stride, None].copy() for a in voters)
+            for c in range(min(stride, len(voters[0])))]
+
+
+def _chunk_counts(hx, hy, chunk, work):
+    """Inlier count of each hypothesis column of (1, n) hx, hy on one chunk."""
+    m, n = len(chunk[0]), hx.shape[1]
+    ok = _inliers(hx, hy, chunk, [a[:m * n].reshape(m, n) for a in work])
+    return np.add.reduce(ok.view(np.uint8), axis=0, dtype=np.intp)
+
+
+def _pruned_counts(locs, voters):
+    """Hypotheses that survive the chunked bound (see module docstring).
+
+    Returns their indices, ascending, and their full inlier counts; every
+    hypothesis with the maximum count is among them.
+    """
+    chunks = _chunks(voters, len(locs))
+    work = _workspace(len(chunks[0][0]) * len(locs))
+    hx, hy = locs.T.copy().reshape(2, 1, -1)
+    counts = _chunk_counts(hx, hy, chunks[0], work)
+    best = np.count_nonzero(_inlier_row(locs[np.argmax(counts)], voters))
+    idx = np.arange(len(locs))
+    remaining = len(voters[0]) - len(chunks[0][0])
+    for chunk in chunks[1:]:
+        keep = counts + remaining >= best
+        idx, hx, hy, counts = idx[keep], hx[:, keep], hy[:, keep], counts[keep]
+        counts += _chunk_counts(hx, hy, chunk, work)
+        remaining -= len(chunk[0])
+    return idx, counts
 
 
 def count_inliers(h, field, mask, threshold) -> int:
@@ -153,32 +198,34 @@ def count_inliers(h, field, mask, threshold) -> int:
     module docstring), with no square root or division.
     """
     voters = _voters(*_masked_pixels(field, mask), threshold)
-    h = np.asarray(h, dtype=float).reshape(1, 2)
-    return int(np.count_nonzero(_inliers(h, voters)))
+    return int(np.count_nonzero(_inlier_row(np.asarray(h, dtype=float).reshape(2), voters)))
 
 
-def _refine_location(best, pts, dirs, inliers):
-    """Least-squares intersection of inlier rays via 2x2 normal equations."""
-    p = pts[inliers]
-    v = dirs[inliers]
-    n = v / np.hypot(v[:, 0], v[:, 1])[:, None]
+def _refine_location(best, voters, inliers):
+    """Least-squares intersection of inlier rays via 2x2 normal equations.
+
+    The sums run over the inliers in voter order, so the result depends
+    on that order in its last bits.
+    """
+    px, py, vx, vy = (a[inliers] for a in voters[:4])
+    norm = np.hypot(vx, vy)
+    nx, ny = vx / norm, vy / norm
     # sum of (I - n n^T) per inlier
-    nx, ny = n[:, 0], n[:, 1]
     A = np.array(
         [
             [np.sum(1.0 - nx * nx), np.sum(-nx * ny)],
             [np.sum(-nx * ny), np.sum(1.0 - ny * ny)],
         ]
     )
-    b = np.stack([(1.0 - nx * nx) * p[:, 0] - nx * ny * p[:, 1],
-                  -nx * ny * p[:, 0] + (1.0 - ny * ny) * p[:, 1]], axis=-1).sum(axis=0)
+    b = np.stack([(1.0 - nx * nx) * px - nx * ny * py,
+                  -nx * ny * px + (1.0 - ny * ny) * py], axis=-1).sum(axis=0)
     if np.linalg.cond(A) > 1e8:
         return best
     x = np.linalg.solve(A, b)
 
     def cost(q):
-        dpx = q[None, 0] - p[:, 0]
-        dpy = q[None, 1] - p[:, 1]
+        dpx = q[None, 0] - px
+        dpy = q[None, 1] - py
         cr = nx * dpy - ny * dpx
         return float(np.sum(cr * cr))
 
@@ -196,13 +243,12 @@ def vote_keypoint(field, mask, cfg: VotingConfig):
     if len(locs) == 0:
         raise NoValidHypothesisError("all sampled pixel pairs were parallel")
     voters = _voters(pts, dirs, cfg.inlier_cos_threshold)
-    votes = _vote_counts(locs, voters)
+    idx, votes = _pruned_counts(locs, voters)
     best_votes = votes.max()
-    cand = np.flatnonzero(votes == best_votes)
+    cand = idx[votes == best_votes]
     # lexicographic (x, y) tie-break
     order = np.lexsort((locs[cand, 1], locs[cand, 0]))
     best = locs[cand[order[0]]]
     if cfg.refine:
-        vpts, vdirs, _ = voters
-        best = _refine_location(best, vpts, vdirs, _inliers(best[None, :], voters)[0])
+        best = _refine_location(best, voters, _inlier_row(best, voters))
     return np.asarray(best, dtype=float), int(best_votes)

@@ -3,9 +3,9 @@
 Deliberately naive and written without sharing code with the production
 paths: dense line-scan distance minimizer, central-difference gradient
 checker, exhaustive all-pairs hypothesis enumerator, dense cosine
-inlier counter, greedy FPS re-verifier, a second pinhole projection, a
-per-point disc splatter, a per-pixel ideal-field builder and the
-straightforward (K, M, 2) field-fitting loop.
+inlier counter and unpruned vote, greedy FPS re-verifier, a second
+pinhole projection, a per-point disc splatter, per-pixel ideal fields
+and the straightforward (K, M, 2) field-fitting loop.
 """
 
 import math
@@ -109,11 +109,12 @@ def oracle_all_pairs_vote(field, mask, k_true, inlier_cos=0.99):
     return AllPairsStats(hyps, med, best_loc, best_votes)
 
 
-def oracle_inlier_counts(hyps, field, mask, inlier_cos=0.99):
-    """Per-hypothesis inlier counts from the dense cosine matrix.
+def oracle_inlier_table(hyps, field, mask, inlier_cos=0.99):
+    """(n, M) bool from the dense cosine matrix: masked pixel m votes for hypothesis n.
 
     A masked pixel p with direction v votes for h when |h - p| >= 0.5,
-    |v| >= 1e-8 and (h - p)·v / (|h - p| |v|) >= inlier_cos.
+    |v| >= 1e-8 and (h - p)·v / (|h - p| |v|) >= inlier_cos. Pixels are
+    in row-major order.
     """
     mask = np.asarray(mask, dtype=bool)
     ii, jj = np.nonzero(mask)
@@ -126,7 +127,25 @@ def oracle_inlier_counts(hyps, field, mask, inlier_cos=0.99):
     ok = (dist >= 0.5) & (nv >= 1e-8)
     cos = np.where(ok, (diff[..., 0] * dirs[:, 0] + diff[..., 1] * dirs[:, 1])
                    / np.where(ok, dist * nv, 1.0), -2.0)
-    return np.count_nonzero(cos >= inlier_cos, axis=1)
+    return cos >= inlier_cos
+
+
+def oracle_inlier_counts(hyps, field, mask, inlier_cos=0.99):
+    """Per-hypothesis inlier counts from the dense cosine matrix."""
+    return np.count_nonzero(oracle_inlier_table(hyps, field, mask, inlier_cos), axis=1)
+
+
+def oracle_vote(hyps, field, mask, inlier_cos=0.99):
+    """Dense, unpruned vote: (location, votes) of the most-voted hypothesis.
+
+    Every hypothesis is counted on every pixel; among those with the
+    maximum count the lexicographically smallest (x, y) wins.
+    """
+    hyps = np.asarray(hyps, dtype=float).reshape(-1, 2)
+    counts = oracle_inlier_counts(hyps, field, mask, inlier_cos)
+    best = counts.max()
+    winner = min((float(x), float(y)) for (x, y), c in zip(hyps, counts) if c == best)
+    return np.array(winner), int(best)
 
 
 def oracle_project(R, t, fx, fy, cx, cy, X):

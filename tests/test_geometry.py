@@ -7,8 +7,7 @@ from helpers import random_pose
 from oracles import oracle_line_distance, oracle_project
 from proxyvote.errors import BehindCameraError, DegenerateInputError
 from proxyvote.geometry import (Intrinsics, Pose, foot_of_perpendicular,
-                                point_line_distance, project, ray_intersection,
-                                unit_direction)
+                                point_line_distance, project, unit_direction)
 
 coord = st.floats(-100, 100, allow_nan=False)
 
@@ -119,33 +118,6 @@ class TestFootOfPerpendicular:
         pts = p[None] + ts[:, None] * v[None]
         best = pts[np.argmin(np.linalg.norm(pts - k[None], axis=1))]
         assert np.allclose(f, best, atol=1e-4)
-
-
-class TestRayIntersection:
-    def test_axis_crossing(self):
-        x = ray_intersection((0, 0), (1, 0), (4, -2), (0, 1))
-        assert np.allclose(x, [4, 0])
-
-    def test_parallel_returns_none(self):
-        assert ray_intersection((0, 0), (1, 1), (3, 0), (2, 2)) is None
-
-    def test_consistency_with_unit_direction(self):
-        k = np.array([10.0, 7.0])
-        p1, p2 = np.array([1.0, 2.0]), np.array([8.0, 1.0])
-        x = ray_intersection(p1, unit_direction(p1, k), p2, unit_direction(p2, k))
-        assert np.allclose(x, k, atol=1e-9)
-
-    def test_lies_on_both_lines(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            p1, p2 = rng.normal(0, 10, (2, 2))
-            v1, v2 = rng.normal(0, 1, (2, 2))
-            x = ray_intersection(p1, v1, p2, v2)
-            if x is None:
-                continue
-            for p, v in ((p1, v1), (p2, v2)):
-                cr = (x - p)[0] * v[1] - (x - p)[1] * v[0]
-                assert abs(cr) < 1e-6 * max(np.linalg.norm(x - p), 1.0)
 
 
 class TestProject:

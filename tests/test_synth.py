@@ -7,8 +7,8 @@ from helpers import cube_cloud, default_intrinsics, make_cube_scene
 from oracles import oracle_ideal_fields, oracle_splat_mask
 from proxyvote.errors import ConfigurationError, ModelLoadError
 from proxyvote.geometry import pixel_centers, project
-from proxyvote.synth import (NoiseSpec, PoseRanges, _fmt, _ideal_fields, _splat_mask, corrupt,
-                             load_scene, sample_pose, save_scene)
+from proxyvote.synth import (NoiseSpec, PoseRanges, _fmt, _ideal_fields, _load_pgm, _splat_mask,
+                             corrupt, load_scene, sample_pose, save_scene)
 
 
 @pytest.fixture(scope="module")
@@ -315,3 +315,52 @@ class TestSceneIO:
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(ModelLoadError, match="field_01"):
             load_scene(d)
+
+    def test_ragged_field_rows_rejected(self, scene, tmp_path):
+        # one row a value long and the next a value short keep the total
+        # token count, so only a per-row check sees the shift
+        _, _, s = scene
+        d = tmp_path / "scene"
+        save_scene(d, s)
+        path = d / "field_00.csv"
+        text = path.read_text().splitlines()
+        text[1] += ",0.5"
+        text[2] = text[2].rsplit(",", 1)[0]
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(ModelLoadError, match="field_00"):
+            load_scene(d)
+
+
+MASK = np.array([[0, 255, 0], [255, 255, 0]])
+
+
+def write_pgm(path, text):
+    path.write_text(text)
+    return path
+
+
+class TestLoadPgm:
+    def test_any_line_wrapping_and_comments(self, tmp_path):
+        texts = ["P2\n3 2\n255\n0 255 0\n255 255 0\n",
+                 "P2 3 2 255 0 255 0 255 255 0",
+                 "P2\n3\n2\n255\n0\n255\n0\n255\n255\n0",
+                 "P2\n# a comment\n3 2 # width height\n255\n0 255\t0 255\r\n255 0#\n"]
+        for n, text in enumerate(texts):
+            got = _load_pgm(write_pgm(tmp_path / f"m{n}.pgm", text))
+            assert np.array_equal(got, MASK > 0)
+
+    def test_values_beyond_the_image_are_ignored(self, tmp_path):
+        got = _load_pgm(write_pgm(tmp_path / "m.pgm", "P2\n3 2\n255\n0 255 0\n255 255 0\n255 7\n"))
+        assert np.array_equal(got, MASK > 0)
+
+    @pytest.mark.parametrize("text", ["P2\n3 2\n255\n0 255 0\n255 255\n",
+                                      "P2\n3 2\n255\n",
+                                      "P2\n3 2\n255\n0 255 0\n255 x 0\n",
+                                      "P2\n3 2\n255\n0 255 0\n255 2.5 0\n",
+                                      "P2\n3 2\n",
+                                      "P5\n3 2\n255\n0 255 0\n255 255 0\n"],
+                             ids=["short", "no_values", "non_numeric", "fraction", "no_maxval",
+                                  "not_p2"])
+    def test_malformed_file_names_the_file(self, tmp_path, text):
+        with pytest.raises(ModelLoadError, match="mask.pgm"):
+            _load_pgm(write_pgm(tmp_path / "mask.pgm", text))

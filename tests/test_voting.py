@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from helpers import disc_mask, exact_field, rotate_field
-from oracles import oracle_all_pairs_vote, oracle_inlier_counts
+from oracles import oracle_all_pairs_vote, oracle_inlier_counts, oracle_inlier_table, oracle_vote
 from proxyvote.errors import InsufficientSupportError, NoValidHypothesisError
-from proxyvote.voting import (VotingConfig, _hypothesis_locations, _masked_pixels,
-                              _vote_counts, _voters, count_inliers, vote_keypoint)
+from proxyvote.geometry import unit_direction
+from proxyvote.voting import (VotingConfig, _chunk_counts, _chunks, _hypothesis_locations,
+                              _masked_pixels, _refine_location, _voters, _workspace,
+                              count_inliers, vote_keypoint)
 
 K = np.array([20.3, 41.7])
 
@@ -57,6 +59,41 @@ class TestGenerateHypotheses:
         med = np.median([np.linalg.norm(h - K) for h in hyps])
         # sampled subset of the exhaustive hypothesis population
         assert med == pytest.approx(stats.median_distance, rel=0.5, abs=2.0)
+
+
+def pair_intersections(p1, v1, p2, v2):
+    """Hypotheses of a two-pixel input: its pair, sampled in either order."""
+    pts = np.array([p1, p2], dtype=float)
+    dirs = np.array([v1, v2], dtype=float)
+    return _hypothesis_locations(pts, dirs, VotingConfig(num_samples=16, rng_seed=0))
+
+
+class TestRayIntersection:
+    def test_axis_crossing(self):
+        x = pair_intersections((0, 0), (1, 0), (4, -2), (0, 1))
+        assert len(x) > 0 and np.allclose(x, [4, 0])
+
+    def test_parallel_returns_none(self):
+        assert pair_intersections((0, 0), (1, 1), (3, 0), (2, 2)).shape == (0, 2)
+
+    def test_consistency_with_unit_direction(self):
+        k = np.array([10.0, 7.0])
+        p1, p2 = np.array([1.0, 2.0]), np.array([8.0, 1.0])
+        x = pair_intersections(p1, unit_direction(p1, k), p2, unit_direction(p2, k))
+        assert len(x) > 0 and np.allclose(x, k, atol=1e-9)
+
+    def test_lies_on_both_lines(self):
+        rng = np.random.default_rng(3)
+        met = 0
+        for _ in range(100):
+            p1, p2 = rng.normal(0, 10, (2, 2))
+            v1, v2 = rng.normal(0, 1, (2, 2))
+            for x in pair_intersections(p1, v1, p2, v2):
+                met += 1
+                for p, v in ((p1, v1), (p2, v2)):
+                    cr = (x - p)[0] * v[1] - (x - p)[1] * v[0]
+                    assert abs(cr) < 1e-6 * max(np.linalg.norm(x - p), 1.0)
+        assert met > 0
 
 
 def recount(q, field, mask, cos_thr=0.99):
@@ -128,11 +165,16 @@ def parity_field(kind, mask, rng):
 
 
 def package_counts(hyps, field, mask, thr=0.99):
-    return _vote_counts(hyps, _voters(*_masked_pixels(field, mask), thr))
+    """Unpruned counts from the chunk tables: every hypothesis on every chunk."""
+    voters = _voters(*_masked_pixels(field, mask), thr)
+    chunks = _chunks(voters, len(hyps))
+    hx, hy = hyps.T.copy().reshape(2, 1, -1)
+    work = _workspace(len(chunks[0][0]) * len(hyps))
+    return sum(_chunk_counts(hx, hy, chunk, work) for chunk in chunks)
 
 
 class TestInlierParity:
-    """The blocked squared-form counts equal the cosine rule exactly."""
+    """The chunked squared-form counts equal the cosine rule exactly."""
 
     @pytest.mark.parametrize("kind", ["noisy", "half_flipped", "zero_dirs"])
     @pytest.mark.parametrize("n_hyp", [1, 63, 64, 65, 513])
@@ -181,6 +223,110 @@ class TestInlierParity:
         assert votes == count_inliers(raw, field, mask, 0.99)
         _, refined_votes = vote_keypoint(field, mask, VotingConfig(rng_seed=seed))
         assert refined_votes == votes
+
+
+def bits(loc):
+    return np.asarray(loc, dtype=float).view(np.uint64)
+
+
+def assert_matches_dense_vote(field, mask, cfg):
+    """vote_keypoint(refine=False) equals the unpruned oracle bit for bit."""
+    loc, votes = vote_keypoint(field, mask, cfg)
+    want_loc, want_votes = oracle_vote(sample_hypotheses(field, mask, cfg), field, mask)
+    assert votes == want_votes
+    assert np.array_equal(bits(loc), bits(want_loc))
+    return loc, votes
+
+
+K_LEFT, K_RIGHT = np.array([20.3, 13.7]), np.array([43.6, 14.2])
+
+
+def two_target_field(b_chunks):
+    """A 16 x 8 block of exact directions: voters whose row-major index mod 16
+    is in b_chunks point right at K_RIGHT, the rest left at K_LEFT.
+
+    With 16 chunks of strided voters (up to 512 hypotheses), chunk c holds
+    exactly the voters with index mod 16 == c, which is their column in the
+    block, so b_chunks decides which chunks vote for which side.
+    """
+    mask = np.zeros((28, 64), bool)
+    mask[10:18, 24:40] = True
+    column = np.arange(64)[None, :].repeat(28, 0) - 24
+    to_right = np.isin(column, b_chunks) & mask
+    field = np.where(to_right[..., None], exact_field(mask, K_RIGHT), exact_field(mask, K_LEFT))
+    return mask, field, to_right
+
+
+class TestPrunedVoteParity:
+    """Pruned voting picks the dense vote's winner, count and tie-break."""
+
+    @pytest.mark.parametrize("kind", ["noisy", "half_flipped", "zero_dirs"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_dense_vote(self, kind, seed):
+        mask = disc_mask(48, 48, center=(24, 24), radius=12)
+        field = parity_field(kind, mask, np.random.default_rng(100 + seed))
+        assert_matches_dense_vote(field, mask, VotingConfig(rng_seed=seed, refine=False))
+
+    def test_more_hypotheses_than_a_table_holds(self):
+        # 1,500 samples: more chunks than the default 16, each with fewer voters
+        mask = disc_mask(48, 48, center=(24, 24), radius=12)
+        field = parity_field("half_flipped", mask, np.random.default_rng(7))
+        assert len(_chunks(_voters(*_masked_pixels(field, mask), 0.99), 1500)) > 16
+        assert_matches_dense_vote(field, mask, VotingConfig(num_samples=1500, rng_seed=7,
+                                                            refine=False))
+
+    @pytest.mark.parametrize("n_px", range(2, 16))
+    def test_fewer_voters_than_chunks(self, n_px):
+        rng = np.random.default_rng(n_px)
+        mask = np.zeros((16, 16), bool)
+        mask.flat[rng.choice(mask.size, n_px, replace=False)] = True
+        field = rotate_field(exact_field(mask, K / 4), mask, 20.0, rng)
+        for cfg in (VotingConfig(rng_seed=n_px, refine=False),
+                    VotingConfig(num_samples=16, rng_seed=n_px, refine=False)):
+            assert_matches_dense_vote(field, mask, cfg)
+
+    def test_exact_ties_keep_the_dense_tie_break(self):
+        # half the chunks point left, half right: the left and right hypotheses
+        # tie at 64 votes, and the left ones, first in (x, y) order, can only
+        # just reach the bound set by a right-hand chunk-0 leader
+        mask, field, to_right = two_target_field(range(8))
+        cfg = VotingConfig(rng_seed=5, refine=False)
+        hyps = sample_hypotheses(field, mask, cfg)
+        counts = oracle_inlier_counts(hyps, field, mask)
+        assert counts.max() == np.count_nonzero(to_right) == 64
+        near_left = np.linalg.norm(hyps - K_LEFT, axis=1) < 1e-6
+        near_right = np.linalg.norm(hyps - K_RIGHT, axis=1) < 1e-6
+        assert np.all(counts[near_left | near_right] == 64)
+        assert np.count_nonzero(near_left) > 1 and np.count_nonzero(near_right) > 1
+        loc, votes = assert_matches_dense_vote(field, mask, cfg)
+        assert loc[0] < 24.0  # left of the block
+
+    def test_chunk0_leader_is_not_the_winner(self):
+        # chunks 0 to 3 point right: the chunk-0 leader is a right-hand
+        # hypothesis with 32 votes, the winner a left-hand one with 96
+        mask, field, _ = two_target_field(range(4))
+        cfg = VotingConfig(rng_seed=6, refine=False)
+        hyps = sample_hypotheses(field, mask, cfg)
+        assert len(hyps) <= 512  # 16 chunks
+        table = oracle_inlier_table(hyps, field, mask)
+        leader = np.argmax(np.count_nonzero(table[:, ::16], axis=1))
+        assert np.count_nonzero(table[leader]) == 32
+        loc, votes = assert_matches_dense_vote(field, mask, cfg)
+        assert votes == 96 and loc[0] < 24.0
+
+    @pytest.mark.parametrize("kind", ["noisy", "zero_dirs"])
+    @pytest.mark.parametrize("radius", [2, 12])
+    def test_refinement_sums_inliers_in_row_major_order(self, kind, radius):
+        mask = disc_mask(48, 48, center=(24, 24), radius=radius)
+        field = parity_field(kind, mask, np.random.default_rng(radius))
+        raw, votes = vote_keypoint(field, mask, VotingConfig(rng_seed=3, refine=False))
+        loc, refined_votes = vote_keypoint(field, mask, VotingConfig(rng_seed=3))
+        voters = _voters(*_masked_pixels(field, mask), 0.99)
+        eligible = np.hypot(*field[mask].T) >= 1e-8
+        row = oracle_inlier_table(raw, field, mask)[0][eligible]
+        want = _refine_location(raw, voters, row)
+        assert refined_votes == votes == np.count_nonzero(row)
+        assert np.array_equal(bits(loc), bits(want))
 
 
 class TestVoteKeypoint:
