@@ -6,14 +6,13 @@ keypoint voting, EPnP pose solving, ADD/ADD-S metrics and a synthetic
 scene + training harness for desk-scale experiments.
 """
 
-from .geometry import (Intrinsics, Pose, foot_of_perpendicular, pixel_centers,
-                       point_line_distance, project, unit_direction)
+from .geometry import Intrinsics, Pose, pixel_centers, point_line_distance, project
 from .losses import (DEFAULT_SCHEDULE, LossReport, WeightSchedule, dpvl,
                      schedule_weights, smooth_l1, vf_loss)
 from .metrics import EvalRecord, add_s_score, add_score, evaluate, judge, proj2d_error
 from .model_tools import (KeypointSet, ModelCloud, farthest_point_sampling,
                           load_model, model_diameter)
-from .pnp import refine_pose, reprojection_rmse, solve_epnp, umeyama
+from .pnp import reprojection_rmse, solve_epnp, umeyama
 from .synth import (NoiseSpec, PoseRanges, SceneSample, corrupt, load_scene,
                     make_scene, sample_pose, save_scene)
 from .trainer import TrainConfig, TrainTrace, fit_field, random_init_field, run_experiment

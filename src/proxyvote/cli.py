@@ -26,7 +26,7 @@ from .losses import WeightSchedule
 from .metrics import evaluate
 from .model_tools import farthest_point_sampling, load_model, model_diameter
 from .pnp import solve_epnp
-from .synth import (NoiseSpec, PoseRanges, _fmt, corrupt, load_scene,
+from .synth import (NoiseSpec, PoseRanges, _fmt, _load_csv, corrupt, load_scene,
                     make_scene, sample_pose, save_scene, write_atomic)
 from .trainer import MODES, TrainConfig, run_experiment, substream
 from .voting import VotingConfig, vote_keypoint
@@ -149,6 +149,8 @@ def cmd_gen(args) -> int:
     cfg = _resolve(args, GEN_DEFAULTS, args.config)
     if not cfg["model"] or not cfg["out"]:
         raise UsageError("gen requires --model and --out")
+    if cfg["n"] < 1:
+        raise UsageError(f"--n must be at least 1, got {cfg['n']}")
     if not os.path.exists(cfg["model"]):
         raise FileNotFoundError(f"model file not found: {cfg['model']}")
     if cfg["cx"] is None:
@@ -209,6 +211,8 @@ def cmd_train(args) -> int:
     cfg = _resolve(args, TRAIN_DEFAULTS, args.config)
     if not cfg["scenes"] or not cfg["out"]:
         raise UsageError("train requires --scenes and --out")
+    if cfg["scene_limit"] < 0:
+        raise UsageError(f"--scene-limit must be >= 0, got {cfg['scene_limit']}")
     modes = [m for m in str(cfg["mode"]).split(",") if m]
     for m in modes:
         if m not in MODES:
@@ -235,6 +239,19 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 # vote
 
+def _voted_scenes(cfg):
+    """Each scene under cfg["scenes"], loaded, with the (location, votes)
+    of each of its keypoints, voted with cfg's seed, num_samples and
+    inlier_cos."""
+    dirs = _scene_dirs(cfg["scenes"])
+    vote_seed = int(substream(cfg["seed"], "voting").integers(2 ** 63))
+    vcfg = VotingConfig(num_samples=cfg["num_samples"],
+                        inlier_cos_threshold=cfg["inlier_cos"], rng_seed=vote_seed)
+    for d in dirs:
+        sample = load_scene(d)
+        yield sample, [vote_keypoint(field, sample.mask, vcfg) for field in sample.gt_fields]
+
+
 VOTE_DEFAULTS = {
     "scenes": None,
     "out": None,
@@ -249,15 +266,9 @@ def cmd_vote(args) -> int:
     cfg = _resolve(args, VOTE_DEFAULTS, args.config)
     if not cfg["scenes"] or not cfg["out"]:
         raise UsageError("vote requires --scenes and --out")
-    dirs = _scene_dirs(cfg["scenes"])
-    vote_seed = int(substream(cfg["seed"], "voting").integers(2 ** 63))
-    vcfg = VotingConfig(num_samples=cfg["num_samples"],
-                        inlier_cos_threshold=cfg["inlier_cos"], rng_seed=vote_seed)
     lines = ["scene,keypoint,kx_voted,ky_voted,kx_true,ky_true,error_px,votes"]
-    for si, d in enumerate(dirs):
-        sample = load_scene(d)
-        for ki in range(len(sample.gt_fields)):
-            loc, votes = vote_keypoint(sample.gt_fields[ki], sample.mask, vcfg)
+    for si, (sample, voted) in enumerate(_voted_scenes(cfg)):
+        for ki, (loc, votes) in enumerate(voted):
             err = float(np.linalg.norm(loc - sample.keypoints2[ki]))
             lines.append(",".join([str(si), str(ki), _fmt(loc[0]), _fmt(loc[1]),
                                    _fmt(sample.keypoints2[ki][0]),
@@ -291,29 +302,21 @@ def cmd_eval(args) -> int:
         raise UsageError("eval requires --scenes, --model and --out")
     cloud = load_model(cfg["model"], symmetric=bool(cfg["symmetric"]))
     diameter = model_diameter(cloud)
-    dirs = _scene_dirs(cfg["scenes"])
-    vote_seed = int(substream(cfg["seed"], "voting").integers(2 ** 63))
-    vcfg = VotingConfig(num_samples=cfg["num_samples"],
-                        inlier_cos_threshold=cfg["inlier_cos"], rng_seed=vote_seed)
 
     header = "scene,add,proj2d,add_correct,proj_correct"
     if cloud.symmetric:
         header += ",add_s,add_s_correct"
     lines = [header]
     records = []
-    for si, d in enumerate(dirs):
-        sample = load_scene(d)
-        voted = []
-        for ki in range(len(sample.gt_fields)):
-            loc, _ = vote_keypoint(sample.gt_fields[ki], sample.mask, vcfg)
-            voted.append(loc)
-        est = solve_epnp(sample.keypoints3, np.asarray(voted), sample.intr)
+    for si, (sample, voted) in enumerate(_voted_scenes(cfg)):
+        locs = np.asarray([loc for loc, _ in voted])
+        est = solve_epnp(sample.keypoints3, locs, sample.intr)
         rec = evaluate(sample.pose, est, cloud.points, sample.intr, diameter)
         records.append(rec)
         row = [str(si), _fmt(rec.add), _fmt(rec.proj2d),
                str(int(rec.add_correct)), str(int(rec.proj_correct))]
         if cloud.symmetric:
-            row += [_fmt(rec.add_s), str(int(rec.add_s < 0.1 * diameter))]
+            row += [_fmt(rec.add_s), str(int(rec.add_s_correct))]
         lines.append(",".join(row))
 
     os.makedirs(cfg["out"], exist_ok=True)
@@ -325,8 +328,7 @@ def cmd_eval(args) -> int:
         "proj_accuracy": float(np.mean([r.proj_correct for r in records])),
     }
     if cloud.symmetric:
-        summary["add_s_accuracy"] = float(
-            np.mean([r.add_s < 0.1 * diameter for r in records]))
+        summary["add_s_accuracy"] = float(np.mean([r.add_s_correct for r in records]))
     write_atomic(os.path.join(cfg["out"], "summary.json"),
                  json.dumps(summary, indent=2, sort_keys=True) + "\n")
     outputs = [os.path.join(cfg["out"], "records.csv"),
@@ -351,23 +353,15 @@ _TRACE_NEEDS = ("iter", "l_pv", "mean_proxy_dist")
 
 
 def _trace_columns(path) -> dict:
-    """The columns of a trace CSV by header name: one read, one parse."""
+    """The columns of a trace CSV by header name."""
     with open(path) as f:
-        lines = f.read().splitlines()
-    names = lines[0].split(",") if lines else []
+        names = f.readline().rstrip("\n").split(",")
     missing = [c for c in _TRACE_NEEDS if c not in names]
     if missing:
         raise ValueError(f"{path}: no {', '.join(missing)} column")
-    rows = lines[1:]
-    if not rows:
+    data = _load_csv(path, len(names))
+    if not len(data):
         raise ValueError(f"{path}: no rows")
-    for lineno, row in enumerate(rows, 2):
-        if row.count(",") != len(names) - 1:
-            raise ValueError(f"{path}: line {lineno}: expected {len(names)} columns")
-    try:
-        data = np.array(",".join(rows).split(","), dtype=float).reshape(len(rows), -1)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
     return {name: data[:, i] for i, name in enumerate(names)}
 
 

@@ -1,5 +1,5 @@
-"""Closed-form 2D/3D geometry: direction vectors, perpendicular feet,
-point-to-line distances, ray intersection and pinhole projection.
+"""Closed-form 2D/3D geometry: rigid poses, pinhole intrinsics and
+projection, point-to-line distance and pixel centres.
 
 Conventions: image coordinates are continuous pixel centers, so pixel
 (row i, col j) sits at (x, y) = (j + 0.5, i + 0.5). 2D points are
@@ -44,10 +44,6 @@ class Pose:
         X = np.asarray(points, dtype=float)
         return X @ self.rotation.T + self.translation
 
-    def inverse(self) -> "Pose":
-        R = self.rotation.T
-        return Pose(R, -R @ self.translation)
-
 
 @dataclass(frozen=True)
 class Intrinsics:
@@ -61,23 +57,6 @@ class Intrinsics:
     def __post_init__(self):
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
-
-def unit_direction(p, k):
-    """Unit vector pointing from pixel p toward keypoint k."""
-    p = np.asarray(p, dtype=float)
-    k = np.asarray(k, dtype=float)
-    d = k - p
-    n = float(np.hypot(d[0], d[1]))
-    if n < EPS_NORM:
-        raise DegenerateInputError(f"coincident points: p={p}, k={k}")
-    return d / n
 
 
 def point_line_distance(p, v, k):
@@ -93,18 +72,6 @@ def point_line_distance(p, v, k):
         raise DegenerateInputError(f"near-zero direction: v={v}")
     cross = v[0] * (k[1] - p[1]) - v[1] * (k[0] - p[0])
     return abs(cross) / n
-
-
-def foot_of_perpendicular(p, v, k):
-    """Point on the line through p with direction v closest to k."""
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    k = np.asarray(k, dtype=float)
-    nsq = float(v[0] * v[0] + v[1] * v[1])
-    if nsq < EPS_NORM * EPS_NORM:
-        raise DegenerateInputError(f"near-zero direction: v={v}")
-    t = float(np.dot(k - p, v)) / nsq
-    return p + t * v
 
 
 def project(pose: Pose, intr: Intrinsics, points):

@@ -1,7 +1,8 @@
 """Pose evaluation: ADD, ADD-S, 2D projection error and threshold judgments.
 
 A pose is counted correct when ADD is strictly below 10% of the model
-diameter, or when the mean 2D projection error is strictly below 5 px.
+diameter (ADD-S is judged by the same rule), or when the mean 2D
+projection error is strictly below 5 px.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ class EvalRecord:
     proj2d: float
     add_correct: bool
     proj_correct: bool
+    add_s_correct: bool
 
 
 def add_score(gt: Pose, est: Pose, points) -> float:
@@ -70,5 +72,6 @@ def evaluate(gt: Pose, est: Pose, points, intr: Intrinsics, diameter: float) -> 
     add_s = add_s_score(gt, est, points)
     proj = proj2d_error(gt, est, points, intr)
     add_ok, proj_ok = judge(add, diameter, proj)
-    return EvalRecord(add=add, add_s=add_s, proj2d=proj,
-                      add_correct=add_ok, proj_correct=proj_ok)
+    add_s_ok, _ = judge(add_s, diameter, proj)
+    return EvalRecord(add=add, add_s=add_s, proj2d=proj, add_correct=add_ok,
+                      proj_correct=proj_ok, add_s_correct=add_s_ok)

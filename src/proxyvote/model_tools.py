@@ -35,10 +35,6 @@ class KeypointSet:
     points3: np.ndarray  # (count, 3), drawn from the model cloud
     indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
-    @property
-    def count(self) -> int:
-        return len(self.points3)
-
 
 def _parse_ply(lines, name):
     if not lines or lines[0].strip() != "ply":
@@ -128,22 +124,19 @@ def load_model(path, symmetric=False) -> ModelCloud:
     return ModelCloud(points=pts, name=path.stem, symmetric=symmetric)
 
 
-def farthest_point_sampling(cloud: ModelCloud, n: int, start: int | None = None) -> KeypointSet:
+def farthest_point_sampling(cloud: ModelCloud, n: int) -> KeypointSet:
     """Greedy max-min subset of n points.
 
-    Repeatedly adds the point with the largest distance to the selected
-    set; ties break to the lowest index. Default start is the point
-    farthest from the centroid.
+    Starts from the point farthest from the centroid, then repeatedly
+    adds the point with the largest distance to the selected set; ties
+    break to the lowest index.
     """
     pts = cloud.points
     if n > len(pts):
         raise InsufficientSupportError(f"n={n} exceeds cloud size {len(pts)}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if start is None:
-        start = int(np.argmax(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))
-    if not (0 <= start < len(pts)):
-        raise IndexError(f"start index {start} out of range")
+    start = int(np.argmax(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))
     chosen = [start]
     mind = np.linalg.norm(pts - pts[start], axis=1)
     while len(chosen) < n:

@@ -1,5 +1,4 @@
-"""EPnP pose solving from 2D-3D correspondences, with optional
-Levenberg-damped reprojection refinement.
+"""EPnP pose solving from 2D-3D correspondences.
 
 Object points are expressed in barycentric coordinates of 4 control
 points (centroid + principal directions); the projection constraints
@@ -14,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .errors import DegenerateConfigurationError, ProxyVoteError, TooFewPointsError
+from .errors import DegenerateConfigurationError, TooFewPointsError
 from .geometry import Intrinsics, Pose, project
 
 # eigenvalue ratio below which the cloud is treated as planar
@@ -173,83 +172,3 @@ def solve_epnp(object_points, image_points, intr: Intrinsics) -> Pose:
     if best is None:
         raise DegenerateConfigurationError("no valid scale case produced a pose")
     return best[1]
-
-
-def _rodrigues(w):
-    theta = np.linalg.norm(w)
-    if theta < 1e-12:
-        W = _skew(w)
-        return np.eye(3) + W
-    k = w / theta
-    K = _skew(k)
-    return np.eye(3) + np.sin(theta) * K + (1 - np.cos(theta)) * (K @ K)
-
-
-def _skew(w):
-    return np.array([[0, -w[2], w[1]], [w[2], 0, -w[0]], [-w[1], w[0], 0.0]])
-
-
-def _apply_delta(pose: Pose, delta):
-    R = _rodrigues(delta[:3]) @ pose.rotation
-    # re-orthonormalize to keep the Pose invariant tight
-    Uq, _, Vtq = np.linalg.svd(R)
-    R = Uq @ Vtq
-    if np.linalg.det(R) < 0:
-        R = Uq @ np.diag([1.0, 1.0, -1.0]) @ Vtq
-    return Pose(R, pose.translation + delta[3:])
-
-
-# What a trial step of refine_pose can raise, each a rejected step rather
-# than a bug: ProxyVoteError (BehindCameraError from project when a point
-# falls behind the camera), np.linalg.LinAlgError (the re-orthonormalising
-# SVD or the damped solve fails) and ValueError (Pose rejects a
-# non-orthonormal or non-finite result).
-_STEP_ERRORS = (ProxyVoteError, np.linalg.LinAlgError, ValueError)
-
-
-def refine_pose(init: Pose, object_points, image_points, intr: Intrinsics, iters=10) -> Pose:
-    """Levenberg-damped Gauss-Newton on reprojection residuals.
-
-    Never returns a pose with higher RMSE than init; iters=0 is a no-op.
-    """
-    Pw = np.asarray(object_points, dtype=float).reshape(-1, 3)
-    U = np.asarray(image_points, dtype=float).reshape(-1, 2)
-
-    def residuals(pose):
-        return (project(pose, intr, Pw) - U).ravel()
-
-    best = init
-    best_err = reprojection_rmse(init, Pw, U, intr)
-    lam = 1e-3
-    h = 1e-6
-    for _ in range(iters):
-        r0 = residuals(best)
-        J = np.zeros((len(r0), 6))
-        for j in range(6):
-            dp = np.zeros(6)
-            dp[j] = h
-            try:
-                J[:, j] = (residuals(_apply_delta(best, dp)) - residuals(_apply_delta(best, -dp))) / (2 * h)
-            except _STEP_ERRORS:
-                J[:, j] = 0.0
-        A = J.T @ J
-        g = J.T @ r0
-        improved = False
-        for _ in range(8):
-            try:
-                delta = np.linalg.solve(A + lam * np.eye(6), -g)
-                cand = _apply_delta(best, delta)
-                err = reprojection_rmse(cand, Pw, U, intr)
-            except _STEP_ERRORS:
-                err = np.inf
-            if err < best_err:
-                best, best_err = cand, err
-                lam = max(lam / 3.0, 1e-12)
-                improved = True
-                break
-            lam *= 10.0
-        if not improved:
-            break
-        if best_err < 1e-12:
-            break
-    return best

@@ -82,12 +82,10 @@ def _random_rotation(rng) -> np.ndarray:
     )
 
 
-def sample_pose(rng, ranges: PoseRanges, cloud: ModelCloud, intr: Intrinsics,
-                width: int, height: int) -> Pose:
+def sample_pose(rng: np.random.Generator, ranges: PoseRanges, cloud: ModelCloud,
+                intr: Intrinsics, width: int, height: int) -> Pose:
     """Uniform random rotation + boxed translation such that the whole
     model projects inside the image with the configured margin."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     pts = cloud.points
     for _ in range(1000):
         R = _random_rotation(rng)

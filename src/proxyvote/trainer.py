@@ -31,6 +31,7 @@ from .geometry import pixel_centers
 from .losses import (DEFAULT_SCHEDULE, PlanarLosses, WeightSchedule, planar,
                      schedule_weights)
 from .metrics import evaluate
+from .model_tools import model_diameter
 from .pnp import solve_epnp
 from .synth import SceneSample, _fmt, write_atomic
 from .voting import VotingConfig, vote_keypoint
@@ -191,8 +192,7 @@ def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
     return fields, trace
 
 
-def run_experiment(scenes, modes, seeds, cfg_base: TrainConfig, out_dir,
-                   diameter: float | None = None):
+def run_experiment(scenes, modes, seeds, cfg_base: TrainConfig, out_dir):
     """Paired fits across modes and seeds over one or more scenes.
 
     Same seed means same random init across modes. Writes one trace CSV
@@ -223,9 +223,8 @@ def run_experiment(scenes, modes, seeds, cfg_base: TrainConfig, out_dir,
                     try:
                         est = solve_epnp(sample.keypoints3, trace.keypoint_locations,
                                          sample.intr)
-                        dia = diameter if diameter is not None else _cloud_diameter(sample)
-                        rec = evaluate(sample.pose, est, sample.keypoints3,
-                                       sample.intr, dia)
+                        rec = evaluate(sample.pose, est, sample.keypoints3, sample.intr,
+                                       model_diameter(sample.keypoints3))
                         run["add"] = rec.add
                         run["proj2d"] = rec.proj2d
                         run["add_correct"] = bool(rec.add_correct)
@@ -240,8 +239,3 @@ def run_experiment(scenes, modes, seeds, cfg_base: TrainConfig, out_dir,
                  json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
 
-
-def _cloud_diameter(sample: SceneSample) -> float:
-    from scipy.spatial.distance import pdist
-
-    return float(pdist(sample.keypoints3).max())

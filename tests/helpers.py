@@ -21,7 +21,8 @@ def make_cube_scene(seed=3, width=64, height=64, z_range=(0.45, 0.7), n_keypoint
     cloud = cube_cloud()
     keys = farthest_point_sampling(cloud, n_keypoints)
     intr = default_intrinsics(width, height)
-    pose = sample_pose(seed, PoseRanges(z_range=z_range), cloud, intr, width, height)
+    pose = sample_pose(np.random.default_rng(seed), PoseRanges(z_range=z_range), cloud, intr,
+                       width, height)
     return cloud, keys, make_scene(cloud, keys, pose, intr, width, height)
 
 

@@ -215,6 +215,13 @@ class TestGen:
     def test_missing_model_is_usage_error(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_scene_count_below_one_is_usage_error(self, tmp_path, model_file, capsys, n):
+        out = tmp_path / "x"
+        assert main(["gen", "--model", model_file, "--out", str(out), "--n", n]) == 2
+        assert "--n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonexistent_model_file(self, tmp_path):
         assert main(["gen", "--model", str(tmp_path / "no.ply"),
                      "--out", str(tmp_path / "x")]) == 1
@@ -288,6 +295,14 @@ class TestTrainAndReport:
     def test_bad_mode_is_usage_error(self, scenes_dir, tmp_path):
         assert main(["train", "--scenes", scenes_dir,
                      "--out", str(tmp_path / "t"), "--mode", "bogus"]) == 2
+
+    def test_negative_scene_limit_is_usage_error(self, scenes_dir, tmp_path, capsys):
+        # a negative limit would slice the last scenes off, not limit them
+        out = tmp_path / "t"
+        assert main(["train", "--scenes", scenes_dir, "--out", str(out),
+                     "--iters", "5", "--scene-limit", "-1"]) == 2
+        assert "--scene-limit" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_report(self, train_dir, tmp_path):
         out = str(tmp_path / "report")

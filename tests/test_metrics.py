@@ -147,4 +147,17 @@ def test_evaluate_record_consistency():
     assert rec.add_s <= rec.add + 1e-12
     assert rec.add >= 0 and rec.proj2d >= 0
     assert rec.add_correct == (rec.add < 0.1)
+    assert rec.add_s_correct == (rec.add_s < 0.1)
     assert rec.proj_correct == (rec.proj2d < 5.0)
+
+
+def test_evaluate_judges_add_s_by_the_add_rule():
+    # a half-turn about the axis of a ring: ADD fails, ADD-S passes
+    angles = np.arange(8) * np.pi / 4
+    ring = 0.1 * np.column_stack([np.cos(angles), np.sin(angles), np.zeros(8)])
+    gt = Pose(np.eye(3), [0.0, 0.0, 2.0])
+    est = Pose(rot_z(np.pi), [0.0, 0.0, 2.0])
+    rec = evaluate(gt, est, ring, INTR, diameter=0.2)
+    assert rec.add == pytest.approx(0.2)
+    assert rec.add_s_correct and not rec.add_correct
+    assert rec.add_s_correct == (rec.add_s < 0.1 * 0.2)

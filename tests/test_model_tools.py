@@ -127,11 +127,6 @@ class TestFarthestPointSampling:
         d = np.linalg.norm(cloud.points - ctr, axis=1)
         assert ks.indices[0] == np.argmax(d)
 
-    def test_explicit_start(self):
-        cloud = cube_cloud(n_extra=50, seed=2)
-        ks = farthest_point_sampling(cloud, 5, start=3)
-        assert ks.indices[0] == 3
-
     def test_opposite_corner_second_and_spread(self):
         # corners sit first in the cloud; the second pick is the corner
         # opposite the start, and the selection stays well spread out

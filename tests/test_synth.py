@@ -22,7 +22,7 @@ class TestSamplePose:
         intr = default_intrinsics()
         ranges = PoseRanges(z_range=(0.45, 0.7))
         for seed in range(10):
-            pose = sample_pose(seed, ranges, cloud, intr, 64, 64)
+            pose = sample_pose(np.random.default_rng(seed), ranges, cloud, intr, 64, 64)
             proj = project(pose, intr, cloud.points)
             assert proj.min() >= ranges.margin
             assert proj.max() <= 64 - ranges.margin
@@ -31,8 +31,8 @@ class TestSamplePose:
         cloud = cube_cloud()
         intr = default_intrinsics()
         ranges = PoseRanges(z_range=(0.45, 0.7))
-        a = sample_pose(5, ranges, cloud, intr, 64, 64)
-        b = sample_pose(5, ranges, cloud, intr, 64, 64)
+        a = sample_pose(np.random.default_rng(5), ranges, cloud, intr, 64, 64)
+        b = sample_pose(np.random.default_rng(5), ranges, cloud, intr, 64, 64)
         assert np.array_equal(a.rotation, b.rotation)
         assert np.array_equal(a.translation, b.translation)
 
@@ -41,14 +41,15 @@ class TestSamplePose:
         intr = default_intrinsics()
         # object too close: it cannot fit inside a 64 px frame
         with pytest.raises(ConfigurationError):
-            sample_pose(0, PoseRanges(z_range=(0.01, 0.02)), cloud, intr, 64, 64)
+            sample_pose(np.random.default_rng(0), PoseRanges(z_range=(0.01, 0.02)), cloud, intr,
+                        64, 64)
 
     def test_rotation_distribution_not_degenerate(self):
         cloud = cube_cloud()
         intr = default_intrinsics()
         ranges = PoseRanges(z_range=(0.45, 0.7))
-        traces = [np.trace(sample_pose(s, ranges, cloud, intr, 64, 64).rotation)
-                  for s in range(20)]
+        traces = [np.trace(sample_pose(np.random.default_rng(s), ranges, cloud, intr, 64, 64)
+                           .rotation) for s in range(20)]
         assert np.std(traces) > 0.1
 
     def test_invalid_ranges(self):

@@ -9,6 +9,7 @@ from proxyvote import trainer
 from proxyvote.errors import (DegenerateConfigurationError, DivergenceError,
                               NoValidHypothesisError)
 from proxyvote.losses import dpvl, proxy_distances, vf_loss
+from proxyvote.model_tools import model_diameter
 from proxyvote.trainer import (MODES, TrainConfig, fit_field, random_init_field,
                                run_experiment, substream)
 from proxyvote.voting import VotingConfig, vote_keypoint
@@ -216,10 +217,12 @@ class TestRunExperiment:
     def test_downstream_pose_metrics_present(self, scene, tmp_path):
         out = tmp_path / "exp"
         summary = run_experiment([scene], ["vf_only"], [1],
-                                 short_cfg(iterations=800), out, diameter=0.1 * 3 ** 0.5)
+                                 short_cfg(iterations=800), out)
         run = summary["runs"][0]
         assert "add" in run and "proj2d" in run
         assert run["add"] >= 0.0
+        # ADD is judged against the diameter of the keypoint cloud
+        assert run["add_correct"] == (run["add"] < 0.1 * model_diameter(scene.keypoints3))
 
     def test_trace_csv_roundtrip(self, scene, tmp_path):
         out = tmp_path / "exp"

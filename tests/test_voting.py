@@ -4,7 +4,6 @@ import pytest
 from helpers import disc_mask, exact_field, rotate_field
 from oracles import oracle_all_pairs_vote, oracle_inlier_counts, oracle_inlier_table, oracle_vote
 from proxyvote.errors import InsufficientSupportError, NoValidHypothesisError
-from proxyvote.geometry import unit_direction
 from proxyvote.voting import (VotingConfig, _chunk_counts, _chunks, _hypothesis_locations,
                               _masked_pixels, _refine_location, _voters, _workspace,
                               count_inliers, vote_keypoint)
@@ -76,10 +75,11 @@ class TestRayIntersection:
     def test_parallel_returns_none(self):
         assert pair_intersections((0, 0), (1, 1), (3, 0), (2, 2)).shape == (0, 2)
 
-    def test_consistency_with_unit_direction(self):
+    def test_directions_toward_a_point_meet_there(self):
         k = np.array([10.0, 7.0])
         p1, p2 = np.array([1.0, 2.0]), np.array([8.0, 1.0])
-        x = pair_intersections(p1, unit_direction(p1, k), p2, unit_direction(p2, k))
+        v1, v2 = ((k - p) / np.linalg.norm(k - p) for p in (p1, p2))
+        x = pair_intersections(p1, v1, p2, v2)
         assert len(x) > 0 and np.allclose(x, k, atol=1e-9)
 
     def test_lies_on_both_lines(self):
