@@ -1,7 +1,8 @@
 """Command-line pipeline: generate scenes, train fields, vote keypoints,
 evaluate poses and build ablation reports.
 
-Exit codes: 0 success, 1 runtime/I/O failure, 2 usage error. Every
+Exit codes: 0 success, 1 runtime/I/O failure, 2 usage error (a missing
+or out-of-range value, or a --config value of the wrong type). Every
 command writes a manifest.json with its resolved configuration so runs
 can be reproduced bit-for-bit. Flag precedence: explicit flags >
 --config JSON > built-in defaults. PROXY_VOTE_THREADS, a positive
@@ -56,15 +57,54 @@ def _max_workers() -> int:
     return workers
 
 
+def _config_types(parser) -> dict:
+    """The JSON types a --config value may take for each of parser's flags:
+    what the flag parses to, and int also where a float or a switch is."""
+    types = {}
+    for a in parser._actions:
+        if a.nargs == 0:  # a switch
+            types[a.dest] = (bool, int)
+        elif a.nargs == "+":
+            types[a.dest] = (list,)
+        elif a.type is float:
+            types[a.dest] = (int, float)
+        elif a.type is int:
+            types[a.dest] = (int,)
+        else:
+            types[a.dest] = (str,)
+    return types
+
+
+def _check_config_value(key, value, types, default):
+    """UsageError unless value has one of types; null only where the default is."""
+    if value is None:
+        ok = default is None
+    elif isinstance(value, list):
+        ok = list in types and all(isinstance(v, str) for v in value)
+    else:
+        ok = isinstance(value, types) and (bool in types or not isinstance(value, bool))
+    if not ok:
+        names = " or ".join("list of str" if t is list else t.__name__ for t in types)
+        raise UsageError(f"config key {key!r} must be {names}, got {value!r}")
+
+
 def _resolve(args, defaults, config_path):
-    """Apply flag > config-file > default precedence over a defaults dict."""
+    """Apply flag > config-file > default precedence over a defaults dict.
+
+    Config values are checked against args.config_types when it is set."""
     cfg = {}
     if config_path:
         with open(config_path) as f:
             cfg = json.load(f)
+        if not isinstance(cfg, dict):
+            raise UsageError(f"{config_path}: a config file holds one JSON object")
         unknown = set(cfg) - set(defaults)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        types = getattr(args, "config_types", None)
+        if types:
+            for key, value in cfg.items():
+                _check_config_value(key, value, types[key], defaults[key])
     out = {}
     for key, dflt in defaults.items():
         flag_val = getattr(args, key, None)
@@ -92,9 +132,20 @@ def _write_manifest(out_dir, command, config, seeds, outputs, t0):
 
 def _parse_seeds(text) -> list[int]:
     try:
-        return [int(s) for s in str(text).split(",") if s != ""]
+        seeds = [int(s) for s in str(text).split(",") if s != ""]
     except ValueError:
         raise UsageError(f"bad seed list: {text!r}")
+    if not seeds:
+        raise UsageError(f"seed list names no seed: {text!r}")
+    return seeds
+
+
+def _built(cls, **kwargs):
+    """cls(**kwargs), with its range checks on the values reported as usage errors."""
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
 
 
 def _scene_dirs(scenes_dir):
@@ -218,16 +269,16 @@ def cmd_train(args) -> int:
         if m not in MODES:
             raise UsageError(f"unknown mode {m!r}; expected one of {MODES}")
     seeds = _parse_seeds(cfg["seeds"])
+    sched = _built(WeightSchedule, beta0=cfg["beta0"], beta_cap=cfg["beta_cap"])
+    base = _built(TrainConfig, iterations=cfg["iters"], learning_rate=cfg["lr"],
+                  iters_per_epoch=cfg["iters_per_epoch"],
+                  lr_decay=bool(cfg["lr_decay"]), schedule=sched)
 
     dirs = _scene_dirs(cfg["scenes"])
     if cfg["scene_limit"]:
         dirs = dirs[: cfg["scene_limit"]]
     scenes = [load_scene(d) for d in dirs]
 
-    sched = WeightSchedule(beta0=cfg["beta0"], beta_cap=cfg["beta_cap"])
-    base = TrainConfig(iterations=cfg["iters"], learning_rate=cfg["lr"],
-                       iters_per_epoch=cfg["iters_per_epoch"],
-                       lr_decay=bool(cfg["lr_decay"]), schedule=sched)
     os.makedirs(cfg["out"], exist_ok=True)
     run_experiment(scenes, modes, seeds, base, cfg["out"])
     outputs = [os.path.join(cfg["out"], f) for f in os.listdir(cfg["out"])
@@ -239,15 +290,17 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 # vote
 
-def _voted_scenes(cfg):
-    """Each scene under cfg["scenes"], loaded, with the (location, votes)
-    of each of its keypoints, voted with cfg's seed, num_samples and
-    inlier_cos."""
-    dirs = _scene_dirs(cfg["scenes"])
+def _voting_config(cfg) -> VotingConfig:
+    """The VotingConfig of cfg's seed, num_samples and inlier_cos."""
     vote_seed = int(substream(cfg["seed"], "voting").integers(2 ** 63))
-    vcfg = VotingConfig(num_samples=cfg["num_samples"],
-                        inlier_cos_threshold=cfg["inlier_cos"], rng_seed=vote_seed)
-    for d in dirs:
+    return _built(VotingConfig, num_samples=cfg["num_samples"],
+                  inlier_cos_threshold=cfg["inlier_cos"], rng_seed=vote_seed)
+
+
+def _voted_scenes(scenes_dir, vcfg):
+    """Each scene under scenes_dir, loaded, with the (location, votes) of
+    each of its keypoints, voted with vcfg."""
+    for d in _scene_dirs(scenes_dir):
         sample = load_scene(d)
         yield sample, [vote_keypoint(field, sample.mask, vcfg) for field in sample.gt_fields]
 
@@ -266,8 +319,9 @@ def cmd_vote(args) -> int:
     cfg = _resolve(args, VOTE_DEFAULTS, args.config)
     if not cfg["scenes"] or not cfg["out"]:
         raise UsageError("vote requires --scenes and --out")
+    vcfg = _voting_config(cfg)
     lines = ["scene,keypoint,kx_voted,ky_voted,kx_true,ky_true,error_px,votes"]
-    for si, (sample, voted) in enumerate(_voted_scenes(cfg)):
+    for si, (sample, voted) in enumerate(_voted_scenes(cfg["scenes"], vcfg)):
         for ki, (loc, votes) in enumerate(voted):
             err = float(np.linalg.norm(loc - sample.keypoints2[ki]))
             lines.append(",".join([str(si), str(ki), _fmt(loc[0]), _fmt(loc[1]),
@@ -300,6 +354,7 @@ def cmd_eval(args) -> int:
     cfg = _resolve(args, EVAL_DEFAULTS, args.config)
     if not cfg["scenes"] or not cfg["model"] or not cfg["out"]:
         raise UsageError("eval requires --scenes, --model and --out")
+    vcfg = _voting_config(cfg)
     cloud = load_model(cfg["model"], symmetric=bool(cfg["symmetric"]))
     diameter = model_diameter(cloud)
 
@@ -308,7 +363,7 @@ def cmd_eval(args) -> int:
         header += ",add_s,add_s_correct"
     lines = [header]
     records = []
-    for si, (sample, voted) in enumerate(_voted_scenes(cfg)):
+    for si, (sample, voted) in enumerate(_voted_scenes(cfg["scenes"], vcfg)):
         locs = np.asarray([loc for loc, _ in voted])
         est = solve_epnp(sample.keypoints3, locs, sample.intr)
         rec = evaluate(sample.pose, est, cloud.points, sample.intr, diameter)
@@ -472,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--z-min", dest="z_min", type=float)
     g.add_argument("--z-max", dest="z_max", type=float)
     g.add_argument("--margin", type=float)
-    g.set_defaults(func=cmd_gen)
+    g.set_defaults(func=cmd_gen, config_types=_config_types(g))
 
     t = sub.add_parser("train", help="fit vector fields to scenes")
     add_common(t)
@@ -488,7 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--beta0", type=float)
     t.add_argument("--beta-cap", dest="beta_cap", type=float)
     t.add_argument("--scene-limit", dest="scene_limit", type=int)
-    t.set_defaults(func=cmd_train)
+    # an integer seed list is one seed
+    t.set_defaults(func=cmd_train, config_types={**_config_types(t), "seeds": (str, int)})
 
     v = sub.add_parser("vote", help="vote keypoints from stored scene fields")
     add_common(v)
@@ -497,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int)
     v.add_argument("--num-samples", dest="num_samples", type=int)
     v.add_argument("--inlier-cos", dest="inlier_cos", type=float)
-    v.set_defaults(func=cmd_vote)
+    v.set_defaults(func=cmd_vote, config_types=_config_types(v))
 
     e = sub.add_parser("eval", help="vote, solve poses and score them")
     add_common(e)
@@ -508,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--symmetric", action="store_true", default=None)
     e.add_argument("--num-samples", dest="num_samples", type=int)
     e.add_argument("--inlier-cos", dest="inlier_cos", type=float)
-    e.set_defaults(func=cmd_eval)
+    e.set_defaults(func=cmd_eval, config_types=_config_types(e))
 
     r = sub.add_parser("report", help="merge traces into an ablation report")
     add_common(r)
@@ -517,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--lpv-threshold", dest="lpv_threshold", type=float,
                    help="l_pv level for iterations-to-threshold; the traced l_pv is a "
                         "raw sum over masked pixels and keypoints, not a per-pixel mean")
-    r.set_defaults(func=cmd_report)
+    r.set_defaults(func=cmd_report, config_types=_config_types(r))
 
     return parser
 

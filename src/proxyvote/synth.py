@@ -6,7 +6,8 @@ of a projected point; all points are tested on one stencil array and
 set in one scatter) and deriving the ideal per-keypoint direction
 fields. Corruption rotates directions by Gaussian angles,
 flips them with some probability and removes a contiguous occlusion
-blob from the mask.
+blob from the mask; its noise is drawn on the full grid and applied
+only at the pixels left in the mask.
 
 On disk a scene is a directory with: mask.pgm (P2), pose.json
 ({rotation: 9 row-major, translation: 3, fx, fy, cx, cy}),
@@ -190,7 +191,12 @@ def _grow_blob(mask, n_remove, rng):
 
 def corrupt(sample: SceneSample, spec: NoiseSpec) -> SceneSample:
     """Angular noise, random flips and a grown occlusion blob; deterministic
-    per spec.rng_seed. The returned mask is a subset of the original."""
+    per spec.rng_seed. The returned mask is a subset of the original.
+
+    The noise is drawn on the full (K, H, W) grid, so a scene's noise
+    does not depend on its mask, and applied only at the pixels of the
+    returned mask; the fields are zero everywhere else.
+    """
     rng = np.random.default_rng(spec.rng_seed)
     k, h, w = sample.gt_fields.shape[:3]
     sigma = np.deg2rad(spec.angular_sigma)
@@ -202,14 +208,15 @@ def corrupt(sample: SceneSample, spec: NoiseSpec) -> SceneSample:
     blob = _grow_blob(sample.mask, n_remove, rng)
     new_mask = sample.mask & ~blob
 
+    ii, jj = np.nonzero(new_mask)
+    theta = theta[:, ii, jj]  # (K, M)
     c, s = np.cos(theta), np.sin(theta)
-    fx = sample.gt_fields[..., 0]
-    fy = sample.gt_fields[..., 1]
-    rx = c * fx - s * fy
-    ry = s * fx + c * fy
-    sign = np.where(flips, -1.0, 1.0)
-    fields = np.stack([sign * rx, sign * ry], axis=-1)
-    fields = np.where(new_mask[None, :, :, None], fields, 0.0)
+    f = sample.gt_fields[:, ii, jj]  # (K, M, 2)
+    fx, fy = f[..., 0], f[..., 1]
+    sign = np.where(flips[:, ii, jj], -1.0, 1.0)
+    fields = np.zeros_like(sample.gt_fields)
+    fields[:, ii, jj, 0] = sign * (c * fx - s * fy)
+    fields[:, ii, jj, 1] = sign * (s * fx + c * fy)
 
     return replace(sample, mask=new_mask, gt_fields=fields)
 
@@ -253,14 +260,18 @@ def save_scene(directory, sample: SceneSample):
                                _fmt(k3[0]), _fmt(k3[1]), _fmt(k3[2])]))
     write_atomic(os.path.join(directory, "keypoints.csv"), "\n".join(lines) + "\n")
 
+    # one text per field: "row,col,vx,vy" then "\ni,j,x,y" per masked pixel
+    # and a final newline; the "\ni,j," prefixes and the "," slots are
+    # laid out once, each field only fills in its values
     ii, jj = np.nonzero(sample.mask)
-    cells = list(zip(ii.tolist(), jj.tolist()))
-    for fi, f in enumerate(sample.gt_fields):
+    parts = [","] * (4 * len(ii))
+    parts[0::4] = [f"\n{i},{j}," for i, j in zip(ii.tolist(), jj.tolist())]
+    for fi, (xs, ys) in enumerate(sample.gt_fields[:, ii, jj].transpose(0, 2, 1).tolist()):
         # repr of a Python float is _fmt of the numpy scalar, -0.0 included
-        lines = ["row,col,vx,vy"]
-        lines += [f"{i},{j},{x!r},{y!r}" for (i, j), (x, y) in zip(cells, f[ii, jj].tolist())]
+        parts[1::4] = map(repr, xs)
+        parts[3::4] = map(repr, ys)
         write_atomic(os.path.join(directory, f"field_{fi:02d}.csv"),
-                     "\n".join(lines) + "\n")
+                     "row,col,vx,vy" + "".join(parts) + "\n")
 
 
 def _load_pgm(path):

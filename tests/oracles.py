@@ -4,8 +4,9 @@ Deliberately naive and written without sharing code with the production
 paths: dense line-scan distance minimizer, central-difference gradient
 checker, exhaustive all-pairs hypothesis enumerator, dense cosine
 inlier counter and unpruned vote, greedy FPS re-verifier, a second
-pinhole projection, a per-point disc splatter, per-pixel ideal fields
-and the straightforward (K, M, 2) field-fitting loop.
+pinhole projection, a per-point disc splatter, per-pixel ideal fields,
+the dense-grid scene corruption and the straightforward (K, M, 2)
+field-fitting loop.
 """
 
 import math
@@ -189,6 +190,47 @@ def oracle_ideal_fields(mask, keypoints2):
             if r >= 1e-9:
                 fields[ki, i, j] = dx / r, dy / r
     return fields
+
+
+def oracle_corrupt(gt_fields, mask, angular_sigma, flip_prob, occlusion_frac, rng_seed):
+    """(mask, fields) of a scene corrupted on the dense (K, H, W) grid:
+    every cell rotated by its Gaussian angle and flipped by its draw, then
+    everything off the occluded mask set to zero.
+
+    The draws come in the same order from the same seed: normal angles
+    (when sigma > 0), uniform flip draws, then one uniform choice of the
+    masked cell the occlusion blob is grown from, breadth-first over
+    up, down, left, right neighbours.
+    """
+    gt_fields = np.asarray(gt_fields, dtype=float)
+    mask = np.asarray(mask, dtype=bool)
+    rng = np.random.default_rng(rng_seed)
+    shape = gt_fields.shape[:3]
+    sigma = math.radians(angular_sigma)
+    theta = rng.normal(0.0, sigma, size=shape) if sigma > 0 else np.zeros(shape)
+    flips = rng.random(size=shape) < flip_prob
+
+    h, w = mask.shape
+    kept = mask.copy()
+    n_remove = int(round(occlusion_frac * int(mask.sum())))
+    cells = [i * w + j for i in range(h) for j in range(w) if mask[i, j]]
+    if n_remove > 0 and cells:
+        start = int(rng.choice(np.array(cells)))
+        queue, queued, removed = [start], {start}, 0
+        while queue and removed < n_remove:
+            i, j = divmod(queue.pop(0), w)
+            kept[i, j] = False
+            removed += 1
+            for ni, nj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                if 0 <= ni < h and 0 <= nj < w and mask[ni, nj] and ni * w + nj not in queued:
+                    queued.add(ni * w + nj)
+                    queue.append(ni * w + nj)
+
+    c, s = np.cos(theta), np.sin(theta)
+    fx, fy = gt_fields[..., 0], gt_fields[..., 1]
+    sign = np.where(flips, -1.0, 1.0)
+    fields = np.stack([sign * (c * fx - s * fy), sign * (s * fx + c * fy)], axis=-1)
+    return kept, np.where(kept[None, :, :, None], fields, 0.0)
 
 
 def oracle_fps_verify(points, selected):

@@ -2,8 +2,10 @@ import importlib.metadata
 import json
 import os
 
+import numpy as np
 import pytest
 
+from oracles import oracle_corrupt
 from proxyvote import cli
 from proxyvote.cli import _parse_seeds, _resolve, main
 
@@ -60,6 +62,61 @@ class TestResolve:
         cfg.write_text(json.dumps({"bogus": 1}))
         with pytest.raises(UsageError):
             _resolve(self.Args(), {"a": 0}, str(cfg))
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("command, key, value", [
+        ("gen", "n", "2"),
+        ("gen", "n", None),
+        ("gen", "width", 64.0),
+        ("gen", "sigma", "5"),
+        ("train", "iters", "10"),
+        ("train", "lr_decay", "no"),
+        ("eval", "symmetric", "yes"),
+        ("report", "traces", "runs"),
+    ])
+    def test_wrong_type_is_usage_error(self, tmp_path, model_file, capsys, command, key, value):
+        out = tmp_path / "out"
+        flags = {"gen": ["--model", model_file],
+                 "train": ["--scenes", str(tmp_path)],
+                 "eval": ["--scenes", str(tmp_path), "--model", model_file],
+                 "report": []}[command]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main([command, "--config", str(cfg), "--out", str(out)] + flags) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and repr(key) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [[], 5])
+    def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, model_file, doc):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["gen", "--config", str(cfg), "--model", model_file, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_ints_where_floats_are_expected(self, tmp_path, model_file):
+        floats = ["--sigma", "5.0", "--flip-prob", "0.0", "--occlusion", "0.0",
+                  "--z-min", "0.45", "--z-max", "0.7", "--margin", "4.0"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"model": model_file, "out": str(b), "n": 2, "sigma": 5,
+                                   "flip_prob": 0, "occlusion": 0, "z_min": 0.45,
+                                   "z_max": 0.7, "margin": 4}))
+        assert main(["gen", "--model", model_file, "--out", str(a), "--n", "2"] + floats) == 0
+        assert main(["gen", "--config", str(cfg)]) == 0
+        for d in ("sample_000", "sample_001"):
+            for f in sorted(os.listdir(a / d)):
+                assert (a / d / f).read_bytes() == (b / d / f).read_bytes()
+
+    def test_integer_seed_list(self, tmp_path, scenes_dir):
+        out = tmp_path / "t"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenes": scenes_dir, "out": str(out), "seeds": 3,
+                                   "iters": 5, "scene_limit": 1, "mode": "vf_only"}))
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seeds"] == [3]
 
 
 def test_parse_seeds():
@@ -212,6 +269,36 @@ class TestGen:
             for f in names:
                 assert (ref / f).read_bytes() == (d / f).read_bytes(), f"{d.name}/{f}"
 
+    def test_noisy_field_files_match_dense_oracle(self, tmp_path, model_file):
+        # every field file of a noisy run, against the dense-grid corruption
+        # of the replayed clean scene written one pixel at a time
+        from proxyvote.geometry import Intrinsics
+        from proxyvote.model_tools import farthest_point_sampling, load_model
+        from proxyvote.synth import PoseRanges, _fmt, load_scene, make_scene, sample_pose
+        from proxyvote.trainer import substream
+
+        out = tmp_path / "gen"
+        assert main(["gen", "--model", model_file, "--out", str(out), "--n", "3",
+                     "--seed", "4", "--sigma", "5", "--flip-prob", "0.1",
+                     "--occlusion", "0.2", "--z-min", "0.45", "--z-max", "0.7"]) == 0
+        cloud = load_model(model_file)
+        keys = farthest_point_sampling(cloud, 8)
+        intr = Intrinsics(80.0, 80.0, 32.0, 32.0)
+        rng = substream(4, "scene")
+        base = int(substream(4, "noise").integers(2 ** 63))
+        for n in range(3):
+            pose = sample_pose(rng, PoseRanges(z_range=(0.45, 0.7)), cloud, intr, 64, 64)
+            clean = make_scene(cloud, keys, pose, intr, 64, 64)
+            mask, fields = oracle_corrupt(clean.gt_fields, clean.mask, 5.0, 0.1, 0.2, base + n)
+            d = out / f"sample_{n:03d}"
+            assert np.array_equal(load_scene(d).mask, mask)
+            cells = list(zip(*np.nonzero(mask)))
+            assert cells
+            for k, f in enumerate(fields):
+                ref = ["row,col,vx,vy"] + [f"{i},{j},{_fmt(f[i, j, 0])},{_fmt(f[i, j, 1])}"
+                                           for i, j in cells]
+                assert (d / f"field_{k:02d}.csv").read_text() == "\n".join(ref) + "\n"
+
     def test_missing_model_is_usage_error(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "x")]) == 2
 
@@ -248,6 +335,14 @@ class TestVote:
         assert main(["vote", "--scenes", str(tmp_path / "none"),
                      "--out", str(tmp_path / "v.csv")]) == 1
 
+    @pytest.mark.parametrize("flag, value", [("--num-samples", "0"), ("--inlier-cos", "2")])
+    def test_out_of_range_value_is_usage_error(self, scenes_dir, tmp_path, capsys, flag, value):
+        out = tmp_path / "v"
+        assert main(["vote", "--scenes", scenes_dir, "--out", str(out / "votes.csv"),
+                     flag, value]) == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def test_summary_and_records(self, scenes_dir, model_file, tmp_path):
@@ -262,6 +357,15 @@ class TestEval:
         lines = open(os.path.join(out, "records.csv")).read().splitlines()
         assert lines[0] == "scene,add,proj2d,add_correct,proj_correct"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("flag, value", [("--num-samples", "0"), ("--inlier-cos", "2")])
+    def test_out_of_range_value_is_usage_error(self, scenes_dir, model_file, tmp_path, capsys,
+                                               flag, value):
+        out = tmp_path / "eval"
+        assert main(["eval", "--scenes", scenes_dir, "--model", model_file, "--out", str(out),
+                     flag, value]) == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_symmetric_adds_columns(self, scenes_dir, model_file, tmp_path):
         out = str(tmp_path / "eval_s")
@@ -302,6 +406,14 @@ class TestTrainAndReport:
         assert main(["train", "--scenes", scenes_dir, "--out", str(out),
                      "--iters", "5", "--scene-limit", "-1"]) == 2
         assert "--scene-limit" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--seeds", ","), ("--iters", "0")])
+    def test_out_of_range_value_is_usage_error(self, scenes_dir, tmp_path, capsys, flag, value):
+        out = tmp_path / "t"
+        assert main(["train", "--scenes", scenes_dir, "--out", str(out), "--iters", "5",
+                     flag, value]) == 2
+        assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
     def test_report(self, train_dir, tmp_path):

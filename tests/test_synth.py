@@ -4,7 +4,7 @@ import pytest
 from dataclasses import replace
 
 from helpers import cube_cloud, default_intrinsics, make_cube_scene
-from oracles import oracle_ideal_fields, oracle_splat_mask
+from oracles import oracle_corrupt, oracle_ideal_fields, oracle_splat_mask
 from proxyvote.errors import ConfigurationError, ModelLoadError
 from proxyvote.geometry import pixel_centers, project
 from proxyvote.synth import (NoiseSpec, PoseRanges, _fmt, _ideal_fields, _load_pgm, _splat_mask,
@@ -224,6 +224,25 @@ class TestCorrupt:
         with pytest.raises(ValueError):
             NoiseSpec(angular_sigma=-1.0)
 
+    @pytest.mark.parametrize("spec, empty_input", [
+        (NoiseSpec(angular_sigma=5.0, flip_prob=0.1, occlusion_frac=0.2, rng_seed=11), False),
+        (NoiseSpec(angular_sigma=0.0, flip_prob=1.0, rng_seed=12), False),
+        (NoiseSpec(angular_sigma=5.0, flip_prob=0.1, occlusion_frac=1.0, rng_seed=13), False),
+        (NoiseSpec(angular_sigma=5.0, flip_prob=0.1, occlusion_frac=0.2, rng_seed=14), True),
+    ], ids=["noisy", "sigma0_all_flipped", "fully_occluded", "empty_mask"])
+    def test_matches_dense_oracle_bit_for_bit(self, scene, spec, empty_input):
+        _, _, s = scene
+        if empty_input:
+            s = replace(s, mask=np.zeros_like(s.mask), gt_fields=np.zeros_like(s.gt_fields))
+        out = corrupt(s, spec)
+        mask, fields = oracle_corrupt(s.gt_fields, s.mask, spec.angular_sigma, spec.flip_prob,
+                                      spec.occlusion_frac, spec.rng_seed)
+        assert np.array_equal(out.mask, mask)
+        assert out.gt_fields.dtype == fields.dtype and out.gt_fields.shape == fields.shape
+        assert np.array_equal(out.gt_fields.view(np.uint64), fields.view(np.uint64))
+        if spec.occlusion_frac == 1.0 or empty_input:
+            assert not out.mask.any()
+
 
 class TestSceneIO:
     def test_roundtrip_bitexact(self, scene, tmp_path):
@@ -305,6 +324,22 @@ class TestSceneIO:
         assert not back.mask.any()
         assert back.gt_fields.shape == s.gt_fields.shape
         assert not back.gt_fields.any()
+
+    def test_one_pixel_mask_roundtrip(self, scene, tmp_path):
+        _, _, s = scene
+        mask = np.zeros_like(s.mask)
+        mask[7, 41] = True
+        fields = np.zeros_like(s.gt_fields)
+        fields[:, 7, 41] = [-0.0, 0.1 + 0.2]
+        fields[1, 7, 41] = [5e-324, -1.0]
+        s = replace(s, mask=mask, gt_fields=fields)
+        d = tmp_path / "scene"
+        save_scene(d, s)
+        assert (d / "field_00.csv").read_text() == "row,col,vx,vy\n7,41,-0.0,0.30000000000000004\n"
+        assert (d / "field_01.csv").read_text() == "row,col,vx,vy\n7,41,5e-324,-1.0\n"
+        back = load_scene(d)
+        assert np.array_equal(back.mask, mask)
+        assert np.array_equal(back.gt_fields.view(np.uint64), fields.view(np.uint64))
 
     def test_short_field_row_rejected(self, scene, tmp_path):
         _, _, s = scene
