@@ -1,12 +1,18 @@
 """Command-line pipeline: generate scenes, train fields, vote keypoints,
 evaluate poses and build ablation reports.
 
+Each subcommand's parser is the one declaration of its settings: a flag
+holds its type and default, the latter read from the library dataclass
+that declares it where one does. main checks a --config JSON object's
+keys and value types against the flags, makes its values the parser's
+defaults and parses again, so explicit flags > --config > defaults. A
+command's settings, its parser's dests but --config, are the config its
+manifest.json records; replaying them through --config reproduces the run.
+
 Exit codes: 0 success, 1 runtime/I/O failure, 2 usage error (a missing
-or out-of-range value, or a --config value of the wrong type). Every
-command writes a manifest.json with its resolved configuration so runs
-can be reproduced bit-for-bit. Flag precedence: explicit flags >
---config JSON > built-in defaults. PROXY_VOTE_THREADS, a positive
-integer (default 1), caps the worker pool used for scene generation.
+or out-of-range value, an unparseable --config file or a --config value
+of the wrong type). PROXY_VOTE_THREADS, a positive integer (default 1),
+caps the worker pool used for scene generation.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -57,64 +64,59 @@ def _max_workers() -> int:
     return workers
 
 
-def _config_types(parser) -> dict:
-    """The JSON types a --config value may take for each of parser's flags:
-    what the flag parses to, and int also where a float or a switch is."""
-    types = {}
-    for a in parser._actions:
-        if a.nargs == 0:  # a switch
-            types[a.dest] = (bool, int)
-        elif a.nargs == "+":
-            types[a.dest] = (list,)
-        elif a.type is float:
-            types[a.dest] = (int, float)
-        elif a.type is int:
-            types[a.dest] = (int,)
-        else:
-            types[a.dest] = (str,)
-    return types
+def _value_types(action) -> tuple:
+    """The JSON types a --config value may take for action's flag: what the
+    flag parses to, and int also where a float or a switch is."""
+    if action.nargs == 0:  # a switch
+        return (bool, int)
+    if action.nargs == "+":
+        return (list,)
+    if action.type is float:
+        return (int, float)
+    if action.type is int:
+        return (int,)
+    if action.dest == "seeds":  # an integer seed list is one seed
+        return (str, int)
+    return (str,)
 
 
-def _check_config_value(key, value, types, default):
-    """UsageError unless value has one of types; null only where the default is."""
-    if value is None:
-        ok = default is None
-    elif isinstance(value, list):
-        ok = list in types and all(isinstance(v, str) for v in value)
-    else:
-        ok = isinstance(value, types) and (bool in types or not isinstance(value, bool))
-    if not ok:
-        names = " or ".join("list of str" if t is list else t.__name__ for t in types)
-        raise UsageError(f"config key {key!r} must be {names}, got {value!r}")
-
-
-def _resolve(args, defaults, config_path):
-    """Apply flag > config-file > default precedence over a defaults dict.
-
-    Config values are checked against args.config_types when it is set."""
-    cfg = {}
-    if config_path:
-        with open(config_path) as f:
+def _config_defaults(path, parser) -> dict:
+    """The settings of the JSON object in path, checked against parser's
+    flags, with the values of float flags made floats."""
+    with open(path) as f:
+        try:
             cfg = json.load(f)
-        if not isinstance(cfg, dict):
-            raise UsageError(f"{config_path}: a config file holds one JSON object")
-        unknown = set(cfg) - set(defaults)
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        types = getattr(args, "config_types", None)
-        if types:
-            for key, value in cfg.items():
-                _check_config_value(key, value, types[key], defaults[key])
-    out = {}
-    for key, dflt in defaults.items():
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            out[key] = flag_val
-        elif key in cfg:
-            out[key] = cfg[key]
+        except ValueError as e:  # not JSON, or not UTF-8
+            raise UsageError(f"{path}: {e}") from None
+    if not isinstance(cfg, dict):
+        raise UsageError(f"{path}: a config file holds one JSON object")
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    unknown = set(cfg) - set(actions)
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in cfg.items():
+        action, types = actions[key], _value_types(actions[key])
+        if value is None:  # null only where the default is
+            ok = action.default is None
+        elif isinstance(value, list):
+            ok = list in types and all(isinstance(v, str) for v in value)
         else:
-            out[key] = dflt
-    return out
+            ok = isinstance(value, types) and (bool in types or not isinstance(value, bool))
+        if not ok:
+            names = " or ".join("list of str" if t is list else t.__name__ for t in types)
+            raise UsageError(f"config key {key!r} must be {names}, got {value!r}")
+        if action.type is float and value is not None:
+            cfg[key] = float(value)
+    return cfg
+
+
+def _settings(args, *required) -> dict:
+    """A command's settings, the values of its parser's dests but --config;
+    UsageError unless each of required is set."""
+    cfg = {k: v for k, v in vars(args).items() if k not in ("command", "func", "config")}
+    if not all(cfg[k] for k in required):
+        raise UsageError(f"{args.command} requires " + ", ".join(f"--{k}" for k in required))
+    return cfg
 
 
 def _write_manifest(out_dir, command, config, seeds, outputs, t0):
@@ -164,27 +166,6 @@ def _scene_dirs(scenes_dir):
 # ---------------------------------------------------------------------------
 # gen
 
-GEN_DEFAULTS = {
-    "model": None,
-    "n": 1,
-    "seed": 0,
-    "out": None,
-    "width": 64,
-    "height": 64,
-    "fx": 80.0,
-    "fy": 80.0,
-    "cx": None,  # defaults to width / 2
-    "cy": None,
-    "keypoints": 8,
-    "sigma": 0.0,
-    "flip_prob": 0.0,
-    "occlusion": 0.0,
-    "z_min": 0.5,
-    "z_max": 2.0,
-    "margin": 4.0,
-}
-
-
 def _gen_one(task):
     """Build, corrupt and save one scene from the pose drawn for it in cmd_gen."""
     cloud, keys, pose, intr, width, height, noise, directory = task
@@ -197,36 +178,35 @@ def _gen_one(task):
 
 def cmd_gen(args) -> int:
     t0 = time.monotonic()
-    cfg = _resolve(args, GEN_DEFAULTS, args.config)
-    if not cfg["model"] or not cfg["out"]:
-        raise UsageError("gen requires --model and --out")
-    if cfg["n"] < 1:
-        raise UsageError(f"--n must be at least 1, got {cfg['n']}")
+    cfg = _settings(args, "model", "out")
+    for key in ("n", "keypoints", "width", "height"):
+        if cfg[key] < 1:
+            raise UsageError(f"--{key} must be at least 1, got {cfg[key]}")
     if not os.path.exists(cfg["model"]):
         raise FileNotFoundError(f"model file not found: {cfg['model']}")
     if cfg["cx"] is None:
         cfg["cx"] = cfg["width"] / 2.0
     if cfg["cy"] is None:
         cfg["cy"] = cfg["height"] / 2.0
+    intr = _built(Intrinsics, fx=cfg["fx"], fy=cfg["fy"], cx=cfg["cx"], cy=cfg["cy"])
+    ranges = _built(PoseRanges, z_range=(cfg["z_min"], cfg["z_max"]), margin=cfg["margin"])
+    spec = _built(NoiseSpec, angular_sigma=cfg["sigma"], flip_prob=cfg["flip_prob"],
+                  occlusion_frac=cfg["occlusion"])
+    noisy = cfg["sigma"] > 0 or cfg["flip_prob"] > 0 or cfg["occlusion"] > 0
     max_workers = _max_workers()
 
     os.makedirs(cfg["out"], exist_ok=True)
     width, height = cfg["width"], cfg["height"]
     cloud = load_model(cfg["model"])
     keys = farthest_point_sampling(cloud, cfg["keypoints"])
-    intr = Intrinsics(cfg["fx"], cfg["fy"], cfg["cx"], cfg["cy"])
     # poses are drawn here, in scene order, from one stream, so scene i is
     # the same whatever n or the worker count
     scene_rng = substream(cfg["seed"], "scene")
-    ranges = PoseRanges(z_range=(cfg["z_min"], cfg["z_max"]), margin=cfg["margin"])
-    noisy = cfg["sigma"] > 0 or cfg["flip_prob"] > 0 or cfg["occlusion"] > 0
     noise_seed = int(substream(cfg["seed"], "noise").integers(2 ** 63))
     tasks = []
     for i in range(cfg["n"]):
         pose = sample_pose(scene_rng, ranges, cloud, intr, width, height)
-        noise = NoiseSpec(angular_sigma=cfg["sigma"], flip_prob=cfg["flip_prob"],
-                          occlusion_frac=cfg["occlusion"],
-                          rng_seed=noise_seed + i) if noisy else None
+        noise = replace(spec, rng_seed=noise_seed + i) if noisy else None
         tasks.append((cloud, keys, pose, intr, width, height, noise,
                       os.path.join(cfg["out"], f"sample_{i:03d}")))
     workers = min(max_workers, len(tasks))
@@ -242,26 +222,9 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-TRAIN_DEFAULTS = {
-    "scenes": None,
-    "out": None,
-    "mode": "vf_plus_dpvl",
-    "seeds": "0",
-    "iters": 2000,
-    "lr": 1e-3,
-    "iters_per_epoch": 100,
-    "lr_decay": True,
-    "beta0": 1e-3,
-    "beta_cap": 1e-2,
-    "scene_limit": 0,  # 0 = all
-}
-
-
 def cmd_train(args) -> int:
     t0 = time.monotonic()
-    cfg = _resolve(args, TRAIN_DEFAULTS, args.config)
-    if not cfg["scenes"] or not cfg["out"]:
-        raise UsageError("train requires --scenes and --out")
+    cfg = _settings(args, "scenes", "out")
     if cfg["scene_limit"] < 0:
         raise UsageError(f"--scene-limit must be >= 0, got {cfg['scene_limit']}")
     modes = [m for m in str(cfg["mode"]).split(",") if m]
@@ -305,20 +268,9 @@ def _voted_scenes(scenes_dir, vcfg):
         yield sample, [vote_keypoint(field, sample.mask, vcfg) for field in sample.gt_fields]
 
 
-VOTE_DEFAULTS = {
-    "scenes": None,
-    "out": None,
-    "seed": 0,
-    "num_samples": 512,
-    "inlier_cos": 0.99,
-}
-
-
 def cmd_vote(args) -> int:
     t0 = time.monotonic()
-    cfg = _resolve(args, VOTE_DEFAULTS, args.config)
-    if not cfg["scenes"] or not cfg["out"]:
-        raise UsageError("vote requires --scenes and --out")
+    cfg = _settings(args, "scenes", "out")
     vcfg = _voting_config(cfg)
     lines = ["scene,keypoint,kx_voted,ky_voted,kx_true,ky_true,error_px,votes"]
     for si, (sample, voted) in enumerate(_voted_scenes(cfg["scenes"], vcfg)):
@@ -338,22 +290,9 @@ def cmd_vote(args) -> int:
 # ---------------------------------------------------------------------------
 # eval
 
-EVAL_DEFAULTS = {
-    "scenes": None,
-    "model": None,
-    "out": None,
-    "seed": 0,
-    "symmetric": False,
-    "num_samples": 512,
-    "inlier_cos": 0.99,
-}
-
-
 def cmd_eval(args) -> int:
     t0 = time.monotonic()
-    cfg = _resolve(args, EVAL_DEFAULTS, args.config)
-    if not cfg["scenes"] or not cfg["model"] or not cfg["out"]:
-        raise UsageError("eval requires --scenes, --model and --out")
+    cfg = _settings(args, "scenes", "model", "out")
     vcfg = _voting_config(cfg)
     cloud = load_model(cfg["model"], symmetric=bool(cfg["symmetric"]))
     diameter = model_diameter(cloud)
@@ -386,20 +325,13 @@ def cmd_eval(args) -> int:
         summary["add_s_accuracy"] = float(np.mean([r.add_s_correct for r in records]))
     write_atomic(os.path.join(cfg["out"], "summary.json"),
                  json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    outputs = [os.path.join(cfg["out"], "records.csv"),
-               os.path.join(cfg["out"], "summary.json")]
+    outputs = [os.path.join(cfg["out"], f) for f in ("records.csv", "summary.json")]
     _write_manifest(cfg["out"], "eval", cfg, [cfg["seed"]], outputs, t0)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # report
-
-REPORT_DEFAULTS = {
-    "out": None,
-    "traces": None,
-    "lpv_threshold": 1.0,
-}
 
 _TRACE_RE = re.compile(r"trace_(scene\d+)_(\w+?)_seed(\d+)\.csv$")
 
@@ -422,9 +354,7 @@ def _trace_columns(path) -> dict:
 
 def cmd_report(args) -> int:
     t0 = time.monotonic()
-    cfg = _resolve(args, REPORT_DEFAULTS, args.config)
-    if not cfg["out"] or not cfg["traces"]:
-        raise UsageError("report requires --out and at least one trace path")
+    cfg = _settings(args, "traces", "out")
 
     paths = []
     for p in cfg["traces"]:
@@ -508,72 +438,77 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="JSON file with default overrides")
 
+    def add_voting(p):
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--num-samples", dest="num_samples", type=int,
+                       default=VotingConfig.num_samples)
+        p.add_argument("--inlier-cos", dest="inlier_cos", type=float,
+                       default=VotingConfig.inlier_cos_threshold)
+
     g = sub.add_parser("gen", help="generate synthetic scenes")
     add_common(g)
     g.add_argument("--model")
-    g.add_argument("--n", type=int)
-    g.add_argument("--seed", type=int)
+    g.add_argument("--n", type=int, default=1)
+    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out")
-    g.add_argument("--width", type=int)
-    g.add_argument("--height", type=int)
-    g.add_argument("--fx", type=float)
-    g.add_argument("--fy", type=float)
-    g.add_argument("--cx", type=float)
-    g.add_argument("--cy", type=float)
-    g.add_argument("--keypoints", type=int)
-    g.add_argument("--sigma", type=float, help="angular noise, degrees")
-    g.add_argument("--flip-prob", dest="flip_prob", type=float)
-    g.add_argument("--occlusion", type=float)
-    g.add_argument("--z-min", dest="z_min", type=float)
-    g.add_argument("--z-max", dest="z_max", type=float)
-    g.add_argument("--margin", type=float)
-    g.set_defaults(func=cmd_gen, config_types=_config_types(g))
+    g.add_argument("--width", type=int, default=64)
+    g.add_argument("--height", type=int, default=64)
+    g.add_argument("--fx", type=float, default=80.0)
+    g.add_argument("--fy", type=float, default=80.0)
+    g.add_argument("--cx", type=float, help="default: width / 2")
+    g.add_argument("--cy", type=float, help="default: height / 2")
+    g.add_argument("--keypoints", type=int, default=8)
+    g.add_argument("--sigma", type=float, default=NoiseSpec.angular_sigma,
+                   help="angular noise, degrees")
+    g.add_argument("--flip-prob", dest="flip_prob", type=float, default=NoiseSpec.flip_prob)
+    g.add_argument("--occlusion", type=float, default=NoiseSpec.occlusion_frac)
+    g.add_argument("--z-min", dest="z_min", type=float, default=PoseRanges.z_range[0])
+    g.add_argument("--z-max", dest="z_max", type=float, default=PoseRanges.z_range[1])
+    g.add_argument("--margin", type=float, default=PoseRanges.margin)
+    g.set_defaults(func=cmd_gen)
 
     t = sub.add_parser("train", help="fit vector fields to scenes")
     add_common(t)
     t.add_argument("--scenes")
     t.add_argument("--out")
-    t.add_argument("--mode", "--modes", dest="mode",
+    t.add_argument("--mode", "--modes", dest="mode", default=TrainConfig.mode,
                    help="comma-separated: vf_only,vf_plus_dpvl,dpvl_only")
-    t.add_argument("--seeds", "--seed", dest="seeds", help="comma-separated seeds")
-    t.add_argument("--iters", type=int)
-    t.add_argument("--lr", type=float)
-    t.add_argument("--iters-per-epoch", dest="iters_per_epoch", type=int)
-    t.add_argument("--no-lr-decay", dest="lr_decay", action="store_false", default=None)
-    t.add_argument("--beta0", type=float)
-    t.add_argument("--beta-cap", dest="beta_cap", type=float)
-    t.add_argument("--scene-limit", dest="scene_limit", type=int)
-    # an integer seed list is one seed
-    t.set_defaults(func=cmd_train, config_types={**_config_types(t), "seeds": (str, int)})
+    t.add_argument("--seeds", "--seed", dest="seeds", default="0", help="comma-separated seeds")
+    t.add_argument("--iters", type=int, default=TrainConfig.iterations)
+    t.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    t.add_argument("--iters-per-epoch", dest="iters_per_epoch", type=int,
+                   default=TrainConfig.iters_per_epoch)
+    t.add_argument("--no-lr-decay", dest="lr_decay", action="store_false",
+                   default=TrainConfig.lr_decay)
+    t.add_argument("--beta0", type=float, default=WeightSchedule.beta0)
+    t.add_argument("--beta-cap", dest="beta_cap", type=float, default=WeightSchedule.beta_cap)
+    t.add_argument("--scene-limit", dest="scene_limit", type=int, default=0, help="0 = all")
+    t.set_defaults(func=cmd_train)
 
     v = sub.add_parser("vote", help="vote keypoints from stored scene fields")
     add_common(v)
     v.add_argument("--scenes")
     v.add_argument("--out")
-    v.add_argument("--seed", type=int)
-    v.add_argument("--num-samples", dest="num_samples", type=int)
-    v.add_argument("--inlier-cos", dest="inlier_cos", type=float)
-    v.set_defaults(func=cmd_vote, config_types=_config_types(v))
+    add_voting(v)
+    v.set_defaults(func=cmd_vote)
 
     e = sub.add_parser("eval", help="vote, solve poses and score them")
     add_common(e)
     e.add_argument("--scenes")
     e.add_argument("--model")
     e.add_argument("--out")
-    e.add_argument("--seed", type=int)
-    e.add_argument("--symmetric", action="store_true", default=None)
-    e.add_argument("--num-samples", dest="num_samples", type=int)
-    e.add_argument("--inlier-cos", dest="inlier_cos", type=float)
-    e.set_defaults(func=cmd_eval, config_types=_config_types(e))
+    e.add_argument("--symmetric", action="store_true")
+    add_voting(e)
+    e.set_defaults(func=cmd_eval)
 
     r = sub.add_parser("report", help="merge traces into an ablation report")
     add_common(r)
     r.add_argument("--traces", nargs="+")
     r.add_argument("--out")
-    r.add_argument("--lpv-threshold", dest="lpv_threshold", type=float,
+    r.add_argument("--lpv-threshold", dest="lpv_threshold", type=float, default=1.0,
                    help="l_pv level for iterations-to-threshold; the traced l_pv is a "
                         "raw sum over masked pixels and keypoints, not a per-pixel mean")
-    r.set_defaults(func=cmd_report, config_types=_config_types(r))
+    r.set_defaults(func=cmd_report)
 
     return parser
 
@@ -585,6 +520,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code is not None else 0
     try:
+        if args.config:
+            sub = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+            sub.set_defaults(**_config_defaults(args.config, sub))
+            args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

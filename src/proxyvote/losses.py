@@ -56,6 +56,9 @@ class LossReport:
     skipped: int = 0  # masked pixels dropped for near-zero direction
 
 
+BETA_FACTOR = 1.5  # beta's growth per epoch
+
+
 @dataclass(frozen=True)
 class WeightSchedule:
     """Per-epoch growth schedule for the segmentation / proxy-loss weights."""
@@ -64,12 +67,11 @@ class WeightSchedule:
     alpha_factor: float = 1.1
     alpha_cap: float = 10.0
     beta0: float = 1e-3
-    beta_factor: float = 1.5
     beta_cap: float = 1e-2
 
     def __post_init__(self):
-        if self.alpha_factor < 1 or self.beta_factor < 1:
-            raise ValueError("schedule factors must be >= 1")
+        if self.alpha_factor < 1:
+            raise ValueError("alpha_factor must be >= 1")
         if self.alpha_cap < self.alpha0 or self.beta_cap < self.beta0:
             raise ValueError("caps must be >= initial values")
 
@@ -260,5 +262,5 @@ def schedule_weights(epoch: int, sched: WeightSchedule = DEFAULT_SCHEDULE):
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
     alpha = min(sched.alpha0 * sched.alpha_factor ** epoch, sched.alpha_cap)
-    beta = min(sched.beta0 * sched.beta_factor ** epoch, sched.beta_cap)
+    beta = min(sched.beta0 * BETA_FACTOR ** epoch, sched.beta_cap)
     return alpha, beta

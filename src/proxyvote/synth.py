@@ -58,16 +58,19 @@ class NoiseSpec:
             raise ValueError("probabilities must be in [0, 1]")
 
 
+XY_RANGE = (-0.05, 0.05)  # m, the x and y of a sampled translation
+
+
 @dataclass(frozen=True)
 class PoseRanges:
-    x_range: tuple = (-0.05, 0.05)
-    y_range: tuple = (-0.05, 0.05)
     z_range: tuple = (0.5, 2.0)
     margin: float = 4.0  # px kept clear of the image border
 
     def __post_init__(self):
         if self.z_range[0] <= 0:
             raise ValueError("z range must be positive")
+        if self.z_range[0] > self.z_range[1]:
+            raise ValueError(f"z range must not run backwards, got {self.z_range}")
 
 
 def _random_rotation(rng) -> np.ndarray:
@@ -92,8 +95,8 @@ def sample_pose(rng: np.random.Generator, ranges: PoseRanges, cloud: ModelCloud,
         R = _random_rotation(rng)
         t = np.array(
             [
-                rng.uniform(*ranges.x_range),
-                rng.uniform(*ranges.y_range),
+                rng.uniform(*XY_RANGE),
+                rng.uniform(*XY_RANGE),
                 rng.uniform(*ranges.z_range),
             ]
         )

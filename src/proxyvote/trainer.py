@@ -41,6 +41,8 @@ MODES = ("vf_only", "vf_plus_dpvl", "dpvl_only")
 # named sub-streams hanging off a single user seed
 _STREAMS = {"scene": 0, "noise": 1, "voting": 2, "init": 3}
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 def substream(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), _STREAMS[name]]))
@@ -50,9 +52,6 @@ def substream(seed: int, name: str) -> np.random.Generator:
 class TrainConfig:
     iterations: int = 2000
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     schedule: WeightSchedule = DEFAULT_SCHEDULE
     iters_per_epoch: int = 100
     mode: str = "vf_plus_dpvl"
@@ -122,7 +121,7 @@ def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
 
     losses = PlanarLosses(est.shape[1:])
     grad, m, v, step, denom = (np.zeros_like(est) for _ in range(5))
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     n = cfg.iterations
     tr_iter = np.arange(n)
     tr_lvf = np.zeros(n)
@@ -170,7 +169,7 @@ def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
             np.divide(m, 1 - b1 ** (it + 1), out=step)  # m-hat
             np.divide(v, 1 - b2 ** (it + 1), out=denom)  # v-hat
             np.sqrt(denom, out=denom)
-            np.add(denom, cfg.adam_eps, out=denom)
+            np.add(denom, ADAM_EPS, out=denom)
             np.multiply(step, lr, out=step)
             np.divide(step, denom, out=step)
             np.subtract(est, step, out=est)

@@ -312,7 +312,7 @@ def oracle_fit_field(init, mask, gt_fields, keypoints2, cfg):
     for it in range(cfg.iterations):
         epoch = it // cfg.iters_per_epoch
         alpha = min(sched.alpha0 * sched.alpha_factor ** epoch, sched.alpha_cap)
-        beta = min(sched.beta0 * sched.beta_factor ** epoch, sched.beta_cap)
+        beta = min(sched.beta0 * 1.5 ** epoch, sched.beta_cap)
         lr = cfg.learning_rate
         if cfg.lr_decay:
             lr = max(lr * 0.85 ** (epoch // 5), 1e-5)
@@ -333,11 +333,11 @@ def oracle_fit_field(init, mask, gt_fields, keypoints2, cfg):
         if not (np.isfinite(l_vf) and np.isfinite(l_pv)):
             return None, {k: np.array(x) for k, x in cols.items()}, True
         with np.errstate(all="ignore"):
-            m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * grad
-            v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * grad * grad
-            mhat = m / (1 - cfg.adam_beta1 ** (it + 1))
-            vhat = v / (1 - cfg.adam_beta2 ** (it + 1))
-            est = est - lr * mhat / (np.sqrt(vhat) + cfg.adam_eps)
+            m = 0.9 * m + (1 - 0.9) * grad
+            v = 0.999 * v + (1 - 0.999) * grad * grad
+            mhat = m / (1 - 0.9 ** (it + 1))
+            vhat = v / (1 - 0.999 ** (it + 1))
+            est = est - lr * mhat / (np.sqrt(vhat) + 1e-8)
     fields = init.copy()
     fields[:, mask, :] = est
     return fields, {k: np.array(x) for k, x in cols.items()}, False

@@ -1,13 +1,14 @@
 import importlib.metadata
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import oracle_corrupt
 from proxyvote import cli
-from proxyvote.cli import _parse_seeds, _resolve, main
+from proxyvote.cli import _parse_seeds, main
 
 CUBE_PLY = """ply
 format ascii 1.0
@@ -43,25 +44,63 @@ def scenes_dir(tmp_path_factory, model_file):
     return out
 
 
+def _replay(tmp_path, command, manifest_dir, out):
+    """Run command again with --config set to the config recorded in
+    manifest_dir's manifest.json, its out replaced by out."""
+    doc = json.loads((Path(manifest_dir) / "manifest.json").read_text())
+    path = tmp_path / "replay.json"
+    path.write_text(json.dumps(dict(doc["config"], out=str(out))))
+    assert main([command, "--config", str(path)]) == 0
+
+
+def _assert_same_outputs(a, b):
+    """Directories a and b hold the same files with the same bytes, those of
+    subdirectories included, and manifests that record the same config but out."""
+    a, b = Path(a), Path(b)
+    names = sorted(os.listdir(a))
+    assert names == sorted(os.listdir(b))
+    for f in names:
+        if (a / f).is_dir():
+            _assert_same_outputs(a / f, b / f)
+        elif f == "manifest.json":
+            configs = [json.loads((d / f).read_text())["config"] for d in (a, b)]
+            assert dict(configs[0], out=None) == dict(configs[1], out=None)
+        else:
+            assert (a / f).read_bytes() == (b / f).read_bytes(), a / f
+
+
 class TestResolve:
-    class Args:
-        def __init__(self, **kw):
-            self.__dict__.update(kw)
-
-    def test_precedence(self, tmp_path):
+    def test_precedence(self, tmp_path, model_file, scenes_dir):
+        # flag over config over default, in the config the manifest records
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"a": 2, "b": 20}))
-        out = _resolve(self.Args(a=1, b=None, c=None),
-                       {"a": 0, "b": 0, "c": 30}, str(cfg))
-        assert out == {"a": 1, "b": 20, "c": 30}
+        cfg.write_text(json.dumps({"model": model_file, "n": 3, "seed": 5,
+                                   "z_min": 0.45, "z_max": 0.7}))
+        out = tmp_path / "g"
+        assert main(["gen", "--config", str(cfg), "--n", "2", "--out", str(out)]) == 0
+        doc = json.loads((out / "manifest.json").read_text())["config"]
+        assert (doc["n"], doc["seed"], doc["z_min"]) == (2, 5, 0.45)
+        assert (doc["keypoints"], doc["sigma"], doc["cx"]) == (8, 0.0, 32.0)
+        assert sorted(os.listdir(out)) == ["manifest.json", "sample_000", "sample_001"]
+        # switches: a flag turns off what the config turns on
+        cfg.write_text(json.dumps({"scenes": scenes_dir, "lr_decay": True, "iters": 5,
+                                   "lr": 0.01, "mode": "vf_only"}))
+        out = tmp_path / "t"
+        assert main(["train", "--config", str(cfg), "--no-lr-decay", "--scene-limit", "1",
+                     "--out", str(out)]) == 0
+        doc = json.loads((out / "manifest.json").read_text())["config"]
+        assert (doc["lr_decay"], doc["iters"], doc["lr"]) == (False, 5, 0.01)
+        assert (doc["scene_limit"], doc["beta0"], doc["seeds"]) == (1, 1e-3, "0")
 
-    def test_unknown_config_key(self, tmp_path):
-        from proxyvote.cli import UsageError
-
+    def test_unknown_config_key(self, tmp_path, model_file, capsys):
+        # --config and what set_defaults adds are not settings either
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
-        with pytest.raises(UsageError):
-            _resolve(self.Args(), {"a": 0}, str(cfg))
+        out = tmp_path / "out"
+        for key in ("bogus", "config", "func"):
+            cfg.write_text(json.dumps({key: 1}))
+            assert main(["gen", "--config", str(cfg), "--model", model_file,
+                         "--out", str(out)]) == 2
+            assert repr(key) in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestConfigTypes:
@@ -97,18 +136,29 @@ class TestConfigTypes:
         assert not out.exists()
 
     def test_ints_where_floats_are_expected(self, tmp_path, model_file):
+        # an int for a float flag is stored as the float the flag gives
         floats = ["--sigma", "5.0", "--flip-prob", "0.0", "--occlusion", "0.0",
-                  "--z-min", "0.45", "--z-max", "0.7", "--margin", "4.0"]
+                  "--z-min", "0.45", "--z-max", "0.7", "--margin", "4.0", "--fx", "80",
+                  "--fy", "90", "--cx", "31", "--cy", "33"]
         a, b = tmp_path / "a", tmp_path / "b"
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"model": model_file, "out": str(b), "n": 2, "sigma": 5,
                                    "flip_prob": 0, "occlusion": 0, "z_min": 0.45,
-                                   "z_max": 0.7, "margin": 4}))
+                                   "z_max": 0.7, "margin": 4, "fx": 80, "fy": 90,
+                                   "cx": 31, "cy": 33}))
         assert main(["gen", "--model", model_file, "--out", str(a), "--n", "2"] + floats) == 0
         assert main(["gen", "--config", str(cfg)]) == 0
-        for d in ("sample_000", "sample_001"):
-            for f in sorted(os.listdir(a / d)):
-                assert (a / d / f).read_bytes() == (b / d / f).read_bytes()
+        _assert_same_outputs(a, b)
+
+    def test_unparseable_config_is_usage_error(self, tmp_path, model_file, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"n": 2, "seed"')
+        out = tmp_path / "out"
+        argv = ["gen", "--model", model_file, "--out", str(out), "--config"]
+        assert main(argv + [str(cfg)]) == 2
+        assert f"usage error: {cfg}" in capsys.readouterr().err
+        assert main(argv + [str(tmp_path / "none.json")]) == 1  # I/O, not usage
+        assert not out.exists()
 
     def test_integer_seed_list(self, tmp_path, scenes_dir):
         out = tmp_path / "t"
@@ -309,6 +359,15 @@ class TestGen:
         assert "--n" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        "--sigma -1", "--keypoints 0", "--flip-prob 2", "--occlusion -0.5", "--z-min -1",
+        "--z-min 0.7 --z-max 0.45", "--fx 0", "--fy -80", "--width 0", "--height 0"])
+    def test_out_of_range_value_is_usage_error(self, tmp_path, model_file, capsys, flags):
+        out = tmp_path / "x"
+        assert main(["gen", "--model", model_file, "--out", str(out)] + flags.split()) == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonexistent_model_file(self, tmp_path):
         assert main(["gen", "--model", str(tmp_path / "no.ply"),
                      "--out", str(tmp_path / "x")]) == 1
@@ -330,6 +389,13 @@ class TestVote:
         assert main(["vote", "--scenes", scenes_dir, "--out", a, "--seed", "3"]) == 0
         assert main(["vote", "--scenes", scenes_dir, "--out", b, "--seed", "3"]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    def test_rerun_from_manifest_config(self, scenes_dir, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["vote", "--scenes", scenes_dir, "--out", str(a / "votes.csv"),
+                     "--seed", "3", "--num-samples", "200", "--inlier-cos", "0.98"]) == 0
+        _replay(tmp_path, "vote", a, b / "votes.csv")
+        _assert_same_outputs(a, b)
 
     def test_missing_scenes_dir(self, tmp_path):
         assert main(["vote", "--scenes", str(tmp_path / "none"),
@@ -367,6 +433,13 @@ class TestEval:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_rerun_from_manifest_config(self, scenes_dir, model_file, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["eval", "--scenes", scenes_dir, "--model", model_file, "--out", str(a),
+                     "--symmetric", "--seed", "2", "--num-samples", "256"]) == 0
+        _replay(tmp_path, "eval", a, b)
+        _assert_same_outputs(a, b)
+
     def test_symmetric_adds_columns(self, scenes_dir, model_file, tmp_path):
         out = str(tmp_path / "eval_s")
         assert main(["eval", "--scenes", scenes_dir, "--model", model_file,
@@ -395,6 +468,18 @@ class TestTrainAndReport:
         assert "trace_scene000_vf_plus_dpvl_seed0.csv" in names
         summary = json.loads(open(os.path.join(train_dir, "summary.json")).read())
         assert {r["mode"] for r in summary["runs"]} == {"vf_only", "vf_plus_dpvl"}
+
+    def test_train_rerun_from_manifest_config(self, train_dir, tmp_path):
+        out = tmp_path / "t"
+        _replay(tmp_path, "train", train_dir, out)
+        _assert_same_outputs(train_dir, out)
+
+    def test_report_rerun_from_manifest_config(self, train_dir, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["report", "--traces", train_dir, "--out", str(a),
+                     "--lpv-threshold", "5000"]) == 0
+        _replay(tmp_path, "report", a, b)
+        _assert_same_outputs(a, b)
 
     def test_bad_mode_is_usage_error(self, scenes_dir, tmp_path):
         assert main(["train", "--scenes", scenes_dir,

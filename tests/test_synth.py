@@ -55,6 +55,9 @@ class TestSamplePose:
     def test_invalid_ranges(self):
         with pytest.raises(ValueError):
             PoseRanges(z_range=(-1.0, 1.0))
+        with pytest.raises(ValueError):
+            PoseRanges(z_range=(0.7, 0.45))
+        PoseRanges(z_range=(0.5, 0.5))
 
 
 class TestMakeScene:
