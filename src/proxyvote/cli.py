@@ -11,8 +11,7 @@ manifest.json records; replaying them through --config reproduces the run.
 
 Exit codes: 0 success, 1 runtime/I/O failure, 2 usage error (a missing
 or out-of-range value, an unparseable --config file or a --config value
-of the wrong type). PROXY_VOTE_THREADS, a positive integer (default 1),
-caps the worker pool used for scene generation.
+of the wrong type).
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -53,17 +51,6 @@ def _version() -> str:
         return "unknown"
 
 
-def _max_workers() -> int:
-    text = os.environ.get("PROXY_VOTE_THREADS", "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise UsageError(f"PROXY_VOTE_THREADS must be a positive integer, got {text!r}")
-    return workers
-
-
 def _value_types(action) -> tuple:
     """The JSON types a --config value may take for action's flag: what the
     flag parses to, and int also where a float or a switch is."""
@@ -82,7 +69,7 @@ def _value_types(action) -> tuple:
 
 def _config_defaults(path, parser) -> dict:
     """The settings of the JSON object in path, checked against parser's
-    flags, with the values of float flags made floats."""
+    flags, with the values of float flags made floats and of switches bools."""
     with open(path) as f:
         try:
             cfg = json.load(f)
@@ -107,6 +94,8 @@ def _config_defaults(path, parser) -> dict:
             raise UsageError(f"config key {key!r} must be {names}, got {value!r}")
         if action.type is float and value is not None:
             cfg[key] = float(value)
+        elif action.nargs == 0:
+            cfg[key] = bool(value)
     return cfg
 
 
@@ -166,16 +155,6 @@ def _scene_dirs(scenes_dir):
 # ---------------------------------------------------------------------------
 # gen
 
-def _gen_one(task):
-    """Build, corrupt and save one scene from the pose drawn for it in cmd_gen."""
-    cloud, keys, pose, intr, width, height, noise, directory = task
-    sample = make_scene(cloud, keys, pose, intr, width, height)
-    if noise is not None:
-        sample = corrupt(sample, noise)
-    save_scene(directory, sample)
-    return directory
-
-
 def cmd_gen(args) -> int:
     t0 = time.monotonic()
     cfg = _settings(args, "model", "out")
@@ -193,28 +172,25 @@ def cmd_gen(args) -> int:
     spec = _built(NoiseSpec, angular_sigma=cfg["sigma"], flip_prob=cfg["flip_prob"],
                   occlusion_frac=cfg["occlusion"])
     noisy = cfg["sigma"] > 0 or cfg["flip_prob"] > 0 or cfg["occlusion"] > 0
-    max_workers = _max_workers()
 
-    os.makedirs(cfg["out"], exist_ok=True)
     width, height = cfg["width"], cfg["height"]
     cloud = load_model(cfg["model"])
     keys = farthest_point_sampling(cloud, cfg["keypoints"])
     # poses are drawn here, in scene order, from one stream, so scene i is
-    # the same whatever n or the worker count
+    # the same whatever n; --out is made once every step that can fail on
+    # the model or the pose ranges has passed
     scene_rng = substream(cfg["seed"], "scene")
     noise_seed = int(substream(cfg["seed"], "noise").integers(2 ** 63))
-    tasks = []
-    for i in range(cfg["n"]):
-        pose = sample_pose(scene_rng, ranges, cloud, intr, width, height)
-        noise = replace(spec, rng_seed=noise_seed + i) if noisy else None
-        tasks.append((cloud, keys, pose, intr, width, height, noise,
-                      os.path.join(cfg["out"], f"sample_{i:03d}")))
-    workers = min(max_workers, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_gen_one, tasks))
-    else:
-        outputs = [_gen_one(t) for t in tasks]
+    poses = [sample_pose(scene_rng, ranges, cloud, intr, width, height)
+             for _ in range(cfg["n"])]
+    os.makedirs(cfg["out"], exist_ok=True)
+    outputs = []
+    for i, pose in enumerate(poses):
+        sample = make_scene(cloud, keys, pose, intr, width, height)
+        if noisy:
+            sample = corrupt(sample, replace(spec, rng_seed=noise_seed + i))
+        outputs.append(os.path.join(cfg["out"], f"sample_{i:03d}"))
+        save_scene(outputs[-1], sample)
     _write_manifest(cfg["out"], "gen", cfg, [cfg["seed"]], outputs, t0)
     return 0
 
@@ -235,7 +211,7 @@ def cmd_train(args) -> int:
     sched = _built(WeightSchedule, beta0=cfg["beta0"], beta_cap=cfg["beta_cap"])
     base = _built(TrainConfig, iterations=cfg["iters"], learning_rate=cfg["lr"],
                   iters_per_epoch=cfg["iters_per_epoch"],
-                  lr_decay=bool(cfg["lr_decay"]), schedule=sched)
+                  lr_decay=cfg["lr_decay"], schedule=sched)
 
     dirs = _scene_dirs(cfg["scenes"])
     if cfg["scene_limit"]:
@@ -294,7 +270,7 @@ def cmd_eval(args) -> int:
     t0 = time.monotonic()
     cfg = _settings(args, "scenes", "model", "out")
     vcfg = _voting_config(cfg)
-    cloud = load_model(cfg["model"], symmetric=bool(cfg["symmetric"]))
+    cloud = load_model(cfg["model"], symmetric=cfg["symmetric"])
     diameter = model_diameter(cloud)
 
     header = "scene,add,proj2d,add_correct,proj_correct"

@@ -4,19 +4,23 @@ Scenes are built by sampling a pose, splatting the projected model
 points into a mask (a pixel is set when its centre lies within 1.5 px
 of a projected point; all points are tested on one stencil array and
 set in one scatter) and deriving the ideal per-keypoint direction
-fields. Corruption rotates directions by Gaussian angles,
-flips them with some probability and removes a contiguous occlusion
-blob from the mask; its noise is drawn on the full grid and applied
-only at the pixels left in the mask.
+fields. Corruption removes a contiguous occlusion blob from the mask,
+then rotates the directions at the pixels left by Gaussian angles and
+flips them with some probability; its noise is drawn only for those
+pixels.
 
-On disk a scene is a directory with: mask.pgm (P2), pose.json
-({rotation: 9 row-major, translation: 3, fx, fy, cx, cy}),
-keypoints.csv (kx,ky,X,Y,Z) and field_##.csv (row,col,vx,vy over
-masked pixels).
+On disk a scene is a directory with four files: mask.pgm (P2),
+pose.json ({rotation: 9 row-major, translation: 3, fx, fy, cx, cy}),
+keypoints.csv (kx,ky,X,Y,Z), and fields.npy, a float64 array of shape
+(K, M, 2): each keypoint's field (vx, vy) at the M set pixels of
+mask.pgm, in row-major order, so a value's row and column come from the
+mask. Every file is written through a temp file and os.replace, and a
+rewrite of the same scene gives the same bytes.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from collections import deque
@@ -196,27 +200,22 @@ def corrupt(sample: SceneSample, spec: NoiseSpec) -> SceneSample:
     """Angular noise, random flips and a grown occlusion blob; deterministic
     per spec.rng_seed. The returned mask is a subset of the original.
 
-    The noise is drawn on the full (K, H, W) grid, so a scene's noise
-    does not depend on its mask, and applied only at the pixels of the
-    returned mask; the fields are zero everywhere else.
+    The blob is grown first; then one angle (when sigma > 0) and one flip
+    draw are made per keypoint and pixel of the returned mask, in
+    row-major pixel order. The fields are zero everywhere else.
     """
     rng = np.random.default_rng(spec.rng_seed)
-    k, h, w = sample.gt_fields.shape[:3]
-    sigma = np.deg2rad(spec.angular_sigma)
-
-    theta = rng.normal(0.0, sigma, size=(k, h, w)) if sigma > 0 else np.zeros((k, h, w))
-    flips = rng.random(size=(k, h, w)) < spec.flip_prob
-
     n_remove = int(round(spec.occlusion_frac * np.count_nonzero(sample.mask)))
-    blob = _grow_blob(sample.mask, n_remove, rng)
-    new_mask = sample.mask & ~blob
+    new_mask = sample.mask & ~_grow_blob(sample.mask, n_remove, rng)
 
     ii, jj = np.nonzero(new_mask)
-    theta = theta[:, ii, jj]  # (K, M)
+    shape = (len(sample.gt_fields), len(ii))  # (K, M)
+    sigma = np.deg2rad(spec.angular_sigma)
+    theta = rng.normal(0.0, sigma, size=shape) if sigma > 0 else np.zeros(shape)
+    sign = np.where(rng.random(size=shape) < spec.flip_prob, -1.0, 1.0)
     c, s = np.cos(theta), np.sin(theta)
     f = sample.gt_fields[:, ii, jj]  # (K, M, 2)
     fx, fy = f[..., 0], f[..., 1]
-    sign = np.where(flips[:, ii, jj], -1.0, 1.0)
     fields = np.zeros_like(sample.gt_fields)
     fields[:, ii, jj, 0] = sign * (c * fx - s * fy)
     fields[:, ii, jj, 1] = sign * (s * fx + c * fy)
@@ -232,10 +231,11 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def write_atomic(path, text):
+def write_atomic(path, data):
+    """Write data, a str or bytes, to path through a temp file and os.replace."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as f:
-        f.write(text)
+    with open(tmp, "wb" if isinstance(data, bytes) else "w") as f:
+        f.write(data)
     os.replace(tmp, path)
 
 
@@ -263,18 +263,11 @@ def save_scene(directory, sample: SceneSample):
                                _fmt(k3[0]), _fmt(k3[1]), _fmt(k3[2])]))
     write_atomic(os.path.join(directory, "keypoints.csv"), "\n".join(lines) + "\n")
 
-    # one text per field: "row,col,vx,vy" then "\ni,j,x,y" per masked pixel
-    # and a final newline; the "\ni,j," prefixes and the "," slots are
-    # laid out once, each field only fills in its values
-    ii, jj = np.nonzero(sample.mask)
-    parts = [","] * (4 * len(ii))
-    parts[0::4] = [f"\n{i},{j}," for i, j in zip(ii.tolist(), jj.tolist())]
-    for fi, (xs, ys) in enumerate(sample.gt_fields[:, ii, jj].transpose(0, 2, 1).tolist()):
-        # repr of a Python float is _fmt of the numpy scalar, -0.0 included
-        parts[1::4] = map(repr, xs)
-        parts[3::4] = map(repr, ys)
-        write_atomic(os.path.join(directory, f"field_{fi:02d}.csv"),
-                     "row,col,vx,vy" + "".join(parts) + "\n")
+    # np.save writes no timestamp, so equal fields give equal bytes
+    npy = io.BytesIO()
+    np.save(npy, np.asarray(sample.gt_fields, dtype=np.float64)[:, sample.mask],
+            allow_pickle=False)
+    write_atomic(os.path.join(directory, "fields.npy"), npy.getvalue())
 
 
 def _load_pgm(path):
@@ -313,6 +306,23 @@ def _load_csv(path, columns) -> np.ndarray:
     return data
 
 
+def _load_fields(path, shape) -> np.ndarray:
+    """The finite float64 array of the given shape in the .npy file at path."""
+    try:
+        with open(path, "rb") as f:
+            values = np.load(f, allow_pickle=False)
+    except (EOFError, ValueError) as e:  # empty, cut short, pickled or object data
+        raise ModelLoadError(f"{path}: {e}") from None
+    if not isinstance(values, np.ndarray):  # an .npz archive
+        raise ModelLoadError(f"{path}: not a single .npy array")
+    if values.dtype != np.float64 or values.shape != shape:
+        raise ModelLoadError(f"{path}: {values.dtype} array of shape {values.shape}, "
+                             f"expected float64 of shape {shape}")
+    if not np.all(np.isfinite(values)):
+        raise ModelLoadError(f"{path}: non-finite values")
+    return values
+
+
 def load_scene(directory) -> SceneSample:
     mask = _load_pgm(os.path.join(directory, "mask.pgm"))
     h, w = mask.shape
@@ -326,11 +336,7 @@ def load_scene(directory) -> SceneSample:
     keypoints3 = keypoints[:, 2:5]
 
     fields = np.zeros((len(keypoints), h, w, 2))
-    for fi in range(len(keypoints)):
-        data = _load_csv(os.path.join(directory, f"field_{fi:02d}.csv"), 4)
-        rows = data[:, 0].astype(int)
-        cols = data[:, 1].astype(int)
-        fields[fi, rows, cols, 0] = data[:, 2]
-        fields[fi, rows, cols, 1] = data[:, 3]
+    fields[:, mask] = _load_fields(os.path.join(directory, "fields.npy"),
+                                   (len(keypoints), int(np.count_nonzero(mask)), 2))
     return SceneSample(pose=pose, intr=intr, mask=mask, keypoints2=keypoints2,
                        keypoints3=keypoints3, gt_fields=fields, width=w, height=h)

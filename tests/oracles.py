@@ -193,22 +193,20 @@ def oracle_ideal_fields(mask, keypoints2):
 
 
 def oracle_corrupt(gt_fields, mask, angular_sigma, flip_prob, occlusion_frac, rng_seed):
-    """(mask, fields) of a scene corrupted on the dense (K, H, W) grid:
-    every cell rotated by its Gaussian angle and flipped by its draw, then
-    everything off the occluded mask set to zero.
+    """(mask, fields) of a scene corrupted one kept pixel at a time.
 
-    The draws come in the same order from the same seed: normal angles
-    (when sigma > 0), uniform flip draws, then one uniform choice of the
-    masked cell the occlusion blob is grown from, breadth-first over
-    up, down, left, right neighbours.
+    The draws come in this order from one seed: one uniform choice of the
+    masked cell the occlusion blob is grown from, breadth-first over up,
+    down, left, right neighbours; then, for each keypoint and each pixel
+    left in the mask in row-major order, a normal angle (when sigma > 0);
+    then, in the same order, a uniform flip draw. Each kept pixel is
+    rotated by its angle and negated when its draw is below flip_prob;
+    every other pixel is zero.
     """
     gt_fields = np.asarray(gt_fields, dtype=float)
     mask = np.asarray(mask, dtype=bool)
     rng = np.random.default_rng(rng_seed)
-    shape = gt_fields.shape[:3]
     sigma = math.radians(angular_sigma)
-    theta = rng.normal(0.0, sigma, size=shape) if sigma > 0 else np.zeros(shape)
-    flips = rng.random(size=shape) < flip_prob
 
     h, w = mask.shape
     kept = mask.copy()
@@ -226,11 +224,20 @@ def oracle_corrupt(gt_fields, mask, angular_sigma, flip_prob, occlusion_frac, rn
                     queued.add(ni * w + nj)
                     queue.append(ni * w + nj)
 
+    pixels = [(i, j) for i in range(h) for j in range(w) if kept[i, j]]
+    keys = range(len(gt_fields))
+    theta = np.array([[rng.normal(0.0, sigma) if sigma > 0 else 0.0 for _ in pixels]
+                      for _ in keys]).reshape(len(keys), len(pixels))
+    flips = [[rng.random() < flip_prob for _ in pixels] for _ in keys]
     c, s = np.cos(theta), np.sin(theta)
-    fx, fy = gt_fields[..., 0], gt_fields[..., 1]
-    sign = np.where(flips, -1.0, 1.0)
-    fields = np.stack([sign * (c * fx - s * fy), sign * (s * fx + c * fy)], axis=-1)
-    return kept, np.where(kept[None, :, :, None], fields, 0.0)
+    fields = np.zeros_like(gt_fields)
+    for k in keys:
+        for p, (i, j) in enumerate(pixels):
+            fx, fy = gt_fields[k, i, j]
+            sign = -1.0 if flips[k][p] else 1.0
+            fields[k, i, j] = (sign * (c[k, p] * fx - s[k, p] * fy),
+                               sign * (s[k, p] * fx + c[k, p] * fy))
+    return kept, fields
 
 
 def oracle_fps_verify(points, selected):

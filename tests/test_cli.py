@@ -1,6 +1,7 @@
 import importlib.metadata
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -63,8 +64,10 @@ def _assert_same_outputs(a, b):
         if (a / f).is_dir():
             _assert_same_outputs(a / f, b / f)
         elif f == "manifest.json":
-            configs = [json.loads((d / f).read_text())["config"] for d in (a, b)]
-            assert dict(configs[0], out=None) == dict(configs[1], out=None)
+            # compared as JSON text, where 0, 0.0 and false differ
+            configs = [json.dumps(dict(json.loads((d / f).read_text())["config"], out=None),
+                                  sort_keys=True) for d in (a, b)]
+            assert configs[0] == configs[1]
         else:
             assert (a / f).read_bytes() == (b / f).read_bytes(), a / f
 
@@ -160,6 +163,18 @@ class TestConfigTypes:
         assert main(argv + [str(tmp_path / "none.json")]) == 1  # I/O, not usage
         assert not out.exists()
 
+    def test_ints_where_switches_are_expected(self, tmp_path, scenes_dir):
+        # an int for a switch is stored as the bool the flag gives
+        a, b = tmp_path / "a", tmp_path / "b"
+        argv = ["train", "--scenes", scenes_dir, "--iters", "5", "--scene-limit", "1",
+                "--mode", "vf_only"]
+        assert main(argv + ["--no-lr-decay", "--out", str(a)]) == 0
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"lr_decay": 0}))
+        assert main(argv + ["--config", str(cfg), "--out", str(b)]) == 0
+        assert json.loads((b / "manifest.json").read_text())["config"]["lr_decay"] is False
+        _assert_same_outputs(a, b)
+
     def test_integer_seed_list(self, tmp_path, scenes_dir):
         out = tmp_path / "t"
         cfg = tmp_path / "c.json"
@@ -184,9 +199,8 @@ class TestGen:
         assert "manifest.json" in names
         assert "sample_000" in names and "sample_001" in names
         for d in ("sample_000", "sample_001"):
-            files = os.listdir(os.path.join(scenes_dir, d))
-            assert "mask.pgm" in files and "pose.json" in files
-            assert "keypoints.csv" in files and "field_00.csv" in files
+            files = sorted(os.listdir(os.path.join(scenes_dir, d)))
+            assert files == ["fields.npy", "keypoints.csv", "mask.pgm", "pose.json"]
 
     def test_manifest_contents(self, scenes_dir):
         doc = json.loads(open(os.path.join(scenes_dir, "manifest.json")).read())
@@ -222,35 +236,6 @@ class TestGen:
                 fb = open(os.path.join(replay_out, d, f), "rb").read()
                 assert fa == fb
 
-    def test_worker_count_does_not_change_output(self, tmp_path, model_file, monkeypatch):
-        a, b = str(tmp_path / "a"), str(tmp_path / "b")
-        argbase = ["gen", "--model", model_file, "--n", "3", "--seed", "2",
-                   "--z-min", "0.45", "--z-max", "0.7"]
-        monkeypatch.setenv("PROXY_VOTE_THREADS", "1")
-        assert main(argbase + ["--out", a]) == 0
-        monkeypatch.setenv("PROXY_VOTE_THREADS", "3")
-        assert main(argbase + ["--out", b]) == 0
-        for i in range(3):
-            d = f"sample_{i:03d}"
-            for f in sorted(os.listdir(os.path.join(a, d))):
-                assert open(os.path.join(a, d, f), "rb").read() == \
-                    open(os.path.join(b, d, f), "rb").read()
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
-    def test_bad_thread_count_is_usage_error(self, tmp_path, model_file, monkeypatch,
-                                             capsys, value):
-        import proxyvote.cli as cli
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setenv("PROXY_VOTE_THREADS", value)
-        out = tmp_path / "x"
-        assert main(["gen", "--model", model_file, "--out", str(out), "--n", "2"]) == 2
-        assert "PROXY_VOTE_THREADS" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_model_and_poses_are_prepared_once(self, tmp_path, model_file, monkeypatch):
         import proxyvote.cli as cli
 
@@ -267,7 +252,6 @@ class TestGen:
 
         for name in ("sample_pose", "load_model", "farthest_point_sampling"):
             counted(name)
-        monkeypatch.delenv("PROXY_VOTE_THREADS", raising=False)
         assert main(["gen", "--model", model_file, "--out", str(tmp_path / "g"),
                      "--n", "6", "--z-min", "0.45", "--z-max", "0.7"]) == 0
         assert calls == {"sample_pose": 6, "load_model": 1, "farthest_point_sampling": 1}
@@ -320,11 +304,11 @@ class TestGen:
                 assert (ref / f).read_bytes() == (d / f).read_bytes(), f"{d.name}/{f}"
 
     def test_noisy_field_files_match_dense_oracle(self, tmp_path, model_file):
-        # every field file of a noisy run, against the dense-grid corruption
-        # of the replayed clean scene written one pixel at a time
+        # the fields.npy of each scene of a noisy run, against the oracle
+        # corruption of the replayed clean scene gathered one pixel at a time
         from proxyvote.geometry import Intrinsics
         from proxyvote.model_tools import farthest_point_sampling, load_model
-        from proxyvote.synth import PoseRanges, _fmt, load_scene, make_scene, sample_pose
+        from proxyvote.synth import PoseRanges, load_scene, make_scene, sample_pose
         from proxyvote.trainer import substream
 
         out = tmp_path / "gen"
@@ -342,12 +326,10 @@ class TestGen:
             mask, fields = oracle_corrupt(clean.gt_fields, clean.mask, 5.0, 0.1, 0.2, base + n)
             d = out / f"sample_{n:03d}"
             assert np.array_equal(load_scene(d).mask, mask)
-            cells = list(zip(*np.nonzero(mask)))
+            cells = [(i, j) for i in range(64) for j in range(64) if mask[i, j]]
             assert cells
-            for k, f in enumerate(fields):
-                ref = ["row,col,vx,vy"] + [f"{i},{j},{_fmt(f[i, j, 0])},{_fmt(f[i, j, 1])}"
-                                           for i, j in cells]
-                assert (d / f"field_{k:02d}.csv").read_text() == "\n".join(ref) + "\n"
+            ref = np.array([[f[i, j] for i, j in cells] for f in fields])
+            assert np.array_equal(np.load(d / "fields.npy").view(np.uint64), ref.view(np.uint64))
 
     def test_missing_model_is_usage_error(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "x")]) == 2
@@ -366,6 +348,14 @@ class TestGen:
         out = tmp_path / "x"
         assert main(["gen", "--model", model_file, "--out", str(out)] + flags.split()) == 2
         assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", ["--keypoints 9", "--z-min 0.01 --z-max 0.02"])
+    def test_model_or_pose_failure_leaves_no_out(self, tmp_path, model_file, capsys, flags):
+        # 9 keypoints from the 8-point cube; a cube this close never fits the image
+        out = tmp_path / "x"
+        assert main(["gen", "--model", model_file, "--out", str(out)] + flags.split()) == 1
+        assert "error" in capsys.readouterr().err
         assert not out.exists()
 
     def test_nonexistent_model_file(self, tmp_path):
@@ -396,6 +386,14 @@ class TestVote:
                      "--seed", "3", "--num-samples", "200", "--inlier-cos", "0.98"]) == 0
         _replay(tmp_path, "vote", a, b / "votes.csv")
         _assert_same_outputs(a, b)
+
+    def test_bad_fields_file_is_reported(self, scenes_dir, tmp_path, capsys):
+        # an empty fields.npy (np.load raises EOFError) is an error naming the file
+        scenes = tmp_path / "scenes"
+        shutil.copytree(os.path.join(scenes_dir, "sample_000"), scenes / "sample_000")
+        (scenes / "sample_000" / "fields.npy").write_bytes(b"")
+        assert main(["vote", "--scenes", str(scenes), "--out", str(tmp_path / "v.csv")]) == 1
+        assert "fields.npy" in capsys.readouterr().err
 
     def test_missing_scenes_dir(self, tmp_path):
         assert main(["vote", "--scenes", str(tmp_path / "none"),

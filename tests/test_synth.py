@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from helpers import cube_cloud, default_intrinsics, make_cube_scene
 from oracles import oracle_corrupt, oracle_ideal_fields, oracle_splat_mask
 from proxyvote.errors import ConfigurationError, ModelLoadError
 from proxyvote.geometry import pixel_centers, project
-from proxyvote.synth import (NoiseSpec, PoseRanges, _fmt, _ideal_fields, _load_pgm, _splat_mask,
-                             corrupt, load_scene, sample_pose, save_scene)
+from proxyvote.synth import (NoiseSpec, PoseRanges, _ideal_fields, _load_pgm, _splat_mask, corrupt,
+                             load_scene, sample_pose, save_scene)
 
 
 @pytest.fixture(scope="module")
@@ -279,11 +281,10 @@ class TestSceneIO:
         _, _, s = scene
         d = tmp_path / "scene"
         save_scene(d, s)
-        path = d / "field_00.csv"
-        text = path.read_text().splitlines()
-        text[1] = text[1].rsplit(",", 1)[0] + ",nan"
-        path.write_text("\n".join(text) + "\n")
-        with pytest.raises(ModelLoadError, match="field_00"):
+        values = np.load(d / "fields.npy")
+        values[0, 0, 1] = np.nan
+        np.save(d / "fields.npy", values)
+        with pytest.raises(ModelLoadError, match="fields.npy: non-finite"):
             load_scene(d)
 
     def test_pgm_is_plain_p2(self, scene, tmp_path):
@@ -298,6 +299,8 @@ class TestSceneIO:
         assert vals <= {"0", "255"}
 
     def test_field_text_matches_per_pixel_formatter(self, scene, tmp_path):
+        # fields.npy holds each field's (vx, vy) at the masked pixels in
+        # row-major order, every bit kept: -0.0, subnormals and all
         _, _, s = scene
         special = [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 0.1 + 0.2, -1e300,
                    1 / 3, -2.5e-17, 123456789.125]
@@ -309,20 +312,20 @@ class TestSceneIO:
         s = replace(s, gt_fields=fields)
         d = tmp_path / "scene"
         save_scene(d, s)
-        for k, f in enumerate(fields):
-            ref = ["row,col,vx,vy"] + [f"{i},{j},{_fmt(f[i, j, 0])},{_fmt(f[i, j, 1])}"
-                                       for i, j in zip(ii, jj)]
-            assert (d / f"field_{k:02d}.csv").read_text() == "\n".join(ref) + "\n"
+        ref = [[[f[i, j, 0], f[i, j, 1]] for i in range(s.height) for j in range(s.width)
+                if s.mask[i, j]] for f in fields]
+        stored = np.load(d / "fields.npy")
+        assert stored.dtype == np.float64 and stored.shape == (len(fields), len(ii), 2)
+        assert np.array_equal(stored.view(np.uint64), np.array(ref).view(np.uint64))
         back = load_scene(d)
-        assert np.array_equal(back.gt_fields, fields)
-        assert np.array_equal(np.signbit(back.gt_fields), np.signbit(fields))
+        assert np.array_equal(back.gt_fields.view(np.uint64), fields.view(np.uint64))
 
     def test_empty_mask_roundtrip(self, scene, tmp_path):
         _, _, s = scene
         s = replace(s, mask=np.zeros_like(s.mask), gt_fields=np.zeros_like(s.gt_fields))
         d = tmp_path / "scene"
         save_scene(d, s)
-        assert (d / "field_00.csv").read_text() == "row,col,vx,vy\n"
+        assert np.load(d / "fields.npy").shape == (len(s.gt_fields), 0, 2)
         back = load_scene(d)
         assert not back.mask.any()
         assert back.gt_fields.shape == s.gt_fields.shape
@@ -338,37 +341,61 @@ class TestSceneIO:
         s = replace(s, mask=mask, gt_fields=fields)
         d = tmp_path / "scene"
         save_scene(d, s)
-        assert (d / "field_00.csv").read_text() == "row,col,vx,vy\n7,41,-0.0,0.30000000000000004\n"
-        assert (d / "field_01.csv").read_text() == "row,col,vx,vy\n7,41,5e-324,-1.0\n"
+        stored = np.load(d / "fields.npy")
+        assert stored.shape == (len(fields), 1, 2)
+        assert np.array_equal(stored.view(np.uint64), fields[:, 7:8, 41].view(np.uint64))
         back = load_scene(d)
         assert np.array_equal(back.mask, mask)
         assert np.array_equal(back.gt_fields.view(np.uint64), fields.view(np.uint64))
 
     def test_short_field_row_rejected(self, scene, tmp_path):
+        # a fields.npy with one masked pixel fewer than mask.pgm
         _, _, s = scene
         d = tmp_path / "scene"
         save_scene(d, s)
-        path = d / "field_01.csv"
-        text = path.read_text().splitlines()
-        text[2] = text[2].rsplit(",", 1)[0]
-        path.write_text("\n".join(text) + "\n")
-        with pytest.raises(ModelLoadError, match="field_01"):
+        np.save(d / "fields.npy", np.load(d / "fields.npy")[:, 1:])
+        with pytest.raises(ModelLoadError, match="fields.npy: .*shape"):
             load_scene(d)
 
     def test_ragged_field_rows_rejected(self, scene, tmp_path):
-        # one row a value long and the next a value short keep the total
-        # token count, so only a per-row check sees the shift
+        # three values per pixel where (vx, vy) is expected
         _, _, s = scene
         d = tmp_path / "scene"
         save_scene(d, s)
-        path = d / "field_00.csv"
-        text = path.read_text().splitlines()
-        text[1] += ",0.5"
-        text[2] = text[2].rsplit(",", 1)[0]
-        path.write_text("\n".join(text) + "\n")
-        with pytest.raises(ModelLoadError, match="field_00"):
+        values = np.load(d / "fields.npy")
+        np.save(d / "fields.npy", np.concatenate([values, values[..., :1]], axis=-1))
+        with pytest.raises(ModelLoadError, match="fields.npy: .*shape"):
             load_scene(d)
 
+    @pytest.mark.parametrize("damage", [
+        lambda v, b: b"",
+        lambda v, b: b[:-8],
+        lambda v, b: b[:40],
+        lambda v, b: _npy(v[1:]),
+        lambda v, b: _npy(v.astype(np.float32)),
+        lambda v, b: _npy(v.astype(object), allow_pickle=True),
+        lambda v, b: b"row,col,vx,vy\n",
+        lambda v, b: _npy(v, savez=True),
+    ], ids=["empty", "truncated_data", "truncated_header", "wrong_k", "wrong_dtype",
+            "object_array", "text", "npz_archive"])
+    def test_bad_fields_file_names_the_file(self, scene, tmp_path, damage):
+        _, _, s = scene
+        d = tmp_path / "scene"
+        save_scene(d, s)
+        path = d / "fields.npy"
+        path.write_bytes(damage(np.load(path), path.read_bytes()))
+        with pytest.raises(ModelLoadError, match="fields.npy"):
+            load_scene(d)
+
+
+def _npy(array, allow_pickle=False, savez=False):
+    """The bytes np.save (or np.savez) writes for array."""
+    buf = io.BytesIO()
+    if savez:
+        np.savez(buf, fields=array)
+    else:
+        np.save(buf, array, allow_pickle=allow_pickle)
+    return buf.getvalue()
 
 MASK = np.array([[0, 255, 0], [255, 255, 0]])
 
