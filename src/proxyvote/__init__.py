@@ -16,6 +16,6 @@ from .pnp import reprojection_rmse, solve_epnp, umeyama
 from .synth import (NoiseSpec, PoseRanges, SceneSample, corrupt, load_scene,
                     make_scene, sample_pose, save_scene)
 from .trainer import TrainConfig, TrainTrace, fit_field, random_init_field, run_experiment
-from .voting import VotingConfig, count_inliers, vote_keypoint
+from .voting import VotingConfig, vote_keypoint
 
 __version__ = "0.1.0"

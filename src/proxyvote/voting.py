@@ -16,19 +16,66 @@ threshold. The squared form needs no square root or division per
 pixel-hypothesis pair, and it is the one test that counting, scoring the
 hypotheses and refining the winner all use.
 
-Pruned counting. The voters (masked pixels with |v| >= EPS_NORM) are
-split once into C strided chunks: chunk c holds voters c, c + C,
-c + 2C, ... of the row-major order, so each chunk is a spatially uniform
-sample of the mask. Every hypothesis is counted on chunk 0, and the
-chunk-0 leader is counted on all voters; its count is the bound best.
-Before each further chunk, a hypothesis is kept only while its count so
-far plus the number of voters in the chunks still to come is >= best.
-This is exact: a dropped hypothesis ends with fewer than best votes, and
-best is at most the maximum count, so it can neither win nor tie. The
-kept ones end with full counts, which do not depend on the voter order,
-and the winner and its (x, y) tie-break are taken among them. Counts on
-a chunk come from a (voters, hypotheses) table, voters on rows and
-hypotheses contiguous.
+Two-stage counting. The voters (masked pixels with |v| >= EPS_NORM) are
+split once into C = max(16, ceil(n / 32), ceil(M / 255)) strided chunks,
+for n hypotheses and M voters: chunk c holds voters c, c + C, c + 2C, ...
+of the row-major order, so each chunk is a spatially uniform sample of
+the mask. Stage 1 counts every hypothesis with a loose float32 test that
+accepts every cell the float64 test accepts, so its count is an upper
+bound of the exact one. Stage 2 counts exactly, with the float64 test,
+only the hypotheses whose upper bound reaches best, the exact count of
+the hypothesis that leads stage 1 on chunk 0. Both stages run one pruned
+loop: each hypothesis is counted on a first chunk, and before each
+further chunk it is kept only while its count so far plus the number of
+voters in the chunks still to come is >= best. A hypothesis dropped by
+either stage thus has an exact count below best, and best is at most the
+maximum count, so it can neither win nor tie. Every hypothesis with the
+maximum count reaches the end with its exact count, which does not
+depend on the voter order, and the winner, its (x, y) tie-break, its
+inlier row and the refinement are those of a dense float64 count, bit
+for bit. The float32 rounding, the BLAS kernel and its thread count only
+decide which hypotheses reach stage 2, never an output. Stage 2 uses as
+few chunks as keep its tables within the cells of stage 1's first one:
+one workspace of 34 bytes per cell (four float64 and two bool tables)
+serves both stages, and stage 1 views 9 bytes per cell of it. Tables
+hold voters on rows and hypotheses contiguous.
+
+The loose test. With o the voters' mean, q = p - o, g = h - o and the
+unit direction u = v/|v|, the float32 test is |d × u| <= t·(d·u) with
+t = tan(arccos(thr - η)), that is cos(d, v) >= thr - η, and it drops
+the |d| >= 0.5 test. Both sides are affine in g: t·(d·u) = t·(g·u - q·u)
+and d × u = g × u - q × u. So one float32 matmul per chunk, of the
+(2m, 3) matrix with rows t·[ux, uy, -q·u] and then [uy, -ux, -q × u]
+for its m voters, by the (3, n) rows [gx; gy; 1], gives both tables;
+one comparison and a uint8 sum over the chunk finish it.
+
+Why η = 16·u·(1 + 4B), with u = 2^-24 the float32 unit roundoff and
+B = max |q|, makes the loose test a superset. Take a cell that the
+float64 test accepts: its angle φ between d and v has cos φ >= thr - ε
+with ε below 1e-14 (a few float64 roundings), and |d| >= 0.5. Each
+float32 entry is a sum of three products of factors rounded once from
+float64, so it is off by at most about 5u times the sum of the absolute
+products, and less than E = 5.1u·(|g| + B) for the cross table and t·E
+for the dot table, float64 roundings included. The float32 test then
+accepts whenever t·(d·u) - |d × u| >= (1 + t)·E. The left side is
+|d|·sin(θ - φ)/cos θ, with cos θ = thr - η; as 0 < θ - φ < π/2,
+sin(θ - φ) >= (cos φ - cos θ)/√2 >= (η - ε)/√2, and cos θ + sin θ <= √2,
+so η >= ε + 2E/|d| suffices. Since |g| <= |d| + B and |d| >= 0.5,
+2E/|d| <= 10.2u·(1 + 4B), which 16u·(1 + 4B) covers with room for ε
+and for float32 underflow (at most 2^-126 per term, times |g|). Taking
+coordinates relative to o makes η scale with the mask's extent, not with
+its place in the image: about 1.1e-4 for the 128² scenes of the bench
+(B ≈ 28 px).
+
+Three rules keep the argument valid. A voter with |v| >= 1e100 gets a
+zero matrix row: its float64 test may overflow and accept, and 0 <= 0
+makes it a loose inlier of every hypothesis. Likewise a hypothesis with
+|g| > 1e20 gets a zero row; below both limits nothing overflows, in
+float64 (dot² < 1e242) or float32 (t < 1/η), and a NaN hypothesis counts
+0 in both stages. When thr <= 2η, stage 1 is skipped and the pruned loop
+runs the float64 test on every hypothesis; otherwise thr - η > η keeps t
+finite. And C >= M / 255, so a chunk never holds more than 255 voters
+and its uint8 counts are exact.
 
 Refinement sums over the winner's inliers in the original row-major
 order, not the chunk order: the order of a float sum decides its last
@@ -37,6 +84,7 @@ bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,9 +157,33 @@ def _voters(pts, dirs, threshold):
     return px, py, vx, vy, threshold * threshold * (vx * vx + vy * vy)
 
 
-def _workspace(size):
-    """Four float and two bool work arrays of size elements for ``_inliers``."""
-    return [np.empty(size) for _ in range(4)] + [np.empty(size, dtype=bool) for _ in range(2)]
+# Bytes per cell of the counting workspace: four float64 and two bool
+# tables for the exact test; the loose test views the same bytes.
+_CELL_BYTES = 4 * 8 + 2
+# Voters per chunk at most, so that a chunk's loose counts fit in uint8.
+_MAX_CHUNK = 255
+# Directions at least this long count as loose inliers of every
+# hypothesis: the float64 test of such a voter may overflow.
+_HUGE_DIR = 1e100
+# Hypotheses farther than this from the voters' mean count as loose
+# inliers of every voter, which keeps the float32 test finite.
+_FAR = 1e20
+# Unit roundoff of float32.
+_U32 = 2.0 ** -24
+
+
+def _workspace(cells):
+    """Work bytes for counting tables of up to cells cells (see ``_tables``)."""
+    return np.empty(cells * _CELL_BYTES, dtype=np.uint8)
+
+
+def _tables(work, shape):
+    """Four float64 and two bool arrays of shape, viewed from work, for ``_inliers``."""
+    cells = math.prod(shape)
+    floats = work[:32 * cells].view(np.float64)
+    bools = work[32 * cells:34 * cells].view(bool)
+    return ([floats[k * cells:(k + 1) * cells].reshape(shape) for k in range(4)]
+            + [bools[k * cells:(k + 1) * cells].reshape(shape) for k in range(2)])
 
 
 def _inliers(hx, hy, voters, work):
@@ -146,59 +218,161 @@ def _inliers(hx, hy, voters, work):
 
 def _inlier_row(h, voters):
     """(M,) bool: the voters that are inliers of the one hypothesis h, in voter order."""
-    return _inliers(h[0], h[1], voters, _workspace(len(voters[0])))
+    m = len(voters[0])
+    return _inliers(h[0], h[1], voters, _tables(_workspace(m), (m,)))
 
 
-def _chunks(voters, n):
-    """The voters in strided chunks of (m, 1) columns, for n hypotheses.
+def _stride(n_hyp, n_voters):
+    """C, the number of strided chunks: max(16, ceil(n_hyp / 32), ceil(M / 255)).
 
-    Chunk c holds voters c, c + C, c + 2C, ... There are C = max(16,
-    ceil(n / 32)) of them, so that a chunk's (m, n) table has about as
-    many cells as 32 hypotheses over all voters, or fewer. Chunks left
-    empty by fewer voters than C are left out.
+    A chunk's (m, n) table then has about as many cells as 32 hypotheses
+    over all voters, or fewer, and no chunk holds more than 255 voters.
     """
-    stride = max(16, -(-n // 32))
-    return [tuple(a[c::stride, None].copy() for a in voters)
-            for c in range(min(stride, len(voters[0])))]
+    return max(16, -(-n_hyp // 32), -(-n_voters // _MAX_CHUNK))
+
+
+def _chunks(voters, stride):
+    """The voters in strided chunks of (m, 1) column views.
+
+    Chunk c holds voters c, c + C, c + 2C, ... Chunks left empty by fewer
+    voters than C are left out.
+    """
+    return [tuple(a[c::stride, None] for a in voters) for c in range(min(stride, len(voters[0])))]
 
 
 def _chunk_counts(hx, hy, chunk, work):
-    """Inlier count of each hypothesis column of (1, n) hx, hy on one chunk."""
-    m, n = len(chunk[0]), hx.shape[1]
-    ok = _inliers(hx, hy, chunk, [a[:m * n].reshape(m, n) for a in work])
+    """Exact inlier count of each hypothesis column of (1, n) hx, hy on one chunk."""
+    ok = _inliers(hx, hy, chunk, _tables(work, (len(chunk[0]), hx.shape[1])))
     return np.add.reduce(ok.view(np.uint8), axis=0, dtype=np.intp)
 
 
-def _pruned_counts(locs, voters):
-    """Hypotheses that survive the chunked bound (see module docstring).
+def _loose_operands(locs, voters, threshold, stride):
+    """The stage-1 operands: (3, n) float32 hypothesis rows and one
+    (2m, 3) float32 voter matrix per chunk, or None when thr <= 2η.
 
-    Returns their indices, ascending, and their full inlier counts; every
-    hypothesis with the maximum count is among them.
+    Row j is [hx - ox, hy - oy, 1] of hypothesis j, or zeros beyond _FAR.
+    A chunk matrix holds t·[ux, uy, -q·u] for each of its voters, then
+    [uy, -ux, -(q × u)], with u = v/|v|, q = p - o and t = tan(arccos(thr
+    - η)), or zeros for |v| >= _HUGE_DIR. Its product with the rows is
+    t·dot over cross, d = h - p, for every voter and hypothesis.
     """
-    chunks = _chunks(voters, len(locs))
-    work = _workspace(len(chunks[0][0]) * len(locs))
-    hx, hy = locs.T.copy().reshape(2, 1, -1)
-    counts = _chunk_counts(hx, hy, chunks[0], work)
-    best = np.count_nonzero(_inlier_row(locs[np.argmax(counts)], voters))
-    idx = np.arange(len(locs))
-    remaining = len(voters[0]) - len(chunks[0][0])
-    for chunk in chunks[1:]:
+    px, py, vx, vy = voters[:4]
+    ox, oy = px.mean(), py.mean()
+    qx, qy = px - ox, py - oy
+    eta = 16.0 * _U32 * (1.0 + 4.0 * np.hypot(qx, qy).max())
+    if threshold <= 2.0 * eta:
+        return None
+    cos = threshold - eta
+    tan = np.sqrt((1.0 - cos) * (1.0 + cos)) / cos
+    g = locs - [ox, oy]
+    rows = np.ones((3, len(locs)), dtype=np.float32)
+    rows[:2] = g.T
+    rows[:, np.hypot(g[:, 0], g[:, 1]) > _FAR] = 0.0
+    norm = np.hypot(vx, vy)
+    with np.errstate(invalid="ignore"):
+        ux, uy = vx / norm, vy / norm
+    cols = np.empty((2, len(px), 3), dtype=np.float32)
+    cols[0, :, 0], cols[0, :, 1], cols[0, :, 2] = tan * ux, tan * uy, -tan * (qx * ux + qy * uy)
+    cols[1, :, 0], cols[1, :, 1], cols[1, :, 2] = uy, -ux, -(qx * uy - qy * ux)
+    cols[:, norm >= _HUGE_DIR] = 0.0
+    return rows, [cols[:, c::stride].reshape(-1, 3) for c in range(min(stride, len(px)))]
+
+
+def _loose_counts(rows, mat, work):
+    """Loose inlier count, uint8, of each hypothesis column of rows on one chunk:
+    |cross| <= t·dot, from one float32 matmul."""
+    m, n = len(mat) // 2, rows.shape[1]
+    table = work[:8 * m * n].view(np.float32).reshape(2 * m, n)
+    np.matmul(mat, rows, out=table)
+    dot, cross = table[:m], table[m:]
+    np.abs(cross, out=cross)
+    ok = work[8 * m * n:9 * m * n].view(bool).reshape(m, n)
+    np.less_equal(cross, dot, out=ok)
+    return np.add.reduce(ok.view(np.uint8), axis=0, dtype=np.uint8)
+
+
+def _prune(count, hyps, counts, best, sizes):
+    """The hypotheses that can still reach best, and their full counts.
+
+    hyps has one column per hypothesis on its last axis and counts holds
+    their counts on chunk 0; count(hyps, c) counts them on chunk c, whose
+    size is sizes[c]. Before each chunk a hypothesis is kept only while
+    its count so far plus the size of the chunks still to come is >=
+    best. Returns the survivors' indices, ascending, and full counts.
+    """
+    idx = np.arange(hyps.shape[-1])
+    counts = counts.astype(np.intp)
+    remaining = sum(sizes[1:])
+    for c in range(1, len(sizes)):
         keep = counts + remaining >= best
-        idx, hx, hy, counts = idx[keep], hx[:, keep], hy[:, keep], counts[keep]
-        counts += _chunk_counts(hx, hy, chunk, work)
-        remaining -= len(chunk[0])
+        idx, hyps, counts = (np.compress(keep, a, axis=-1) for a in (idx, hyps, counts))
+        counts += count(hyps, c)
+        remaining -= sizes[c]
     return idx, counts
 
 
-def count_inliers(h, field, mask, threshold) -> int:
-    """Masked pixels whose direction points at h within the cosine threshold.
+def _exact_counter(voters, stride, work):
+    """count(hxy, c), the exact counts of the (2, 1, n) hypotheses hxy on
+    chunk c of the given stride, and the chunk sizes."""
+    chunks = _chunks(voters, stride)
 
-    Pixels closer than 0.5 px to h or with near-zero direction are excluded.
-    The cosine rule cos(d, v) >= thr is tested in squared form (see the
-    module docstring), with no square root or division.
+    def count(hxy, c):
+        return _chunk_counts(hxy[0], hxy[1], chunks[c], work)
+
+    return count, [len(chunk[0]) for chunk in chunks]
+
+
+def _pruned_counts(locs, voters, threshold):
+    """Hypotheses that survive both stages (see module docstring).
+
+    Returns their indices, ascending, and their exact inlier counts;
+    every hypothesis with the maximum count is among them.
     """
-    voters = _voters(*_masked_pixels(field, mask), threshold)
-    return int(np.count_nonzero(_inlier_row(np.asarray(h, dtype=float).reshape(2), voters)))
+    m = len(voters[0])
+    stride = _stride(len(locs), m)
+    loose = _loose_operands(locs, voters, threshold, stride)
+    cells = -(-m // stride) * len(locs)
+    work = _workspace(cells)
+    hxy = locs.T.copy().reshape(2, 1, -1)
+    if loose is None:
+        hyps, (count, sizes) = hxy, _exact_counter(voters, stride, work)
+    else:
+        hyps, mats = loose
+        sizes = [len(mat) // 2 for mat in mats]
+
+        def count(rows, c):
+            return _loose_counts(rows, mats[c], work)
+
+    counts = count(hyps, 0)
+    best = np.count_nonzero(_inlier_row(locs[np.argmax(counts)], voters))
+    idx, counts = _prune(count, hyps, counts, best, sizes)
+    if loose is None:
+        return idx, counts
+    cand = idx[counts >= best]
+    hxy = hxy[..., cand]
+    # as few chunks as keep each exact table within the cells of work
+    count, sizes = _exact_counter(voters, -(-m // (cells // len(cand))), work)
+    idx, counts = _prune(count, hxy, count(hxy, 0), best, sizes)
+    return cand[idx], counts
+
+
+def _ill_conditioned(A):
+    """np.linalg.cond(A) > 1e8, for the symmetric 2x2 matrix A.
+
+    The closed-form eigenvalues of A decide, and the SVD runs only where
+    they cannot: when the smaller one is <= 0 or NaN, or when their ratio
+    lies within a relative 1e-6 of 1e8. Both ratios are off by a few ulps
+    times the condition number, about 1e-8 relative near the cut, so
+    outside that band they fall on the same side of it.
+    """
+    a, b, c = float(A[0, 0]), float(A[0, 1]), float(A[1, 1])
+    mean, radius = 0.5 * (a + c), math.hypot(0.5 * (a - c), b)
+    low = mean - radius
+    if low > 0:
+        ratio = (mean + radius) / low
+        if abs(ratio - 1e8) > 1e-6 * 1e8:
+            return ratio > 1e8
+    return np.linalg.cond(A) > 1e8
 
 
 def _refine_location(best, voters, inliers):
@@ -219,7 +393,7 @@ def _refine_location(best, voters, inliers):
     )
     b = np.stack([(1.0 - nx * nx) * px - nx * ny * py,
                   -nx * ny * px + (1.0 - ny * ny) * py], axis=-1).sum(axis=0)
-    if np.linalg.cond(A) > 1e8:
+    if _ill_conditioned(A):
         return best
     x = np.linalg.solve(A, b)
 
@@ -243,7 +417,7 @@ def vote_keypoint(field, mask, cfg: VotingConfig):
     if len(locs) == 0:
         raise NoValidHypothesisError("all sampled pixel pairs were parallel")
     voters = _voters(pts, dirs, cfg.inlier_cos_threshold)
-    idx, votes = _pruned_counts(locs, voters)
+    idx, votes = _pruned_counts(locs, voters, cfg.inlier_cos_threshold)
     best_votes = votes.max()
     cand = idx[votes == best_votes]
     # lexicographic (x, y) tie-break

@@ -3,7 +3,8 @@
 Deliberately naive and written without sharing code with the production
 paths: dense line-scan distance minimizer, central-difference gradient
 checker, exhaustive all-pairs hypothesis enumerator, dense cosine
-inlier counter and unpruned vote, greedy FPS re-verifier, a second
+inlier counter and unpruned vote, the dense float64 squared-form vote
+with its sampling and refinement, greedy FPS re-verifier, a second
 pinhole projection, a per-point disc splatter, per-pixel ideal fields,
 the dense-grid scene corruption and the straightforward (K, M, 2)
 field-fitting loop.
@@ -147,6 +148,82 @@ def oracle_vote(hyps, field, mask, inlier_cos=0.99):
     best = counts.max()
     winner = min((float(x), float(y)) for (x, y), c in zip(hyps, counts) if c == best)
     return np.array(winner), int(best)
+
+
+def oracle_squared_vote(field, mask, num_samples=512, threshold=0.99, seed=0, refine=True):
+    """The whole vote in float64, dense: (location, votes), or None with no hypothesis.
+
+    Hypotheses are the ray intersections of num_samples random pixel
+    pairs (a generator seeded with seed draws every first pixel, then
+    every second one; pairs of one pixel, of a direction shorter than
+    1e-8 or with |v1 × v2| < 1e-6 |v1| |v2| give none). Every hypothesis
+    is tested on every pixel with |v| >= 1e-8 by the squared form
+    d² >= 0.25, dot >= 0 and dot² >= d²·(thr²·|v|²), d = h - p, and the
+    (x, y)-smallest of the most-voted wins. With refine, the
+    least-squares intersection of its inlier rays, summed in row-major
+    order, replaces it when the normal matrix has condition <= 1e8 and
+    the rays fit it no worse. No pruning and no float32 prefilter.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    ii, jj = np.nonzero(mask)
+    pts = np.stack([jj + 0.5, ii + 0.5], axis=-1)
+    dirs = np.asarray(field, dtype=float)[ii, jj]
+    rng = np.random.default_rng(seed)
+    first = rng.integers(0, len(pts), num_samples)
+    second = rng.integers(0, len(pts), num_samples)
+    hyps = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in zip(first, second):
+            if a == b:
+                continue
+            v1, v2 = dirs[a], dirs[b]
+            cr = v1[0] * v2[1] - v1[1] * v2[0]
+            n1, n2 = np.hypot(v1[0], v1[1]), np.hypot(v2[0], v2[1])
+            if not (n1 >= 1e-8 and n2 >= 1e-8 and abs(cr) >= 1e-6 * n1 * n2):
+                continue
+            d = pts[b] - pts[a]
+            hyps.append(pts[a] + (d[0] * v2[1] - d[1] * v2[0]) / cr * v1)
+    if not hyps:
+        return None
+    hyps = np.array(hyps)
+
+    ok = np.hypot(dirs[:, 0], dirs[:, 1]) >= 1e-8
+    px, py, vx, vy = pts[ok, 0], pts[ok, 1], dirs[ok, 0], dirs[ok, 1]
+    weight = threshold * threshold * (vx * vx + vy * vy)
+
+    def inliers(h):
+        with np.errstate(over="ignore", invalid="ignore"):
+            dx = h[:, :1] - px[None, :]
+            dy = h[:, 1:] - py[None, :]
+            dot = dx * vx + dy * vy
+            d2 = dx * dx + dy * dy
+            return (d2 >= 0.25) & (dot >= 0.0) & (dot * dot >= d2 * weight)
+
+    counts = np.concatenate([np.count_nonzero(inliers(hyps[s:s + 64]), axis=1)
+                             for s in range(0, len(hyps), 64)])
+    votes = int(counts.max())
+    tied = np.flatnonzero(counts == votes)
+    best = hyps[tied[np.lexsort((hyps[tied, 1], hyps[tied, 0]))[0]]]
+    if not refine:
+        return best, votes
+
+    row = inliers(best[None, :])[0]
+    qx, qy, wx, wy = px[row], py[row], vx[row], vy[row]
+    norm = np.hypot(wx, wy)
+    nx, ny = wx / norm, wy / norm
+    A = np.array([[np.sum(1.0 - nx * nx), np.sum(-nx * ny)],
+                  [np.sum(-nx * ny), np.sum(1.0 - ny * ny)]])
+    rhs = np.stack([(1.0 - nx * nx) * qx - nx * ny * qy,
+                    -nx * ny * qx + (1.0 - ny * ny) * qy], axis=-1).sum(axis=0)
+    if np.linalg.cond(A) > 1e8:
+        return best, votes
+    x = np.linalg.solve(A, rhs)
+
+    def cost(q):
+        cr = nx * (q[None, 1] - qy) - ny * (q[None, 0] - qx)
+        return float(np.sum(cr * cr))
+
+    return (x if cost(x) <= cost(best) else best), votes
 
 
 def oracle_project(R, t, fx, fy, cx, cy, X):

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
 
-from helpers import disc_mask, exact_field, rotate_field
-from oracles import oracle_all_pairs_vote, oracle_inlier_counts, oracle_inlier_table, oracle_vote
+from helpers import cube_cloud, disc_mask, exact_field, rotate_field
+from oracles import (oracle_all_pairs_vote, oracle_inlier_counts, oracle_inlier_table,
+                     oracle_squared_vote, oracle_vote)
+from proxyvote import voting
 from proxyvote.errors import InsufficientSupportError, NoValidHypothesisError
+from proxyvote.geometry import Intrinsics
+from proxyvote.model_tools import farthest_point_sampling
+from proxyvote.synth import NoiseSpec, PoseRanges, corrupt, make_scene, sample_pose
 from proxyvote.voting import (VotingConfig, _chunk_counts, _chunks, _hypothesis_locations,
-                              _masked_pixels, _refine_location, _voters, _workspace,
-                              count_inliers, vote_keypoint)
+                              _ill_conditioned, _inlier_row, _inliers, _loose_counts,
+                              _loose_operands, _masked_pixels, _refine_location, _stride,
+                              _tables, _voters, _workspace, vote_keypoint)
 
 K = np.array([20.3, 41.7])
 
@@ -96,6 +102,12 @@ class TestRayIntersection:
         assert met > 0
 
 
+def row_count(h, field, mask, threshold):
+    """The package's float64 inlier test of one hypothesis h on every voter."""
+    voters = _voters(*_masked_pixels(field, mask), threshold)
+    return int(np.count_nonzero(_inlier_row(np.asarray(h, dtype=float), voters)))
+
+
 def recount(q, field, mask, cos_thr=0.99):
     """Per-pixel reference implementation of the inlier rule."""
     ii, jj = np.nonzero(mask)
@@ -114,7 +126,7 @@ def recount(q, field, mask, cos_thr=0.99):
 class TestCountInliers:
     def test_exact_field_all_eligible_vote(self, disc):
         mask, field = disc
-        got = count_inliers(K, field, mask, 0.99)
+        got = row_count(K, field, mask, 0.99)
         assert got == recount(K, field, mask)
         # every masked pixel except those within 0.5 px of K votes
         assert got >= np.count_nonzero(mask) - 2
@@ -122,9 +134,9 @@ class TestCountInliers:
     def test_opposite_point_loses_badly(self, disc):
         mask, field = disc
         q = np.array([32.0, -500.0])
-        got = count_inliers(q, field, mask, 0.99)
+        got = row_count(q, field, mask, 0.99)
         assert got == recount(q, field, mask)
-        assert got < 0.1 * count_inliers(K, field, mask, 0.99)
+        assert got < 0.1 * row_count(K, field, mask, 0.99)
 
     def test_half_flipped_matches_per_pixel_oracle(self):
         mask = disc_mask(32, 32, center=(16, 16), radius=10)
@@ -132,7 +144,7 @@ class TestCountInliers:
         rng = np.random.default_rng(5)
         flip = rng.random((32, 32)) < 0.5
         field = np.where(flip[..., None], -field, field)
-        got = count_inliers(K, field, mask, 0.99)
+        got = row_count(K, field, mask, 0.99)
         # direct per-pixel recount
         ii, jj = np.nonzero(mask)
         want = 0
@@ -167,7 +179,7 @@ def parity_field(kind, mask, rng):
 def package_counts(hyps, field, mask, thr=0.99):
     """Unpruned counts from the chunk tables: every hypothesis on every chunk."""
     voters = _voters(*_masked_pixels(field, mask), thr)
-    chunks = _chunks(voters, len(hyps))
+    chunks = _chunks(voters, _stride(len(hyps), len(voters[0])))
     hx, hy = hyps.T.copy().reshape(2, 1, -1)
     work = _workspace(len(chunks[0][0]) * len(hyps))
     return sum(_chunk_counts(hx, hy, chunk, work) for chunk in chunks)
@@ -213,14 +225,14 @@ class TestInlierParity:
         got = package_counts(hyps, field, mask)
         assert np.array_equal(got, oracle_inlier_counts(hyps, field, mask))
         assert got[0] == 6 and got[1] == 5
-        assert count_inliers(h, field, mask, 0.99) == recount(h, field, mask) == 6
+        assert row_count(h, field, mask, 0.99) == recount(h, field, mask) == 6
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_winner_votes_are_its_inlier_count(self, seed):
         mask = disc_mask(48, 48, center=(24, 24), radius=12)
         field = parity_field("half_flipped", mask, np.random.default_rng(seed))
         raw, votes = vote_keypoint(field, mask, VotingConfig(rng_seed=seed, refine=False))
-        assert votes == count_inliers(raw, field, mask, 0.99)
+        assert votes == row_count(raw, field, mask, 0.99)
         _, refined_votes = vote_keypoint(field, mask, VotingConfig(rng_seed=seed))
         assert refined_votes == votes
 
@@ -271,7 +283,7 @@ class TestPrunedVoteParity:
         # 1,500 samples: more chunks than the default 16, each with fewer voters
         mask = disc_mask(48, 48, center=(24, 24), radius=12)
         field = parity_field("half_flipped", mask, np.random.default_rng(7))
-        assert len(_chunks(_voters(*_masked_pixels(field, mask), 0.99), 1500)) > 16
+        assert _stride(1500, np.count_nonzero(mask)) > 16
         assert_matches_dense_vote(field, mask, VotingConfig(num_samples=1500, rng_seed=7,
                                                             refine=False))
 
@@ -327,6 +339,181 @@ class TestPrunedVoteParity:
         want = _refine_location(raw, voters, row)
         assert refined_votes == votes == np.count_nonzero(row)
         assert np.array_equal(bits(loc), bits(want))
+
+
+def adversarial_field(layout, rng):
+    """A noisy field on a disc of about 600 px whose directions have lengths
+    from 1e-8 to 1e130, mixed, with about 10 % zeros and 10 % flipped.
+
+    layout "wide" and "tall" put the disc in the far corner of a 3,072 px
+    wide or tall image, "small" in a 64 x 64 one.
+    """
+    height, width = {"wide": (160, 3072), "tall": (3072, 160), "small": (64, 64)}[layout]
+    centre = np.array([width - 20.0, height - 20.0])
+    mask = disc_mask(height, width, center=centre, radius=14)
+    field = rotate_field(exact_field(mask, centre + rng.normal(0.0, 5.0, 2)), mask, 5.0, rng)
+    scale = 10.0 ** rng.uniform(-8.0, 130.0, mask.shape)
+    u = rng.random(mask.shape)
+    scale[u < 0.1] = 0.0
+    scale[(u >= 0.1) & (u < 0.2)] *= -1.0
+    return field * scale[..., None], mask
+
+
+THRESHOLDS = [1e-9, 1e-3, 0.5, 0.99, 1.0 - 1e-9]
+
+
+class TestTwoStageParity:
+    """The two-stage count gives the dense float64 vote's bits, on inputs
+    chosen to stress the float32 prefilter."""
+
+    @pytest.mark.parametrize("num_samples", [16, 512, 1500])
+    @pytest.mark.parametrize("thr_index", range(len(THRESHOLDS)))
+    def test_matches_squared_form_oracle(self, thr_index, num_samples):
+        case = 3 * thr_index + [16, 512, 1500].index(num_samples)
+        rng = np.random.default_rng(40 + case)
+        field, mask = adversarial_field(("wide", "tall", "small")[case % 3], rng)
+        threshold = THRESHOLDS[thr_index]
+        for refine in (False, True):
+            cfg = VotingConfig(num_samples=num_samples, inlier_cos_threshold=threshold,
+                               rng_seed=case, refine=refine)
+            want = oracle_squared_vote(field, mask, num_samples, threshold, case, refine)
+            if want is None:
+                with pytest.raises(NoValidHypothesisError):
+                    vote_keypoint(field, mask, cfg)
+                continue
+            loc, votes = vote_keypoint(field, mask, cfg)
+            assert votes == want[1]
+            assert np.array_equal(bits(loc), bits(want[0]))
+
+    def test_more_voters_than_uint8_chunks_hold(self):
+        # 5,000 voters: 16 chunks would hold over 255 voters each
+        mask = disc_mask(96, 96, center=(48, 48), radius=40)
+        field = rotate_field(exact_field(mask, K + 20), mask, 1.0, np.random.default_rng(9))
+        assert np.count_nonzero(mask) > 16 * 255
+        loc, votes = vote_keypoint(field, mask, VotingConfig(rng_seed=9))
+        want = oracle_squared_vote(field, mask, seed=9)
+        assert votes == want[1] > 255
+        assert np.array_equal(bits(loc), bits(want[0]))
+
+
+def boundary_cells(threshold, rng):
+    """Voters and hypotheses whose float64 test sits on its cut-offs.
+
+    Each hypothesis h gets voters whose direction makes an angle of
+    exactly arccos(thr) with h - p before a nudge of up to 4 ulps per
+    component, at |h - p| = 0.5 exactly (d² = 0.25), 0.5 + 1 ulp and
+    0.5 to 20 px, with lengths from 1e-8 to 1e99. One voter sits on each
+    hypothesis (d = 0), one has length 1e120, and one hypothesis lies
+    1e21 px away. Returns hypotheses, points, directions, and for each
+    point the hypothesis its direction was aimed at on the cut, or -1.
+    """
+    # 400 px apart, so that each sits about B = 200 px from the voters' mean
+    hyps = [np.array([10.5, 7.5]), np.array([410.25, 12.0]), np.array([1e21, -3e20])]
+    pts, dirs, aimed = [], [], []
+    theta = np.arccos(threshold)
+    for j, h in enumerate(hyps[:2]):
+        pts.append(h.copy())
+        dirs.append(rng.normal(size=2))
+        aimed.append(-1)
+        for dist in [0.5, np.nextafter(0.5, 1.0), 0.75, 3.0, 20.0] * 6:
+            phi = rng.uniform(-np.pi, np.pi)
+            d = dist * np.array([np.cos(phi), np.sin(phi)])
+            if dist == 0.5:
+                d = np.array([0.5, 0.0]) * rng.choice([-1.0, 1.0])
+                phi = 0.0 if d[0] > 0 else np.pi
+            angle = phi + rng.choice([-1.0, 1.0]) * theta
+            v = np.array([np.cos(angle), np.sin(angle)]) * 10.0 ** rng.uniform(-8.0, 99.0)
+            for k in range(2):
+                for _ in range(rng.integers(0, 5)):
+                    v[k] = np.nextafter(v[k], rng.choice([-np.inf, np.inf]))
+            pts.append(h - d)
+            dirs.append(v)
+            aimed.append(j)
+        pts.append(h - [0.0, 2.0])
+        dirs.append([0.0, 1e120])
+        aimed.append(-1)
+    return np.array(hyps), np.array(pts), np.array(dirs), np.array(aimed)
+
+
+class TestLooseSuperset:
+    """Stage 1 accepts every cell that the float64 test accepts."""
+
+    @pytest.mark.parametrize("threshold", [0.01, 0.5, 0.99, 1.0 - 1e-9])
+    def test_loose_test_accepts_every_float64_inlier(self, threshold):
+        rng = np.random.default_rng(int(threshold * 1e6))
+        on_cut = []
+        for _ in range(20):
+            hyps, pts, dirs, aimed = boundary_cells(threshold, rng)
+            voters = _voters(pts, dirs, threshold)
+            m = len(voters[0])
+            # stride m: one voter per chunk, so each chunk count is one cell
+            rows, mats = _loose_operands(hyps, voters, threshold, m)
+            work = _workspace(len(hyps))
+            loose = np.array([_loose_counts(rows, mat, work) for mat in mats], dtype=bool)
+            exact = np.stack([_inliers(h[0], h[1], voters, _tables(_workspace(m), (m,)))
+                              for h in hyps], axis=1)
+            assert not np.any(exact & ~loose)
+            on_cut += [exact[i, j] for i, j in enumerate(aimed) if j >= 0]
+        # the float64 test falls on both sides of the cut
+        assert 0.1 < np.mean(on_cut) < 0.9
+
+    def test_far_hypotheses_and_huge_directions_are_loose_inliers(self):
+        hyps, pts, dirs, _ = boundary_cells(0.99, np.random.default_rng(1))
+        voters = _voters(pts, dirs, 0.99)
+        m = len(voters[0])
+        rows, mats = _loose_operands(hyps, voters, 0.99, m)
+        loose = np.array([_loose_counts(rows, mat, _workspace(3)) for mat in mats], dtype=bool)
+        assert np.all(loose[:, 2])
+        assert np.all(loose[np.hypot(dirs[:, 0], dirs[:, 1]) >= 1e100])
+
+    def test_threshold_at_or_below_twice_eta_skips_stage_one(self):
+        # two voters 100 px apart: B = 50, so eta = 16·2^-24·201
+        voters = _voters(np.array([[0.5, 0.5], [100.5, 0.5]]), np.array([[1.0, 0.0]] * 2), 0.5)
+        eta = 16 * 2.0 ** -24 * 201
+        hyps = np.array([[50.0, 50.0]])
+        for threshold, skipped in ((2 * eta, True), (np.nextafter(2 * eta, 1.0), False)):
+            assert (_loose_operands(hyps, voters, threshold, 16) is None) == skipped
+
+    def test_noisy_scene_sends_few_hypotheses_to_stage_two(self, monkeypatch):
+        # the bench's infer scenes: 128 x 128, f = 160, z 0.55-0.6, noisy
+        cloud = cube_cloud()
+        keys = farthest_point_sampling(cloud, 8)
+        intr = Intrinsics(fx=160.0, fy=160.0, cx=64.0, cy=64.0)
+        pose = sample_pose(np.random.default_rng(5), PoseRanges(z_range=(0.55, 0.6)),
+                           cloud, intr, 128, 128)
+        scene = corrupt(make_scene(cloud, keys, pose, intr, 128, 128),
+                        NoiseSpec(angular_sigma=5.0, flip_prob=0.1, occlusion_frac=0.2, rng_seed=5))
+        sizes, prune = [], voting._prune
+
+        def spy(count, hyps, counts, best, chunk_sizes):
+            sizes.append(hyps.shape[-1])
+            return prune(count, hyps, counts, best, chunk_sizes)
+
+        monkeypatch.setattr(voting, "_prune", spy)
+        for k, field in enumerate(scene.gt_fields):
+            vote_keypoint(field, scene.mask, VotingConfig(rng_seed=k))
+        stage1, stage2 = sizes[0::2], sizes[1::2]
+        assert len(stage2) == 8 and min(stage1) > 500
+        assert np.median(stage2) <= 64
+
+
+class TestRefineCondition:
+    """The closed-form condition test decides as np.linalg.cond does."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_svd_condition_cut(self, seed):
+        rng = np.random.default_rng(seed)
+        ratios = [1.0, 1e4, 1e12, 1e16, 1e17, 1e20]
+        ratios += [1e8 * (1.0 + s * e) for s in (-1, 1) for e in (1e-3, 1e-5, 2e-6, 1e-6, 1e-7, 0)]
+        for ratio in ratios:
+            phi = rng.uniform(0.0, np.pi)
+            r = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+            big = rng.uniform(1.0, 500.0)
+            A = r @ np.diag([big, big / ratio]) @ r.T
+            A[1, 0] = A[0, 1]
+            assert _ill_conditioned(A) == (np.linalg.cond(A) > 1e8)
+        for A in (np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2)):
+            assert _ill_conditioned(A) == (np.linalg.cond(A) > 1e8)
 
 
 class TestVoteKeypoint:
