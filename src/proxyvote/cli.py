@@ -11,7 +11,8 @@ manifest.json records; replaying them through --config reproduces the run.
 
 Exit codes: 0 success, 1 runtime/I/O failure, 2 usage error (a missing
 or out-of-range value, an unparseable --config file or a --config value
-of the wrong type).
+of the wrong type). A keypoint or pose that fails in vote or eval is a
+recorded row and a warning, not a failure of the run.
 """
 
 from __future__ import annotations
@@ -29,13 +30,14 @@ import numpy as np
 from .errors import AlignmentError, ProxyVoteError
 from .geometry import Intrinsics
 from .losses import WeightSchedule
-from .metrics import evaluate
+from .metrics import EvalRecord, evaluate
 from .model_tools import farthest_point_sampling, load_model, model_diameter
 from .pnp import solve_epnp
 from .synth import (NoiseSpec, PoseRanges, _fmt, _load_csv, corrupt, load_scene,
                     make_scene, sample_pose, save_scene, write_atomic)
-from .trainer import MODES, TrainConfig, run_experiment, substream
-from .voting import VotingConfig, vote_keypoint
+from .trainer import (MODES, TrainConfig, keypoint_errors, run_experiment, substream,
+                      vote_keypoints)
+from .voting import VotingConfig
 
 
 class UsageError(ProxyVoteError):
@@ -218,7 +220,6 @@ def cmd_train(args) -> int:
         dirs = dirs[: cfg["scene_limit"]]
     scenes = [load_scene(d) for d in dirs]
 
-    os.makedirs(cfg["out"], exist_ok=True)
     run_experiment(scenes, modes, seeds, base, cfg["out"])
     outputs = [os.path.join(cfg["out"], f) for f in os.listdir(cfg["out"])
                if f != "manifest.json"]
@@ -237,11 +238,14 @@ def _voting_config(cfg) -> VotingConfig:
 
 
 def _voted_scenes(scenes_dir, vcfg):
-    """Each scene under scenes_dir, loaded, with the (location, votes) of
-    each of its keypoints, voted with vcfg."""
-    for d in _scene_dirs(scenes_dir):
+    """Each scene under scenes_dir, loaded, with its keypoints voted with vcfg
+    by ``vote_keypoints``; each failed keypoint is warned about on stderr."""
+    for si, d in enumerate(_scene_dirs(scenes_dir)):
         sample = load_scene(d)
-        yield sample, [vote_keypoint(field, sample.mask, vcfg) for field in sample.gt_fields]
+        locs, votes, failures = vote_keypoints(sample.gt_fields, sample.mask, vcfg)
+        for reason in failures:
+            print(f"warning: scene {si}: {reason}", file=sys.stderr)
+        yield sample, locs, votes
 
 
 def cmd_vote(args) -> int:
@@ -249,13 +253,12 @@ def cmd_vote(args) -> int:
     cfg = _settings(args, "scenes", "out")
     vcfg = _voting_config(cfg)
     lines = ["scene,keypoint,kx_voted,ky_voted,kx_true,ky_true,error_px,votes"]
-    for si, (sample, voted) in enumerate(_voted_scenes(cfg["scenes"], vcfg)):
-        for ki, (loc, votes) in enumerate(voted):
-            err = float(np.linalg.norm(loc - sample.keypoints2[ki]))
+    for si, (sample, locs, votes) in enumerate(_voted_scenes(cfg["scenes"], vcfg)):
+        errs = keypoint_errors(locs, sample.keypoints2)
+        for ki, (loc, true) in enumerate(zip(locs, sample.keypoints2)):
             lines.append(",".join([str(si), str(ki), _fmt(loc[0]), _fmt(loc[1]),
-                                   _fmt(sample.keypoints2[ki][0]),
-                                   _fmt(sample.keypoints2[ki][1]),
-                                   _fmt(err), str(votes)]))
+                                   _fmt(true[0]), _fmt(true[1]), _fmt(errs[ki]),
+                                   str(votes[ki])]))
     os.makedirs(os.path.dirname(os.path.abspath(cfg["out"])), exist_ok=True)
     write_atomic(cfg["out"], "\n".join(lines) + "\n")
     _write_manifest(os.path.dirname(os.path.abspath(cfg["out"])), "vote", cfg,
@@ -266,6 +269,11 @@ def cmd_vote(args) -> int:
 # ---------------------------------------------------------------------------
 # eval
 
+# the record of a scene whose keypoints or pose failed: no scores, incorrect
+_FAILED = EvalRecord(add=np.nan, add_s=np.nan, proj2d=np.nan, add_correct=False,
+                     proj_correct=False, add_s_correct=False)
+
+
 def cmd_eval(args) -> int:
     t0 = time.monotonic()
     cfg = _settings(args, "scenes", "model", "out")
@@ -273,15 +281,17 @@ def cmd_eval(args) -> int:
     cloud = load_model(cfg["model"], symmetric=cfg["symmetric"])
     diameter = model_diameter(cloud)
 
-    header = "scene,add,proj2d,add_correct,proj_correct"
-    if cloud.symmetric:
-        header += ",add_s,add_s_correct"
-    lines = [header]
+    lines = ["scene,add,proj2d,add_correct,proj_correct"
+             + (",add_s,add_s_correct" if cloud.symmetric else "")]
     records = []
-    for si, (sample, voted) in enumerate(_voted_scenes(cfg["scenes"], vcfg)):
-        locs = np.asarray([loc for loc, _ in voted])
-        est = solve_epnp(sample.keypoints3, locs, sample.intr)
-        rec = evaluate(sample.pose, est, cloud.points, sample.intr, diameter)
+    for si, (sample, locs, _) in enumerate(_voted_scenes(cfg["scenes"], vcfg)):
+        rec = _FAILED
+        if not np.isnan(locs).any():
+            try:
+                est = solve_epnp(sample.keypoints3, locs, sample.intr)
+                rec = evaluate(sample.pose, est, cloud.points, sample.intr, diameter)
+            except (ProxyVoteError, np.linalg.LinAlgError) as e:
+                print(f"warning: scene {si}: {e}", file=sys.stderr)
         records.append(rec)
         row = [str(si), _fmt(rec.add), _fmt(rec.proj2d),
                str(int(rec.add_correct)), str(int(rec.proj_correct))]
@@ -293,6 +303,7 @@ def cmd_eval(args) -> int:
     write_atomic(os.path.join(cfg["out"], "records.csv"), "\n".join(lines) + "\n")
     summary = {
         "scenes": len(records),
+        "failed": sum(r is _FAILED for r in records),
         "diameter": diameter,
         "add_accuracy": float(np.mean([r.add_correct for r in records])),
         "proj_accuracy": float(np.mean([r.proj_correct for r in records])),
@@ -310,7 +321,6 @@ def cmd_eval(args) -> int:
 # report
 
 _TRACE_RE = re.compile(r"trace_(scene\d+)_(\w+?)_seed(\d+)\.csv$")
-
 
 _TRACE_NEEDS = ("iter", "l_pv", "mean_proxy_dist")
 

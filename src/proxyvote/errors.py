@@ -22,7 +22,8 @@ class InsufficientSupportError(ProxyVoteError, ValueError):
 
 
 class NoValidHypothesisError(ProxyVoteError, RuntimeError):
-    """Every sampled pixel pair was parallel; no hypothesis could be formed."""
+    """No sampled pixel pair formed a hypothesis: each pair was one pixel
+    twice, or had parallel directions or one shorter than EPS_NORM."""
 
 
 class TooFewPointsError(ProxyVoteError, ValueError):

@@ -44,9 +44,7 @@ def add_s_score(gt: Pose, est: Pose, points) -> float:
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) == 0:
         raise InsufficientSupportError("empty point set")
-    gt_pts = gt.apply(pts)
-    est_pts = est.apply(pts)
-    d, _ = cKDTree(est_pts).query(gt_pts, k=1)
+    d, _ = cKDTree(est.apply(pts)).query(gt.apply(pts), k=1)
     return float(np.mean(d))
 
 

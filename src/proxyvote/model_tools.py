@@ -147,14 +147,15 @@ def farthest_point_sampling(cloud: ModelCloud, n: int) -> KeypointSet:
     return KeypointSet(points3=pts[idx].copy(), indices=idx)
 
 
-def model_diameter(cloud) -> float:
-    """Max pairwise distance; clouds above 5000 points are subsampled
-    deterministically (fixed seed). Accepts a ModelCloud or an (N, 3) array."""
-    pts = cloud.points if isinstance(cloud, ModelCloud) else np.asarray(cloud, dtype=float).reshape(-1, 3)
-    if len(pts) < 2:
-        raise InsufficientSupportError("need >= 2 points for a diameter")
+def model_diameter(cloud: ModelCloud) -> float:
+    """Max pairwise distance of the cloud's points; clouds above 5000 points
+    are subsampled deterministically (fixed seed)."""
+    pts = cloud.points
     if len(pts) > DIAMETER_SUBSAMPLE:
         rng = np.random.default_rng(0)
         sel = rng.choice(len(pts), DIAMETER_SUBSAMPLE, replace=False)
         pts = pts[np.sort(sel)]
-    return float(pdist(pts).max())
+    diameter = float(pdist(pts).max())
+    if diameter == 0.0:
+        raise InsufficientSupportError("need two distinct points for a diameter")
+    return diameter

@@ -90,14 +90,10 @@ def _build_M(alphas, U, intr):
 
 def _betas_from_products(y, m):
     """Extract (b1..bm) from the stacked products [b1b1, b1b2, ..]."""
-    b1sq = y[0]
-    b1 = np.sqrt(abs(b1sq))
+    b1 = np.sqrt(abs(y[0]))
     if b1 < 1e-12:
         return None
-    betas = [b1]
-    for a in range(1, m):
-        betas.append(y[a] / b1)
-    return np.array(betas)
+    return np.array([b1] + [y[a] / b1 for a in range(1, m)])
 
 
 def _product_rows(dv_stack, m):

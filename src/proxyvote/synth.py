@@ -81,13 +81,9 @@ def _random_rotation(rng) -> np.ndarray:
     q = rng.standard_normal(4)
     q /= np.linalg.norm(q)
     w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    return np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                     [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                     [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
 
 
 def sample_pose(rng: np.random.Generator, ranges: PoseRanges, cloud: ModelCloud,
@@ -97,13 +93,8 @@ def sample_pose(rng: np.random.Generator, ranges: PoseRanges, cloud: ModelCloud,
     pts = cloud.points
     for _ in range(1000):
         R = _random_rotation(rng)
-        t = np.array(
-            [
-                rng.uniform(*XY_RANGE),
-                rng.uniform(*XY_RANGE),
-                rng.uniform(*ranges.z_range),
-            ]
-        )
+        t = np.array([rng.uniform(*XY_RANGE), rng.uniform(*XY_RANGE),
+                      rng.uniform(*ranges.z_range)])
         pose = Pose(R, t)
         cam = pose.apply(pts)
         if np.any(cam[:, 2] <= 0):

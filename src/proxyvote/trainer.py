@@ -16,6 +16,10 @@ iteration. The Adam step runs in place with the operations of the
 textbook update in the same order, so its bits are those of
 m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
 x -= lr m̂ / (sqrt(v̂) + eps).
+
+A fit ends by voting its fields with ``vote_keypoints``, the loop that
+``vote`` and ``eval`` share too. ``run_experiment`` saves each fitted
+field stack as a scene for them; the trainer scores no pose.
 """
 
 from __future__ import annotations
@@ -30,10 +34,7 @@ from .errors import DivergenceError, ProxyVoteError
 from .geometry import pixel_centers
 from .losses import (DEFAULT_SCHEDULE, PlanarLosses, WeightSchedule, planar,
                      schedule_weights)
-from .metrics import evaluate
-from .model_tools import model_diameter
-from .pnp import solve_epnp
-from .synth import SceneSample, _fmt, write_atomic
+from .synth import SceneSample, _fmt, save_scene, write_atomic
 from .voting import VotingConfig, vote_keypoint
 
 MODES = ("vf_only", "vf_plus_dpvl", "dpvl_only")
@@ -76,18 +77,12 @@ class TrainTrace:
     alpha: np.ndarray
     beta: np.ndarray
     keypoint_errors: np.ndarray = field(default_factory=lambda: np.empty(0))
-    # (K, 2) voted keypoints of the fitted field; NaN where voting failed
-    keypoint_locations: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
-
-    def rows(self):
-        for i in range(len(self.iters)):
-            yield (int(self.iters[i]), self.l_vf[i], self.l_pv[i],
-                   self.mean_proxy_dist[i], self.alpha[i], self.beta[i])
 
     def to_csv(self, path):
+        cols = (self.l_vf, self.l_pv, self.mean_proxy_dist, self.alpha, self.beta)
         lines = ["iter,l_vf,l_pv,mean_proxy_dist,alpha,beta"]
-        for it, lvf, lpv, mpd, a, b in self.rows():
-            lines.append(f"{it},{_fmt(lvf)},{_fmt(lpv)},{_fmt(mpd)},{_fmt(a)},{_fmt(b)}")
+        lines += [",".join([str(int(it))] + [_fmt(c[i]) for c in cols])
+                  for i, it in enumerate(self.iters)]
         write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -104,6 +99,27 @@ def random_init_field(sample: SceneSample, rng) -> np.ndarray:
     return np.where(sample.mask[None, :, :, None], init, 0.0)
 
 
+def vote_keypoints(fields, mask, cfg: VotingConfig):
+    """Each (H, W, 2) field of the stack voted over mask with cfg: the (K, 2)
+    locations and (K,) votes, NaN and 0 where a keypoint failed, and one
+    "keypoint i: reason" per failure. Only a ProxyVoteError is a failure."""
+    locs = np.full((len(fields), 2), np.nan)
+    votes = np.zeros(len(fields), dtype=int)
+    failures = []
+    for ki, f in enumerate(fields):
+        try:
+            locs[ki], votes[ki] = vote_keypoint(f, mask, cfg)
+        except ProxyVoteError as e:
+            failures.append(f"keypoint {ki}: {e}")
+    return locs, votes, failures
+
+
+def keypoint_errors(locs, keypoints2) -> np.ndarray:
+    """Distance of each voted location to its true keypoint; inf where voting failed."""
+    errs = np.array([np.linalg.norm(d) for d in locs - keypoints2])
+    return np.where(np.isnan(errs), np.inf, errs)
+
+
 def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
     """Adam on the stacked (K, H, W, 2) field. Returns (field, trace).
 
@@ -111,7 +127,7 @@ def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
     returned unchanged from init.
     """
     init = np.asarray(init, dtype=float)
-    k, h, w = init.shape[:3]
+    h, w = init.shape[1:3]
     mask = sample.mask
     n_masked = max(int(np.count_nonzero(mask)), 1)
 
@@ -178,25 +194,19 @@ def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
     fields[:, mask, :] = est.transpose(1, 2, 0)
 
     vote_cfg = VotingConfig(rng_seed=int(substream(cfg.rng_seed, "voting").integers(2 ** 63)))
-    errs = np.full(k, np.inf)
-    locs = np.full((k, 2), np.nan)
-    for ki in range(k):
-        try:
-            locs[ki], _ = vote_keypoint(fields[ki], mask, vote_cfg)
-        except ProxyVoteError:
-            continue  # unresolvable field counts as a failed keypoint
-        errs[ki] = float(np.linalg.norm(locs[ki] - sample.keypoints2[ki]))
+    locs, _, _ = vote_keypoints(fields, mask, vote_cfg)
     trace = TrainTrace(tr_iter, tr_lvf, tr_lpv, tr_mpd, tr_a, tr_b,
-                       keypoint_errors=errs, keypoint_locations=locs)
+                       keypoint_errors=keypoint_errors(locs, sample.keypoints2))
     return fields, trace
 
 
 def run_experiment(scenes, modes, seeds, cfg_base: TrainConfig, out_dir):
     """Paired fits across modes and seeds over one or more scenes.
 
-    Same seed means same random init across modes. Writes one trace CSV
-    and one JSON summary per (scene, mode, seed) run plus a top-level
-    summary; returns the summary dict.
+    Same seed means same random init across modes. Writes one trace CSV,
+    one JSON summary and one fitted scene,
+    ``fields/<mode>_seed<seed>/sample_<scene:03d>/``, per (scene, mode,
+    seed) run plus a top-level summary; returns the summary dict.
     """
     os.makedirs(out_dir, exist_ok=True)
     runs = []
@@ -205,7 +215,9 @@ def run_experiment(scenes, modes, seeds, cfg_base: TrainConfig, out_dir):
             init = random_init_field(sample, substream(seed, "init"))
             for mode in modes:
                 cfg = replace(cfg_base, mode=mode, rng_seed=seed)
-                _, trace = fit_field(sample, init, cfg)
+                fields, trace = fit_field(sample, init, cfg)
+                save_scene(os.path.join(out_dir, "fields", f"{mode}_seed{seed}", f"sample_{si:03d}"),
+                           replace(sample, gt_fields=fields))
                 tag = f"scene{si:03d}_{mode}_seed{seed}"
                 trace.to_csv(os.path.join(out_dir, f"trace_{tag}.csv"))
 
@@ -218,18 +230,6 @@ def run_experiment(scenes, modes, seeds, cfg_base: TrainConfig, out_dir):
                     "final_mean_proxy_dist": float(trace.mean_proxy_dist[-1]),
                     "keypoint_errors": [float(e) for e in trace.keypoint_errors],
                 }
-                if np.all(np.isfinite(trace.keypoint_errors)):
-                    try:
-                        est = solve_epnp(sample.keypoints3, trace.keypoint_locations,
-                                         sample.intr)
-                        rec = evaluate(sample.pose, est, sample.keypoints3, sample.intr,
-                                       model_diameter(sample.keypoints3))
-                        run["add"] = rec.add
-                        run["proj2d"] = rec.proj2d
-                        run["add_correct"] = bool(rec.add_correct)
-                        run["proj_correct"] = bool(rec.proj_correct)
-                    except (ProxyVoteError, np.linalg.LinAlgError) as e:
-                        run["pose_error"] = str(e)
                 write_atomic(os.path.join(out_dir, f"summary_{tag}.json"),
                              json.dumps(run, indent=2, sort_keys=True) + "\n")
                 runs.append(run)

@@ -415,7 +415,9 @@ def vote_keypoint(field, mask, cfg: VotingConfig):
     pts, dirs = _masked_pixels(field, mask)
     locs = _hypothesis_locations(pts, dirs, cfg)
     if len(locs) == 0:
-        raise NoValidHypothesisError("all sampled pixel pairs were parallel")
+        raise NoValidHypothesisError("no sampled pixel pair formed a hypothesis: each was "
+                                     "one pixel twice, parallel or had a direction "
+                                     "shorter than EPS_NORM")
     voters = _voters(pts, dirs, cfg.inlier_cos_threshold)
     idx, votes = _pruned_counts(locs, voters, cfg.inlier_cos_threshold)
     best_votes = votes.max()

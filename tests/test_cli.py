@@ -8,8 +8,15 @@ import numpy as np
 import pytest
 
 from oracles import oracle_corrupt
-from proxyvote import cli
+from proxyvote import cli, trainer
 from proxyvote.cli import _parse_seeds, main
+from proxyvote.errors import DegenerateConfigurationError, NoValidHypothesisError
+from proxyvote.metrics import evaluate
+from proxyvote.model_tools import load_model, model_diameter
+from proxyvote.pnp import solve_epnp
+from proxyvote.synth import load_scene
+from proxyvote.trainer import keypoint_errors, substream, vote_keypoints
+from proxyvote.voting import VotingConfig
 
 CUBE_PLY = """ply
 format ascii 1.0
@@ -43,6 +50,19 @@ def scenes_dir(tmp_path_factory, model_file):
                "--seed", "0", "--z-min", "0.45", "--z-max", "0.7"])
     assert rc == 0
     return out
+
+
+def failing_once(monkeypatch, module, name, exc, at):
+    """Make module.name raise exc on its call number at (0-based) only."""
+    original, calls = getattr(module, name), []
+
+    def fn(*args, **kwargs):
+        calls.append(1)
+        if len(calls) - 1 == at:
+            raise exc
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, fn)
 
 
 def _replay(tmp_path, command, manifest_dir, out):
@@ -395,6 +415,24 @@ class TestVote:
         assert main(["vote", "--scenes", str(scenes), "--out", str(tmp_path / "v.csv")]) == 1
         assert "fields.npy" in capsys.readouterr().err
 
+    def test_vote_failure_is_a_failed_row(self, scenes_dir, tmp_path, monkeypatch, capsys):
+        # keypoint 3 of scene 1 fails to vote; every other keypoint is voted
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["vote", "--scenes", scenes_dir, "--out", str(a)]) == 0
+        failing_once(monkeypatch, trainer, "vote_keypoint",
+                     NoValidHypothesisError("no pair"), at=8 + 3)
+        assert main(["vote", "--scenes", scenes_dir, "--out", str(b)]) == 0
+        assert "warning: scene 1: keypoint 3: no pair" in capsys.readouterr().err
+        want, got = a.read_text().splitlines(), b.read_text().splitlines()
+        assert got[:12] == want[:12] and got[13:] == want[13:]
+        assert got[12].split(",")[:2] == ["1", "3"]
+        assert got[12].split(",")[2:] == ["nan", "nan"] + want[12].split(",")[4:6] + ["inf", "0"]
+
+    def test_vote_bug_propagates(self, scenes_dir, tmp_path, monkeypatch):
+        failing_once(monkeypatch, trainer, "vote_keypoint", TypeError("bug"), at=0)
+        with pytest.raises(TypeError):
+            main(["vote", "--scenes", scenes_dir, "--out", str(tmp_path / "v.csv")])
+
     def test_missing_scenes_dir(self, tmp_path):
         assert main(["vote", "--scenes", str(tmp_path / "none"),
                      "--out", str(tmp_path / "v.csv")]) == 1
@@ -438,6 +476,40 @@ class TestEval:
         _replay(tmp_path, "eval", a, b)
         _assert_same_outputs(a, b)
 
+    @pytest.mark.parametrize("module, name, exc, at", [
+        pytest.param(cli, "solve_epnp", DegenerateConfigurationError("rank-deficient"), 0,
+                     id="pose-error"),
+        pytest.param(cli, "solve_epnp", np.linalg.LinAlgError("singular"), 0,
+                     id="pose-linalg-error"),
+        pytest.param(trainer, "vote_keypoint", NoValidHypothesisError("no pair"), 2,
+                     id="keypoint-error")])
+    def test_pose_failure_is_recorded(self, scenes_dir, model_file, tmp_path, monkeypatch,
+                                      capsys, module, name, exc, at):
+        # scene 0 fails, in its pose or in one keypoint; scene 1 is still scored
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["eval", "--scenes", scenes_dir, "--model", model_file, "--out", str(a),
+                     "--symmetric"]) == 0
+        failing_once(monkeypatch, module, name, exc, at)
+        assert main(["eval", "--scenes", scenes_dir, "--model", model_file, "--out", str(b),
+                     "--symmetric"]) == 0
+        reason = f"keypoint {at}: {exc}" if module is trainer else str(exc)
+        assert f"warning: scene 0: {reason}\n" in capsys.readouterr().err
+        want = (a / "records.csv").read_text().splitlines()
+        got = (b / "records.csv").read_text().splitlines()
+        assert got[0] == want[0] and got[2] == want[2]
+        assert got[1] == "0,nan,nan,0,0,nan,0"
+        summary = json.loads((b / "summary.json").read_text())
+        assert summary["scenes"] == 2 and summary["failed"] == 1
+        assert summary["add_accuracy"] == summary["proj_accuracy"] == 0.5
+        assert summary["add_s_accuracy"] == 0.5
+        assert json.loads((a / "summary.json").read_text())["failed"] == 0
+
+    def test_pose_bug_propagates(self, scenes_dir, model_file, tmp_path, monkeypatch):
+        failing_once(monkeypatch, cli, "solve_epnp", TypeError("bug"), at=0)
+        with pytest.raises(TypeError):
+            main(["eval", "--scenes", scenes_dir, "--model", model_file,
+                  "--out", str(tmp_path / "e")])
+
     def test_symmetric_adds_columns(self, scenes_dir, model_file, tmp_path):
         out = str(tmp_path / "eval_s")
         assert main(["eval", "--scenes", scenes_dir, "--model", model_file,
@@ -466,6 +538,50 @@ class TestTrainAndReport:
         assert "trace_scene000_vf_plus_dpvl_seed0.csv" in names
         summary = json.loads(open(os.path.join(train_dir, "summary.json")).read())
         assert {r["mode"] for r in summary["runs"]} == {"vf_only", "vf_plus_dpvl"}
+        fields = Path(train_dir) / "fields"
+        assert sorted(os.listdir(fields)) == ["vf_only_seed0", "vf_plus_dpvl_seed0"]
+        for d in fields.iterdir():
+            assert os.listdir(d) == ["sample_000"]
+            assert sorted(os.listdir(d / "sample_000")) == ["fields.npy", "keypoints.csv",
+                                                            "mask.pgm", "pose.json"]
+
+    def test_vote_reproduces_the_fit_errors(self, train_dir, tmp_path):
+        # vote --seed s over fields/<mode>_seed<s>/ gives each fit's
+        # keypoint errors bit for bit
+        summary = json.loads(open(os.path.join(train_dir, "summary.json")).read())
+        for run in summary["runs"]:
+            out = tmp_path / run["mode"] / "votes.csv"
+            fitted = os.path.join(train_dir, "fields", f"{run['mode']}_seed{run['seed']}")
+            assert main(["vote", "--scenes", fitted, "--out", str(out),
+                         "--seed", str(run["seed"])]) == 0
+            rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+            assert [float(r[6]) for r in rows if int(r[0]) == run["scene"]] \
+                == run["keypoint_errors"]
+
+    def test_eval_scores_fitted_fields(self, scenes_dir, model_file, tmp_path):
+        # eval over train's fitted scenes scores with the model cloud and
+        # its diameter, the one ADD rule
+        train = tmp_path / "train"
+        assert main(["train", "--scenes", scenes_dir, "--out", str(train),
+                     "--mode", "vf_only,vf_plus_dpvl", "--seeds", "1", "--iters", "400"]) == 0
+        cloud = load_model(model_file)
+        vcfg = VotingConfig(rng_seed=int(substream(1, "voting").integers(2 ** 63)))
+        summary = json.loads((train / "summary.json").read_text())
+        for run in summary["runs"]:
+            fitted = train / "fields" / f"{run['mode']}_seed1"
+            out = tmp_path / run["mode"]
+            assert main(["eval", "--scenes", str(fitted), "--model", model_file,
+                         "--out", str(out), "--seed", "1"]) == 0
+            assert json.loads((out / "summary.json").read_text())["failed"] == 0
+            s = load_scene(fitted / f"sample_{run['scene']:03d}")
+            locs, _, failures = vote_keypoints(s.gt_fields, s.mask, vcfg)
+            assert not failures
+            assert list(keypoint_errors(locs, s.keypoints2)) == run["keypoint_errors"]
+            rec = evaluate(s.pose, solve_epnp(s.keypoints3, locs, s.intr), cloud.points,
+                           s.intr, model_diameter(cloud))
+            row = (out / "records.csv").read_text().splitlines()[1 + run["scene"]]
+            assert row == ",".join([str(run["scene"]), repr(rec.add), repr(rec.proj2d),
+                                    str(int(rec.add_correct)), str(int(rec.proj_correct))])
 
     def test_train_rerun_from_manifest_config(self, train_dir, tmp_path):
         out = tmp_path / "t"

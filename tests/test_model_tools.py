@@ -158,7 +158,9 @@ class TestFarthestPointSampling:
 
 class TestModelDiameter:
     def test_two_point_array(self):
-        assert model_diameter(np.array([[0, 0, 0], [3, 4, 0.0]])) == pytest.approx(5.0)
+        # a cloud of two distinct points, each listed twice
+        cloud = ModelCloud(np.array([[0, 0, 0], [3, 4, 0.0]] * 2))
+        assert model_diameter(cloud) == pytest.approx(5.0)
 
     def test_unit_cube_cloud(self):
         cloud = cube_cloud(n_extra=100, seed=6, side=1.0)
@@ -168,13 +170,14 @@ class TestModelDiameter:
         rng = np.random.default_rng(7)
         pts = rng.normal(0, 1, (60, 3))
         want = max(np.linalg.norm(a - b) for a in pts for b in pts)
-        assert model_diameter(pts) == pytest.approx(want)
+        assert model_diameter(ModelCloud(pts)) == pytest.approx(want)
 
     def test_subsample_deterministic(self):
         rng = np.random.default_rng(8)
-        pts = rng.normal(0, 1, (6000, 3))
-        assert model_diameter(pts) == model_diameter(pts)
+        cloud = ModelCloud(rng.normal(0, 1, (6000, 3)))
+        assert model_diameter(cloud) == model_diameter(cloud)
 
     def test_single_point_raises(self):
+        # one point listed four times has no extent
         with pytest.raises(InsufficientSupportError):
-            model_diameter(np.zeros((1, 3)))
+            model_diameter(ModelCloud(np.ones((4, 3))))

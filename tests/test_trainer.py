@@ -6,10 +6,9 @@ import pytest
 from helpers import make_cube_scene
 from oracles import oracle_fit_field
 from proxyvote import trainer
-from proxyvote.errors import (DegenerateConfigurationError, DivergenceError,
-                              NoValidHypothesisError)
+from proxyvote.errors import DivergenceError, NoValidHypothesisError
 from proxyvote.losses import dpvl, proxy_distances, vf_loss
-from proxyvote.model_tools import model_diameter
+from proxyvote.synth import load_scene
 from proxyvote.trainer import (MODES, TrainConfig, fit_field, random_init_field,
                                run_experiment, substream)
 from proxyvote.voting import VotingConfig, vote_keypoint
@@ -214,15 +213,21 @@ class TestRunExperiment:
         assert a[0] == "iter,l_vf,l_pv,mean_proxy_dist,alpha,beta"
         assert a[1].split(",")[1] == b[1].split(",")[1]
 
-    def test_downstream_pose_metrics_present(self, scene, tmp_path):
+    def test_fitted_fields_are_saved_as_scenes(self, scene, tmp_path):
         out = tmp_path / "exp"
-        summary = run_experiment([scene], ["vf_only"], [1],
-                                 short_cfg(iterations=800), out)
-        run = summary["runs"][0]
-        assert "add" in run and "proj2d" in run
-        assert run["add"] >= 0.0
-        # ADD is judged against the diameter of the keypoint cloud
-        assert run["add_correct"] == (run["add"] < 0.1 * model_diameter(scene.keypoints3))
+        summary = run_experiment([scene], ["vf_only", "vf_plus_dpvl"], [1],
+                                 short_cfg(iterations=50), out)
+        init = random_init_field(scene, substream(1, "init"))
+        for run in summary["runs"]:
+            assert set(run) == {"scene", "mode", "seed", "final_l_vf", "final_l_pv",
+                                "final_mean_proxy_dist", "keypoint_errors"}
+            fields, _ = fit_field(scene, init, short_cfg(iterations=50, mode=run["mode"],
+                                                         rng_seed=1))
+            saved = load_scene(out / "fields" / f"{run['mode']}_seed1" / "sample_000")
+            assert np.array_equal(bits(saved.gt_fields), bits(fields))
+            assert np.array_equal(saved.mask, scene.mask)
+            assert np.array_equal(saved.keypoints2, scene.keypoints2)
+            assert np.array_equal(saved.pose.rotation, scene.pose.rotation)
 
     def test_trace_csv_roundtrip(self, scene, tmp_path):
         out = tmp_path / "exp"
@@ -247,7 +252,6 @@ class TestVotedKeypoints:
         vcfg = VotingConfig(rng_seed=int(substream(6, "voting").integers(2 ** 63)))
         for ki in range(len(fields)):
             loc, _ = vote_keypoint(fields[ki], scene.mask, vcfg)
-            assert np.array_equal(trace.keypoint_locations[ki], loc)
             assert trace.keypoint_errors[ki] == float(np.linalg.norm(loc - scene.keypoints2[ki]))
 
     def test_each_fitted_field_is_voted_once(self, scene, tmp_path, monkeypatch):
@@ -260,7 +264,7 @@ class TestVotedKeypoints:
         monkeypatch.setattr(trainer, "vote_keypoint", counting)
         summary = run_experiment([scene], ["vf_only"], [0], short_cfg(iterations=300),
                                  tmp_path / "exp")
-        assert "add" in summary["runs"][0]
+        assert len(summary["runs"][0]["keypoint_errors"]) == len(scene.keypoints2)
         assert len(calls) == len(scene.keypoints2)
 
     def test_vote_failure_is_a_failed_keypoint(self, scene, monkeypatch):
@@ -268,7 +272,6 @@ class TestVotedKeypoints:
         init = random_init_field(scene, substream(0, "init"))
         _, trace = fit_field(scene, init, short_cfg(iterations=5))
         assert np.all(np.isinf(trace.keypoint_errors))
-        assert np.all(np.isnan(trace.keypoint_locations))
 
     def test_vote_bug_propagates(self, scene, monkeypatch):
         # a programming error must not be scored as an inf keypoint error
@@ -276,15 +279,3 @@ class TestVotedKeypoints:
         init = random_init_field(scene, substream(0, "init"))
         with pytest.raises(TypeError):
             fit_field(scene, init, short_cfg(iterations=5))
-
-    def test_pose_failure_is_recorded(self, scene, tmp_path, monkeypatch):
-        monkeypatch.setattr(trainer, "solve_epnp",
-                            raising(DegenerateConfigurationError("rank-deficient")))
-        summary = run_experiment([scene], ["vf_only"], [0], short_cfg(iterations=50),
-                                 tmp_path / "exp")
-        assert summary["runs"][0]["pose_error"] == "rank-deficient"
-
-    def test_pose_bug_propagates(self, scene, tmp_path, monkeypatch):
-        monkeypatch.setattr(trainer, "solve_epnp", raising(TypeError("bug")))
-        with pytest.raises(TypeError):
-            run_experiment([scene], ["vf_only"], [0], short_cfg(iterations=50), tmp_path / "exp")
