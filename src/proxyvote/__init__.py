@@ -7,8 +7,7 @@ scene + training harness for desk-scale experiments.
 """
 
 from .geometry import Intrinsics, Pose, pixel_centers, point_line_distance, project
-from .losses import (DEFAULT_SCHEDULE, LossReport, WeightSchedule, dpvl,
-                     schedule_weights, smooth_l1, vf_loss)
+from .losses import LossReport, dpvl, smooth_l1, vf_loss
 from .metrics import EvalRecord, add_s_score, add_score, evaluate, judge, proj2d_error
 from .model_tools import (KeypointSet, ModelCloud, farthest_point_sampling,
                           load_model, model_diameter)

@@ -29,14 +29,13 @@ import numpy as np
 
 from .errors import AlignmentError, ProxyVoteError
 from .geometry import Intrinsics
-from .losses import WeightSchedule
 from .metrics import EvalRecord, evaluate
 from .model_tools import farthest_point_sampling, load_model, model_diameter
 from .pnp import solve_epnp
 from .synth import (NoiseSpec, PoseRanges, _fmt, _load_csv, corrupt, load_scene,
                     make_scene, sample_pose, save_scene, write_atomic)
-from .trainer import (MODES, TrainConfig, keypoint_errors, run_experiment, substream,
-                      vote_keypoints)
+from .trainer import (MODES, TrainConfig, keypoint_errors, run_experiment, subseed,
+                      substream, vote_keypoints)
 from .voting import VotingConfig
 
 
@@ -182,7 +181,7 @@ def cmd_gen(args) -> int:
     # the same whatever n; --out is made once every step that can fail on
     # the model or the pose ranges has passed
     scene_rng = substream(cfg["seed"], "scene")
-    noise_seed = int(substream(cfg["seed"], "noise").integers(2 ** 63))
+    noise_seed = subseed(cfg["seed"], "noise")
     poses = [sample_pose(scene_rng, ranges, cloud, intr, width, height)
              for _ in range(cfg["n"])]
     os.makedirs(cfg["out"], exist_ok=True)
@@ -210,10 +209,9 @@ def cmd_train(args) -> int:
         if m not in MODES:
             raise UsageError(f"unknown mode {m!r}; expected one of {MODES}")
     seeds = _parse_seeds(cfg["seeds"])
-    sched = _built(WeightSchedule, beta0=cfg["beta0"], beta_cap=cfg["beta_cap"])
     base = _built(TrainConfig, iterations=cfg["iters"], learning_rate=cfg["lr"],
-                  iters_per_epoch=cfg["iters_per_epoch"],
-                  lr_decay=cfg["lr_decay"], schedule=sched)
+                  iters_per_epoch=cfg["iters_per_epoch"], lr_decay=cfg["lr_decay"],
+                  beta0=cfg["beta0"], beta_cap=cfg["beta_cap"])
 
     dirs = _scene_dirs(cfg["scenes"])
     if cfg["scene_limit"]:
@@ -232,9 +230,9 @@ def cmd_train(args) -> int:
 
 def _voting_config(cfg) -> VotingConfig:
     """The VotingConfig of cfg's seed, num_samples and inlier_cos."""
-    vote_seed = int(substream(cfg["seed"], "voting").integers(2 ** 63))
     return _built(VotingConfig, num_samples=cfg["num_samples"],
-                  inlier_cos_threshold=cfg["inlier_cos"], rng_seed=vote_seed)
+                  inlier_cos_threshold=cfg["inlier_cos"],
+                  rng_seed=subseed(cfg["seed"], "voting"))
 
 
 def _voted_scenes(scenes_dir, vcfg):
@@ -466,8 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=TrainConfig.iters_per_epoch)
     t.add_argument("--no-lr-decay", dest="lr_decay", action="store_false",
                    default=TrainConfig.lr_decay)
-    t.add_argument("--beta0", type=float, default=WeightSchedule.beta0)
-    t.add_argument("--beta-cap", dest="beta_cap", type=float, default=WeightSchedule.beta_cap)
+    t.add_argument("--beta0", type=float, default=TrainConfig.beta0)
+    t.add_argument("--beta-cap", dest="beta_cap", type=float, default=TrainConfig.beta_cap)
     t.add_argument("--scene-limit", dest="scene_limit", type=int, default=0, help="0 = all")
     t.set_defaults(func=cmd_train)
 

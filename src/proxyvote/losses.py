@@ -1,4 +1,5 @@
 """Loss terms for vector-field keypoint regression with analytic gradients.
+Only the formulas live here; ``trainer.py`` weights them per epoch.
 
 The core, ``PlanarLosses``, works on component-planar masked-pixel
 arrays: est and gt are (2, ...) directions of masked pixels, plane 0
@@ -54,29 +55,6 @@ class LossReport:
     value: float
     grad: np.ndarray  # (H, W, 2), zero outside the mask
     skipped: int = 0  # masked pixels dropped for near-zero direction
-
-
-BETA_FACTOR = 1.5  # beta's growth per epoch
-
-
-@dataclass(frozen=True)
-class WeightSchedule:
-    """Per-epoch growth schedule for the segmentation / proxy-loss weights."""
-
-    alpha0: float = 1.0
-    alpha_factor: float = 1.1
-    alpha_cap: float = 10.0
-    beta0: float = 1e-3
-    beta_cap: float = 1e-2
-
-    def __post_init__(self):
-        if self.alpha_factor < 1:
-            raise ValueError("alpha_factor must be >= 1")
-        if self.alpha_cap < self.alpha0 or self.beta_cap < self.beta0:
-            raise ValueError("caps must be >= initial values")
-
-
-DEFAULT_SCHEDULE = WeightSchedule()
 
 
 def _smooth_l1_into(abs_a, value, c):
@@ -255,12 +233,3 @@ def dpvl(est, mask, k) -> LossReport:
     mask, est_m, off, losses, value = _masked_proxy(est, mask, k)
     return LossReport(value=value, grad=_scatter(mask, losses.proxy_grad(est_m, off).T),
                       skipped=losses.skipped)
-
-
-def schedule_weights(epoch: int, sched: WeightSchedule = DEFAULT_SCHEDULE):
-    """(alpha, beta) for a given epoch: geometric growth up to the caps."""
-    if epoch < 0:
-        raise ValueError("epoch must be >= 0")
-    alpha = min(sched.alpha0 * sched.alpha_factor ** epoch, sched.alpha_cap)
-    beta = min(sched.beta0 * BETA_FACTOR ** epoch, sched.beta_cap)
-    return alpha, beta

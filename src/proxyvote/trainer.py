@@ -9,6 +9,11 @@ gradients are divided by the masked-pixel count, so that learning rates
 transfer across mask sizes; the traced l_vf and l_pv are raw sums over
 masked pixels and keypoints.
 
+A ``TrainConfig`` holds every setting of a fit. Per epoch of
+iters_per_epoch iterations, ``_beta`` grows the proxy term's weight by
+BETA_FACTOR from beta0 up to beta_cap, and ``_decayed_lr`` cuts the
+learning rate by 0.85 every 5 epochs down to 1e-5.
+
 ``fit_field`` keeps the parameters, the ground truth, the keypoint
 offsets and both Adam moments as component-planar (2, K, M) arrays, and
 one ``PlanarLosses`` and one set of gradient and Adam buffers serve every
@@ -32,8 +37,7 @@ import numpy as np
 
 from .errors import DivergenceError, ProxyVoteError
 from .geometry import pixel_centers
-from .losses import (DEFAULT_SCHEDULE, PlanarLosses, WeightSchedule, planar,
-                     schedule_weights)
+from .losses import PlanarLosses, planar
 from .synth import SceneSample, _fmt, save_scene, write_atomic
 from .voting import VotingConfig, vote_keypoint
 
@@ -43,17 +47,25 @@ MODES = ("vf_only", "vf_plus_dpvl", "dpvl_only")
 _STREAMS = {"scene": 0, "noise": 1, "voting": 2, "init": 3}
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+BETA_FACTOR = 1.5  # beta's growth per epoch
 
 
 def substream(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), _STREAMS[name]]))
 
 
+def subseed(seed: int, name: str) -> int:
+    """The integer seed that the named sub-stream of seed hands a consumer
+    with a seed of its own, such as a VotingConfig or a NoiseSpec."""
+    return int(substream(seed, name).integers(2 ** 63))
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     iterations: int = 2000
     learning_rate: float = 1e-3
-    schedule: WeightSchedule = DEFAULT_SCHEDULE
+    beta0: float = 1e-3  # proxy-term weight at epoch 0, grown by BETA_FACTOR per epoch
+    beta_cap: float = 1e-2
     iters_per_epoch: int = 100
     mode: str = "vf_plus_dpvl"
     rng_seed: int = 0
@@ -62,8 +74,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if self.iters_per_epoch < 1:
+            raise ValueError("iters_per_epoch must be >= 1")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if not 0 <= self.beta0 <= self.beta_cap < np.inf:
+            raise ValueError("need 0 <= beta0 <= beta_cap < inf")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
 
@@ -74,13 +90,12 @@ class TrainTrace:
     l_vf: np.ndarray
     l_pv: np.ndarray
     mean_proxy_dist: np.ndarray
-    alpha: np.ndarray
     beta: np.ndarray
     keypoint_errors: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def to_csv(self, path):
-        cols = (self.l_vf, self.l_pv, self.mean_proxy_dist, self.alpha, self.beta)
-        lines = ["iter,l_vf,l_pv,mean_proxy_dist,alpha,beta"]
+        cols = (self.l_vf, self.l_pv, self.mean_proxy_dist, self.beta)
+        lines = ["iter,l_vf,l_pv,mean_proxy_dist,beta"]
         lines += [",".join([str(int(it))] + [_fmt(c[i]) for c in cols])
                   for i, it in enumerate(self.iters)]
         write_atomic(path, "\n".join(lines) + "\n")
@@ -90,6 +105,10 @@ def _decayed_lr(cfg: TrainConfig, epoch: int) -> float:
     if not cfg.lr_decay:
         return cfg.learning_rate
     return max(cfg.learning_rate * 0.85 ** (epoch // 5), 1e-5)
+
+
+def _beta(cfg: TrainConfig, epoch: int) -> float:
+    return min(cfg.beta0 * BETA_FACTOR ** epoch, cfg.beta_cap)
 
 
 def random_init_field(sample: SceneSample, rng) -> np.ndarray:
@@ -143,7 +162,6 @@ def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
     tr_lvf = np.zeros(n)
     tr_lpv = np.zeros(n)
     tr_mpd = np.zeros(n)
-    tr_a = np.zeros(n)
     tr_b = np.zeros(n)
 
     # non-finite fields are tolerated here; the summed losses are checked
@@ -151,7 +169,7 @@ def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for it in range(n):
             epoch = it // cfg.iters_per_epoch
-            alpha, beta = schedule_weights(epoch, cfg.schedule)
+            beta = _beta(cfg, epoch)
             lr = _decayed_lr(cfg, epoch)
 
             l_vf = losses.vf(est, gt)
@@ -167,11 +185,10 @@ def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
             tr_lvf[it] = l_vf
             tr_lpv[it] = l_pv
             tr_mpd[it] = losses.mean_proxy_dist()
-            tr_a[it] = alpha
             tr_b[it] = beta
             if not (np.isfinite(l_vf) and np.isfinite(l_pv)):
                 trace = TrainTrace(tr_iter[: it + 1], tr_lvf[: it + 1], tr_lpv[: it + 1],
-                                   tr_mpd[: it + 1], tr_a[: it + 1], tr_b[: it + 1])
+                                   tr_mpd[: it + 1], tr_b[: it + 1])
                 raise DivergenceError(f"non-finite loss at iteration {it}", trace=trace)
 
             # Adam step (bias-corrected), in place
@@ -193,9 +210,9 @@ def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
     fields = np.array(init, copy=True)
     fields[:, mask, :] = est.transpose(1, 2, 0)
 
-    vote_cfg = VotingConfig(rng_seed=int(substream(cfg.rng_seed, "voting").integers(2 ** 63)))
+    vote_cfg = VotingConfig(rng_seed=subseed(cfg.rng_seed, "voting"))
     locs, _, _ = vote_keypoints(fields, mask, vote_cfg)
-    trace = TrainTrace(tr_iter, tr_lvf, tr_lpv, tr_mpd, tr_a, tr_b,
+    trace = TrainTrace(tr_iter, tr_lvf, tr_lpv, tr_mpd, tr_b,
                        keypoint_errors=keypoint_errors(locs, sample.keypoints2))
     return fields, trace
 

@@ -377,7 +377,7 @@ def oracle_fit_field(init, mask, gt_fields, keypoints2, cfg):
     masked-pixel arrays, with fresh arrays at every step.
 
     Returns (fields, columns, diverged): columns maps iter, l_vf, l_pv,
-    mean_proxy_dist, alpha and beta to their values up to and including
+    mean_proxy_dist and beta to their values up to and including
     the last iteration run; diverged tells whether a loss went non-finite
     there, in which case fields is None.
     """
@@ -391,12 +391,10 @@ def oracle_fit_field(init, mask, gt_fields, keypoints2, cfg):
     off = np.asarray(keypoints2, dtype=float)[:, None, :] - centres[None, :, :]
     m = np.zeros_like(est)
     v = np.zeros_like(est)
-    sched = cfg.schedule
-    cols = {name: [] for name in ("iter", "l_vf", "l_pv", "mean_proxy_dist", "alpha", "beta")}
+    cols = {name: [] for name in ("iter", "l_vf", "l_pv", "mean_proxy_dist", "beta")}
     for it in range(cfg.iterations):
         epoch = it // cfg.iters_per_epoch
-        alpha = min(sched.alpha0 * sched.alpha_factor ** epoch, sched.alpha_cap)
-        beta = min(sched.beta0 * 1.5 ** epoch, sched.beta_cap)
+        beta = min(cfg.beta0 * 1.5 ** epoch, cfg.beta_cap)
         lr = cfg.learning_rate
         if cfg.lr_decay:
             lr = max(lr * 0.85 ** (epoch // 5), 1e-5)
@@ -412,7 +410,7 @@ def oracle_fit_field(init, mask, gt_fields, keypoints2, cfg):
         l_vf, l_pv = float(np.sum(terms["vf"])), float(np.sum(terms["pv"]))
         for name, x in zip(cols, (it, l_vf, l_pv,
                                   float(np.sum(d[valid])) / max(int(np.count_nonzero(valid)), 1),
-                                  alpha, beta)):
+                                  beta)):
             cols[name].append(x)
         if not (np.isfinite(l_vf) and np.isfinite(l_pv)):
             return None, {k: np.array(x) for k, x in cols.items()}, True

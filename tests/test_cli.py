@@ -607,7 +607,10 @@ class TestTrainAndReport:
         assert "--scene-limit" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [("--seeds", ","), ("--iters", "0")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--seeds", ","), ("--iters", "0"), ("--iters-per-epoch", "0"),
+        ("--iters-per-epoch", "-5"), ("--lr", "nan"), ("--lr", "inf"), ("--beta0", "-1"),
+        ("--beta-cap", "nan")])
     def test_out_of_range_value_is_usage_error(self, scenes_dir, tmp_path, capsys, flag, value):
         out = tmp_path / "t"
         assert main(["train", "--scenes", scenes_dir, "--out", str(out), "--iters", "5",

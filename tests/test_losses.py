@@ -5,8 +5,7 @@ from oracles import (oracle_fd_gradient, oracle_fd_scalar, oracle_field_terms,
                      oracle_smooth_l1)
 from proxyvote.errors import DimensionMismatchError
 from proxyvote.geometry import pixel_centers
-from proxyvote.losses import (DEFAULT_SCHEDULE, PlanarLosses, WeightSchedule, dpvl,
-                              proxy_distances, schedule_weights, smooth_l1, vf_loss)
+from proxyvote.losses import PlanarLosses, dpvl, proxy_distances, smooth_l1, vf_loss
 
 
 class TestSmoothL1:
@@ -207,31 +206,3 @@ class TestTwoBranchParity:
         assert np.array_equal(valid[mask], want["valid"])
         assert bits(vf.value) == bits(np.sum(want["vf"]))
         assert bits(pv.value) == bits(np.sum(want["pv"]))
-
-
-class TestSchedule:
-    def test_epoch_zero(self):
-        a, b = schedule_weights(0)
-        assert a == pytest.approx(DEFAULT_SCHEDULE.alpha0)
-        assert b == pytest.approx(1e-3)
-
-    def test_epoch_one(self):
-        a, b = schedule_weights(1)
-        assert a == pytest.approx(DEFAULT_SCHEDULE.alpha0 * 1.1)
-        assert b == pytest.approx(1.5e-3)
-
-    def test_caps(self):
-        a, b = schedule_weights(500)
-        assert a == pytest.approx(10.0)
-        assert b == pytest.approx(1e-2)
-
-    def test_monotone(self):
-        prev = schedule_weights(0)
-        for e in range(1, 60):
-            cur = schedule_weights(e)
-            assert cur[0] >= prev[0] and cur[1] >= prev[1]
-            prev = cur
-
-    def test_invalid_schedule(self):
-        with pytest.raises(ValueError):
-            WeightSchedule(alpha_factor=0.5)

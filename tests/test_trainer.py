@@ -9,7 +9,7 @@ from proxyvote import trainer
 from proxyvote.errors import DivergenceError, NoValidHypothesisError
 from proxyvote.losses import dpvl, proxy_distances, vf_loss
 from proxyvote.synth import load_scene
-from proxyvote.trainer import (MODES, TrainConfig, fit_field, random_init_field,
+from proxyvote.trainer import (MODES, TrainConfig, _beta, fit_field, random_init_field,
                                run_experiment, substream)
 from proxyvote.voting import VotingConfig, vote_keypoint
 
@@ -45,6 +45,25 @@ class TestSubstream:
     def test_unknown_stream(self):
         with pytest.raises(KeyError):
             substream(0, "nope")
+
+
+class TestSchedule:
+    def test_epoch_zero(self):
+        assert _beta(TrainConfig(), 0) == pytest.approx(1e-3)
+
+    def test_epoch_one(self):
+        assert _beta(TrainConfig(), 1) == pytest.approx(1.5e-3)
+
+    def test_caps(self):
+        assert _beta(TrainConfig(), 500) == pytest.approx(1e-2)
+
+    def test_monotone(self):
+        betas = [_beta(TrainConfig(), e) for e in range(60)]
+        assert all(b >= a for a, b in zip(betas, betas[1:]))
+
+    def test_invalid_schedule(self):
+        with pytest.raises(ValueError):
+            TrainConfig(beta0=1e-2, beta_cap=1e-3)
 
 
 class TestTraceMatchesLosses:
@@ -83,7 +102,7 @@ class TestOracleParity:
             fields, trace = fit_field(sample, init, cfg)
             assert np.array_equal(bits(fields), bits(want_fields))
         assert np.array_equal(trace.iters, want["iter"])
-        for col in ("l_vf", "l_pv", "mean_proxy_dist", "alpha", "beta"):
+        for col in ("l_vf", "l_pv", "mean_proxy_dist", "beta"):
             assert np.array_equal(bits(getattr(trace, col)), bits(want[col])), col
         return diverged
 
@@ -146,7 +165,6 @@ class TestFitField:
         assert trace.beta[0] == pytest.approx(1e-3)
         assert trace.beta[100] == pytest.approx(1.5e-3)
         assert trace.beta[200] == pytest.approx(2.25e-3)
-        assert np.all(np.diff(trace.alpha) >= 0)
 
     def test_untouched_outside_mask(self, scene):
         init = random_init_field(scene, substream(2, "init"))
@@ -210,7 +228,7 @@ class TestRunExperiment:
         # regression loss at iteration 0 is identical
         a = (out / "trace_scene000_vf_only_seed0.csv").read_text().splitlines()
         b = (out / "trace_scene000_vf_plus_dpvl_seed0.csv").read_text().splitlines()
-        assert a[0] == "iter,l_vf,l_pv,mean_proxy_dist,alpha,beta"
+        assert a[0] == "iter,l_vf,l_pv,mean_proxy_dist,beta"
         assert a[1].split(",")[1] == b[1].split(",")[1]
 
     def test_fitted_fields_are_saved_as_scenes(self, scene, tmp_path):
@@ -234,7 +252,7 @@ class TestRunExperiment:
         run_experiment([scene], ["vf_only"], [0], short_cfg(iterations=50), out)
         data = np.genfromtxt(out / "trace_scene000_vf_only_seed0.csv",
                              delimiter=",", skip_header=1)
-        assert data.shape == (50, 6)
+        assert data.shape == (50, 5)
         assert np.array_equal(data[:, 0], np.arange(50))
         assert np.all(np.isfinite(data))
 
