@@ -108,7 +108,11 @@ def _decayed_lr(cfg: TrainConfig, epoch: int) -> float:
 
 
 def _beta(cfg: TrainConfig, epoch: int) -> float:
-    return min(cfg.beta0 * BETA_FACTOR ** epoch, cfg.beta_cap)
+    try:
+        growth = BETA_FACTOR ** epoch
+    except OverflowError:  # from epoch 1,751 on: beta is then beta_cap, or 0 if beta0 is
+        growth = np.inf if cfg.beta0 else 1.0
+    return min(cfg.beta0 * growth, cfg.beta_cap)
 
 
 def random_init_field(sample: SceneSample, rng) -> np.ndarray:

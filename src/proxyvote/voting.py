@@ -2,8 +2,8 @@
 
 Hypotheses are intersections of the direction rays of sampled pixel
 pairs; each is scored by the number of masked pixels whose direction
-agrees with it (cosine above a threshold). The winner is optionally
-refined as the least-squares intersection of its inlier rays.
+agrees with it (cosine above a threshold). The winner is then refined
+as the least-squares intersection of its inlier rays.
 
 Inlier rule. A masked pixel p with direction v, |v| >= EPS_NORM, is an
 inlier of hypothesis h when |d| >= 0.5 and cos(d, v) = dot / (|d| |v|)
@@ -22,23 +22,25 @@ for n hypotheses and M voters: chunk c holds voters c, c + C, c + 2C, ...
 of the row-major order, so each chunk is a spatially uniform sample of
 the mask. Stage 1 counts every hypothesis with a loose float32 test that
 accepts every cell the float64 test accepts, so its count is an upper
-bound of the exact one. Stage 2 counts exactly, with the float64 test,
-only the hypotheses whose upper bound reaches best, the exact count of
-the hypothesis that leads stage 1 on chunk 0. Both stages run one pruned
-loop: each hypothesis is counted on a first chunk, and before each
-further chunk it is kept only while its count so far plus the number of
-voters in the chunks still to come is >= best. A hypothesis dropped by
-either stage thus has an exact count below best, and best is at most the
-maximum count, so it can neither win nor tie. Every hypothesis with the
-maximum count reaches the end with its exact count, which does not
-depend on the voter order, and the winner, its (x, y) tie-break, its
-inlier row and the refinement are those of a dense float64 count, bit
-for bit. The float32 rounding, the BLAS kernel and its thread count only
-decide which hypotheses reach stage 2, never an output. Stage 2 uses as
-few chunks as keep its tables within the cells of stage 1's first one:
-one workspace of 34 bytes per cell (four float64 and two bool tables)
-serves both stages, and stage 1 views 9 bytes per cell of it. Tables
-hold voters on rows and hypotheses contiguous.
+bound of the exact one, and it prunes against best, the exact count of
+the hypothesis that leads stage 1 on chunk 0: each hypothesis is counted
+on chunk 0, and before each further chunk it is kept only while its
+count so far plus the number of voters in the chunks still to come is
+>= best. Its candidates are the hypotheses whose loose count reaches
+best. Stage 2 counts the candidates exactly, with the float64 test, on
+all voters in one flat pass. A hypothesis that is not a candidate thus
+has an exact count below best, and best is at most the maximum count,
+so it can neither win nor tie. Every hypothesis with the maximum count
+is a candidate and gets its exact count, and the winner, its (x, y)
+tie-break, its inlier row and the refinement are those of a dense
+float64 count, bit for bit. The float32 rounding, the BLAS kernel and
+its thread count only decide which hypotheses reach stage 2, never an
+output. One workspace of 34 bytes per cell (four float64 and two bool
+tables) serves both stages. It holds the cells of stage 1's first chunk,
+and at least one hypothesis over all voters; stage 1 views 9 bytes per
+cell of it, and stage 2 counts its candidates in blocks of as many as it
+holds. Stage 1's tables hold voters on rows and hypotheses contiguous,
+stage 2's hypotheses on rows and voters contiguous.
 
 The loose test. With o the voters' mean, q = p - o, g = h - o and the
 unit direction u = v/|v|, the float32 test is |d × u| <= t·(d·u) with
@@ -72,8 +74,8 @@ zero matrix row: its float64 test may overflow and accept, and 0 <= 0
 makes it a loose inlier of every hypothesis. Likewise a hypothesis with
 |g| > 1e20 gets a zero row; below both limits nothing overflows, in
 float64 (dot² < 1e242) or float32 (t < 1/η), and a NaN hypothesis counts
-0 in both stages. When thr <= 2η, stage 1 is skipped and the pruned loop
-runs the float64 test on every hypothesis; otherwise thr - η > η keeps t
+0 in both stages. When thr <= 2η, stage 1 is skipped and every
+hypothesis is a candidate of stage 2; otherwise thr - η > η keeps t
 finite. And C >= M / 255, so a chunk never holds more than 255 voters
 and its uint8 counts are exact.
 
@@ -97,7 +99,6 @@ from .geometry import EPS_NORM, EPS_PARALLEL
 class VotingConfig:
     num_samples: int = 512
     inlier_cos_threshold: float = 0.99
-    refine: bool = True
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -190,11 +191,11 @@ def _inliers(hx, hy, voters, work):
     """Bool table: voter is an inlier of hypothesis (hx, hy) (see module docstring).
 
     hx, hy and the voter columns of ``_voters`` broadcast against each
-    other: (1, n) hypothesis rows against (m, 1) voter columns give an
-    (m, n) table, scalars against (M,) columns one row. With d = h - p
-    and dot = d·v, the test is d² >= 0.25, dot >= 0 and
-    dot² >= thr²·d²·|v|². work holds four float and two bool arrays of
-    the result's shape to compute in; the result is work[4].
+    other: (n, 1) hypothesis columns against the (M,) voter columns give
+    an (n, M) table, scalars one row. With d = h - p and dot = d·v, the
+    test is d² >= 0.25, dot >= 0 and dot² >= thr²·d²·|v|². work holds
+    four float and two bool arrays of the result's shape to compute in;
+    the result is work[4].
     """
     px, py, vx, vy, weight = voters
     dx, dy, dot, tmp, ok, cond = work
@@ -231,19 +232,20 @@ def _stride(n_hyp, n_voters):
     return max(16, -(-n_hyp // 32), -(-n_voters // _MAX_CHUNK))
 
 
-def _chunks(voters, stride):
-    """The voters in strided chunks of (m, 1) column views.
+def _exact_counts(locs, voters, work):
+    """Exact inlier count of each hypothesis of (n, 2) locs over all voters.
 
-    Chunk c holds voters c, c + C, c + 2C, ... Chunks left empty by fewer
-    voters than C are left out.
+    The hypotheses go in blocks of as many as keep each (block, M) table
+    within work, which must hold at least M cells.
     """
-    return [tuple(a[c::stride, None] for a in voters) for c in range(min(stride, len(voters[0])))]
-
-
-def _chunk_counts(hx, hy, chunk, work):
-    """Exact inlier count of each hypothesis column of (1, n) hx, hy on one chunk."""
-    ok = _inliers(hx, hy, chunk, _tables(work, (len(chunk[0]), hx.shape[1])))
-    return np.add.reduce(ok.view(np.uint8), axis=0, dtype=np.intp)
+    m = len(voters[0])
+    block = len(work) // (_CELL_BYTES * m)
+    counts = np.empty(len(locs), dtype=np.intp)
+    for s in range(0, len(locs), block):
+        h = locs[s:s + block]
+        ok = _inliers(h[:, :1], h[:, 1:], voters, _tables(work, (len(h), m)))
+        counts[s:s + block] = np.add.reduce(ok.view(np.uint8), axis=1, dtype=np.intp)
+    return counts
 
 
 def _loose_operands(locs, voters, threshold, stride):
@@ -291,39 +293,30 @@ def _loose_counts(rows, mat, work):
     return np.add.reduce(ok.view(np.uint8), axis=0, dtype=np.uint8)
 
 
-def _prune(count, hyps, counts, best, sizes):
-    """The hypotheses that can still reach best, and their full counts.
+def _prune(rows, mats, counts, best, work):
+    """The hypotheses whose loose count can still reach best, and their
+    loose counts.
 
-    hyps has one column per hypothesis on its last axis and counts holds
-    their counts on chunk 0; count(hyps, c) counts them on chunk c, whose
-    size is sizes[c]. Before each chunk a hypothesis is kept only while
-    its count so far plus the size of the chunks still to come is >=
-    best. Returns the survivors' indices, ascending, and full counts.
+    counts holds the loose counts of the columns of rows on chunk 0 of
+    the voter matrices mats. Before each further chunk a hypothesis is
+    kept only while its count so far plus the number of voters in the
+    chunks still to come is >= best. Returns the survivors' indices,
+    ascending, and their full loose counts.
     """
-    idx = np.arange(hyps.shape[-1])
+    idx = np.arange(rows.shape[1])
     counts = counts.astype(np.intp)
+    sizes = [len(mat) // 2 for mat in mats]
     remaining = sum(sizes[1:])
-    for c in range(1, len(sizes)):
+    for mat, size in zip(mats[1:], sizes[1:]):
         keep = counts + remaining >= best
-        idx, hyps, counts = (np.compress(keep, a, axis=-1) for a in (idx, hyps, counts))
-        counts += count(hyps, c)
-        remaining -= sizes[c]
+        idx, rows, counts = (np.compress(keep, a, axis=-1) for a in (idx, rows, counts))
+        counts += _loose_counts(rows, mat, work)
+        remaining -= size
     return idx, counts
 
 
-def _exact_counter(voters, stride, work):
-    """count(hxy, c), the exact counts of the (2, 1, n) hypotheses hxy on
-    chunk c of the given stride, and the chunk sizes."""
-    chunks = _chunks(voters, stride)
-
-    def count(hxy, c):
-        return _chunk_counts(hxy[0], hxy[1], chunks[c], work)
-
-    return count, [len(chunk[0]) for chunk in chunks]
-
-
 def _pruned_counts(locs, voters, threshold):
-    """Hypotheses that survive both stages (see module docstring).
+    """Stage 2's candidates and their exact counts (see module docstring).
 
     Returns their indices, ascending, and their exact inlier counts;
     every hypothesis with the maximum count is among them.
@@ -331,29 +324,15 @@ def _pruned_counts(locs, voters, threshold):
     m = len(voters[0])
     stride = _stride(len(locs), m)
     loose = _loose_operands(locs, voters, threshold, stride)
-    cells = -(-m // stride) * len(locs)
-    work = _workspace(cells)
-    hxy = locs.T.copy().reshape(2, 1, -1)
-    if loose is None:
-        hyps, (count, sizes) = hxy, _exact_counter(voters, stride, work)
-    else:
-        hyps, mats = loose
-        sizes = [len(mat) // 2 for mat in mats]
-
-        def count(rows, c):
-            return _loose_counts(rows, mats[c], work)
-
-    counts = count(hyps, 0)
-    best = np.count_nonzero(_inlier_row(locs[np.argmax(counts)], voters))
-    idx, counts = _prune(count, hyps, counts, best, sizes)
-    if loose is None:
-        return idx, counts
-    cand = idx[counts >= best]
-    hxy = hxy[..., cand]
-    # as few chunks as keep each exact table within the cells of work
-    count, sizes = _exact_counter(voters, -(-m // (cells // len(cand))), work)
-    idx, counts = _prune(count, hxy, count(hxy, 0), best, sizes)
-    return cand[idx], counts
+    work = _workspace(max(-(-m // stride) * len(locs), m))
+    cand = np.arange(len(locs))
+    if loose is not None:
+        rows, mats = loose
+        counts = _loose_counts(rows, mats[0], work)
+        best = np.count_nonzero(_inlier_row(locs[np.argmax(counts)], voters))
+        idx, counts = _prune(rows, mats, counts, best, work)
+        cand = idx[counts >= best]
+    return cand, _exact_counts(locs[cand], voters, work)
 
 
 def _ill_conditioned(A):
@@ -406,11 +385,10 @@ def _refine_location(best, voters, inliers):
     return x if cost(x) <= cost(best) else best
 
 
-def vote_keypoint(field, mask, cfg: VotingConfig):
-    """Best-voted keypoint location and its vote count.
+def _winner(field, mask, cfg: VotingConfig):
+    """The most-voted hypothesis before refinement, its votes and the voters.
 
-    Ties go to the lexicographically smallest (x, y) location. With
-    cfg.refine the winner is re-estimated from its inlier rays.
+    Ties go to the lexicographically smallest (x, y) location.
     """
     pts, dirs = _masked_pixels(field, mask)
     locs = _hypothesis_locations(pts, dirs, cfg)
@@ -424,7 +402,11 @@ def vote_keypoint(field, mask, cfg: VotingConfig):
     cand = idx[votes == best_votes]
     # lexicographic (x, y) tie-break
     order = np.lexsort((locs[cand, 1], locs[cand, 0]))
-    best = locs[cand[order[0]]]
-    if cfg.refine:
-        best = _refine_location(best, voters, _inlier_row(best, voters))
-    return np.asarray(best, dtype=float), int(best_votes)
+    return locs[cand[order[0]]], int(best_votes), voters
+
+
+def vote_keypoint(field, mask, cfg: VotingConfig):
+    """Best-voted keypoint location, re-estimated from its inlier rays, and
+    its vote count (see ``_winner``)."""
+    best, votes, voters = _winner(field, mask, cfg)
+    return _refine_location(best, voters, _inlier_row(best, voters)), votes

@@ -618,6 +618,14 @@ class TestTrainAndReport:
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_more_epochs_than_the_schedule_float_holds(self, scenes_dir, tmp_path):
+        # 1,800 one-iteration epochs: BETA_FACTOR ** epoch overflows a float
+        out = tmp_path / "t"
+        assert main(["train", "--scenes", scenes_dir, "--out", str(out), "--mode", "vf_plus_dpvl",
+                     "--seeds", "0", "--iters", "1800", "--iters-per-epoch", "1",
+                     "--scene-limit", "1"]) == 0
+        assert (out / "manifest.json").exists()
+
     def test_report(self, train_dir, tmp_path):
         out = str(tmp_path / "report")
         assert main(["report", "--traces", train_dir, "--out", out]) == 0

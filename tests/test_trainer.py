@@ -61,6 +61,13 @@ class TestSchedule:
         betas = [_beta(TrainConfig(), e) for e in range(60)]
         assert all(b >= a for a, b in zip(betas, betas[1:]))
 
+    def test_past_the_float_range(self):
+        # BETA_FACTOR ** epoch overflows a float from epoch 1,751 on
+        for cfg in (TrainConfig(), TrainConfig(beta0=0.0), TrainConfig(beta0=1e-300)):
+            assert _beta(cfg, 1750) == min(cfg.beta0 * 1.5 ** 1750, cfg.beta_cap)
+        assert _beta(TrainConfig(), 1751) == _beta(TrainConfig(), 10 ** 6) == 1e-2
+        assert _beta(TrainConfig(beta0=0.0), 1751) == 0.0
+
     def test_invalid_schedule(self):
         with pytest.raises(ValueError):
             TrainConfig(beta0=1e-2, beta_cap=1e-3)

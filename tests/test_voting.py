@@ -9,10 +9,10 @@ from proxyvote.errors import InsufficientSupportError, NoValidHypothesisError
 from proxyvote.geometry import Intrinsics
 from proxyvote.model_tools import farthest_point_sampling
 from proxyvote.synth import NoiseSpec, PoseRanges, corrupt, make_scene, sample_pose
-from proxyvote.voting import (VotingConfig, _chunk_counts, _chunks, _hypothesis_locations,
+from proxyvote.voting import (VotingConfig, _exact_counts, _hypothesis_locations,
                               _ill_conditioned, _inlier_row, _inliers, _loose_counts,
                               _loose_operands, _masked_pixels, _refine_location, _stride,
-                              _tables, _voters, _workspace, vote_keypoint)
+                              _tables, _voters, _winner, _workspace, vote_keypoint)
 
 K = np.array([20.3, 41.7])
 
@@ -177,16 +177,19 @@ def parity_field(kind, mask, rng):
 
 
 def package_counts(hyps, field, mask, thr=0.99):
-    """Unpruned counts from the chunk tables: every hypothesis on every chunk."""
+    """Unpruned counts from the exact counter: every hypothesis on every voter,
+    in blocks of 64 hypotheses."""
     voters = _voters(*_masked_pixels(field, mask), thr)
-    chunks = _chunks(voters, _stride(len(hyps), len(voters[0])))
-    hx, hy = hyps.T.copy().reshape(2, 1, -1)
-    work = _workspace(len(chunks[0][0]) * len(hyps))
-    return sum(_chunk_counts(hx, hy, chunk, work) for chunk in chunks)
+    return _exact_counts(hyps, voters, _workspace(64 * len(voters[0])))
+
+
+def raw_vote(field, mask, cfg):
+    """vote_keypoint's location before refinement, and its votes."""
+    return _winner(field, mask, cfg)[:2]
 
 
 class TestInlierParity:
-    """The chunked squared-form counts equal the cosine rule exactly."""
+    """The blocked squared-form counts equal the cosine rule exactly."""
 
     @pytest.mark.parametrize("kind", ["noisy", "half_flipped", "zero_dirs"])
     @pytest.mark.parametrize("n_hyp", [1, 63, 64, 65, 513])
@@ -231,7 +234,7 @@ class TestInlierParity:
     def test_winner_votes_are_its_inlier_count(self, seed):
         mask = disc_mask(48, 48, center=(24, 24), radius=12)
         field = parity_field("half_flipped", mask, np.random.default_rng(seed))
-        raw, votes = vote_keypoint(field, mask, VotingConfig(rng_seed=seed, refine=False))
+        raw, votes = raw_vote(field, mask, VotingConfig(rng_seed=seed))
         assert votes == row_count(raw, field, mask, 0.99)
         _, refined_votes = vote_keypoint(field, mask, VotingConfig(rng_seed=seed))
         assert refined_votes == votes
@@ -242,8 +245,8 @@ def bits(loc):
 
 
 def assert_matches_dense_vote(field, mask, cfg):
-    """vote_keypoint(refine=False) equals the unpruned oracle bit for bit."""
-    loc, votes = vote_keypoint(field, mask, cfg)
+    """The raw winner equals the unpruned oracle bit for bit."""
+    loc, votes = raw_vote(field, mask, cfg)
     want_loc, want_votes = oracle_vote(sample_hypotheses(field, mask, cfg), field, mask)
     assert votes == want_votes
     assert np.array_equal(bits(loc), bits(want_loc))
@@ -277,15 +280,14 @@ class TestPrunedVoteParity:
     def test_matches_dense_vote(self, kind, seed):
         mask = disc_mask(48, 48, center=(24, 24), radius=12)
         field = parity_field(kind, mask, np.random.default_rng(100 + seed))
-        assert_matches_dense_vote(field, mask, VotingConfig(rng_seed=seed, refine=False))
+        assert_matches_dense_vote(field, mask, VotingConfig(rng_seed=seed))
 
     def test_more_hypotheses_than_a_table_holds(self):
         # 1,500 samples: more chunks than the default 16, each with fewer voters
         mask = disc_mask(48, 48, center=(24, 24), radius=12)
         field = parity_field("half_flipped", mask, np.random.default_rng(7))
         assert _stride(1500, np.count_nonzero(mask)) > 16
-        assert_matches_dense_vote(field, mask, VotingConfig(num_samples=1500, rng_seed=7,
-                                                            refine=False))
+        assert_matches_dense_vote(field, mask, VotingConfig(num_samples=1500, rng_seed=7))
 
     @pytest.mark.parametrize("n_px", range(2, 16))
     def test_fewer_voters_than_chunks(self, n_px):
@@ -293,8 +295,7 @@ class TestPrunedVoteParity:
         mask = np.zeros((16, 16), bool)
         mask.flat[rng.choice(mask.size, n_px, replace=False)] = True
         field = rotate_field(exact_field(mask, K / 4), mask, 20.0, rng)
-        for cfg in (VotingConfig(rng_seed=n_px, refine=False),
-                    VotingConfig(num_samples=16, rng_seed=n_px, refine=False)):
+        for cfg in (VotingConfig(rng_seed=n_px), VotingConfig(num_samples=16, rng_seed=n_px)):
             assert_matches_dense_vote(field, mask, cfg)
 
     def test_exact_ties_keep_the_dense_tie_break(self):
@@ -302,7 +303,7 @@ class TestPrunedVoteParity:
         # tie at 64 votes, and the left ones, first in (x, y) order, can only
         # just reach the bound set by a right-hand chunk-0 leader
         mask, field, to_right = two_target_field(range(8))
-        cfg = VotingConfig(rng_seed=5, refine=False)
+        cfg = VotingConfig(rng_seed=5)
         hyps = sample_hypotheses(field, mask, cfg)
         counts = oracle_inlier_counts(hyps, field, mask)
         assert counts.max() == np.count_nonzero(to_right) == 64
@@ -317,7 +318,7 @@ class TestPrunedVoteParity:
         # chunks 0 to 3 point right: the chunk-0 leader is a right-hand
         # hypothesis with 32 votes, the winner a left-hand one with 96
         mask, field, _ = two_target_field(range(4))
-        cfg = VotingConfig(rng_seed=6, refine=False)
+        cfg = VotingConfig(rng_seed=6)
         hyps = sample_hypotheses(field, mask, cfg)
         assert len(hyps) <= 512  # 16 chunks
         table = oracle_inlier_table(hyps, field, mask)
@@ -331,7 +332,7 @@ class TestPrunedVoteParity:
     def test_refinement_sums_inliers_in_row_major_order(self, kind, radius):
         mask = disc_mask(48, 48, center=(24, 24), radius=radius)
         field = parity_field(kind, mask, np.random.default_rng(radius))
-        raw, votes = vote_keypoint(field, mask, VotingConfig(rng_seed=3, refine=False))
+        raw, votes = raw_vote(field, mask, VotingConfig(rng_seed=3))
         loc, refined_votes = vote_keypoint(field, mask, VotingConfig(rng_seed=3))
         voters = _voters(*_masked_pixels(field, mask), 0.99)
         eligible = np.hypot(*field[mask].T) >= 1e-8
@@ -373,15 +374,15 @@ class TestTwoStageParity:
         rng = np.random.default_rng(40 + case)
         field, mask = adversarial_field(("wide", "tall", "small")[case % 3], rng)
         threshold = THRESHOLDS[thr_index]
-        for refine in (False, True):
-            cfg = VotingConfig(num_samples=num_samples, inlier_cos_threshold=threshold,
-                               rng_seed=case, refine=refine)
+        cfg = VotingConfig(num_samples=num_samples, inlier_cos_threshold=threshold,
+                           rng_seed=case)
+        for vote, refine in ((raw_vote, False), (vote_keypoint, True)):
             want = oracle_squared_vote(field, mask, num_samples, threshold, case, refine)
             if want is None:
                 with pytest.raises(NoValidHypothesisError):
-                    vote_keypoint(field, mask, cfg)
+                    vote(field, mask, cfg)
                 continue
-            loc, votes = vote_keypoint(field, mask, cfg)
+            loc, votes = vote(field, mask, cfg)
             assert votes == want[1]
             assert np.array_equal(bits(loc), bits(want[0]))
 
@@ -483,17 +484,22 @@ class TestLooseSuperset:
                            cloud, intr, 128, 128)
         scene = corrupt(make_scene(cloud, keys, pose, intr, 128, 128),
                         NoiseSpec(angular_sigma=5.0, flip_prob=0.1, occlusion_frac=0.2, rng_seed=5))
-        sizes, prune = [], voting._prune
+        stage1, stage2 = [], []
+        prune, exact_counts = voting._prune, voting._exact_counts
 
-        def spy(count, hyps, counts, best, chunk_sizes):
-            sizes.append(hyps.shape[-1])
-            return prune(count, hyps, counts, best, chunk_sizes)
+        def prune_spy(rows, *args):
+            stage1.append(rows.shape[1])
+            return prune(rows, *args)
 
-        monkeypatch.setattr(voting, "_prune", spy)
+        def exact_counts_spy(locs, *args):
+            stage2.append(len(locs))
+            return exact_counts(locs, *args)
+
+        monkeypatch.setattr(voting, "_prune", prune_spy)
+        monkeypatch.setattr(voting, "_exact_counts", exact_counts_spy)
         for k, field in enumerate(scene.gt_fields):
             vote_keypoint(field, scene.mask, VotingConfig(rng_seed=k))
-        stage1, stage2 = sizes[0::2], sizes[1::2]
-        assert len(stage2) == 8 and min(stage1) > 500
+        assert len(stage1) == len(stage2) == 8 and min(stage1) > 500
         assert np.median(stage2) <= 64
 
 
@@ -572,8 +578,8 @@ class TestVoteKeypoint:
         mask = disc_mask(48, 48, center=(24, 24), radius=16)
         rng = np.random.default_rng(21)
         field = rotate_field(exact_field(mask, K), mask, 8.0, rng)
-        raw_loc, _ = vote_keypoint(field, mask, VotingConfig(rng_seed=2, refine=False))
-        ref_loc, _ = vote_keypoint(field, mask, VotingConfig(rng_seed=2, refine=True))
+        raw_loc, _ = raw_vote(field, mask, VotingConfig(rng_seed=2))
+        ref_loc, _ = vote_keypoint(field, mask, VotingConfig(rng_seed=2))
 
         def cost(q):
             ii, jj = np.nonzero(mask)
@@ -599,7 +605,7 @@ class TestVoteKeypoint:
         rng = np.random.default_rng(31)
         field = rotate_field(exact_field(mask, K), mask, 5.0, rng)
         stats = oracle_all_pairs_vote(field, mask, K)
-        loc, votes = vote_keypoint(field, mask, VotingConfig(rng_seed=6, refine=False))
+        loc, votes = raw_vote(field, mask, VotingConfig(rng_seed=6))
         assert votes >= 0.9 * stats.best_votes
 
 
