@@ -22,9 +22,12 @@ textbook update in the same order, so its bits are those of
 m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
 x -= lr m̂ / (sqrt(v̂) + eps).
 
-A fit ends by voting its fields with ``vote_keypoints``, the loop that
-``vote`` and ``eval`` share too. ``run_experiment`` saves each fitted
-field stack as a scene for them; the trainer scores no pose.
+A fit ends by voting its fields with ``vote_keypoints``, which ``vote``
+and ``eval`` share too: it calls ``vote_keypoint`` once per keypoint,
+the K calls sharing one ``voting.SceneVote`` pass, and turns each
+keypoint's failure into a "keypoint i: reason" entry. ``run_experiment``
+saves each fitted field stack as a scene for them; the trainer scores no
+pose.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ import numpy as np
 from .errors import DivergenceError, ProxyVoteError
 from .geometry import pixel_centers
 from .losses import PlanarLosses, planar
-from .synth import SceneSample, _fmt, save_scene, write_atomic
-from .voting import VotingConfig, vote_keypoint
+from .synth import SceneSample, save_scene, write_atomic
+from .voting import SceneVote, VotingConfig, vote_keypoint
 
 MODES = ("vf_only", "vf_plus_dpvl", "dpvl_only")
 
@@ -94,10 +97,11 @@ class TrainTrace:
     keypoint_errors: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def to_csv(self, path):
-        cols = (self.l_vf, self.l_pv, self.mean_proxy_dist, self.beta)
-        lines = ["iter,l_vf,l_pv,mean_proxy_dist,beta"]
-        lines += [",".join([str(int(it))] + [_fmt(c[i]) for c in cols])
-                  for i, it in enumerate(self.iters)]
+        # a column at a time: repr of .tolist()'s floats is synth._fmt's text
+        cols = [map(str, np.asarray(self.iters).astype(int).tolist())]
+        cols += [map(repr, np.asarray(c, dtype=float).tolist())
+                 for c in (self.l_vf, self.l_pv, self.mean_proxy_dist, self.beta)]
+        lines = ["iter,l_vf,l_pv,mean_proxy_dist,beta", *map(",".join, zip(*cols))]
         write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -123,15 +127,17 @@ def random_init_field(sample: SceneSample, rng) -> np.ndarray:
 
 
 def vote_keypoints(fields, mask, cfg: VotingConfig):
-    """Each (H, W, 2) field of the stack voted over mask with cfg: the (K, 2)
-    locations and (K,) votes, NaN and 0 where a keypoint failed, and one
-    "keypoint i: reason" per failure. Only a ProxyVoteError is a failure."""
+    """Each (H, W, 2) field of the stack voted over mask with cfg, the K
+    votes sharing one ``SceneVote`` pass: the (K, 2) locations and (K,)
+    votes, NaN and 0 where a keypoint failed, and one "keypoint i: reason"
+    per failure. Only a ProxyVoteError is a failure."""
     locs = np.full((len(fields), 2), np.nan)
     votes = np.zeros(len(fields), dtype=int)
     failures = []
+    scene = SceneVote(fields, mask, cfg)
     for ki, f in enumerate(fields):
         try:
-            locs[ki], votes[ki] = vote_keypoint(f, mask, cfg)
+            locs[ki], votes[ki] = vote_keypoint(f, mask, cfg, scene, ki)
         except ProxyVoteError as e:
             failures.append(f"keypoint {ki}: {e}")
     return locs, votes, failures

@@ -16,68 +16,92 @@ threshold. The squared form needs no square root or division per
 pixel-hypothesis pair, and it is the one test that counting, scoring the
 hypotheses and refining the winner all use.
 
-Two-stage counting. The voters (masked pixels with |v| >= EPS_NORM) are
-split once into C = max(16, ceil(n / 32), ceil(M / 255)) strided chunks,
-for n hypotheses and M voters: chunk c holds voters c, c + C, c + 2C, ...
-of the row-major order, so each chunk is a spatially uniform sample of
-the mask. Stage 1 counts every hypothesis with a loose float32 test that
-accepts every cell the float64 test accepts, so its count is an upper
-bound of the exact one, and it prunes against best, the exact count of
-the hypothesis that leads stage 1 on chunk 0: each hypothesis is counted
-on chunk 0, and before each further chunk it is kept only while its
-count so far plus the number of voters in the chunks still to come is
->= best. Its candidates are the hypotheses whose loose count reaches
-best. Stage 2 counts the candidates exactly, with the float64 test, on
-all voters in one flat pass. A hypothesis that is not a candidate thus
-has an exact count below best, and best is at most the maximum count,
-so it can neither win nor tie. Every hypothesis with the maximum count
-is a candidate and gets its exact count, and the winner, its (x, y)
-tie-break, its inlier row and the refinement are those of a dense
-float64 count, bit for bit. The float32 rounding, the BLAS kernel and
-its thread count only decide which hypotheses reach stage 2, never an
-output. One workspace of 34 bytes per cell (four float64 and two bool
-tables) serves both stages. It holds the cells of stage 1's first chunk,
-and at least one hypothesis over all voters; stage 1 views 9 bytes per
-cell of it, and stage 2 counts its candidates in blocks of as many as it
-holds. Stage 1's tables hold voters on rows and hypotheses contiguous,
-stage 2's hypotheses on rows and voters contiguous.
+One pass per scene. The K fields of a scene share one pass, with one
+config (``SceneVote``); ``vote_keypoint`` votes one keypoint of it, or
+one field as a stack of one. The masked pixels and their (K, M, 2)
+directions are gathered once, and one draw of n pixel pairs serves every
+keypoint. A pair forms a hypothesis for keypoint k unless it is one
+pixel twice, or its two directions for k are parallel or shorter than
+EPS_NORM; the other entries of the (K, n) hypothesis table are NaN pads.
+Each keypoint goes on with its own valid hypotheses, in draw order, and
+its own voters (the masked pixels whose direction for k has |v| >=
+EPS_NORM), so its vote is the one it would get alone; a keypoint without
+a hypothesis fails alone.
 
-The loose test. With o the voters' mean, q = p - o, g = h - o and the
-unit direction u = v/|v|, the float32 test is |d × u| <= t·(d·u) with
-t = tan(arccos(thr - η)), that is cos(d, v) >= thr - η, and it drops
-the |d| >= 0.5 test. Both sides are affine in g: t·(d·u) = t·(g·u - q·u)
-and d × u = g × u - q × u. So one float32 matmul per chunk, of the
-(2m, 3) matrix with rows t·[ux, uy, -q·u] and then [uy, -ux, -q × u]
-for its m voters, by the (3, n) rows [gx; gy; 1], gives both tables;
-one comparison and a uint8 sum over the chunk finish it.
+Two-stage counting. The M masked pixels are split once, for all
+keypoints, into C = max(16, ceil(n / 32), ceil(M / 255)) strided chunks
+(at most M): chunk c holds pixels c, c + C, c + 2C, ... of the row-major
+order, padded to m = ceil(M / C) rows, so each chunk is a spatially
+uniform sample of the mask. Stage 1 counts every hypothesis with a loose
+float32 test that accepts every cell the float64 test accepts, so its
+count is an upper bound of the exact one. A pixel that does not vote
+for keypoint k, and a pad, gets a row that accepts no hypothesis of k
+but a far one (see below), so k's loose counts bound its own exact
+counts. The keypoints go in groups of _GROUP = 3: the group's stage-1
+matrices are built, and its chunk 0 counted by one batched matmul, when
+its first keypoint is voted. Then, per keypoint, best is the largest
+exact count among the _LEADERS = 8 hypotheses with the highest chunk-0
+counts, and stage 1 prunes against it: before each further chunk a
+hypothesis is kept only while its count so far plus the number of
+pixels in the chunks still to come is >= best. Its candidates are the hypotheses whose loose
+count reaches best. Stage 2 counts the candidates exactly, with the
+float64 test, on all of k's voters in one flat pass. A hypothesis that
+is not a candidate thus has an exact count below best, and best is at
+most the maximum count, so it can neither win nor tie. Every hypothesis
+with the maximum count is a candidate and gets its exact count, and the
+winner, its (x, y) tie-break, its inlier row and the refinement are
+those of a dense float64 count, bit for bit; a NaN pad is never a
+candidate, even when the maximum count is 0. The float32 rounding, the
+BLAS kernel and its thread count, the batching and the choice of best
+only decide which hypotheses reach stage 2, never an output. One
+workspace of 34 bytes per cell (four float64 and two bool tables)
+serves both stages and every keypoint. It holds the cells of chunk 0
+over all n pairs, and at least M cells, that is one hypothesis over all
+voters. Stage 1 views 9 bytes per cell of it per keypoint, so one
+batched matmul fills the chunk-0 tables of 3 keypoints, and stage 2
+counts its candidates in blocks of as many as it holds. Stage 1's tables
+hold pixels on rows and hypotheses contiguous, stage 2's hypotheses on
+rows and voters contiguous.
+
+The loose test. With o the masked pixels' mean, q = p - o, g = h - o
+and the unit direction u = v/|v|, the float32 test is |d × u| <=
+t·(d·u) with t = tan(arccos(thr - η)), that is cos(d, v) >= thr - η, and
+it drops the |d| >= 0.5 test. Both sides are affine in g: t·(d·u) =
+t·(g·u - q·u) and d × u = g × u - q × u. So one float32 matmul per
+chunk, of the (2m, 3) matrix with rows t·[ux, uy, -q·u] and then [uy,
+-ux, -q × u] for its m pixels, by the (3, n) rows [gx; gy; 1], gives
+both tables; one comparison and a uint8 sum over the chunk finish it. A
+non-voter's or pad's rows are 0 and [0, 0, 1]: t·dot = 0 < 1 = |cross|
+for every finite hypothesis row.
 
 Why η = 16·u·(1 + 4B), with u = 2^-24 the float32 unit roundoff and
-B = max |q|, makes the loose test a superset. Take a cell that the
-float64 test accepts: its angle φ between d and v has cos φ >= thr - ε
-with ε below 1e-14 (a few float64 roundings), and |d| >= 0.5. Each
-float32 entry is a sum of three products of factors rounded once from
-float64, so it is off by at most about 5u times the sum of the absolute
-products, and less than E = 5.1u·(|g| + B) for the cross table and t·E
-for the dot table, float64 roundings included. The float32 test then
-accepts whenever t·(d·u) - |d × u| >= (1 + t)·E. The left side is
-|d|·sin(θ - φ)/cos θ, with cos θ = thr - η; as 0 < θ - φ < π/2,
-sin(θ - φ) >= (cos φ - cos θ)/√2 >= (η - ε)/√2, and cos θ + sin θ <= √2,
-so η >= ε + 2E/|d| suffices. Since |g| <= |d| + B and |d| >= 0.5,
-2E/|d| <= 10.2u·(1 + 4B), which 16u·(1 + 4B) covers with room for ε
-and for float32 underflow (at most 2^-126 per term, times |g|). Taking
-coordinates relative to o makes η scale with the mask's extent, not with
-its place in the image: about 1.1e-4 for the 128² scenes of the bench
-(B ≈ 28 px).
+B = max |q| over the masked pixels, makes the loose test a superset.
+Take a cell that the float64 test accepts: its angle φ between d and v
+has cos φ >= thr - ε with ε below 1e-14 (a few float64 roundings), and
+|d| >= 0.5. Each float32 entry is a sum of three products of factors
+rounded once from float64, so it is off by at most about 5u times the
+sum of the absolute products, and less than E = 5.1u·(|g| + B) for the
+cross table and t·E for the dot table, float64 roundings included. The
+float32 test then accepts whenever t·(d·u) - |d × u| >= (1 + t)·E. The
+left side is |d|·sin(θ - φ)/cos θ, with cos θ = thr - η; as
+0 < θ - φ < π/2, sin(θ - φ) >= (cos φ - cos θ)/√2 >= (η - ε)/√2, and
+cos θ + sin θ <= √2, so η >= ε + 2E/|d| suffices. Since |g| <= |d| + B
+and |d| >= 0.5, 2E/|d| <= 10.2u·(1 + 4B), which 16u·(1 + 4B) covers
+with room for ε and for float32 underflow (at most 2^-126 per term,
+times |g|). The argument holds for any origin o with |q| <= B for every
+voter; taking o and B over the masked pixels lets all K keypoints share
+them, and makes η scale with the mask's extent, not with its place in
+the image: about 1.1e-4 for the 128² scenes of the bench (B ≈ 28 px).
 
 Three rules keep the argument valid. A voter with |v| >= 1e100 gets a
 zero matrix row: its float64 test may overflow and accept, and 0 <= 0
 makes it a loose inlier of every hypothesis. Likewise a hypothesis with
-|g| > 1e20 gets a zero row; below both limits nothing overflows, in
-float64 (dot² < 1e242) or float32 (t < 1/η), and a NaN hypothesis counts
-0 in both stages. When thr <= 2η, stage 1 is skipped and every
-hypothesis is a candidate of stage 2; otherwise thr - η > η keeps t
-finite. And C >= M / 255, so a chunk never holds more than 255 voters
-and its uint8 counts are exact.
+|g| > 1e20 gets a zero row, which every pixel row accepts; below both
+limits nothing overflows, in float64 (dot² < 1e242) or float32
+(t < 1/η), and a NaN hypothesis counts 0 in both stages. When thr <= 2η,
+stage 1 is skipped and every hypothesis is a candidate of stage 2;
+otherwise thr - η > η keeps t finite. And C >= M / 255, so a chunk never
+holds more than 255 rows and its uint8 counts are exact.
 
 Refinement sums over the winner's inliers in the original row-major
 order, not the chunk order: the order of a float sum decides its last
@@ -108,44 +132,45 @@ class VotingConfig:
             raise ValueError("inlier_cos_threshold must be in (0, 1)")
 
 
-def _masked_pixels(field, mask):
-    """Centres (j + 0.5, i + 0.5) and directions of the masked pixels, (M, 2) each.
+def _scene_pixels(fields, mask):
+    """Centres (j + 0.5, i + 0.5) of the masked pixels, (M, 2), and the
+    directions of each of the K fields there, (K, M, 2).
 
     Row-major order, the same values as ``pixel_centers(h, w)[mask]``.
     """
-    field = np.asarray(field, dtype=float)
     ii, jj = np.nonzero(np.asarray(mask, dtype=bool))
     pts = np.stack([jj + 0.5, ii + 0.5], axis=-1)
-    return pts, field[ii, jj]
+    return pts, np.asarray(fields, dtype=float)[:, ii, jj]
 
 
-def _hypothesis_locations(pts, dirs, cfg: VotingConfig) -> np.ndarray:
-    """(n, 2) intersections of the rays of sampled pixel pairs; deterministic per seed.
+def _hypotheses(pts, dirs, cfg: VotingConfig):
+    """(K, n, 2) intersections of the rays of n sampled pixel pairs, one row
+    per field of the (K, M, 2) dirs, and the (K, n) bool of the valid ones.
 
-    Pairs of parallel or near-zero directions give none, so n may be 0.
+    Every field samples the same pairs, deterministic per seed; pairs of
+    one pixel twice are dropped. A pair of parallel or near-zero
+    directions forms no hypothesis for that field: its entry is NaN and
+    not valid. Needs M >= 2.
     """
-    m = len(pts)
-    if m < 2:
-        raise InsufficientSupportError(f"need >= 2 masked pixels, got {m}")
     rng = np.random.default_rng(cfg.rng_seed)
-    ia = rng.integers(0, m, cfg.num_samples)
-    ib = rng.integers(0, m, cfg.num_samples)
+    ia = rng.integers(0, len(pts), cfg.num_samples)
+    ib = rng.integers(0, len(pts), cfg.num_samples)
     keep = ia != ib
-    p1, v1 = pts[ia[keep]], dirs[ia[keep]]
-    p2, v2 = pts[ib[keep]], dirs[ib[keep]]
+    ia, ib = ia[keep], ib[keep]
+    p1 = pts[ia]
+    d = pts[ib] - p1
+    v1, v2 = dirs[:, ia], dirs[:, ib]
 
-    cross = v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
-    n1 = np.hypot(v1[:, 0], v1[:, 1])
-    n2 = np.hypot(v2[:, 0], v2[:, 1])
+    cross = v1[..., 0] * v2[..., 1] - v1[..., 1] * v2[..., 0]
+    n1 = np.hypot(v1[..., 0], v1[..., 1])
+    n2 = np.hypot(v2[..., 0], v2[..., 1])
     ok = (n1 >= EPS_NORM) & (n2 >= EPS_NORM)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ok &= np.abs(cross) >= EPS_PARALLEL * n1 * n2
-    if not np.any(ok):
-        return np.empty((0, 2))
-    p1, v1, p2, v2, cross = p1[ok], v1[ok], p2[ok], v2[ok], cross[ok]
-    d = p2 - p1
-    t1 = (d[:, 0] * v2[:, 1] - d[:, 1] * v2[:, 0]) / cross
-    return p1 + t1[:, None] * v1
+        t1 = (d[:, 0] * v2[..., 1] - d[:, 1] * v2[..., 0]) / cross
+        locs = p1 + t1[..., None] * v1
+    locs[~ok] = np.nan
+    return locs, ok
 
 
 def _voters(pts, dirs, threshold):
@@ -161,16 +186,21 @@ def _voters(pts, dirs, threshold):
 # Bytes per cell of the counting workspace: four float64 and two bool
 # tables for the exact test; the loose test views the same bytes.
 _CELL_BYTES = 4 * 8 + 2
-# Voters per chunk at most, so that a chunk's loose counts fit in uint8.
+# Pixels per chunk at most, so that a chunk's loose counts fit in uint8.
 _MAX_CHUNK = 255
 # Directions at least this long count as loose inliers of every
 # hypothesis: the float64 test of such a voter may overflow.
 _HUGE_DIR = 1e100
-# Hypotheses farther than this from the voters' mean count as loose
-# inliers of every voter, which keeps the float32 test finite.
+# Hypotheses farther than this from the masked pixels' mean count as
+# loose inliers of every pixel, which keeps the float32 test finite.
 _FAR = 1e20
 # Unit roundoff of float32.
 _U32 = 2.0 ** -24
+# Keypoints whose chunk-0 tables one batched matmul fills: the float32
+# table and its bool verdicts take 9 of a cell's _CELL_BYTES per keypoint.
+_GROUP = _CELL_BYTES // 9
+# Chunk-0 leaders whose largest exact count is stage 1's bound best.
+_LEADERS = 8
 
 
 def _workspace(cells):
@@ -223,13 +253,14 @@ def _inlier_row(h, voters):
     return _inliers(h[0], h[1], voters, _tables(_workspace(m), (m,)))
 
 
-def _stride(n_hyp, n_voters):
-    """C, the number of strided chunks: max(16, ceil(n_hyp / 32), ceil(M / 255)).
+def _stride(n_hyp, n_px):
+    """C, the number of strided chunks: max(16, ceil(n_hyp / 32), ceil(M / 255))
+    for M masked pixels.
 
     A chunk's (m, n) table then has about as many cells as 32 hypotheses
-    over all voters, or fewer, and no chunk holds more than 255 voters.
+    over all pixels, or fewer, and no chunk holds more than 255 pixels.
     """
-    return max(16, -(-n_hyp // 32), -(-n_voters // _MAX_CHUNK))
+    return max(16, -(-n_hyp // 32), -(-n_px // _MAX_CHUNK))
 
 
 def _exact_counts(locs, voters, work):
@@ -248,49 +279,78 @@ def _exact_counts(locs, voters, work):
     return counts
 
 
-def _loose_operands(locs, voters, threshold, stride):
-    """The stage-1 operands: (3, n) float32 hypothesis rows and one
-    (2m, 3) float32 voter matrix per chunk, or None when thr <= 2η.
+def _loose_operands(locs, pts, dirs, threshold, chunks):
+    """The stage-1 operands of K keypoints, or None when thr <= 2η: (K, 3, n)
+    float32 hypothesis rows and (K, C, 2m, 3) float32 pixel matrices, one
+    per keypoint and chunk of m = ceil(M / C) masked pixels.
 
-    Row j is [hx - ox, hy - oy, 1] of hypothesis j, or zeros beyond _FAR.
-    A chunk matrix holds t·[ux, uy, -q·u] for each of its voters, then
-    [uy, -ux, -(q × u)], with u = v/|v|, q = p - o and t = tan(arccos(thr
-    - η)), or zeros for |v| >= _HUGE_DIR. Its product with the rows is
-    t·dot over cross, d = h - p, for every voter and hypothesis.
+    Row j of keypoint k is [hx - ox, hy - oy, 1] of its hypothesis j, NaN
+    for a NaN hypothesis, or zeros beyond _FAR. Chunk c holds pixels c,
+    c + C, ... of the row-major order, padded to m. Its matrix holds
+    t·[ux, uy, -q·u] for each of its pixels, then [uy, -ux, -(q × u)],
+    with u = v/|v|, q = p - o and t = tan(arccos(thr - η)); zeros for
+    |v| >= _HUGE_DIR; and dot row 0 and cross row [0, 0, 1] for a
+    non-voter or a pad. Its product with the rows is t·dot over cross,
+    d = h - p, for every pixel and hypothesis.
     """
-    px, py, vx, vy = voters[:4]
-    ox, oy = px.mean(), py.mean()
-    qx, qy = px - ox, py - oy
-    eta = 16.0 * _U32 * (1.0 + 4.0 * np.hypot(qx, qy).max())
+    o = pts.mean(axis=0)
+    q = pts - o
+    eta = 16.0 * _U32 * (1.0 + 4.0 * np.hypot(q[:, 0], q[:, 1]).max())
     if threshold <= 2.0 * eta:
         return None
     cos = threshold - eta
     tan = np.sqrt((1.0 - cos) * (1.0 + cos)) / cos
-    g = locs - [ox, oy]
-    rows = np.ones((3, len(locs)), dtype=np.float32)
-    rows[:2] = g.T
-    rows[:, np.hypot(g[:, 0], g[:, 1]) > _FAR] = 0.0
-    norm = np.hypot(vx, vy)
-    with np.errstate(invalid="ignore"):
-        ux, uy = vx / norm, vy / norm
-    cols = np.empty((2, len(px), 3), dtype=np.float32)
-    cols[0, :, 0], cols[0, :, 1], cols[0, :, 2] = tan * ux, tan * uy, -tan * (qx * ux + qy * uy)
-    cols[1, :, 0], cols[1, :, 1], cols[1, :, 2] = uy, -ux, -(qx * uy - qy * ux)
-    cols[:, norm >= _HUGE_DIR] = 0.0
-    return rows, [cols[:, c::stride].reshape(-1, 3) for c in range(min(stride, len(px)))]
+    g = locs - o
+    rows = np.ones((len(locs), 3, locs.shape[1]), dtype=np.float32)
+    rows[:, :2] = g.transpose(0, 2, 1)
+    rows.transpose(0, 2, 1)[np.hypot(g[..., 0], g[..., 1]) > _FAR] = 0.0
+
+    # pad the pixels to C·m with zero directions, which vote for nothing
+    k, n_px = dirs.shape[:2]
+    m = -(-n_px // chunks)
+    v = np.zeros((m * chunks, 2))
+    qx, qy = np.zeros((2, m * chunks))
+    qx[:n_px], qy[:n_px] = q.T
+    mats = np.empty((k, chunks, 2, m, 3), dtype=np.float32)
+    # a keypoint at a time, so that the float64 temporaries stay one field's
+    for mat, d in zip(mats, dirs):
+        v[:n_px] = d
+        norm = np.hypot(v[:, 0], v[:, 1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ux, uy = v[:, 0] / norm, v[:, 1] / norm
+        voter = norm >= EPS_NORM
+        never = ~voter | (norm >= _HUGE_DIR)
+        ux[never], uy[never] = 0.0, 0.0  # zero rows, so a huge voter accepts all
+        qxu = -(qx * uy - qy * ux)
+        qxu[~voter] = 1.0  # cross row [0, 0, 1]: a non-voter accepts no finite row
+        # chunk c is column c of the (m, C) row-major grid of the padded pixels;
+        # slots[r, j] views column j of the dot (r = 0) or cross (r = 1) rows
+        slots, grid = mat.transpose(1, 3, 2, 0), (m, chunks)
+        slots[0, 0] = (tan * ux).reshape(grid)
+        slots[0, 1] = (tan * uy).reshape(grid)
+        slots[0, 2] = (-tan * (qx * ux + qy * uy)).reshape(grid)
+        slots[1, 0] = uy.reshape(grid)
+        slots[1, 1] = (-ux).reshape(grid)
+        slots[1, 2] = qxu.reshape(grid)
+    return rows, mats.reshape(k, chunks, 2 * m, 3)
 
 
 def _loose_counts(rows, mat, work):
     """Loose inlier count, uint8, of each hypothesis column of rows on one chunk:
-    |cross| <= t·dot, from one float32 matmul."""
-    m, n = len(mat) // 2, rows.shape[1]
-    table = work[:8 * m * n].view(np.float32).reshape(2 * m, n)
+    |cross| <= t·dot, from one float32 matmul.
+
+    Leading axes batch: (G, 2m, 3) matrices by (G, 3, n) rows give (G, n)
+    counts in one matmul.
+    """
+    batch, m, n = mat.shape[:-2], mat.shape[-2] // 2, rows.shape[-1]
+    cells = math.prod(batch) * m * n
+    table = work[:8 * cells].view(np.float32).reshape(*batch, 2 * m, n)
     np.matmul(mat, rows, out=table)
-    dot, cross = table[:m], table[m:]
+    dot, cross = table[..., :m, :], table[..., m:, :]
     np.abs(cross, out=cross)
-    ok = work[8 * m * n:9 * m * n].view(bool).reshape(m, n)
+    ok = work[8 * cells:9 * cells].view(bool).reshape(*batch, m, n)
     np.less_equal(cross, dot, out=ok)
-    return np.add.reduce(ok.view(np.uint8), axis=0, dtype=np.uint8)
+    return np.add.reduce(ok.view(np.uint8), axis=-2, dtype=np.uint8)
 
 
 def _prune(rows, mats, counts, best, work):
@@ -298,9 +358,9 @@ def _prune(rows, mats, counts, best, work):
     loose counts.
 
     counts holds the loose counts of the columns of rows on chunk 0 of
-    the voter matrices mats. Before each further chunk a hypothesis is
-    kept only while its count so far plus the number of voters in the
-    chunks still to come is >= best. Returns the survivors' indices,
+    the pixel matrices mats. Before each further chunk a hypothesis is
+    kept only while its count so far plus the number of pixels in the
+    chunks still to come, a bound of their voters, is >= best. Returns the survivors' indices,
     ascending, and their full loose counts.
     """
     idx = np.arange(rows.shape[1])
@@ -313,26 +373,6 @@ def _prune(rows, mats, counts, best, work):
         counts += _loose_counts(rows, mat, work)
         remaining -= size
     return idx, counts
-
-
-def _pruned_counts(locs, voters, threshold):
-    """Stage 2's candidates and their exact counts (see module docstring).
-
-    Returns their indices, ascending, and their exact inlier counts;
-    every hypothesis with the maximum count is among them.
-    """
-    m = len(voters[0])
-    stride = _stride(len(locs), m)
-    loose = _loose_operands(locs, voters, threshold, stride)
-    work = _workspace(max(-(-m // stride) * len(locs), m))
-    cand = np.arange(len(locs))
-    if loose is not None:
-        rows, mats = loose
-        counts = _loose_counts(rows, mats[0], work)
-        best = np.count_nonzero(_inlier_row(locs[np.argmax(counts)], voters))
-        idx, counts = _prune(rows, mats, counts, best, work)
-        cand = idx[counts >= best]
-    return cand, _exact_counts(locs[cand], voters, work)
 
 
 def _ill_conditioned(A):
@@ -385,28 +425,81 @@ def _refine_location(best, voters, inliers):
     return x if cost(x) <= cost(best) else best
 
 
-def _winner(field, mask, cfg: VotingConfig):
-    """The most-voted hypothesis before refinement, its votes and the voters.
+class SceneVote:
+    """The fields of a (K, H, W, 2) stack voted over one mask with one cfg,
+    a keypoint at a time by ``vote``, sharing one pass (module docstring).
 
-    Ties go to the lexicographically smallest (x, y) location.
+    The votes do the work, not the constructor, so that the K votes take
+    all of the scene's voting time: the first one gathers the masked
+    pixels, draws the pairs and forms every keypoint's hypotheses, and
+    the first one in each group of _GROUP keypoints builds the group's
+    stage-1 operands and counts its chunk 0. The keypoints may be voted
+    in any order, and each keypoint's vote is the one of its field alone.
     """
-    pts, dirs = _masked_pixels(field, mask)
-    locs = _hypothesis_locations(pts, dirs, cfg)
-    if len(locs) == 0:
-        raise NoValidHypothesisError("no sampled pixel pair formed a hypothesis: each was "
-                                     "one pixel twice, parallel or had a direction "
-                                     "shorter than EPS_NORM")
-    voters = _voters(pts, dirs, cfg.inlier_cos_threshold)
-    idx, votes = _pruned_counts(locs, voters, cfg.inlier_cos_threshold)
-    best_votes = votes.max()
-    cand = idx[votes == best_votes]
-    # lexicographic (x, y) tie-break
-    order = np.lexsort((locs[cand, 1], locs[cand, 0]))
-    return locs[cand[order[0]]], int(best_votes), voters
+
+    def __init__(self, fields, mask, cfg: VotingConfig):
+        self.fields, self.mask, self.cfg = fields, mask, cfg
+        self._pass = None  # pts, dirs, locs, ok, chunks, work
+        self._group = None  # first keypoint, stage-1 operands or None, chunk-0 counts
+
+    def _winner(self, k):
+        """Keypoint k's most-voted hypothesis before refinement, its votes and
+        its voters; ties go to the lexicographically smallest (x, y)."""
+        if self._pass is None:
+            pts, dirs = _scene_pixels(self.fields, self.mask)
+            if len(pts) < 2:
+                raise InsufficientSupportError(f"need >= 2 masked pixels, got {len(pts)}")
+            locs, ok = _hypotheses(pts, dirs, self.cfg)
+            chunks = min(_stride(locs.shape[1], len(pts)), len(pts))
+            work = _workspace(max(-(-len(pts) // chunks) * locs.shape[1], len(pts)))
+            self._pass = pts, dirs, locs, ok, chunks, work
+        pts, dirs, locs, ok, chunks, work = self._pass
+        sel = np.flatnonzero(ok[k])
+        if len(sel) == 0:
+            raise NoValidHypothesisError("no sampled pixel pair formed a hypothesis: each was "
+                                         "one pixel twice, parallel or had a direction shorter "
+                                         "than EPS_NORM")
+        threshold = self.cfg.inlier_cos_threshold
+        g = k - k % _GROUP
+        if self._group is None or self._group[0] != g:
+            loose = _loose_operands(locs[g:g + _GROUP], pts, dirs[g:g + _GROUP], threshold,
+                                    chunks)
+            counts0 = None if loose is None else _loose_counts(loose[0], loose[1][:, 0], work)
+            self._group = g, loose, counts0
+        _, loose, counts0 = self._group
+        hyps = locs[k, sel]
+        voters = _voters(pts, dirs[k], threshold)
+        cand = np.arange(len(sel))
+        if loose is not None:
+            rows, mats = loose[0][k - g][:, sel], loose[1][k - g]
+            counts = counts0[k - g, sel]
+            leaders = np.argsort(counts, kind="stable")[-_LEADERS:]
+            best = _exact_counts(hyps[leaders], voters, work).max()
+            idx, counts = _prune(rows, mats, counts, best, work)
+            cand = idx[counts >= best]
+        votes = _exact_counts(hyps[cand], voters, work)
+        best_votes = votes.max()
+        tied = cand[votes == best_votes]
+        # lexicographic (x, y) tie-break
+        order = np.lexsort((hyps[tied, 1], hyps[tied, 0]))
+        return hyps[tied[order[0]]], int(best_votes), voters
+
+    def vote(self, k):
+        """Keypoint k's best-voted location re-estimated from its inlier rays,
+        and its vote count; raises the ProxyVoteError that keypoint meets."""
+        hyp, votes, voters = self._winner(k)
+        return _refine_location(hyp, voters, _inlier_row(hyp, voters)), votes
 
 
-def vote_keypoint(field, mask, cfg: VotingConfig):
-    """Best-voted keypoint location, re-estimated from its inlier rays, and
-    its vote count (see ``_winner``)."""
-    best, votes, voters = _winner(field, mask, cfg)
-    return _refine_location(best, voters, _inlier_row(best, voters)), votes
+def vote_keypoint(field, mask, cfg: VotingConfig, scene=None, k=0):
+    """Best-voted keypoint location of one (H, W, 2) field over mask with
+    cfg, re-estimated from its inlier rays, and its vote count.
+
+    field is voted as a stack of one, unless scene is given: the
+    ``SceneVote`` over mask with cfg of a stack whose keypoint k is field.
+    The vote is then ``scene.vote(k)``, so that the K keypoints of a scene
+    share one pass.
+    """
+    if scene is None:
+        scene, k = SceneVote(np.asarray(field, dtype=float)[None], mask, cfg), 0
+    return scene.vote(k)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.metadata
 import json
 import os
@@ -518,6 +519,33 @@ class TestEval:
         assert lines[0].endswith(",add_s,add_s_correct")
         summary = json.loads(open(os.path.join(out, "summary.json")).read())
         assert "add_s_accuracy" in summary
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestGoldenDigests:
+    """vote and eval write the bytes they wrote before voting was batched
+    over keypoints; a change that alters them on purpose updates these."""
+
+    VOTES = "a6726ef50d6a22af38e2d39a4b702eb02572d9abe06391b5684ce81a8b01c2dc"
+    RECORDS = "3a6de35394b011b504d146f09325bdcdd1f351bfec7597061f5ed0e7d9a54626"
+    SUMMARY = "7362a344eeec352cf31f5b2f43fc40ac4946d3d42e644eeb059fd1787fac8994"
+
+    def test_vote_and_eval_outputs(self, model_file, tmp_path):
+        scenes = str(tmp_path / "scenes")
+        assert main(["gen", "--model", model_file, "--out", scenes, "--n", "3",
+                     "--seed", "11", "--z-min", "0.45", "--z-max", "0.7",
+                     "--sigma", "5", "--flip-prob", "0.1", "--occlusion", "0.2"]) == 0
+        votes = tmp_path / "vote" / "votes.csv"
+        assert main(["vote", "--scenes", scenes, "--out", str(votes), "--seed", "3"]) == 0
+        out = tmp_path / "eval"
+        assert main(["eval", "--scenes", scenes, "--model", model_file, "--out", str(out),
+                     "--symmetric", "--seed", "3"]) == 0
+        assert sha256(votes) == self.VOTES
+        assert sha256(out / "records.csv") == self.RECORDS
+        assert sha256(out / "summary.json") == self.SUMMARY
 
 
 @pytest.fixture(scope="module")

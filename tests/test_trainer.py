@@ -8,9 +8,9 @@ from oracles import oracle_fit_field
 from proxyvote import trainer
 from proxyvote.errors import DivergenceError, NoValidHypothesisError
 from proxyvote.losses import dpvl, proxy_distances, vf_loss
-from proxyvote.synth import load_scene
-from proxyvote.trainer import (MODES, TrainConfig, _beta, fit_field, random_init_field,
-                               run_experiment, substream)
+from proxyvote.synth import _fmt, load_scene
+from proxyvote.trainer import (MODES, TrainConfig, TrainTrace, _beta, fit_field,
+                               random_init_field, run_experiment, substream)
 from proxyvote.voting import VotingConfig, vote_keypoint
 
 
@@ -262,6 +262,20 @@ class TestRunExperiment:
         assert data.shape == (50, 5)
         assert np.array_equal(data[:, 0], np.arange(50))
         assert np.all(np.isfinite(data))
+
+
+class TestTraceCsv:
+    def test_bytes_match_the_per_value_format(self, tmp_path):
+        vals = np.array([-0.0, 1e-300, np.inf, np.nan, -np.inf, 0.1, 1.0, 5e-324,
+                         1.7976931348623157e308, -2.5, 1e16, 123456.789])
+        trace = TrainTrace(np.arange(len(vals)), vals, vals[::-1].copy(), np.roll(vals, 3),
+                           np.roll(vals, 7))
+        trace.to_csv(tmp_path / "trace.csv")
+        cols = (trace.l_vf, trace.l_pv, trace.mean_proxy_dist, trace.beta)
+        want = ["iter,l_vf,l_pv,mean_proxy_dist,beta"]
+        want += [",".join([str(int(it))] + [_fmt(c[i]) for c in cols])
+                 for i, it in enumerate(trace.iters)]
+        assert (tmp_path / "trace.csv").read_bytes() == ("\n".join(want) + "\n").encode()
 
 
 def raising(exc):

@@ -9,16 +9,25 @@ from proxyvote.errors import InsufficientSupportError, NoValidHypothesisError
 from proxyvote.geometry import Intrinsics
 from proxyvote.model_tools import farthest_point_sampling
 from proxyvote.synth import NoiseSpec, PoseRanges, corrupt, make_scene, sample_pose
-from proxyvote.voting import (VotingConfig, _exact_counts, _hypothesis_locations,
+from proxyvote.trainer import vote_keypoints
+from proxyvote.voting import (SceneVote, VotingConfig, _exact_counts, _hypotheses,
                               _ill_conditioned, _inlier_row, _inliers, _loose_counts,
-                              _loose_operands, _masked_pixels, _refine_location, _stride,
-                              _tables, _voters, _winner, _workspace, vote_keypoint)
+                              _loose_operands, _refine_location, _scene_pixels, _stride,
+                              _tables, _voters, _workspace, vote_keypoint)
 
 K = np.array([20.3, 41.7])
 
 
 def sample_hypotheses(field, mask, cfg):
-    return _hypothesis_locations(*_masked_pixels(field, mask), cfg)
+    """The valid hypotheses of one field, in draw order."""
+    locs, ok = _hypotheses(*_scene_pixels(np.asarray(field)[None], mask), cfg)
+    return locs[0, ok[0]]
+
+
+def field_voters(field, mask, threshold=0.99):
+    """The voter columns of one field (see ``voting._voters``)."""
+    pts, dirs = _scene_pixels(np.asarray(field)[None], mask)
+    return _voters(pts, dirs[0], threshold)
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +54,7 @@ class TestGenerateHypotheses:
         mask = np.zeros((4, 4), bool)
         mask[0, 0] = True
         with pytest.raises(InsufficientSupportError):
-            sample_hypotheses(np.zeros((4, 4, 2)), mask, VotingConfig())
+            vote_keypoint(np.zeros((4, 4, 2)), mask, VotingConfig())
 
     def test_deterministic_per_seed(self, disc):
         mask, field = disc
@@ -70,7 +79,8 @@ def pair_intersections(p1, v1, p2, v2):
     """Hypotheses of a two-pixel input: its pair, sampled in either order."""
     pts = np.array([p1, p2], dtype=float)
     dirs = np.array([v1, v2], dtype=float)
-    return _hypothesis_locations(pts, dirs, VotingConfig(num_samples=16, rng_seed=0))
+    locs, ok = _hypotheses(pts, dirs[None], VotingConfig(num_samples=16, rng_seed=0))
+    return locs[0, ok[0]]
 
 
 class TestRayIntersection:
@@ -104,7 +114,7 @@ class TestRayIntersection:
 
 def row_count(h, field, mask, threshold):
     """The package's float64 inlier test of one hypothesis h on every voter."""
-    voters = _voters(*_masked_pixels(field, mask), threshold)
+    voters = field_voters(field, mask, threshold)
     return int(np.count_nonzero(_inlier_row(np.asarray(h, dtype=float), voters)))
 
 
@@ -179,13 +189,13 @@ def parity_field(kind, mask, rng):
 def package_counts(hyps, field, mask, thr=0.99):
     """Unpruned counts from the exact counter: every hypothesis on every voter,
     in blocks of 64 hypotheses."""
-    voters = _voters(*_masked_pixels(field, mask), thr)
+    voters = field_voters(field, mask, thr)
     return _exact_counts(hyps, voters, _workspace(64 * len(voters[0])))
 
 
 def raw_vote(field, mask, cfg):
     """vote_keypoint's location before refinement, and its votes."""
-    return _winner(field, mask, cfg)[:2]
+    return SceneVote(np.asarray(field)[None], mask, cfg)._winner(0)[:2]
 
 
 class TestInlierParity:
@@ -334,7 +344,7 @@ class TestPrunedVoteParity:
         field = parity_field(kind, mask, np.random.default_rng(radius))
         raw, votes = raw_vote(field, mask, VotingConfig(rng_seed=3))
         loc, refined_votes = vote_keypoint(field, mask, VotingConfig(rng_seed=3))
-        voters = _voters(*_masked_pixels(field, mask), 0.99)
+        voters = field_voters(field, mask)
         eligible = np.hypot(*field[mask].T) >= 1e-8
         row = oracle_inlier_table(raw, field, mask)[0][eligible]
         want = _refine_location(raw, voters, row)
@@ -397,6 +407,58 @@ class TestTwoStageParity:
         assert np.array_equal(bits(loc), bits(want[0]))
 
 
+def noisy_scene(seed):
+    """A scene like the bench's infer scenes: 128 x 128, f = 160, z 0.55-0.6, noisy."""
+    cloud = cube_cloud()
+    keys = farthest_point_sampling(cloud, 8)
+    intr = Intrinsics(fx=160.0, fy=160.0, cx=64.0, cy=64.0)
+    pose = sample_pose(np.random.default_rng(seed), PoseRanges(z_range=(0.55, 0.6)),
+                       cloud, intr, 128, 128)
+    return corrupt(make_scene(cloud, keys, pose, intr, 128, 128),
+                   NoiseSpec(angular_sigma=5.0, flip_prob=0.1, occlusion_frac=0.2, rng_seed=seed))
+
+
+class TestSceneVoteParity:
+    """vote_keypoints votes a scene's K fields in one pass, and each keypoint
+    gets the bits of its own dense float64 vote, or fails alone."""
+
+    @pytest.mark.parametrize("threshold", [0.99, 1e-9])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_per_keypoint_oracle(self, seed, threshold):
+        scene = noisy_scene(seed)
+        fields, mask = scene.gt_fields.copy(), scene.mask
+        ii, jj = np.nonzero(mask)
+        u = np.random.default_rng(seed).random(len(ii))
+        # keypoint 1: a fifth of its pixels vote for no hypothesis, half of
+        # them zero and half just shorter than EPS_NORM
+        short = fields[1, ii, jj]
+        short[u < 0.1] = 0.0
+        near = (u >= 0.1) & (u < 0.2)
+        short[near] *= 5e-9 / np.linalg.norm(short[near], axis=1, keepdims=True)
+        fields[1, ii, jj] = short
+        # keypoint 2: one direction everywhere, so no pair forms a hypothesis
+        fields[2, ii, jj] = [0.6, 0.8]
+        # keypoint 3: rays from one point outwards meet behind every pixel, so
+        # every hypothesis counts 0; its zero directions leave NaN pads
+        pts = np.stack([jj + 0.5, ii + 0.5], axis=1)
+        away = pts - (pts.mean(axis=0) + 0.25)
+        away[u < 0.3] = 0.0
+        fields[3, ii, jj] = away
+        cfg = VotingConfig(inlier_cos_threshold=threshold, rng_seed=seed)
+        locs, votes, failures = vote_keypoints(fields, mask, cfg)
+        assert len(failures) == 1
+        assert failures[0].startswith("keypoint 2: no sampled pixel pair formed a hypothesis")
+        for k, field in enumerate(fields):
+            want = oracle_squared_vote(field, mask, cfg.num_samples, threshold, seed)
+            if k == 2:
+                assert want is None and np.all(np.isnan(locs[k])) and votes[k] == 0
+                continue
+            assert votes[k] == want[1]
+            assert np.array_equal(bits(locs[k]), bits(want[0]))
+        assert votes[3] == 0 and np.all(np.isfinite(locs[3]))
+        assert min(votes[k] for k in range(8) if k not in (2, 3)) > 100
+
+
 def boundary_cells(threshold, rng):
     """Voters and hypotheses whose float64 test sits on its cut-offs.
 
@@ -447,10 +509,11 @@ class TestLooseSuperset:
             hyps, pts, dirs, aimed = boundary_cells(threshold, rng)
             voters = _voters(pts, dirs, threshold)
             m = len(voters[0])
-            # stride m: one voter per chunk, so each chunk count is one cell
-            rows, mats = _loose_operands(hyps, voters, threshold, m)
+            assert m == len(pts)
+            # m chunks: one voter per chunk, so each chunk count is one cell
+            rows, mats = _loose_operands(hyps[None], pts, dirs[None], threshold, m)
             work = _workspace(len(hyps))
-            loose = np.array([_loose_counts(rows, mat, work) for mat in mats], dtype=bool)
+            loose = np.array([_loose_counts(rows[0], mat, work) for mat in mats[0]], dtype=bool)
             exact = np.stack([_inliers(h[0], h[1], voters, _tables(_workspace(m), (m,)))
                               for h in hyps], axis=1)
             assert not np.any(exact & ~loose)
@@ -460,30 +523,35 @@ class TestLooseSuperset:
 
     def test_far_hypotheses_and_huge_directions_are_loose_inliers(self):
         hyps, pts, dirs, _ = boundary_cells(0.99, np.random.default_rng(1))
-        voters = _voters(pts, dirs, 0.99)
-        m = len(voters[0])
-        rows, mats = _loose_operands(hyps, voters, 0.99, m)
-        loose = np.array([_loose_counts(rows, mat, _workspace(3)) for mat in mats], dtype=bool)
+        rows, mats = _loose_operands(hyps[None], pts, dirs[None], 0.99, len(pts))
+        loose = np.array([_loose_counts(rows[0], mat, _workspace(3)) for mat in mats[0]],
+                         dtype=bool)
         assert np.all(loose[:, 2])
         assert np.all(loose[np.hypot(dirs[:, 0], dirs[:, 1]) >= 1e100])
 
+    def test_non_voters_and_pads_accept_only_far_hypotheses(self):
+        # ten pixels in a row aimed at h along +x, three of them non-voters;
+        # 4 chunks of 3 rows hold two pads
+        pts = np.stack([np.arange(10) + 0.5, np.full(10, 0.5)], axis=1)
+        dirs = np.tile([1.0, 0.0], (10, 1))
+        dirs[[2, 5]] = 0.0
+        dirs[7] = [5e-9, 0.0]
+        hyps = np.array([[20.5, 0.5], [1e21, 0.0]])
+        rows, mats = _loose_operands(hyps[None], pts, dirs[None], 0.99, 4)
+        assert mats.shape == (1, 4, 6, 3)
+        counts = sum(_loose_counts(rows[0], mat, _workspace(6)).astype(int) for mat in mats[0])
+        assert counts.tolist() == [7, 12]
+
     def test_threshold_at_or_below_twice_eta_skips_stage_one(self):
         # two voters 100 px apart: B = 50, so eta = 16·2^-24·201
-        voters = _voters(np.array([[0.5, 0.5], [100.5, 0.5]]), np.array([[1.0, 0.0]] * 2), 0.5)
+        pts, dirs = np.array([[0.5, 0.5], [100.5, 0.5]]), np.array([[[1.0, 0.0]] * 2])
         eta = 16 * 2.0 ** -24 * 201
-        hyps = np.array([[50.0, 50.0]])
+        hyps = np.array([[[50.0, 50.0]]])
         for threshold, skipped in ((2 * eta, True), (np.nextafter(2 * eta, 1.0), False)):
-            assert (_loose_operands(hyps, voters, threshold, 16) is None) == skipped
+            assert (_loose_operands(hyps, pts, dirs, threshold, 2) is None) == skipped
 
     def test_noisy_scene_sends_few_hypotheses_to_stage_two(self, monkeypatch):
-        # the bench's infer scenes: 128 x 128, f = 160, z 0.55-0.6, noisy
-        cloud = cube_cloud()
-        keys = farthest_point_sampling(cloud, 8)
-        intr = Intrinsics(fx=160.0, fy=160.0, cx=64.0, cy=64.0)
-        pose = sample_pose(np.random.default_rng(5), PoseRanges(z_range=(0.55, 0.6)),
-                           cloud, intr, 128, 128)
-        scene = corrupt(make_scene(cloud, keys, pose, intr, 128, 128),
-                        NoiseSpec(angular_sigma=5.0, flip_prob=0.1, occlusion_frac=0.2, rng_seed=5))
+        scene = noisy_scene(5)
         stage1, stage2 = [], []
         prune, exact_counts = voting._prune, voting._exact_counts
 
@@ -492,7 +560,8 @@ class TestLooseSuperset:
             return prune(rows, *args)
 
         def exact_counts_spy(locs, *args):
-            stage2.append(len(locs))
+            if len(stage2) < len(stage1):  # after the vote's prune, not best's leaders
+                stage2.append(len(locs))
             return exact_counts(locs, *args)
 
         monkeypatch.setattr(voting, "_prune", prune_spy)
