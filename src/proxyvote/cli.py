@@ -12,7 +12,9 @@ manifest.json records; replaying them through --config reproduces the run.
 Exit codes: 0 success, 1 runtime/I/O failure, 2 usage error (a missing
 or out-of-range value, an unparseable --config file or a --config value
 of the wrong type). A keypoint or pose that fails in vote or eval is a
-recorded row and a warning, not a failure of the run.
+recorded row and a warning, not a failure of the run. A train run that
+fails after making --out still writes its manifest, with the outputs
+written so far and an "error" key holding the message, and exits 1.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ def _settings(args, *required) -> dict:
     return cfg
 
 
-def _write_manifest(out_dir, command, config, seeds, outputs, t0):
+def _write_manifest(out_dir, command, config, seeds, outputs, t0, error=None):
     doc = {
         "command": command,
         "config": config,
@@ -118,6 +120,8 @@ def _write_manifest(out_dir, command, config, seeds, outputs, t0):
         "outputs": sorted(outputs),
         "wall_time_s": round(time.monotonic() - t0, 3),
     }
+    if error is not None:  # the run failed after writing outputs
+        doc["error"] = error
     write_atomic(os.path.join(out_dir, "manifest.json"),
                  json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -218,10 +222,18 @@ def cmd_train(args) -> int:
         dirs = dirs[: cfg["scene_limit"]]
     scenes = [load_scene(d) for d in dirs]
 
-    run_experiment(scenes, modes, seeds, base, cfg["out"])
-    outputs = [os.path.join(cfg["out"], f) for f in os.listdir(cfg["out"])
-               if f != "manifest.json"]
-    _write_manifest(cfg["out"], "train", cfg, seeds, outputs, t0)
+    def written():
+        return [os.path.join(cfg["out"], f) for f in os.listdir(cfg["out"])
+                if f != "manifest.json"]
+
+    try:
+        run_experiment(scenes, modes, seeds, base, cfg["out"])
+    except ProxyVoteError as e:
+        # the runs before the failed fit stay on disk: record them and why it stopped
+        if os.path.isdir(cfg["out"]):
+            _write_manifest(cfg["out"], "train", cfg, seeds, written(), t0, error=str(e))
+        raise
+    _write_manifest(cfg["out"], "train", cfg, seeds, written(), t0)
     return 0
 
 

@@ -3,6 +3,10 @@
 A pose is counted correct when ADD is strictly below 10% of the model
 diameter (ADD-S is judged by the same rule), or when the mean 2D
 projection error is strictly below 5 px.
+
+scipy is imported on first use, inside ``add_s_score``: importing it
+costs about 0.5 s and 30 MB per process, and only ``eval`` scores poses,
+so ``gen``, ``train``, ``vote`` and ``report`` never load it.
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InsufficientSupportError
 from .geometry import Intrinsics, Pose, project
@@ -44,6 +47,8 @@ def add_s_score(gt: Pose, est: Pose, points) -> float:
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) == 0:
         raise InsufficientSupportError("empty point set")
+    from scipy.spatial import cKDTree  # lazy: a 0.5 s import only eval needs
+
     d, _ = cKDTree(est.apply(pts)).query(gt.apply(pts), k=1)
     return float(np.mean(d))
 

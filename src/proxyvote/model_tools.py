@@ -1,5 +1,9 @@
 """3D model handling: ASCII PLY/OBJ loading, farthest point sampling
 and diameter computation.
+
+scipy is imported on first use, inside ``model_diameter``: importing it
+costs about 0.5 s and 30 MB per process, and only ``eval`` needs a
+diameter, so ``gen``, ``train``, ``vote`` and ``report`` never load it.
 """
 
 from __future__ import annotations
@@ -8,7 +12,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .errors import InsufficientSupportError, ModelLoadError
 
@@ -155,6 +158,8 @@ def model_diameter(cloud: ModelCloud) -> float:
         rng = np.random.default_rng(0)
         sel = rng.choice(len(pts), DIAMETER_SUBSAMPLE, replace=False)
         pts = pts[np.sort(sel)]
+    from scipy.spatial.distance import pdist  # lazy: a 0.5 s import only eval needs
+
     diameter = float(pdist(pts).max())
     if diameter == 0.0:
         raise InsufficientSupportError("need two distinct points for a diameter")

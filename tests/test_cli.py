@@ -3,6 +3,8 @@ import importlib.metadata
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,8 @@ import pytest
 from oracles import oracle_corrupt
 from proxyvote import cli, trainer
 from proxyvote.cli import _parse_seeds, main
-from proxyvote.errors import DegenerateConfigurationError, NoValidHypothesisError
+from proxyvote.errors import (DegenerateConfigurationError, DivergenceError,
+                              NoValidHypothesisError)
 from proxyvote.metrics import evaluate
 from proxyvote.model_tools import load_model, model_diameter
 from proxyvote.pnp import solve_epnp
@@ -547,6 +550,32 @@ class TestGoldenDigests:
         assert sha256(out / "records.csv") == self.RECORDS
         assert sha256(out / "summary.json") == self.SUMMARY
 
+    # gen's files of the same noisy set, taken before scipy's import was
+    # made lazy; the manifest is left out, as it records paths and wall time
+    SCENE_FILES = {
+        "sample_000/fields.npy": "a5ad288cc2e5b60a480070e7ea9bf7bca4cc8efca766ff3188cbd2a1aa6d3fca",
+        "sample_000/keypoints.csv": "4f4e945c336d3cc14e1afbfed609db8e1c346fe0fab9943b10d4c95ab2f786d5",
+        "sample_000/mask.pgm": "533d726f0b7e01b6e54a3dc733bc4e404a008a0fdefa97f3e8814ebdd2001b37",
+        "sample_000/pose.json": "917298ddc86dd275c273ba34b981e2d46ea087632b64a5a6fa883823945aa16c",
+        "sample_001/fields.npy": "0b72dffddf6db53328448f81f0ea864f2ad567548e2c139ab92cdf29ba7b0d06",
+        "sample_001/keypoints.csv": "b2f46f4c5dd65156ed4ae957daf78e7de9769dd571addd25ef18c234c2a13647",
+        "sample_001/mask.pgm": "00af4d310ef13599f42d223ff29f75c2d9fa00f67bb2fcf98644ca777c54d403",
+        "sample_001/pose.json": "2cacca04fb445e5d315b1576da371470731b3eb4f301c6c6b7d402141b30bdae",
+        "sample_002/fields.npy": "a682206ef47285dfacfb19a2a017259903c2ff1df955672acaa4c55129773b46",
+        "sample_002/keypoints.csv": "bd660c0b0818e0ca1aa81a74b6a6eb517bb82856ac1c14b34c4d762f5ca15a0f",
+        "sample_002/mask.pgm": "26721effe4148c16b41564995ce322c76fa27e27f348bd1d911f86f3d526116e",
+        "sample_002/pose.json": "75ece9a07da9c789a69130d6e09c297af8f679cb8bf559b08c2f743dedb34541",
+    }
+
+    def test_gen_outputs(self, model_file, tmp_path):
+        scenes = tmp_path / "scenes"
+        assert main(["gen", "--model", model_file, "--out", str(scenes), "--n", "3",
+                     "--seed", "11", "--z-min", "0.45", "--z-max", "0.7",
+                     "--sigma", "5", "--flip-prob", "0.1", "--occlusion", "0.2"]) == 0
+        digests = {p.relative_to(scenes).as_posix(): sha256(p)
+                   for p in scenes.rglob("*") if p.is_file() and p.name != "manifest.json"}
+        assert digests == self.SCENE_FILES
+
 
 @pytest.fixture(scope="module")
 def train_dir(scenes_dir, tmp_path_factory):
@@ -572,6 +601,35 @@ class TestTrainAndReport:
             assert os.listdir(d) == ["sample_000"]
             assert sorted(os.listdir(d / "sample_000")) == ["fields.npy", "keypoints.csv",
                                                             "mask.pgm", "pose.json"]
+
+    def test_train_manifest_has_no_error(self, train_dir):
+        doc = json.loads((Path(train_dir) / "manifest.json").read_text())
+        assert sorted(doc) == ["command", "config", "outputs", "seeds", "version",
+                               "wall_time_s"]
+
+    def test_diverged_fit_writes_a_failure_manifest(self, scenes_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--scenes", scenes_dir, "--out", str(out),
+                     "--lr", "1e300", "--iters", "5"]) == 1
+        assert "non-finite loss at iteration 2" in capsys.readouterr().err
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["command"] == "train" and doc["config"]["lr"] == 1e300
+        assert doc["error"] == "non-finite loss at iteration 2"
+        assert doc["outputs"] == []
+        assert os.listdir(out) == ["manifest.json"]
+
+    def test_failed_fit_records_the_runs_before_it(self, scenes_dir, tmp_path, monkeypatch):
+        failing_once(monkeypatch, trainer, "fit_field",
+                     DivergenceError("non-finite loss at iteration 7"), at=1)
+        out = tmp_path / "run"
+        assert main(["train", "--scenes", scenes_dir, "--out", str(out),
+                     "--mode", "vf_only,vf_plus_dpvl", "--iters", "20"]) == 1
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["error"] == "non-finite loss at iteration 7"
+        written = sorted(str(out / f) for f in os.listdir(out) if f != "manifest.json")
+        assert doc["outputs"] == written
+        assert [os.path.basename(f) for f in written] == [
+            "fields", "summary_scene000_vf_only_seed0.json", "trace_scene000_vf_only_seed0.csv"]
 
     def test_vote_reproduces_the_fit_errors(self, train_dir, tmp_path):
         # vote --seed s over fields/<mode>_seed<s>/ gives each fit's
@@ -736,6 +794,39 @@ class TestTrainAndReport:
         assert main(["report", "--traces", str(trace), "--out", str(out)]) == 0
         assert (out / "curves.csv").read_text() == "iter,scene000_vf_only_seed0_l_pv\n0,0.25\n"
         assert json.loads((out / "report.json").read_text())["vf_only"]["n_traces"] == 1
+
+
+# run in a fresh interpreter: imports the package, runs each command and
+# prints, per step, its exit code and whether any scipy module is loaded
+_START_UP = """
+import json, sys
+import proxyvote, proxyvote.cli
+model, tmp = sys.argv[1:]
+scenes, fits = tmp + "/scenes", tmp + "/train"
+steps = [
+    ["gen", "--model", model, "--out", scenes, "--n", "1", "--z-min", "0.45", "--z-max", "0.7"],
+    ["train", "--scenes", scenes, "--out", fits, "--iters", "3"],
+    ["vote", "--scenes", scenes, "--out", tmp + "/vote/votes.csv"],
+    ["report", "--traces", fits, "--out", tmp + "/report"],
+    ["eval", "--scenes", scenes, "--model", model, "--out", tmp + "/eval", "--symmetric"],
+]
+def scipy_loaded():
+    return any(m.split(".")[0] == "scipy" for m in sys.modules)
+print(json.dumps(["import", 0, scipy_loaded()]))
+for argv in steps:
+    rc = proxyvote.cli.main(argv)
+    print(json.dumps([argv[0], rc, scipy_loaded()]))
+"""
+
+
+def test_only_eval_loads_scipy(model_file, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _START_UP, model_file, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    steps = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert steps == [["import", 0, False], ["gen", 0, False], ["train", 0, False],
+                     ["vote", 0, False], ["report", 0, False], ["eval", 0, True]]
 
 
 class TestVersion:
