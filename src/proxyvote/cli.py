@@ -10,8 +10,9 @@ command's settings, its parser's dests but --config, are the config its
 manifest.json records; replaying them through --config reproduces the run.
 
 Exit codes: 0 success, 1 runtime/I/O failure, 2 usage error (a missing
-or out-of-range value, an unparseable --config file or a --config value
-of the wrong type). A keypoint or pose that fails in vote or eval is a
+or out-of-range value, such as a negative seed or a --mode list that
+names no mode, an unparseable --config file or a --config value of the
+wrong type). A keypoint or pose that fails in vote or eval is a
 recorded row and a warning, not a failure of the run. A train run that
 fails after making --out still writes its manifest, with the outputs
 written so far and an "error" key holding the message, and exits 1.
@@ -126,6 +127,11 @@ def _write_manifest(out_dir, command, config, seeds, outputs, t0, error=None):
                  json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _check_seed(seed):
+    if seed < 0:
+        raise UsageError(f"a seed must be >= 0, got {seed}")
+
+
 def _parse_seeds(text) -> list[int]:
     try:
         seeds = [int(s) for s in str(text).split(",") if s != ""]
@@ -133,6 +139,8 @@ def _parse_seeds(text) -> list[int]:
         raise UsageError(f"bad seed list: {text!r}")
     if not seeds:
         raise UsageError(f"seed list names no seed: {text!r}")
+    for seed in seeds:
+        _check_seed(seed)
     return seeds
 
 
@@ -166,6 +174,7 @@ def cmd_gen(args) -> int:
     for key in ("n", "keypoints", "width", "height"):
         if cfg[key] < 1:
             raise UsageError(f"--{key} must be at least 1, got {cfg[key]}")
+    _check_seed(cfg["seed"])
     if not os.path.exists(cfg["model"]):
         raise FileNotFoundError(f"model file not found: {cfg['model']}")
     if cfg["cx"] is None:
@@ -209,6 +218,8 @@ def cmd_train(args) -> int:
     if cfg["scene_limit"] < 0:
         raise UsageError(f"--scene-limit must be >= 0, got {cfg['scene_limit']}")
     modes = [m for m in str(cfg["mode"]).split(",") if m]
+    if not modes:
+        raise UsageError(f"mode list names no mode: {cfg['mode']!r}")
     for m in modes:
         if m not in MODES:
             raise UsageError(f"unknown mode {m!r}; expected one of {MODES}")
@@ -242,6 +253,7 @@ def cmd_train(args) -> int:
 
 def _voting_config(cfg) -> VotingConfig:
     """The VotingConfig of cfg's seed, num_samples and inlier_cos."""
+    _check_seed(cfg["seed"])
     return _built(VotingConfig, num_samples=cfg["num_samples"],
                   inlier_cos_threshold=cfg["inlier_cos"],
                   rng_seed=subseed(cfg["seed"], "voting"))

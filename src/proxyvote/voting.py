@@ -53,15 +53,18 @@ winner, its (x, y) tie-break, its inlier row and the refinement are
 those of a dense float64 count, bit for bit; a NaN pad is never a
 candidate, even when the maximum count is 0. The float32 rounding, the
 BLAS kernel and its thread count, the batching and the choice of best
-only decide which hypotheses reach stage 2, never an output. One
-workspace of 34 bytes per cell (four float64 and two bool tables)
-serves both stages and every keypoint. It holds the cells of chunk 0
-over all n pairs, and at least M cells, that is one hypothesis over all
-voters. Stage 1 views 9 bytes per cell of it per keypoint, so one
-batched matmul fills the chunk-0 tables of 3 keypoints, and stage 2
-counts its candidates in blocks of as many as it holds. Stage 1's tables
-hold pixels on rows and hypotheses contiguous, stage 2's hypotheses on
-rows and voters contiguous.
+only decide which hypotheses reach stage 2, never an output. Stage 1's
+tables hold pixels on rows and hypotheses contiguous, stage 2's
+hypotheses on rows and voters contiguous.
+
+Sizes. Stage 2 counts in blocks of at most _STAGE2_CELLS = 8,192 cells
+(about 50 bytes of float64 temporaries each), or of one hypothesis when
+M is larger. Voting 12 noisy 128² scenes (M ≈ 900) twice on a shared
+2-core Xeon, one BLAS thread, groups of 1, 2, 3, 4 and 8 keypoints took
+paired-median times within 3 % of each other (quartiles ±10 %) and
+peaked at 0.63, 0.66, 0.89, 1.13 and 1.90 MB (tracemalloc): 3 keeps the
+peak the benchmark was measured at. Budgets of 2,048 to 32,768 cells
+timed alike at the same peak.
 
 The loose test. With o the masked pixels' mean, q = p - o, g = h - o
 and the unit direction u = v/|v|, the float32 test is |d × u| <=
@@ -183,9 +186,6 @@ def _voters(pts, dirs, threshold):
     return px, py, vx, vy, threshold * threshold * (vx * vx + vy * vy)
 
 
-# Bytes per cell of the counting workspace: four float64 and two bool
-# tables for the exact test; the loose test views the same bytes.
-_CELL_BYTES = 4 * 8 + 2
 # Pixels per chunk at most, so that a chunk's loose counts fit in uint8.
 _MAX_CHUNK = 255
 # Directions at least this long count as loose inliers of every
@@ -196,61 +196,27 @@ _HUGE_DIR = 1e100
 _FAR = 1e20
 # Unit roundoff of float32.
 _U32 = 2.0 ** -24
-# Keypoints whose chunk-0 tables one batched matmul fills: the float32
-# table and its bool verdicts take 9 of a cell's _CELL_BYTES per keypoint.
-_GROUP = _CELL_BYTES // 9
+# Keypoints whose chunk 0 one batched matmul counts: groups of 1 to 8
+# timed alike, and 3 keeps the peak the benchmark was measured at.
+_GROUP = 3
 # Chunk-0 leaders whose largest exact count is stage 1's bound best.
 _LEADERS = 8
+# Cells of a stage-2 table at most, unless one hypothesis takes more.
+_STAGE2_CELLS = 1 << 13
 
 
-def _workspace(cells):
-    """Work bytes for counting tables of up to cells cells (see ``_tables``)."""
-    return np.empty(cells * _CELL_BYTES, dtype=np.uint8)
-
-
-def _tables(work, shape):
-    """Four float64 and two bool arrays of shape, viewed from work, for ``_inliers``."""
-    cells = math.prod(shape)
-    floats = work[:32 * cells].view(np.float64)
-    bools = work[32 * cells:34 * cells].view(bool)
-    return ([floats[k * cells:(k + 1) * cells].reshape(shape) for k in range(4)]
-            + [bools[k * cells:(k + 1) * cells].reshape(shape) for k in range(2)])
-
-
-def _inliers(hx, hy, voters, work):
+def _inliers(hx, hy, voters):
     """Bool table: voter is an inlier of hypothesis (hx, hy) (see module docstring).
 
     hx, hy and the voter columns of ``_voters`` broadcast against each
     other: (n, 1) hypothesis columns against the (M,) voter columns give
-    an (n, M) table, scalars one row. With d = h - p and dot = d·v, the
-    test is d² >= 0.25, dot >= 0 and dot² >= thr²·d²·|v|². work holds
-    four float and two bool arrays of the result's shape to compute in;
-    the result is work[4].
+    an (n, M) table, scalars one row.
     """
     px, py, vx, vy, weight = voters
-    dx, dy, dot, tmp, ok, cond = work
-    np.subtract(hx, px, out=dx)
-    np.subtract(hy, py, out=dy)
-    np.multiply(dx, vx, out=dot)
-    np.multiply(dy, vy, out=tmp)
-    dot += tmp
-    dx *= dx
-    dy *= dy
-    dx += dy  # d²
-    np.greater_equal(dx, 0.25, out=ok)
-    np.greater_equal(dot, 0.0, out=cond)
-    ok &= cond
-    dx *= weight
-    dot *= dot
-    np.greater_equal(dot, dx, out=cond)
-    ok &= cond
-    return ok
-
-
-def _inlier_row(h, voters):
-    """(M,) bool: the voters that are inliers of the one hypothesis h, in voter order."""
-    m = len(voters[0])
-    return _inliers(h[0], h[1], voters, _tables(_workspace(m), (m,)))
+    dx, dy = hx - px, hy - py
+    dot = dx * vx + dy * vy
+    d2 = dx * dx + dy * dy
+    return (d2 >= 0.25) & (dot >= 0.0) & (dot * dot >= d2 * weight)
 
 
 def _stride(n_hyp, n_px):
@@ -263,18 +229,14 @@ def _stride(n_hyp, n_px):
     return max(16, -(-n_hyp // 32), -(-n_px // _MAX_CHUNK))
 
 
-def _exact_counts(locs, voters, work):
-    """Exact inlier count of each hypothesis of (n, 2) locs over all voters.
-
-    The hypotheses go in blocks of as many as keep each (block, M) table
-    within work, which must hold at least M cells.
-    """
-    m = len(voters[0])
-    block = len(work) // (_CELL_BYTES * m)
+def _exact_counts(locs, voters):
+    """Exact inlier count of each hypothesis of (n, 2) locs over all voters,
+    in blocks of as many as keep a table within _STAGE2_CELLS, at least one."""
+    block = max(1, _STAGE2_CELLS // len(voters[0]))
     counts = np.empty(len(locs), dtype=np.intp)
     for s in range(0, len(locs), block):
         h = locs[s:s + block]
-        ok = _inliers(h[:, :1], h[:, 1:], voters, _tables(work, (len(h), m)))
+        ok = _inliers(h[:, :1], h[:, 1:], voters)
         counts[s:s + block] = np.add.reduce(ok.view(np.uint8), axis=1, dtype=np.intp)
     return counts
 
@@ -335,25 +297,21 @@ def _loose_operands(locs, pts, dirs, threshold, chunks):
     return rows, mats.reshape(k, chunks, 2 * m, 3)
 
 
-def _loose_counts(rows, mat, work):
+def _loose_counts(rows, mat):
     """Loose inlier count, uint8, of each hypothesis column of rows on one chunk:
     |cross| <= t·dot, from one float32 matmul.
 
     Leading axes batch: (G, 2m, 3) matrices by (G, 3, n) rows give (G, n)
     counts in one matmul.
     """
-    batch, m, n = mat.shape[:-2], mat.shape[-2] // 2, rows.shape[-1]
-    cells = math.prod(batch) * m * n
-    table = work[:8 * cells].view(np.float32).reshape(*batch, 2 * m, n)
-    np.matmul(mat, rows, out=table)
+    m = mat.shape[-2] // 2
+    table = np.matmul(mat, rows)
     dot, cross = table[..., :m, :], table[..., m:, :]
-    np.abs(cross, out=cross)
-    ok = work[8 * cells:9 * cells].view(bool).reshape(*batch, m, n)
-    np.less_equal(cross, dot, out=ok)
+    ok = np.abs(cross, out=cross) <= dot
     return np.add.reduce(ok.view(np.uint8), axis=-2, dtype=np.uint8)
 
 
-def _prune(rows, mats, counts, best, work):
+def _prune(rows, mats, counts, best):
     """The hypotheses whose loose count can still reach best, and their
     loose counts.
 
@@ -370,7 +328,7 @@ def _prune(rows, mats, counts, best, work):
     for mat, size in zip(mats[1:], sizes[1:]):
         keep = counts + remaining >= best
         idx, rows, counts = (np.compress(keep, a, axis=-1) for a in (idx, rows, counts))
-        counts += _loose_counts(rows, mat, work)
+        counts += _loose_counts(rows, mat)
         remaining -= size
     return idx, counts
 
@@ -382,7 +340,9 @@ def _ill_conditioned(A):
     they cannot: when the smaller one is <= 0 or NaN, or when their ratio
     lies within a relative 1e-6 of 1e8. Both ratios are off by a few ulps
     times the condition number, about 1e-8 relative near the cut, so
-    outside that band they fall on the same side of it.
+    outside that band they fall on the same side of it. np.linalg.cond on
+    every call was slower on the scenes of the module docstring's Sizes
+    (25 of 30 paired runs, median +2.6 %, medians 211 → 224 ms).
     """
     a, b, c = float(A[0, 0]), float(A[0, 1]), float(A[1, 1])
     mean, radius = 0.5 * (a + c), math.hypot(0.5 * (a - c), b)
@@ -439,7 +399,7 @@ class SceneVote:
 
     def __init__(self, fields, mask, cfg: VotingConfig):
         self.fields, self.mask, self.cfg = fields, mask, cfg
-        self._pass = None  # pts, dirs, locs, ok, chunks, work
+        self._pass = None  # pts, dirs, locs, ok, chunks
         self._group = None  # first keypoint, stage-1 operands or None, chunk-0 counts
 
     def _winner(self, k):
@@ -451,9 +411,8 @@ class SceneVote:
                 raise InsufficientSupportError(f"need >= 2 masked pixels, got {len(pts)}")
             locs, ok = _hypotheses(pts, dirs, self.cfg)
             chunks = min(_stride(locs.shape[1], len(pts)), len(pts))
-            work = _workspace(max(-(-len(pts) // chunks) * locs.shape[1], len(pts)))
-            self._pass = pts, dirs, locs, ok, chunks, work
-        pts, dirs, locs, ok, chunks, work = self._pass
+            self._pass = pts, dirs, locs, ok, chunks
+        pts, dirs, locs, ok, chunks = self._pass
         sel = np.flatnonzero(ok[k])
         if len(sel) == 0:
             raise NoValidHypothesisError("no sampled pixel pair formed a hypothesis: each was "
@@ -464,7 +423,7 @@ class SceneVote:
         if self._group is None or self._group[0] != g:
             loose = _loose_operands(locs[g:g + _GROUP], pts, dirs[g:g + _GROUP], threshold,
                                     chunks)
-            counts0 = None if loose is None else _loose_counts(loose[0], loose[1][:, 0], work)
+            counts0 = None if loose is None else _loose_counts(loose[0], loose[1][:, 0])
             self._group = g, loose, counts0
         _, loose, counts0 = self._group
         hyps = locs[k, sel]
@@ -474,10 +433,10 @@ class SceneVote:
             rows, mats = loose[0][k - g][:, sel], loose[1][k - g]
             counts = counts0[k - g, sel]
             leaders = np.argsort(counts, kind="stable")[-_LEADERS:]
-            best = _exact_counts(hyps[leaders], voters, work).max()
-            idx, counts = _prune(rows, mats, counts, best, work)
+            best = _exact_counts(hyps[leaders], voters).max()
+            idx, counts = _prune(rows, mats, counts, best)
             cand = idx[counts >= best]
-        votes = _exact_counts(hyps[cand], voters, work)
+        votes = _exact_counts(hyps[cand], voters)
         best_votes = votes.max()
         tied = cand[votes == best_votes]
         # lexicographic (x, y) tie-break
@@ -488,7 +447,7 @@ class SceneVote:
         """Keypoint k's best-voted location re-estimated from its inlier rays,
         and its vote count; raises the ProxyVoteError that keypoint meets."""
         hyp, votes, voters = self._winner(k)
-        return _refine_location(hyp, voters, _inlier_row(hyp, voters)), votes
+        return _refine_location(hyp, voters, _inliers(hyp[0], hyp[1], voters)), votes
 
 
 def vote_keypoint(field, mask, cfg: VotingConfig, scene=None, k=0):

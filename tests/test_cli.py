@@ -367,7 +367,8 @@ class TestGen:
 
     @pytest.mark.parametrize("flags", [
         "--sigma -1", "--keypoints 0", "--flip-prob 2", "--occlusion -0.5", "--z-min -1",
-        "--z-min 0.7 --z-max 0.45", "--fx 0", "--fy -80", "--width 0", "--height 0"])
+        "--z-min 0.7 --z-max 0.45", "--fx 0", "--fy -80", "--width 0", "--height 0",
+        "--seed -1"])
     def test_out_of_range_value_is_usage_error(self, tmp_path, model_file, capsys, flags):
         out = tmp_path / "x"
         assert main(["gen", "--model", model_file, "--out", str(out)] + flags.split()) == 2
@@ -441,7 +442,8 @@ class TestVote:
         assert main(["vote", "--scenes", str(tmp_path / "none"),
                      "--out", str(tmp_path / "v.csv")]) == 1
 
-    @pytest.mark.parametrize("flag, value", [("--num-samples", "0"), ("--inlier-cos", "2")])
+    @pytest.mark.parametrize("flag, value", [("--num-samples", "0"), ("--inlier-cos", "2"),
+                                             ("--seed", "-1")])
     def test_out_of_range_value_is_usage_error(self, scenes_dir, tmp_path, capsys, flag, value):
         out = tmp_path / "v"
         assert main(["vote", "--scenes", scenes_dir, "--out", str(out / "votes.csv"),
@@ -464,7 +466,8 @@ class TestEval:
         assert lines[0] == "scene,add,proj2d,add_correct,proj_correct"
         assert len(lines) == 3
 
-    @pytest.mark.parametrize("flag, value", [("--num-samples", "0"), ("--inlier-cos", "2")])
+    @pytest.mark.parametrize("flag, value", [("--num-samples", "0"), ("--inlier-cos", "2"),
+                                             ("--seed", "-1")])
     def test_out_of_range_value_is_usage_error(self, scenes_dir, model_file, tmp_path, capsys,
                                                flag, value):
         out = tmp_path / "eval"
@@ -529,8 +532,9 @@ def sha256(path):
 
 
 class TestGoldenDigests:
-    """vote and eval write the bytes they wrote before voting was batched
-    over keypoints; a change that alters them on purpose updates these."""
+    """Each command writes the bytes it wrote when its digests were taken,
+    vote and eval's before voting was batched over keypoints; a change that
+    alters them on purpose updates these."""
 
     VOTES = "a6726ef50d6a22af38e2d39a4b702eb02572d9abe06391b5684ce81a8b01c2dc"
     RECORDS = "3a6de35394b011b504d146f09325bdcdd1f351bfec7597061f5ed0e7d9a54626"
@@ -575,6 +579,69 @@ class TestGoldenDigests:
         digests = {p.relative_to(scenes).as_posix(): sha256(p)
                    for p in scenes.rglob("*") if p.is_file() and p.name != "manifest.json"}
         assert digests == self.SCENE_FILES
+
+    # train's files on the clean 2-scene set, taken before voting's byte
+    # workspace was replaced by plain arrays; the manifest is left out
+    TRAIN_FILES = {
+        "fields/vf_only_seed0/sample_000/fields.npy": "a1158b931f3e97df5208f4a54d3797cb392e41e455b41694ddb7f12589e778b1",
+        "fields/vf_only_seed0/sample_000/keypoints.csv": "876fb2aa6e722cb34e4f6194b3559fc3bd6ad5420ed1ab8f8a22eb0b46caaaaa",
+        "fields/vf_only_seed0/sample_000/mask.pgm": "cc1a05866e93afd64de0bec1d43a67b32aa2b72d9ec956c76c070dd6bda4ecfd",
+        "fields/vf_only_seed0/sample_000/pose.json": "83f8425455154730dee06862a13fff22ddf5ab38da36c78d56b1ca5298ac449b",
+        "fields/vf_only_seed0/sample_001/fields.npy": "62595b42141f9b5d7101f28bf6cf863f58764ee707c2b9e341e1e93964b00db4",
+        "fields/vf_only_seed0/sample_001/keypoints.csv": "dec0cb598408edd17f4d87fe7f55e0c5595ad2ec6e58ea665e97e8b868790c79",
+        "fields/vf_only_seed0/sample_001/mask.pgm": "0953f97ffa613b60c916bfd6bb089df91b4489abfedb0c16e7c29914381e327f",
+        "fields/vf_only_seed0/sample_001/pose.json": "db35ed7f0e00993e6f98e6f3feed1f9526360ab3d6730b7c699014120a74ba19",
+        "fields/vf_only_seed1/sample_000/fields.npy": "14441d9d80e10927cf7c6f7f81c8429588912ecdca3f7aea0e76c404b649c929",
+        "fields/vf_only_seed1/sample_000/keypoints.csv": "876fb2aa6e722cb34e4f6194b3559fc3bd6ad5420ed1ab8f8a22eb0b46caaaaa",
+        "fields/vf_only_seed1/sample_000/mask.pgm": "cc1a05866e93afd64de0bec1d43a67b32aa2b72d9ec956c76c070dd6bda4ecfd",
+        "fields/vf_only_seed1/sample_000/pose.json": "83f8425455154730dee06862a13fff22ddf5ab38da36c78d56b1ca5298ac449b",
+        "fields/vf_only_seed1/sample_001/fields.npy": "1799e2f65dbe25a436b29b5eb0486a3117ddec290e238e585baf5e6d85f8d124",
+        "fields/vf_only_seed1/sample_001/keypoints.csv": "dec0cb598408edd17f4d87fe7f55e0c5595ad2ec6e58ea665e97e8b868790c79",
+        "fields/vf_only_seed1/sample_001/mask.pgm": "0953f97ffa613b60c916bfd6bb089df91b4489abfedb0c16e7c29914381e327f",
+        "fields/vf_only_seed1/sample_001/pose.json": "db35ed7f0e00993e6f98e6f3feed1f9526360ab3d6730b7c699014120a74ba19",
+        "fields/vf_plus_dpvl_seed0/sample_000/fields.npy": "1e4cad0f873163f12a224d6aa2ff0a242319a9b54c70621fa4a5c018cf908d3b",
+        "fields/vf_plus_dpvl_seed0/sample_000/keypoints.csv": "876fb2aa6e722cb34e4f6194b3559fc3bd6ad5420ed1ab8f8a22eb0b46caaaaa",
+        "fields/vf_plus_dpvl_seed0/sample_000/mask.pgm": "cc1a05866e93afd64de0bec1d43a67b32aa2b72d9ec956c76c070dd6bda4ecfd",
+        "fields/vf_plus_dpvl_seed0/sample_000/pose.json": "83f8425455154730dee06862a13fff22ddf5ab38da36c78d56b1ca5298ac449b",
+        "fields/vf_plus_dpvl_seed0/sample_001/fields.npy": "80d578af8736de283b5d6f757bd3c4d71a69c89540a3e56fff80550bc390c570",
+        "fields/vf_plus_dpvl_seed0/sample_001/keypoints.csv": "dec0cb598408edd17f4d87fe7f55e0c5595ad2ec6e58ea665e97e8b868790c79",
+        "fields/vf_plus_dpvl_seed0/sample_001/mask.pgm": "0953f97ffa613b60c916bfd6bb089df91b4489abfedb0c16e7c29914381e327f",
+        "fields/vf_plus_dpvl_seed0/sample_001/pose.json": "db35ed7f0e00993e6f98e6f3feed1f9526360ab3d6730b7c699014120a74ba19",
+        "fields/vf_plus_dpvl_seed1/sample_000/fields.npy": "42a6b005a140d0c1fc8d7896ce4e8ba698c0713ea16709e0ad25284c014d3d73",
+        "fields/vf_plus_dpvl_seed1/sample_000/keypoints.csv": "876fb2aa6e722cb34e4f6194b3559fc3bd6ad5420ed1ab8f8a22eb0b46caaaaa",
+        "fields/vf_plus_dpvl_seed1/sample_000/mask.pgm": "cc1a05866e93afd64de0bec1d43a67b32aa2b72d9ec956c76c070dd6bda4ecfd",
+        "fields/vf_plus_dpvl_seed1/sample_000/pose.json": "83f8425455154730dee06862a13fff22ddf5ab38da36c78d56b1ca5298ac449b",
+        "fields/vf_plus_dpvl_seed1/sample_001/fields.npy": "fbbf24ff6bc8f40071daa6ba72e319f94a61c82c43b114b9b183d804f70bf104",
+        "fields/vf_plus_dpvl_seed1/sample_001/keypoints.csv": "dec0cb598408edd17f4d87fe7f55e0c5595ad2ec6e58ea665e97e8b868790c79",
+        "fields/vf_plus_dpvl_seed1/sample_001/mask.pgm": "0953f97ffa613b60c916bfd6bb089df91b4489abfedb0c16e7c29914381e327f",
+        "fields/vf_plus_dpvl_seed1/sample_001/pose.json": "db35ed7f0e00993e6f98e6f3feed1f9526360ab3d6730b7c699014120a74ba19",
+        "summary.json": "e900d02a5946f30358105bab927b122460cd332fc3a682e2e52831253b3f29a3",
+        "summary_scene000_vf_only_seed0.json": "704d5906030c083ce1466e61602b70ca62c1f538f832961e008c9c614df412b4",
+        "summary_scene000_vf_only_seed1.json": "adf68565fcbf49bc32b69cbee829636ddc05ae6490ae74aaa88a50212c3b365d",
+        "summary_scene000_vf_plus_dpvl_seed0.json": "d39965ba39fb36ea280a8e4ad4fc86e82a69af484a151248a11d5e010f454a68",
+        "summary_scene000_vf_plus_dpvl_seed1.json": "dbf031fbfa2b97aed7ce6390df84a3962e6853c00069d05534aab17564dafa17",
+        "summary_scene001_vf_only_seed0.json": "d800430618143643fa4d6505fcb275d3b0f24424dc5bb70f917247f5d786b8e4",
+        "summary_scene001_vf_only_seed1.json": "c15d6af28f5ceff4f30a3f4de1009fc7630bccf339ea0efb6a974cdac6555983",
+        "summary_scene001_vf_plus_dpvl_seed0.json": "b8e1434906b5e4d8abd69925526ab549cc748068e54de5c43af67b9677056e11",
+        "summary_scene001_vf_plus_dpvl_seed1.json": "5d12d13ecf7620cb3823b9049fed7923495903d0977a334f1de732aebe98f5e0",
+        "trace_scene000_vf_only_seed0.csv": "6eca3191c9046df37a6c3a8d3b80e145f8b90b5e6dba0a97e2c512034206e550",
+        "trace_scene000_vf_only_seed1.csv": "8335a59f3ae2032e34855c48f14c856393e3dc3c9425bb2017230c1d9fd3c5df",
+        "trace_scene000_vf_plus_dpvl_seed0.csv": "68d3197e1f3062747810e5143bb7612bebbce941f11e7658f215aa848f66ee48",
+        "trace_scene000_vf_plus_dpvl_seed1.csv": "53bf1b0757e7287d0837ea5743d236187202d0a68dade1710fa9dc11df1cc86a",
+        "trace_scene001_vf_only_seed0.csv": "e9ca3398bd87d80df145820566c57f1a6f4007c9e43c195eb8c082f9ad124983",
+        "trace_scene001_vf_only_seed1.csv": "94f0a2b5f3ef1ce784240448f7f2a2eadb78116a9de4a465468921f55a410928",
+        "trace_scene001_vf_plus_dpvl_seed0.csv": "3ec567eaa59ac1c7df435cfc328848f19a1a7dc49451bcd793fde6d17f000738",
+        "trace_scene001_vf_plus_dpvl_seed1.csv": "512b1c388de15548ea7af7660cd9eef1dac0768008ef0965613f5afab307a939",
+    }
+
+    def test_train_outputs(self, scenes_dir, tmp_path):
+        out = tmp_path / "train"
+        assert main(["train", "--scenes", scenes_dir, "--out", str(out),
+                     "--mode", "vf_only,vf_plus_dpvl", "--seeds", "0,1", "--iters", "30",
+                     "--iters-per-epoch", "10"]) == 0
+        digests = {p.relative_to(out).as_posix(): sha256(p)
+                   for p in out.rglob("*") if p.is_file() and p.name != "manifest.json"}
+        assert digests == self.TRAIN_FILES
 
 
 @pytest.fixture(scope="module")
@@ -696,7 +763,7 @@ class TestTrainAndReport:
     @pytest.mark.parametrize("flag, value", [
         ("--seeds", ","), ("--iters", "0"), ("--iters-per-epoch", "0"),
         ("--iters-per-epoch", "-5"), ("--lr", "nan"), ("--lr", "inf"), ("--beta0", "-1"),
-        ("--beta-cap", "nan")])
+        ("--beta-cap", "nan"), ("--seeds", "-1"), ("--seeds", "0,-1"), ("--mode", ",")])
     def test_out_of_range_value_is_usage_error(self, scenes_dir, tmp_path, capsys, flag, value):
         out = tmp_path / "t"
         assert main(["train", "--scenes", scenes_dir, "--out", str(out), "--iters", "5",

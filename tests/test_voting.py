@@ -11,9 +11,9 @@ from proxyvote.model_tools import farthest_point_sampling
 from proxyvote.synth import NoiseSpec, PoseRanges, corrupt, make_scene, sample_pose
 from proxyvote.trainer import vote_keypoints
 from proxyvote.voting import (SceneVote, VotingConfig, _exact_counts, _hypotheses,
-                              _ill_conditioned, _inlier_row, _inliers, _loose_counts,
-                              _loose_operands, _refine_location, _scene_pixels, _stride,
-                              _tables, _voters, _workspace, vote_keypoint)
+                              _ill_conditioned, _inliers, _loose_counts, _loose_operands,
+                              _refine_location, _scene_pixels, _stride, _voters,
+                              vote_keypoint)
 
 K = np.array([20.3, 41.7])
 
@@ -115,7 +115,7 @@ class TestRayIntersection:
 def row_count(h, field, mask, threshold):
     """The package's float64 inlier test of one hypothesis h on every voter."""
     voters = field_voters(field, mask, threshold)
-    return int(np.count_nonzero(_inlier_row(np.asarray(h, dtype=float), voters)))
+    return int(np.count_nonzero(_inliers(float(h[0]), float(h[1]), voters)))
 
 
 def recount(q, field, mask, cos_thr=0.99):
@@ -187,10 +187,8 @@ def parity_field(kind, mask, rng):
 
 
 def package_counts(hyps, field, mask, thr=0.99):
-    """Unpruned counts from the exact counter: every hypothesis on every voter,
-    in blocks of 64 hypotheses."""
-    voters = field_voters(field, mask, thr)
-    return _exact_counts(hyps, voters, _workspace(64 * len(voters[0])))
+    """Unpruned counts from the exact counter: every hypothesis on every voter."""
+    return _exact_counts(hyps, field_voters(field, mask, thr))
 
 
 def raw_vote(field, mask, cfg):
@@ -248,6 +246,46 @@ class TestInlierParity:
         assert votes == row_count(raw, field, mask, 0.99)
         _, refined_votes = vote_keypoint(field, mask, VotingConfig(rng_seed=seed))
         assert refined_votes == votes
+
+
+class TestStageTwoBlocks:
+    """Stage 2 counts in blocks within its cell budget, with the same counts
+    whatever the budget."""
+
+    @pytest.mark.parametrize("per_block", [1, 64, "all"])
+    def test_counts_do_not_depend_on_the_budget(self, monkeypatch, per_block):
+        mask = disc_mask(48, 48, center=(24, 24), radius=9)
+        field = parity_field("half_flipped", mask, np.random.default_rng(8))
+        hyps = sample_hypotheses(field, mask, VotingConfig(rng_seed=8))
+        voters = field_voters(field, mask)
+        assert len(hyps) % 64 != 0  # the last block of 64 is a short one
+        per_block = len(hyps) if per_block == "all" else per_block
+        monkeypatch.setattr(voting, "_STAGE2_CELLS", per_block * len(voters[0]))
+        assert np.array_equal(_exact_counts(hyps, voters),
+                              oracle_inlier_counts(hyps, field, mask))
+
+    def test_large_mask_tables_stay_within_the_budget(self, monkeypatch):
+        # over 20,000 voters: the default budget holds less than one
+        # hypothesis, and 2.5 voter rows hold two
+        mask = disc_mask(180, 180, center=(90, 90), radius=85)
+        field = rotate_field(exact_field(mask, K + 60), mask, 5.0, np.random.default_rng(3))
+        m = np.count_nonzero(mask)
+        assert m > 20_000
+        inliers, votes = voting._inliers, []
+        for budget in (voting._STAGE2_CELLS, int(2.5 * m)):
+            monkeypatch.setattr(voting, "_STAGE2_CELLS", budget)
+            sizes = []
+
+            def inliers_spy(*args):
+                ok = inliers(*args)
+                sizes.append(ok.size)
+                return ok
+
+            monkeypatch.setattr(voting, "_inliers", inliers_spy)
+            votes.append(vote_keypoint(field, mask, VotingConfig(rng_seed=3)))
+            assert len(sizes) > 2 and max(sizes) <= max(budget, m)
+        assert votes[0][1] == votes[1][1] > 0.5 * m
+        assert np.array_equal(bits(votes[0][0]), bits(votes[1][0]))
 
 
 def bits(loc):
@@ -512,10 +550,8 @@ class TestLooseSuperset:
             assert m == len(pts)
             # m chunks: one voter per chunk, so each chunk count is one cell
             rows, mats = _loose_operands(hyps[None], pts, dirs[None], threshold, m)
-            work = _workspace(len(hyps))
-            loose = np.array([_loose_counts(rows[0], mat, work) for mat in mats[0]], dtype=bool)
-            exact = np.stack([_inliers(h[0], h[1], voters, _tables(_workspace(m), (m,)))
-                              for h in hyps], axis=1)
+            loose = np.array([_loose_counts(rows[0], mat) for mat in mats[0]], dtype=bool)
+            exact = np.stack([_inliers(h[0], h[1], voters) for h in hyps], axis=1)
             assert not np.any(exact & ~loose)
             on_cut += [exact[i, j] for i, j in enumerate(aimed) if j >= 0]
         # the float64 test falls on both sides of the cut
@@ -524,8 +560,7 @@ class TestLooseSuperset:
     def test_far_hypotheses_and_huge_directions_are_loose_inliers(self):
         hyps, pts, dirs, _ = boundary_cells(0.99, np.random.default_rng(1))
         rows, mats = _loose_operands(hyps[None], pts, dirs[None], 0.99, len(pts))
-        loose = np.array([_loose_counts(rows[0], mat, _workspace(3)) for mat in mats[0]],
-                         dtype=bool)
+        loose = np.array([_loose_counts(rows[0], mat) for mat in mats[0]], dtype=bool)
         assert np.all(loose[:, 2])
         assert np.all(loose[np.hypot(dirs[:, 0], dirs[:, 1]) >= 1e100])
 
@@ -539,7 +574,7 @@ class TestLooseSuperset:
         hyps = np.array([[20.5, 0.5], [1e21, 0.0]])
         rows, mats = _loose_operands(hyps[None], pts, dirs[None], 0.99, 4)
         assert mats.shape == (1, 4, 6, 3)
-        counts = sum(_loose_counts(rows[0], mat, _workspace(6)).astype(int) for mat in mats[0])
+        counts = sum(_loose_counts(rows[0], mat).astype(int) for mat in mats[0])
         assert counts.tolist() == [7, 12]
 
     def test_threshold_at_or_below_twice_eta_skips_stage_one(self):
