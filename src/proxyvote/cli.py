@@ -10,12 +10,13 @@ command's settings, its parser's dests but --config, are the config its
 manifest.json records; replaying them through --config reproduces the run.
 
 Exit codes: 0 success, 1 runtime/I/O failure, 2 usage error (a missing
-or out-of-range value, such as a negative seed or a --mode list that
-names no mode, an unparseable --config file or a --config value of the
-wrong type). A keypoint or pose that fails in vote or eval is a
-recorded row and a warning, not a failure of the run. A train run that
-fails after making --out still writes its manifest, with the outputs
-written so far and an "error" key holding the message, and exits 1.
+or out-of-range value, such as a negative seed, a --mode list that
+names no mode, a --mode or --seeds list that names one twice, an
+unparseable --config file or a --config value of the wrong type). A
+keypoint or pose that fails in vote or eval is a recorded row and a
+warning, not a failure of the run. A train run that fails after making
+--out still writes its manifest, with the outputs written so far and an
+"error" key holding the message, and exits 1.
 """
 
 from __future__ import annotations
@@ -139,6 +140,8 @@ def _parse_seeds(text) -> list[int]:
         raise UsageError(f"bad seed list: {text!r}")
     if not seeds:
         raise UsageError(f"seed list names no seed: {text!r}")
+    if len(set(seeds)) < len(seeds):
+        raise UsageError(f"seed list repeats a seed: {text!r}")
     for seed in seeds:
         _check_seed(seed)
     return seeds
@@ -223,6 +226,8 @@ def cmd_train(args) -> int:
     for m in modes:
         if m not in MODES:
             raise UsageError(f"unknown mode {m!r}; expected one of {MODES}")
+    if len(set(modes)) < len(modes):
+        raise UsageError(f"mode list repeats a mode: {cfg['mode']!r}")
     seeds = _parse_seeds(cfg["seeds"])
     base = _built(TrainConfig, iterations=cfg["iters"], learning_rate=cfg["lr"],
                   iters_per_epoch=cfg["iters_per_epoch"], lr_decay=cfg["lr_decay"],

@@ -37,34 +37,32 @@ float32 test that accepts every cell the float64 test accepts, so its
 count is an upper bound of the exact one. A pixel that does not vote
 for keypoint k, and a pad, gets a row that accepts no hypothesis of k
 but a far one (see below), so k's loose counts bound its own exact
-counts. The keypoints go in groups of _GROUP = 3: the group's stage-1
-matrices are built, and its chunk 0 counted by one batched matmul, when
-its first keypoint is voted. Then, per keypoint, best is the largest
-exact count among the _LEADERS = 8 hypotheses with the highest chunk-0
-counts, and stage 1 prunes against it: before each further chunk a
-hypothesis is kept only while its count so far plus the number of
-pixels in the chunks still to come is >= best. Its candidates are the hypotheses whose loose
-count reaches best. Stage 2 counts the candidates exactly, with the
-float64 test, on all of k's voters in one flat pass. A hypothesis that
-is not a candidate thus has an exact count below best, and best is at
-most the maximum count, so it can neither win nor tie. Every hypothesis
-with the maximum count is a candidate and gets its exact count, and the
-winner, its (x, y) tie-break, its inlier row and the refinement are
-those of a dense float64 count, bit for bit; a NaN pad is never a
-candidate, even when the maximum count is 0. The float32 rounding, the
-BLAS kernel and its thread count, the batching and the choice of best
-only decide which hypotheses reach stage 2, never an output. Stage 1's
-tables hold pixels on rows and hypotheses contiguous, stage 2's
+counts. Stage 1 runs for the keypoint being voted: best is the largest
+exact count among the _LEADERS = 8 of its valid hypotheses with the
+highest chunk-0 counts, and stage 1 prunes against it: before each
+further chunk a hypothesis is kept only while its count so far plus the
+number of pixels in the chunks still to come is >= best. Its candidates
+are the hypotheses whose loose count reaches best. Stage 2 counts the
+candidates exactly, with the float64 test, on all of k's voters in one
+flat pass. A hypothesis that is not a candidate thus has an exact count
+below best, and best is at most the maximum count, so it can neither
+win nor tie. Every hypothesis with the maximum count is a candidate and
+gets its exact count, and the winner, its (x, y) tie-break, its inlier
+row and the refinement are those of a dense float64 count, bit for bit;
+a NaN pad is never a candidate, even when the maximum count is 0. The
+float32 rounding, the BLAS kernel and its thread count and the choice of
+best only decide which hypotheses reach stage 2, never an output. Stage
+1's tables hold pixels on rows and hypotheses contiguous, stage 2's
 hypotheses on rows and voters contiguous.
 
 Sizes. Stage 2 counts in blocks of at most _STAGE2_CELLS = 8,192 cells
 (about 50 bytes of float64 temporaries each), or of one hypothesis when
-M is larger. Voting 12 noisy 128² scenes (M ≈ 900) twice on a shared
-2-core Xeon, one BLAS thread, groups of 1, 2, 3, 4 and 8 keypoints took
-paired-median times within 3 % of each other (quartiles ±10 %) and
-peaked at 0.63, 0.66, 0.89, 1.13 and 1.90 MB (tracemalloc): 3 keeps the
-peak the benchmark was measured at. Budgets of 2,048 to 32,768 cells
-timed alike at the same peak.
+M is larger; budgets of 2,048 to 32,768 cells timed alike. Voting 36
+noisy 128² scenes (M ≈ 900) 40 times on a shared 2-core Xeon, one BLAS
+thread, stage 1 a keypoint at a time ran at a paired time ratio of 0.981
+(quartiles 0.926-1.036) against groups of 3 keypoints per batched
+matmul, and a scene vote's tracemalloc peak fell from 1.15 to 0.73 MB
+(median over the scenes).
 
 The loose test. With o the masked pixels' mean, q = p - o, g = h - o
 and the unit direction u = v/|v|, the float32 test is |d × u| <=
@@ -196,9 +194,6 @@ _HUGE_DIR = 1e100
 _FAR = 1e20
 # Unit roundoff of float32.
 _U32 = 2.0 ** -24
-# Keypoints whose chunk 0 one batched matmul counts: groups of 1 to 8
-# timed alike, and 3 keeps the peak the benchmark was measured at.
-_GROUP = 3
 # Chunk-0 leaders whose largest exact count is stage 1's bound best.
 _LEADERS = 8
 # Cells of a stage-2 table at most, unless one hypothesis takes more.
@@ -241,19 +236,20 @@ def _exact_counts(locs, voters):
     return counts
 
 
-def _loose_operands(locs, pts, dirs, threshold, chunks):
-    """The stage-1 operands of K keypoints, or None when thr <= 2η: (K, 3, n)
-    float32 hypothesis rows and (K, C, 2m, 3) float32 pixel matrices, one
-    per keypoint and chunk of m = ceil(M / C) masked pixels.
+def _loose_operands(hyps, pts, dirs, threshold, chunks):
+    """The stage-1 operands of one keypoint, or None when thr <= 2η: (3, n)
+    float32 hypothesis rows and (C, 2m, 3) float32 pixel matrices, one per
+    chunk of m = ceil(M / C) masked pixels.
 
-    Row j of keypoint k is [hx - ox, hy - oy, 1] of its hypothesis j, NaN
-    for a NaN hypothesis, or zeros beyond _FAR. Chunk c holds pixels c,
-    c + C, ... of the row-major order, padded to m. Its matrix holds
-    t·[ux, uy, -q·u] for each of its pixels, then [uy, -ux, -(q × u)],
-    with u = v/|v|, q = p - o and t = tan(arccos(thr - η)); zeros for
-    |v| >= _HUGE_DIR; and dot row 0 and cross row [0, 0, 1] for a
-    non-voter or a pad. Its product with the rows is t·dot over cross,
-    d = h - p, for every pixel and hypothesis.
+    Column j of the rows is [hx - ox, hy - oy, 1] of hypothesis j of the
+    (n, 2) hyps, NaN for a NaN hypothesis, or zeros beyond _FAR. Chunk c
+    holds pixels c, c + C, ... of the row-major order, padded to m. Its
+    matrix holds t·[ux, uy, -q·u] for each of its pixels, then [uy, -ux,
+    -(q × u)], with v the pixel's row of the (M, 2) dirs, u = v/|v|,
+    q = p - o and t = tan(arccos(thr - η)); zeros for |v| >= _HUGE_DIR;
+    and dot row 0 and cross row [0, 0, 1] for a non-voter or a pad. Its
+    product with the rows is t·dot over cross, d = h - p, for every pixel
+    and hypothesis.
     """
     o = pts.mean(axis=0)
     q = pts - o
@@ -262,53 +258,48 @@ def _loose_operands(locs, pts, dirs, threshold, chunks):
         return None
     cos = threshold - eta
     tan = np.sqrt((1.0 - cos) * (1.0 + cos)) / cos
-    g = locs - o
-    rows = np.ones((len(locs), 3, locs.shape[1]), dtype=np.float32)
-    rows[:, :2] = g.transpose(0, 2, 1)
-    rows.transpose(0, 2, 1)[np.hypot(g[..., 0], g[..., 1]) > _FAR] = 0.0
+    g = hyps - o
+    rows = np.ones((3, len(hyps)), dtype=np.float32)
+    rows[:2] = g.T
+    rows[:, np.hypot(g[:, 0], g[:, 1]) > _FAR] = 0.0
 
     # pad the pixels to C·m with zero directions, which vote for nothing
-    k, n_px = dirs.shape[:2]
+    n_px = len(pts)
     m = -(-n_px // chunks)
     v = np.zeros((m * chunks, 2))
     qx, qy = np.zeros((2, m * chunks))
+    v[:n_px] = dirs
     qx[:n_px], qy[:n_px] = q.T
-    mats = np.empty((k, chunks, 2, m, 3), dtype=np.float32)
-    # a keypoint at a time, so that the float64 temporaries stay one field's
-    for mat, d in zip(mats, dirs):
-        v[:n_px] = d
-        norm = np.hypot(v[:, 0], v[:, 1])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ux, uy = v[:, 0] / norm, v[:, 1] / norm
-        voter = norm >= EPS_NORM
-        never = ~voter | (norm >= _HUGE_DIR)
-        ux[never], uy[never] = 0.0, 0.0  # zero rows, so a huge voter accepts all
-        qxu = -(qx * uy - qy * ux)
-        qxu[~voter] = 1.0  # cross row [0, 0, 1]: a non-voter accepts no finite row
-        # chunk c is column c of the (m, C) row-major grid of the padded pixels;
-        # slots[r, j] views column j of the dot (r = 0) or cross (r = 1) rows
-        slots, grid = mat.transpose(1, 3, 2, 0), (m, chunks)
-        slots[0, 0] = (tan * ux).reshape(grid)
-        slots[0, 1] = (tan * uy).reshape(grid)
-        slots[0, 2] = (-tan * (qx * ux + qy * uy)).reshape(grid)
-        slots[1, 0] = uy.reshape(grid)
-        slots[1, 1] = (-ux).reshape(grid)
-        slots[1, 2] = qxu.reshape(grid)
-    return rows, mats.reshape(k, chunks, 2 * m, 3)
+    norm = np.hypot(v[:, 0], v[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ux, uy = v[:, 0] / norm, v[:, 1] / norm
+    voter = norm >= EPS_NORM
+    never = ~voter | (norm >= _HUGE_DIR)
+    ux[never], uy[never] = 0.0, 0.0  # zero rows, so a huge voter accepts all
+    qxu = -(qx * uy - qy * ux)
+    qxu[~voter] = 1.0  # cross row [0, 0, 1]: a non-voter accepts no finite row
+    # chunk c is column c of the (m, C) row-major grid of the padded pixels;
+    # slots[r, j] views column j of the dot (r = 0) or cross (r = 1) rows
+    mats = np.empty((chunks, 2, m, 3), dtype=np.float32)
+    slots, grid = mats.transpose(1, 3, 2, 0), (m, chunks)
+    slots[0, 0] = (tan * ux).reshape(grid)
+    slots[0, 1] = (tan * uy).reshape(grid)
+    slots[0, 2] = (-tan * (qx * ux + qy * uy)).reshape(grid)
+    slots[1, 0] = uy.reshape(grid)
+    slots[1, 1] = (-ux).reshape(grid)
+    slots[1, 2] = qxu.reshape(grid)
+    return rows, mats.reshape(chunks, 2 * m, 3)
 
 
 def _loose_counts(rows, mat):
-    """Loose inlier count, uint8, of each hypothesis column of rows on one chunk:
-    |cross| <= t·dot, from one float32 matmul.
-
-    Leading axes batch: (G, 2m, 3) matrices by (G, 3, n) rows give (G, n)
-    counts in one matmul.
+    """Loose inlier count, uint8, of each hypothesis column of the (3, n) rows
+    on one chunk's (2m, 3) matrix: |cross| <= t·dot, from one float32 matmul.
     """
-    m = mat.shape[-2] // 2
-    table = np.matmul(mat, rows)
-    dot, cross = table[..., :m, :], table[..., m:, :]
+    m = len(mat) // 2
+    table = mat @ rows
+    dot, cross = table[:m], table[m:]
     ok = np.abs(cross, out=cross) <= dot
-    return np.add.reduce(ok.view(np.uint8), axis=-2, dtype=np.uint8)
+    return np.add.reduce(ok.view(np.uint8), axis=0, dtype=np.uint8)
 
 
 def _prune(rows, mats, counts, best):
@@ -318,18 +309,16 @@ def _prune(rows, mats, counts, best):
     counts holds the loose counts of the columns of rows on chunk 0 of
     the pixel matrices mats. Before each further chunk a hypothesis is
     kept only while its count so far plus the number of pixels in the
-    chunks still to come, a bound of their voters, is >= best. Returns the survivors' indices,
-    ascending, and their full loose counts.
+    chunks still to come, a bound of their voters, is >= best. Returns
+    the survivors' indices, ascending, and their full loose counts.
     """
     idx = np.arange(rows.shape[1])
     counts = counts.astype(np.intp)
-    sizes = [len(mat) // 2 for mat in mats]
-    remaining = sum(sizes[1:])
-    for mat, size in zip(mats[1:], sizes[1:]):
-        keep = counts + remaining >= best
+    m = mats.shape[1] // 2
+    for c in range(1, len(mats)):
+        keep = counts + m * (len(mats) - c) >= best
         idx, rows, counts = (np.compress(keep, a, axis=-1) for a in (idx, rows, counts))
-        counts += _loose_counts(rows, mat)
-        remaining -= size
+        counts += _loose_counts(rows, mats[c])
     return idx, counts
 
 
@@ -392,15 +381,14 @@ class SceneVote:
     The votes do the work, not the constructor, so that the K votes take
     all of the scene's voting time: the first one gathers the masked
     pixels, draws the pairs and forms every keypoint's hypotheses, and
-    the first one in each group of _GROUP keypoints builds the group's
-    stage-1 operands and counts its chunk 0. The keypoints may be voted
-    in any order, and each keypoint's vote is the one of its field alone.
+    each vote builds and counts its own keypoint's stage 1. The keypoints
+    may be voted in any order, and each keypoint's vote is the one of its
+    field alone.
     """
 
     def __init__(self, fields, mask, cfg: VotingConfig):
         self.fields, self.mask, self.cfg = fields, mask, cfg
         self._pass = None  # pts, dirs, locs, ok, chunks
-        self._group = None  # first keypoint, stage-1 operands or None, chunk-0 counts
 
     def _winner(self, k):
         """Keypoint k's most-voted hypothesis before refinement, its votes and
@@ -419,19 +407,13 @@ class SceneVote:
                                          "one pixel twice, parallel or had a direction shorter "
                                          "than EPS_NORM")
         threshold = self.cfg.inlier_cos_threshold
-        g = k - k % _GROUP
-        if self._group is None or self._group[0] != g:
-            loose = _loose_operands(locs[g:g + _GROUP], pts, dirs[g:g + _GROUP], threshold,
-                                    chunks)
-            counts0 = None if loose is None else _loose_counts(loose[0], loose[1][:, 0])
-            self._group = g, loose, counts0
-        _, loose, counts0 = self._group
         hyps = locs[k, sel]
         voters = _voters(pts, dirs[k], threshold)
         cand = np.arange(len(sel))
+        loose = _loose_operands(hyps, pts, dirs[k], threshold, chunks)
         if loose is not None:
-            rows, mats = loose[0][k - g][:, sel], loose[1][k - g]
-            counts = counts0[k - g, sel]
+            rows, mats = loose
+            counts = _loose_counts(rows, mats[0])
             leaders = np.argsort(counts, kind="stable")[-_LEADERS:]
             best = _exact_counts(hyps[leaders], voters).max()
             idx, counts = _prune(rows, mats, counts, best)

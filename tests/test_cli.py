@@ -763,7 +763,8 @@ class TestTrainAndReport:
     @pytest.mark.parametrize("flag, value", [
         ("--seeds", ","), ("--iters", "0"), ("--iters-per-epoch", "0"),
         ("--iters-per-epoch", "-5"), ("--lr", "nan"), ("--lr", "inf"), ("--beta0", "-1"),
-        ("--beta-cap", "nan"), ("--seeds", "-1"), ("--seeds", "0,-1"), ("--mode", ",")])
+        ("--beta-cap", "nan"), ("--seeds", "-1"), ("--seeds", "0,-1"), ("--mode", ","),
+        ("--mode", "vf_only,vf_only"), ("--seeds", "0,0")])
     def test_out_of_range_value_is_usage_error(self, scenes_dir, tmp_path, capsys, flag, value):
         out = tmp_path / "t"
         assert main(["train", "--scenes", scenes_dir, "--out", str(out), "--iters", "5",

@@ -496,6 +496,17 @@ class TestSceneVoteParity:
         assert votes[3] == 0 and np.all(np.isfinite(locs[3]))
         assert min(votes[k] for k in range(8) if k not in (2, 3)) > 100
 
+    def test_keypoints_may_be_voted_in_any_order(self):
+        scene = noisy_scene(4)
+        cfg = VotingConfig(rng_seed=4)
+        locs, votes, failures = vote_keypoints(scene.gt_fields, scene.mask, cfg)
+        assert not failures
+        shared = SceneVote(scene.gt_fields, scene.mask, cfg)
+        for k in [7, 6, 5, 4, 3, 3, 2, 1, 0]:
+            loc, n = shared.vote(k)
+            assert n == votes[k]
+            assert np.array_equal(bits(loc), bits(locs[k]))
+
 
 def boundary_cells(threshold, rng):
     """Voters and hypotheses whose float64 test sits on its cut-offs.
@@ -549,8 +560,8 @@ class TestLooseSuperset:
             m = len(voters[0])
             assert m == len(pts)
             # m chunks: one voter per chunk, so each chunk count is one cell
-            rows, mats = _loose_operands(hyps[None], pts, dirs[None], threshold, m)
-            loose = np.array([_loose_counts(rows[0], mat) for mat in mats[0]], dtype=bool)
+            rows, mats = _loose_operands(hyps, pts, dirs, threshold, m)
+            loose = np.array([_loose_counts(rows, mat) for mat in mats], dtype=bool)
             exact = np.stack([_inliers(h[0], h[1], voters) for h in hyps], axis=1)
             assert not np.any(exact & ~loose)
             on_cut += [exact[i, j] for i, j in enumerate(aimed) if j >= 0]
@@ -559,8 +570,8 @@ class TestLooseSuperset:
 
     def test_far_hypotheses_and_huge_directions_are_loose_inliers(self):
         hyps, pts, dirs, _ = boundary_cells(0.99, np.random.default_rng(1))
-        rows, mats = _loose_operands(hyps[None], pts, dirs[None], 0.99, len(pts))
-        loose = np.array([_loose_counts(rows[0], mat) for mat in mats[0]], dtype=bool)
+        rows, mats = _loose_operands(hyps, pts, dirs, 0.99, len(pts))
+        loose = np.array([_loose_counts(rows, mat) for mat in mats], dtype=bool)
         assert np.all(loose[:, 2])
         assert np.all(loose[np.hypot(dirs[:, 0], dirs[:, 1]) >= 1e100])
 
@@ -572,16 +583,16 @@ class TestLooseSuperset:
         dirs[[2, 5]] = 0.0
         dirs[7] = [5e-9, 0.0]
         hyps = np.array([[20.5, 0.5], [1e21, 0.0]])
-        rows, mats = _loose_operands(hyps[None], pts, dirs[None], 0.99, 4)
-        assert mats.shape == (1, 4, 6, 3)
-        counts = sum(_loose_counts(rows[0], mat).astype(int) for mat in mats[0])
+        rows, mats = _loose_operands(hyps, pts, dirs, 0.99, 4)
+        assert mats.shape == (4, 6, 3)
+        counts = sum(_loose_counts(rows, mat).astype(int) for mat in mats)
         assert counts.tolist() == [7, 12]
 
     def test_threshold_at_or_below_twice_eta_skips_stage_one(self):
         # two voters 100 px apart: B = 50, so eta = 16·2^-24·201
-        pts, dirs = np.array([[0.5, 0.5], [100.5, 0.5]]), np.array([[[1.0, 0.0]] * 2])
+        pts, dirs = np.array([[0.5, 0.5], [100.5, 0.5]]), np.array([[1.0, 0.0]] * 2)
         eta = 16 * 2.0 ** -24 * 201
-        hyps = np.array([[[50.0, 50.0]]])
+        hyps = np.array([[50.0, 50.0]])
         for threshold, skipped in ((2 * eta, True), (np.nextafter(2 * eta, 1.0), False)):
             assert (_loose_operands(hyps, pts, dirs, threshold, 2) is None) == skipped
 
