@@ -316,7 +316,7 @@ def cmd_eval(args) -> int:
         if not np.isnan(locs).any():
             try:
                 est = solve_epnp(sample.keypoints3, locs, sample.intr)
-                rec = evaluate(sample.pose, est, cloud.points, sample.intr, diameter)
+                rec = evaluate(sample.pose, est, cloud, sample.intr, diameter)
             except (ProxyVoteError, np.linalg.LinAlgError) as e:
                 print(f"warning: scene {si}: {e}", file=sys.stderr)
         records.append(rec)

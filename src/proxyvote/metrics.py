@@ -4,9 +4,9 @@ A pose is counted correct when ADD is strictly below 10% of the model
 diameter (ADD-S is judged by the same rule), or when the mean 2D
 projection error is strictly below 5 px.
 
-scipy is imported on first use, inside ``add_s_score``: importing it
-costs about 0.5 s and 30 MB per process, and only ``eval`` scores poses,
-so ``gen``, ``train``, ``vote`` and ``report`` never load it.
+ADD-S is scored only for a symmetric model, and only ``add_s_score``
+uses scipy, importing its ``cKDTree`` on first use: the import costs
+about 0.5 s and 35 MB per process, so only ``eval --symmetric`` loads it.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import InsufficientSupportError
 from .geometry import Intrinsics, Pose, project
+from .model_tools import ModelCloud
 
 PROJ2D_THRESHOLD_PX = 5.0
 ADD_DIAMETER_FRACTION = 0.1
@@ -47,7 +48,7 @@ def add_s_score(gt: Pose, est: Pose, points) -> float:
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) == 0:
         raise InsufficientSupportError("empty point set")
-    from scipy.spatial import cKDTree  # lazy: a 0.5 s import only eval needs
+    from scipy.spatial import cKDTree  # lazy: a 0.5 s import only eval --symmetric needs
 
     d, _ = cKDTree(est.apply(pts)).query(gt.apply(pts), k=1)
     return float(np.mean(d))
@@ -69,12 +70,17 @@ def judge(add: float, diameter: float, proj: float):
     return add < ADD_DIAMETER_FRACTION * diameter, proj < PROJ2D_THRESHOLD_PX
 
 
-def evaluate(gt: Pose, est: Pose, points, intr: Intrinsics, diameter: float) -> EvalRecord:
-    """Full record for one estimated pose."""
+def evaluate(gt: Pose, est: Pose, cloud: ModelCloud, intr: Intrinsics,
+             diameter: float) -> EvalRecord:
+    """Full record for one estimated pose. ADD-S is scored only when the
+    cloud is symmetric; otherwise the record holds nan and incorrect."""
+    points = cloud.points
     add = add_score(gt, est, points)
-    add_s = add_s_score(gt, est, points)
     proj = proj2d_error(gt, est, points, intr)
     add_ok, proj_ok = judge(add, diameter, proj)
-    add_s_ok, _ = judge(add_s, diameter, proj)
+    add_s, add_s_ok = np.nan, False
+    if cloud.symmetric:
+        add_s = add_s_score(gt, est, points)
+        add_s_ok, _ = judge(add_s, diameter, proj)
     return EvalRecord(add=add, add_s=add_s, proj2d=proj, add_correct=add_ok,
                       proj_correct=proj_ok, add_s_correct=add_s_ok)

@@ -539,6 +539,10 @@ class TestGoldenDigests:
     VOTES = "a6726ef50d6a22af38e2d39a4b702eb02572d9abe06391b5684ce81a8b01c2dc"
     RECORDS = "3a6de35394b011b504d146f09325bdcdd1f351bfec7597061f5ed0e7d9a54626"
     SUMMARY = "7362a344eeec352cf31f5b2f43fc40ac4946d3d42e644eeb059fd1787fac8994"
+    # eval without --symmetric, taken while every eval still scored ADD-S
+    # and took the diameter from scipy's pdist
+    PLAIN_RECORDS = "9e848c9bc7be5ac1b118368242dd8da1fd6071decca0c897e8ee728e4b87a68f"
+    PLAIN_SUMMARY = "ea99238745e30e4e8388ee25a9e1ed8dc1feb5a423ea90f110c2cde3d74b28ca"
 
     def test_vote_and_eval_outputs(self, model_file, tmp_path):
         scenes = str(tmp_path / "scenes")
@@ -550,9 +554,14 @@ class TestGoldenDigests:
         out = tmp_path / "eval"
         assert main(["eval", "--scenes", scenes, "--model", model_file, "--out", str(out),
                      "--symmetric", "--seed", "3"]) == 0
+        plain = tmp_path / "eval_plain"
+        assert main(["eval", "--scenes", scenes, "--model", model_file, "--out", str(plain),
+                     "--seed", "3"]) == 0
         assert sha256(votes) == self.VOTES
         assert sha256(out / "records.csv") == self.RECORDS
         assert sha256(out / "summary.json") == self.SUMMARY
+        assert sha256(plain / "records.csv") == self.PLAIN_RECORDS
+        assert sha256(plain / "summary.json") == self.PLAIN_SUMMARY
 
     # gen's files of the same noisy set, taken before scipy's import was
     # made lazy; the manifest is left out, as it records paths and wall time
@@ -730,7 +739,7 @@ class TestTrainAndReport:
             locs, _, failures = vote_keypoints(s.gt_fields, s.mask, vcfg)
             assert not failures
             assert list(keypoint_errors(locs, s.keypoints2)) == run["keypoint_errors"]
-            rec = evaluate(s.pose, solve_epnp(s.keypoints3, locs, s.intr), cloud.points,
+            rec = evaluate(s.pose, solve_epnp(s.keypoints3, locs, s.intr), cloud,
                            s.intr, model_diameter(cloud))
             row = (out / "records.csv").read_text().splitlines()[1 + run["scene"]]
             assert row == ",".join([str(run["scene"]), repr(rec.add), repr(rec.proj2d),
@@ -876,7 +885,8 @@ steps = [
     ["train", "--scenes", scenes, "--out", fits, "--iters", "3"],
     ["vote", "--scenes", scenes, "--out", tmp + "/vote/votes.csv"],
     ["report", "--traces", fits, "--out", tmp + "/report"],
-    ["eval", "--scenes", scenes, "--model", model, "--out", tmp + "/eval", "--symmetric"],
+    ["eval", "--scenes", scenes, "--model", model, "--out", tmp + "/eval"],
+    ["eval", "--scenes", scenes, "--model", model, "--out", tmp + "/eval_s", "--symmetric"],
 ]
 def scipy_loaded():
     return any(m.split(".")[0] == "scipy" for m in sys.modules)
@@ -894,7 +904,8 @@ def test_only_eval_loads_scipy(model_file, tmp_path):
     assert proc.returncode == 0, proc.stderr
     steps = [json.loads(line) for line in proc.stdout.splitlines()]
     assert steps == [["import", 0, False], ["gen", 0, False], ["train", 0, False],
-                     ["vote", 0, False], ["report", 0, False], ["eval", 0, True]]
+                     ["vote", 0, False], ["report", 0, False], ["eval", 0, False],
+                     ["eval", 0, True]]
 
 
 class TestVersion:

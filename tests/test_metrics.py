@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from helpers import random_pose
+from proxyvote import metrics
 from proxyvote.errors import InsufficientSupportError
 from proxyvote.geometry import Intrinsics, Pose
 from proxyvote.metrics import (add_s_score, add_score, evaluate, judge,
                                proj2d_error)
+from proxyvote.model_tools import ModelCloud
 
 INTR = Intrinsics(100.0, 100.0, 64.0, 64.0)
 
@@ -143,7 +145,7 @@ def test_evaluate_record_consistency():
     gt = random_pose(rng, t_scale=0.1, z_offset=2.0)
     est = random_pose(rng, t_scale=0.1, z_offset=2.0)
     pts = rng.normal(0, 0.1, (30, 3))
-    rec = evaluate(gt, est, pts, INTR, diameter=1.0)
+    rec = evaluate(gt, est, ModelCloud(pts, symmetric=True), INTR, diameter=1.0)
     assert rec.add_s <= rec.add + 1e-12
     assert rec.add >= 0 and rec.proj2d >= 0
     assert rec.add_correct == (rec.add < 0.1)
@@ -157,7 +159,24 @@ def test_evaluate_judges_add_s_by_the_add_rule():
     ring = 0.1 * np.column_stack([np.cos(angles), np.sin(angles), np.zeros(8)])
     gt = Pose(np.eye(3), [0.0, 0.0, 2.0])
     est = Pose(rot_z(np.pi), [0.0, 0.0, 2.0])
-    rec = evaluate(gt, est, ring, INTR, diameter=0.2)
+    rec = evaluate(gt, est, ModelCloud(ring, symmetric=True), INTR, diameter=0.2)
     assert rec.add == pytest.approx(0.2)
     assert rec.add_s_correct and not rec.add_correct
     assert rec.add_s_correct == (rec.add_s < 0.1 * 0.2)
+
+
+def test_evaluate_scores_add_s_only_for_a_symmetric_cloud(monkeypatch):
+    rng = np.random.default_rng(10)
+    gt = random_pose(rng, t_scale=0.1, z_offset=2.0)
+    est = random_pose(rng, t_scale=0.1, z_offset=2.0)
+    pts = rng.normal(0, 0.1, (30, 3))
+    sym = evaluate(gt, est, ModelCloud(pts, symmetric=True), INTR, diameter=1.0)
+
+    def unused(*args):
+        raise AssertionError("ADD-S scored for a non-symmetric cloud")
+
+    monkeypatch.setattr(metrics, "add_s_score", unused)
+    rec = evaluate(gt, est, ModelCloud(pts), INTR, diameter=1.0)
+    assert np.isnan(rec.add_s) and not rec.add_s_correct
+    assert (rec.add, rec.proj2d, rec.add_correct, rec.proj_correct) == \
+        (sym.add, sym.proj2d, sym.add_correct, sym.proj_correct)

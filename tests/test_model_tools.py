@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from helpers import cube_cloud
 from oracles import oracle_fps_verify
 from proxyvote.errors import InsufficientSupportError, ModelLoadError
-from proxyvote.model_tools import (ModelCloud, farthest_point_sampling,
-                                   load_model, model_diameter)
+from proxyvote.model_tools import (DIAMETER_SUBSAMPLE, ModelCloud,
+                                   farthest_point_sampling, load_model,
+                                   model_diameter)
 
 PLY_OK = """ply
 format ascii 1.0
@@ -38,6 +40,24 @@ end_header
 3 0 1 2
 """
 
+# faces declared, and so listed, before the vertices
+PLY_FACES_FIRST = """ply
+format ascii 1.0
+element face 2
+property list uchar int vertex_indices
+element vertex 4
+property float x
+property float y
+property float z
+end_header
+3 0 1 2
+3 0 2 3
+0 0 0
+1 0 0
+0 1 0
+0 0 1
+"""
+
 OBJ_OK = """# comment
 v 0 0 0
 v 1 0 0
@@ -65,6 +85,23 @@ class TestLoadModel:
         assert cloud.points.shape == (4, 3)
         assert np.allclose(cloud.points[1], [2, 0, 0])
         assert cloud.symmetric
+
+    def test_ply_vertices_after_another_element(self, tmp_path):
+        p = tmp_path / "m.ply"
+        p.write_text(PLY_FACES_FIRST)
+        assert np.array_equal(load_model(p).points, np.vstack([np.zeros(3), np.eye(3)]))
+
+    def test_ply_bad_count_before_vertex(self, tmp_path):
+        p = tmp_path / "m.ply"
+        p.write_text(PLY_FACES_FIRST.replace("face 2", "face two"))
+        with pytest.raises(ModelLoadError, match="line 3: bad element count"):
+            load_model(p)
+
+    def test_ply_bad_vertex_line_after_faces_reports_line_number(self, tmp_path):
+        p = tmp_path / "m.ply"
+        p.write_text(PLY_FACES_FIRST.replace("0 0 1", "0 0 oops"))
+        with pytest.raises(ModelLoadError, match="line 15"):
+            load_model(p)
 
     def test_obj(self, tmp_path):
         p = tmp_path / "m.obj"
@@ -176,6 +213,36 @@ class TestModelDiameter:
         rng = np.random.default_rng(8)
         cloud = ModelCloud(rng.normal(0, 1, (6000, 3)))
         assert model_diameter(cloud) == model_diameter(cloud)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_pdist_on_random_clouds(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 401))
+        scale = 10.0 ** rng.uniform(-2, 2)
+        pts = rng.normal(0, scale, (n, 3)) + rng.uniform(-10, 10, 3) * scale
+        assert model_diameter(ModelCloud(pts)) == float(pdist(pts).max())
+
+    @pytest.mark.parametrize("n", [4, 50, 700])
+    def test_equals_pdist_on_unit_spheres(self, n):
+        # every point is an end of a near-farthest pair, so none is pruned
+        v = np.random.default_rng(n).normal(size=(n, 3))
+        pts = v / np.linalg.norm(v, axis=1, keepdims=True)
+        assert model_diameter(ModelCloud(pts)) == float(pdist(pts).max())
+
+    def test_equals_pdist_with_duplicate_points(self):
+        rng = np.random.default_rng(11)
+        base = rng.uniform(-0.05, 0.05, (30, 3))
+        pts = base[rng.integers(0, 30, 200)]
+        assert model_diameter(ModelCloud(pts)) == float(pdist(pts).max())
+        cube = cube_cloud(n_extra=100, seed=2).points
+        pts = np.vstack([cube, cube[::-1]])
+        assert model_diameter(ModelCloud(pts)) == float(pdist(pts).max())
+
+    def test_equals_pdist_of_the_subsample(self):
+        pts = np.random.default_rng(12).normal(0, 1, (DIAMETER_SUBSAMPLE + 1, 3))
+        sel = np.random.default_rng(0).choice(len(pts), DIAMETER_SUBSAMPLE, replace=False)
+        want = float(pdist(pts[np.sort(sel)]).max())
+        assert model_diameter(ModelCloud(pts)) == want
 
     def test_single_point_raises(self):
         # one point listed four times has no extent
