@@ -269,7 +269,7 @@ def _voted_scenes(scenes_dir, vcfg):
     by ``vote_keypoints``; each failed keypoint is warned about on stderr."""
     for si, d in enumerate(_scene_dirs(scenes_dir)):
         sample = load_scene(d)
-        locs, votes, failures = vote_keypoints(sample.gt_fields, sample.mask, vcfg)
+        locs, votes, failures = vote_keypoints(sample.fields, sample.mask, vcfg)
         for reason in failures:
             print(f"warning: scene {si}: {reason}", file=sys.stderr)
         yield sample, locs, votes

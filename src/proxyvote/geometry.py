@@ -87,5 +87,5 @@ def project(pose: Pose, intr: Intrinsics, points):
 
 def pixel_centers(height: int, width: int) -> np.ndarray:
     """(H, W, 2) array of pixel-center coordinates (x, y)."""
-    ys, xs = np.mgrid[0:height, 0:width]
-    return np.stack([xs + 0.5, ys + 0.5], axis=-1).astype(float)
+    xs, ys = np.meshgrid(np.arange(width) + 0.5, np.arange(height) + 0.5, copy=False)
+    return np.stack([xs, ys], axis=-1)

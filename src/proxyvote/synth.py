@@ -14,8 +14,9 @@ pose.json ({rotation: 9 row-major, translation: 3, fx, fy, cx, cy}),
 keypoints.csv (kx,ky,X,Y,Z), and fields.npy, a float64 array of shape
 (K, M, 2): each keypoint's field (vx, vy) at the M set pixels of
 mask.pgm, in row-major order, so a value's row and column come from the
-mask. Every file is written through a temp file and os.replace, and a
-rewrite of the same scene gives the same bytes.
+mask. A SceneSample holds its fields in the same (K, M, 2) form. Every
+file is written through a temp file and os.replace, and a rewrite of the
+same scene gives the same bytes.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import sys
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -43,9 +45,16 @@ class SceneSample:
     mask: np.ndarray  # (H, W) bool
     keypoints2: np.ndarray  # (K, 2) projected keypoints, may fall outside mask
     keypoints3: np.ndarray  # (K, 3) model-frame keypoints
-    gt_fields: np.ndarray  # (K, H, W, 2) unit directions, zero off-mask
+    fields: np.ndarray  # (K, M, 2) float64 directions at the M set pixels of mask, row-major
     width: int
     height: int
+
+    @property
+    def gt_fields(self) -> np.ndarray:
+        """A fresh (K, H, W, 2) dense copy of fields, zero off the mask."""
+        dense = np.zeros((len(self.fields), self.height, self.width, 2))
+        dense[:, self.mask] = self.fields
+        return dense
 
 
 @dataclass(frozen=True)
@@ -136,16 +145,14 @@ def _splat_mask(proj, width, height, radius=SPLAT_RADIUS) -> np.ndarray:
     return mask
 
 
-def _ideal_fields(mask, keypoints2, height, width) -> np.ndarray:
-    """(K, H, W, 2) unit directions from each masked pixel centre to each
-    keypoint, zero outside the mask and within 1e-9 of the keypoint."""
-    diff = np.asarray(keypoints2, dtype=float)[:, None, :] - pixel_centers(height, width)[mask]
+def _ideal_fields(mask, keypoints2) -> np.ndarray:
+    """(K, M, 2) unit directions from each masked pixel centre to each
+    keypoint, zero within 1e-9 of the keypoint."""
+    diff = np.asarray(keypoints2, dtype=float)[:, None, :] - pixel_centers(*mask.shape)[mask]
     r = np.hypot(diff[..., 0], diff[..., 1])[..., None]  # (K, M, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = diff / np.where(r > 0, r, 1.0)
-    fields = np.zeros((len(diff), height, width, 2))
-    fields[:, mask] = np.where(r >= 1e-9, f, 0.0)
-    return fields
+    return np.where(r >= 1e-9, f, 0.0)
 
 
 def make_scene(cloud: ModelCloud, keys: KeypointSet, pose: Pose, intr: Intrinsics,
@@ -154,10 +161,9 @@ def make_scene(cloud: ModelCloud, keys: KeypointSet, pose: Pose, intr: Intrinsic
     proj = project(pose, intr, cloud.points)
     mask = _splat_mask(proj, width, height)
     keypoints2 = project(pose, intr, keys.points3)
-    fields = _ideal_fields(mask, keypoints2, height, width)
     return SceneSample(pose=pose, intr=intr, mask=mask, keypoints2=keypoints2,
                        keypoints3=np.asarray(keys.points3, dtype=float).copy(),
-                       gt_fields=fields, width=width, height=height)
+                       fields=_ideal_fields(mask, keypoints2), width=width, height=height)
 
 
 def _grow_blob(mask, n_remove, rng):
@@ -193,25 +199,21 @@ def corrupt(sample: SceneSample, spec: NoiseSpec) -> SceneSample:
 
     The blob is grown first; then one angle (when sigma > 0) and one flip
     draw are made per keypoint and pixel of the returned mask, in
-    row-major pixel order. The fields are zero everywhere else.
+    row-major pixel order.
     """
     rng = np.random.default_rng(spec.rng_seed)
     n_remove = int(round(spec.occlusion_frac * np.count_nonzero(sample.mask)))
     new_mask = sample.mask & ~_grow_blob(sample.mask, n_remove, rng)
 
-    ii, jj = np.nonzero(new_mask)
-    shape = (len(sample.gt_fields), len(ii))  # (K, M)
+    f = sample.fields[:, new_mask[sample.mask]]  # (K, M, 2) at the kept pixels
+    shape = f.shape[:2]
     sigma = np.deg2rad(spec.angular_sigma)
     theta = rng.normal(0.0, sigma, size=shape) if sigma > 0 else np.zeros(shape)
     sign = np.where(rng.random(size=shape) < spec.flip_prob, -1.0, 1.0)
     c, s = np.cos(theta), np.sin(theta)
-    f = sample.gt_fields[:, ii, jj]  # (K, M, 2)
     fx, fy = f[..., 0], f[..., 1]
-    fields = np.zeros_like(sample.gt_fields)
-    fields[:, ii, jj, 0] = sign * (c * fx - s * fy)
-    fields[:, ii, jj, 1] = sign * (s * fx + c * fy)
-
-    return replace(sample, mask=new_mask, gt_fields=fields)
+    fields = np.stack([sign * (c * fx - s * fy), sign * (s * fx + c * fy)], axis=-1)
+    return replace(sample, mask=new_mask, fields=fields)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +258,7 @@ def save_scene(directory, sample: SceneSample):
 
     # np.save writes no timestamp, so equal fields give equal bytes
     npy = io.BytesIO()
-    np.save(npy, np.asarray(sample.gt_fields, dtype=np.float64)[:, sample.mask],
-            allow_pickle=False)
+    np.save(npy, np.ascontiguousarray(sample.fields, dtype=np.float64), allow_pickle=False)
     write_atomic(os.path.join(directory, "fields.npy"), npy.getvalue())
 
 
@@ -275,6 +276,8 @@ def _load_pgm(path):
         vals = np.fromstring(head[4] if len(head) > 4 else "", dtype=int, sep=" ")
     except ValueError as e:
         raise ModelLoadError(f"{path}: {e}") from None
+    if w < 1 or h < 1:
+        raise ModelLoadError(f"{path}: a {w}x{h} image; width and height must be positive")
     if len(vals) < w * h:
         raise ModelLoadError(f"{path}: {len(vals)} values for a {w}x{h} image")
     return vals[:w * h].reshape(h, w) > 0
@@ -314,20 +317,38 @@ def _load_fields(path, shape) -> np.ndarray:
     return values
 
 
+def _load_pose(path):
+    """The Pose and Intrinsics of the pose.json at path."""
+    with open(path) as f:
+        try:
+            doc = json.load(f)
+        except ValueError as e:  # not JSON, or not UTF-8
+            raise ModelLoadError(f"{path}: {e}") from None
+    if not isinstance(doc, dict):
+        raise ModelLoadError(f"{path}: not a JSON object")
+    for key, n in (("rotation", 9), ("translation", 3), ("fx", 1), ("fy", 1), ("cx", 1),
+                   ("cy", 1)):
+        if key not in doc:
+            raise ModelLoadError(f"{path}: no {key!r} key")
+        items = doc[key] if n > 1 else [doc[key]]
+        if not (isinstance(items, list) and len(items) == n and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool)
+                and abs(x) <= sys.float_info.max for x in items)):
+            what = f"a list of {n} finite numbers" if n > 1 else "a finite number"
+            raise ModelLoadError(f"{path}: {key!r} must be {what}")
+    try:
+        return (Pose(np.array(doc["rotation"]).reshape(3, 3), np.array(doc["translation"])),
+                Intrinsics(fx=doc["fx"], fy=doc["fy"], cx=doc["cx"], cy=doc["cy"]))
+    except ValueError as e:  # not a rotation, or a focal length <= 0
+        raise ModelLoadError(f"{path}: {e}") from None
+
+
 def load_scene(directory) -> SceneSample:
     mask = _load_pgm(os.path.join(directory, "mask.pgm"))
     h, w = mask.shape
-    with open(os.path.join(directory, "pose.json")) as f:
-        doc = json.load(f)
-    pose = Pose(np.array(doc["rotation"]).reshape(3, 3), np.array(doc["translation"]))
-    intr = Intrinsics(fx=doc["fx"], fy=doc["fy"], cx=doc["cx"], cy=doc["cy"])
-
+    pose, intr = _load_pose(os.path.join(directory, "pose.json"))
     keypoints = _load_csv(os.path.join(directory, "keypoints.csv"), 5)
-    keypoints2 = keypoints[:, :2]
-    keypoints3 = keypoints[:, 2:5]
-
-    fields = np.zeros((len(keypoints), h, w, 2))
-    fields[:, mask] = _load_fields(os.path.join(directory, "fields.npy"),
-                                   (len(keypoints), int(np.count_nonzero(mask)), 2))
-    return SceneSample(pose=pose, intr=intr, mask=mask, keypoints2=keypoints2,
-                       keypoints3=keypoints3, gt_fields=fields, width=w, height=h)
+    fields = _load_fields(os.path.join(directory, "fields.npy"),
+                          (len(keypoints), int(np.count_nonzero(mask)), 2))
+    return SceneSample(pose=pose, intr=intr, mask=mask, keypoints2=keypoints[:, :2],
+                       keypoints3=keypoints[:, 2:5], fields=fields, width=w, height=h)

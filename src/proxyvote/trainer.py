@@ -14,13 +14,14 @@ iters_per_epoch iterations, ``_beta`` grows the proxy term's weight by
 BETA_FACTOR from beta0 up to beta_cap, and ``_decayed_lr`` cuts the
 learning rate by 0.85 every 5 epochs down to 1e-5.
 
-``fit_field`` keeps the parameters, the ground truth, the keypoint
-offsets and both Adam moments as component-planar (2, K, M) arrays, and
-one ``PlanarLosses`` and one set of gradient and Adam buffers serve every
-iteration. The Adam step runs in place with the operations of the
-textbook update in the same order, so its bits are those of
-m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
-x -= lr m̂ / (sqrt(v̂) + eps).
+Field stacks are (K, M, 2), at the M masked pixels in row-major order,
+as ``SceneSample.fields`` holds them. ``fit_field`` keeps the
+parameters, the ground truth, the keypoint offsets and both Adam moments
+as component-planar (2, K, M) arrays, and one ``PlanarLosses`` and one
+set of gradient and Adam buffers serve every iteration. The Adam step
+runs in place with the operations of the textbook update in the same
+order, so its bits are those of m = b1 m + (1 - b1) g,
+v = b2 v + (1 - b2) g g and x -= lr m̂ / (sqrt(v̂) + eps).
 
 A fit ends by voting its fields with ``vote_keypoints``, which ``vote``
 and ``eval`` share too: it calls ``vote_keypoint`` once per keypoint,
@@ -120,17 +121,17 @@ def _beta(cfg: TrainConfig, epoch: int) -> float:
 
 
 def random_init_field(sample: SceneSample, rng) -> np.ndarray:
-    """Standard-normal per-pixel init over the masked region, zero outside."""
-    k = len(sample.keypoints2)
-    init = rng.standard_normal((k, sample.height, sample.width, 2))
-    return np.where(sample.mask[None, :, :, None], init, 0.0)
+    """(K, M, 2) standard-normal init at the masked pixels."""
+    # a normal per pixel of the whole image: the stream fixes train's outputs
+    shape = (len(sample.keypoints2), sample.height, sample.width, 2)
+    return rng.standard_normal(shape)[:, sample.mask]
 
 
 def vote_keypoints(fields, mask, cfg: VotingConfig):
-    """Each (H, W, 2) field of the stack voted over mask with cfg, the K
-    votes sharing one ``SceneVote`` pass: the (K, 2) locations and (K,)
-    votes, NaN and 0 where a keypoint failed, and one "keypoint i: reason"
-    per failure. Only a ProxyVoteError is a failure."""
+    """Each field of the (K, M, 2) masked stack voted over mask with cfg,
+    the K votes sharing one ``SceneVote`` pass: the (K, 2) locations and
+    (K,) votes, NaN and 0 where a keypoint failed, and one "keypoint i:
+    reason" per failure. Only a ProxyVoteError is a failure."""
     locs = np.full((len(fields), 2), np.nan)
     votes = np.zeros(len(fields), dtype=int)
     failures = []
@@ -150,19 +151,15 @@ def keypoint_errors(locs, keypoints2) -> np.ndarray:
 
 
 def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
-    """Adam on the stacked (K, H, W, 2) field. Returns (field, trace).
-
-    Only masked pixels are optimized; everything outside the mask is
-    returned unchanged from init.
+    """Adam on the (K, M, 2) masked field stack, from init. Returns the
+    fitted (K, M, 2) stack and the trace.
     """
-    init = np.asarray(init, dtype=float)
-    h, w = init.shape[1:3]
     mask = sample.mask
     n_masked = max(int(np.count_nonzero(mask)), 1)
 
-    est = planar(init[:, mask, :])  # (2, K, M)
-    gt = planar(sample.gt_fields[:, mask, :])
-    off = planar(sample.keypoints2[:, None, :] - pixel_centers(h, w)[mask])  # k - p
+    est = planar(np.asarray(init, dtype=float))  # (2, K, M)
+    gt = planar(sample.fields)
+    off = planar(sample.keypoints2[:, None, :] - pixel_centers(*mask.shape)[mask])  # k - p
 
     losses = PlanarLosses(est.shape[1:])
     grad, m, v, step, denom = (np.zeros_like(est) for _ in range(5))
@@ -217,8 +214,7 @@ def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
             np.divide(step, denom, out=step)
             np.subtract(est, step, out=est)
 
-    fields = np.array(init, copy=True)
-    fields[:, mask, :] = est.transpose(1, 2, 0)
+    fields = est.transpose(1, 2, 0)
 
     vote_cfg = VotingConfig(rng_seed=subseed(cfg.rng_seed, "voting"))
     locs, _, _ = vote_keypoints(fields, mask, vote_cfg)
@@ -244,7 +240,7 @@ def run_experiment(scenes, modes, seeds, cfg_base: TrainConfig, out_dir):
                 cfg = replace(cfg_base, mode=mode, rng_seed=seed)
                 fields, trace = fit_field(sample, init, cfg)
                 save_scene(os.path.join(out_dir, "fields", f"{mode}_seed{seed}", f"sample_{si:03d}"),
-                           replace(sample, gt_fields=fields))
+                           replace(sample, fields=fields))
                 tag = f"scene{si:03d}_{mode}_seed{seed}"
                 trace.to_csv(os.path.join(out_dir, f"trace_{tag}.csv"))
 

@@ -16,17 +16,17 @@ threshold. The squared form needs no square root or division per
 pixel-hypothesis pair, and it is the one test that counting, scoring the
 hypotheses and refining the winner all use.
 
-One pass per scene. The K fields of a scene share one pass, with one
-config (``SceneVote``); ``vote_keypoint`` votes one keypoint of it, or
-one field as a stack of one. The masked pixels and their (K, M, 2)
-directions are gathered once, and one draw of n pixel pairs serves every
-keypoint. A pair forms a hypothesis for keypoint k unless it is one
-pixel twice, or its two directions for k are parallel or shorter than
-EPS_NORM; the other entries of the (K, n) hypothesis table are NaN pads.
-Each keypoint goes on with its own valid hypotheses, in draw order, and
-its own voters (the masked pixels whose direction for k has |v| >=
-EPS_NORM), so its vote is the one it would get alone; a keypoint without
-a hypothesis fails alone.
+One pass per scene. The K fields of a scene, a (K, M, 2) stack of their
+directions at the M masked pixels in row-major order, share one pass
+with one config (``SceneVote``); ``vote_keypoint`` votes one keypoint of
+it, or one dense (H, W, 2) field's masked pixels as a stack of one. One
+draw of n pixel pairs serves every keypoint. A pair forms a hypothesis
+for keypoint k unless it is one pixel twice, or its two directions for k
+are parallel or shorter than EPS_NORM; the other entries of the (K, n)
+hypothesis table are NaN pads. Each keypoint goes on with its own valid
+hypotheses, in draw order, and its own voters (the masked pixels whose
+direction for k has |v| >= EPS_NORM), so its vote is the one it would
+get alone; a keypoint without a hypothesis fails alone.
 
 Two-stage counting. The M masked pixels are split once, for all
 keypoints, into C = max(16, ceil(n / 32), ceil(M / 255)) strided chunks
@@ -117,7 +117,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSupportError, NoValidHypothesisError
-from .geometry import EPS_NORM, EPS_PARALLEL
+from .geometry import EPS_NORM, EPS_PARALLEL, pixel_centers
 
 
 @dataclass(frozen=True)
@@ -131,17 +131,6 @@ class VotingConfig:
             raise ValueError("num_samples must be >= 1")
         if not (0.0 < self.inlier_cos_threshold < 1.0):
             raise ValueError("inlier_cos_threshold must be in (0, 1)")
-
-
-def _scene_pixels(fields, mask):
-    """Centres (j + 0.5, i + 0.5) of the masked pixels, (M, 2), and the
-    directions of each of the K fields there, (K, M, 2).
-
-    Row-major order, the same values as ``pixel_centers(h, w)[mask]``.
-    """
-    ii, jj = np.nonzero(np.asarray(mask, dtype=bool))
-    pts = np.stack([jj + 0.5, ii + 0.5], axis=-1)
-    return pts, np.asarray(fields, dtype=float)[:, ii, jj]
 
 
 def _hypotheses(pts, dirs, cfg: VotingConfig):
@@ -375,26 +364,27 @@ def _refine_location(best, voters, inliers):
 
 
 class SceneVote:
-    """The fields of a (K, H, W, 2) stack voted over one mask with one cfg,
+    """The fields of a (K, M, 2) masked stack voted over mask with one cfg,
     a keypoint at a time by ``vote``, sharing one pass (module docstring).
 
     The votes do the work, not the constructor, so that the K votes take
-    all of the scene's voting time: the first one gathers the masked
-    pixels, draws the pairs and forms every keypoint's hypotheses, and
+    all of the scene's voting time: the first one finds the masked pixels'
+    centres, draws the pairs and forms every keypoint's hypotheses, and
     each vote builds and counts its own keypoint's stage 1. The keypoints
     may be voted in any order, and each keypoint's vote is the one of its
     field alone.
     """
 
     def __init__(self, fields, mask, cfg: VotingConfig):
-        self.fields, self.mask, self.cfg = fields, mask, cfg
+        self.fields, self.mask, self.cfg = fields, np.asarray(mask, dtype=bool), cfg
         self._pass = None  # pts, dirs, locs, ok, chunks
 
     def _winner(self, k):
         """Keypoint k's most-voted hypothesis before refinement, its votes and
         its voters; ties go to the lexicographically smallest (x, y)."""
         if self._pass is None:
-            pts, dirs = _scene_pixels(self.fields, self.mask)
+            pts = pixel_centers(*self.mask.shape)[self.mask]
+            dirs = np.asarray(self.fields, dtype=float)
             if len(pts) < 2:
                 raise InsufficientSupportError(f"need >= 2 masked pixels, got {len(pts)}")
             locs, ok = _hypotheses(pts, dirs, self.cfg)
@@ -433,14 +423,15 @@ class SceneVote:
 
 
 def vote_keypoint(field, mask, cfg: VotingConfig, scene=None, k=0):
-    """Best-voted keypoint location of one (H, W, 2) field over mask with
-    cfg, re-estimated from its inlier rays, and its vote count.
+    """Best-voted keypoint location of one dense (H, W, 2) field over mask
+    with cfg, re-estimated from its inlier rays, and its vote count.
 
-    field is voted as a stack of one, unless scene is given: the
-    ``SceneVote`` over mask with cfg of a stack whose keypoint k is field.
-    The vote is then ``scene.vote(k)``, so that the K keypoints of a scene
-    share one pass.
+    field's masked pixels are voted as a stack of one, unless scene is
+    given: the ``SceneVote`` over mask with cfg of a masked stack. The vote
+    is then ``scene.vote(k)``, so that the K keypoints of a scene share
+    one pass, and field is unused.
     """
     if scene is None:
-        scene, k = SceneVote(np.asarray(field, dtype=float)[None], mask, cfg), 0
+        mask = np.asarray(mask, dtype=bool)
+        scene, k = SceneVote(np.asarray(field, dtype=float)[mask][None], mask, cfg), 0
     return scene.vote(k)

@@ -4,7 +4,7 @@ import numpy as np
 
 from proxyvote.geometry import Intrinsics, pixel_centers
 from proxyvote.model_tools import ModelCloud, farthest_point_sampling
-from proxyvote.synth import PoseRanges, make_scene, sample_pose
+from proxyvote.synth import NoiseSpec, PoseRanges, corrupt, make_scene, sample_pose
 
 
 def cube_cloud(n_extra=600, seed=1, side=0.1):
@@ -26,6 +26,17 @@ def make_cube_scene(seed=3, width=64, height=64, z_range=(0.45, 0.7), n_keypoint
     return cloud, keys, make_scene(cloud, keys, pose, intr, width, height)
 
 
+def noisy_scene(seed):
+    """A scene like the bench's infer scenes: 128 x 128, f = 160, z 0.55-0.6, noisy."""
+    cloud = cube_cloud()
+    keys = farthest_point_sampling(cloud, 8)
+    intr = Intrinsics(fx=160.0, fy=160.0, cx=64.0, cy=64.0)
+    pose = sample_pose(np.random.default_rng(seed), PoseRanges(z_range=(0.55, 0.6)),
+                       cloud, intr, 128, 128)
+    return corrupt(make_scene(cloud, keys, pose, intr, 128, 128),
+                   NoiseSpec(angular_sigma=5.0, flip_prob=0.1, occlusion_frac=0.2, rng_seed=seed))
+
+
 def disc_mask(height=64, width=64, center=(32.0, 32.0), radius=24.0):
     ctr = pixel_centers(height, width)
     d = np.hypot(ctr[..., 0] - center[0], ctr[..., 1] - center[1])
@@ -41,6 +52,13 @@ def exact_field(mask, k):
     ok = mask & (r > 1e-9)
     f = np.where(ok[..., None], diff / np.where(r[..., None] > 0, r[..., None], 1.0), 0.0)
     return f
+
+
+def dense(fields, mask):
+    """The (K, H, W, 2) stack of a (K, M, 2) masked stack, zero off mask."""
+    out = np.zeros((len(fields),) + mask.shape + (2,))
+    out[:, mask] = fields
+    return out
 
 
 def rotate_field(field, mask, sigma_deg, rng):

@@ -420,6 +420,22 @@ class TestVote:
         assert main(["vote", "--scenes", str(scenes), "--out", str(tmp_path / "v.csv")]) == 1
         assert "fields.npy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, damage", [
+        ("pose.json", lambda doc: json.dumps({k: v for k, v in json.loads(doc).items()
+                                              if k != "fx"})),
+        ("pose.json", lambda doc: json.dumps({**json.loads(doc),
+                                              "rotation": json.loads(doc)["rotation"][:8]})),
+        ("mask.pgm", lambda pgm: pgm.replace("\n64 64\n", "\n-1 -1\n", 1)),
+    ], ids=["pose_without_fx", "pose_with_8_rotation_values", "mask_of_negative_size"])
+    def test_bad_pose_or_mask_file_is_reported(self, scenes_dir, tmp_path, capsys, name, damage):
+        # exit 1 with an error naming the file, not a traceback or a bare numpy message
+        scenes = tmp_path / "scenes"
+        shutil.copytree(os.path.join(scenes_dir, "sample_000"), scenes / "sample_000")
+        path = scenes / "sample_000" / name
+        path.write_text(damage(path.read_text()))
+        assert main(["vote", "--scenes", str(scenes), "--out", str(tmp_path / "v.csv")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
     def test_vote_failure_is_a_failed_row(self, scenes_dir, tmp_path, monkeypatch, capsys):
         # keypoint 3 of scene 1 fails to vote; every other keypoint is voted
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -736,7 +752,7 @@ class TestTrainAndReport:
                          "--out", str(out), "--seed", "1"]) == 0
             assert json.loads((out / "summary.json").read_text())["failed"] == 0
             s = load_scene(fitted / f"sample_{run['scene']:03d}")
-            locs, _, failures = vote_keypoints(s.gt_fields, s.mask, vcfg)
+            locs, _, failures = vote_keypoints(s.fields, s.mask, vcfg)
             assert not failures
             assert list(keypoint_errors(locs, s.keypoints2)) == run["keypoint_errors"]
             rec = evaluate(s.pose, solve_epnp(s.keypoints3, locs, s.intr), cloud,

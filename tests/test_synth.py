@@ -1,11 +1,14 @@
 import io
+import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dataclasses import replace
 
-from helpers import cube_cloud, default_intrinsics, make_cube_scene
+from helpers import cube_cloud, default_intrinsics, dense, make_cube_scene, noisy_scene
 from oracles import oracle_corrupt, oracle_ideal_fields, oracle_splat_mask
 from proxyvote.errors import ConfigurationError, ModelLoadError
 from proxyvote.geometry import pixel_centers, project
@@ -138,14 +141,15 @@ class TestIdealFields:
         kps = np.vstack([rng.uniform([-5, -5], [w + 5, h + 5], (6, 2)),
                          [[4.5, 6.5], [7.5 + 1e-10, 2.5]]])
         mask[6, 4] = mask[2, 7] = True
-        got = _ideal_fields(mask, kps, h, w)
+        got = dense(_ideal_fields(mask, kps), mask)
         want = oracle_ideal_fields(mask, kps)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert np.all(got[6, 6, 4] == 0.0) and np.all(got[7, 2, 7] == 0.0)
 
     def test_empty_mask_and_no_keypoints(self):
-        assert not _ideal_fields(np.zeros((5, 4), bool), np.ones((3, 2)), 5, 4).any()
-        assert _ideal_fields(np.ones((5, 4), bool), np.empty((0, 2)), 5, 4).shape == (0, 5, 4, 2)
+        empty, full = np.zeros((5, 4), bool), np.ones((5, 4), bool)
+        assert not dense(_ideal_fields(empty, np.ones((3, 2))), empty).any()
+        assert dense(_ideal_fields(full, np.empty((0, 2))), full).shape == (0, 5, 4, 2)
 
 
 class TestCorrupt:
@@ -238,7 +242,7 @@ class TestCorrupt:
     def test_matches_dense_oracle_bit_for_bit(self, scene, spec, empty_input):
         _, _, s = scene
         if empty_input:
-            s = replace(s, mask=np.zeros_like(s.mask), gt_fields=np.zeros_like(s.gt_fields))
+            s = replace(s, mask=np.zeros_like(s.mask), fields=s.fields[:, :0])
         out = corrupt(s, spec)
         mask, fields = oracle_corrupt(s.gt_fields, s.mask, spec.angular_sigma, spec.flip_prob,
                                       spec.occlusion_frac, spec.rng_seed)
@@ -309,7 +313,7 @@ class TestSceneIO:
         for k in range(len(fields)):
             vals = np.resize(np.roll(special, k), 2 * len(ii)).reshape(-1, 2)
             fields[k, ii, jj] = vals
-        s = replace(s, gt_fields=fields)
+        s = replace(s, fields=fields[:, s.mask])
         d = tmp_path / "scene"
         save_scene(d, s)
         ref = [[[f[i, j, 0], f[i, j, 1]] for i in range(s.height) for j in range(s.width)
@@ -322,7 +326,7 @@ class TestSceneIO:
 
     def test_empty_mask_roundtrip(self, scene, tmp_path):
         _, _, s = scene
-        s = replace(s, mask=np.zeros_like(s.mask), gt_fields=np.zeros_like(s.gt_fields))
+        s = replace(s, mask=np.zeros_like(s.mask), fields=s.fields[:, :0])
         d = tmp_path / "scene"
         save_scene(d, s)
         assert np.load(d / "fields.npy").shape == (len(s.gt_fields), 0, 2)
@@ -338,7 +342,7 @@ class TestSceneIO:
         fields = np.zeros_like(s.gt_fields)
         fields[:, 7, 41] = [-0.0, 0.1 + 0.2]
         fields[1, 7, 41] = [5e-324, -1.0]
-        s = replace(s, mask=mask, gt_fields=fields)
+        s = replace(s, mask=mask, fields=fields[:, mask])
         d = tmp_path / "scene"
         save_scene(d, s)
         stored = np.load(d / "fields.npy")
@@ -388,6 +392,52 @@ class TestSceneIO:
             load_scene(d)
 
 
+class TestLoadPose:
+    @pytest.mark.parametrize("damage", [
+        lambda doc: "{",
+        lambda doc: json.dumps(list(doc.values())),
+        lambda doc: json.dumps({k: v for k, v in doc.items() if k != "fx"}),
+        lambda doc: json.dumps({k: v for k, v in doc.items() if k != "translation"}),
+        lambda doc: json.dumps({**doc, "rotation": doc["rotation"][:8]}),
+        lambda doc: json.dumps({**doc, "translation": doc["translation"] + [0.0]}),
+        lambda doc: json.dumps({**doc, "rotation": "identity"}),
+        lambda doc: json.dumps({**doc, "translation": [0.0, "1", 0.5]}),
+        lambda doc: json.dumps({**doc, "fx": "80"}),
+        lambda doc: json.dumps({**doc, "cy": True}),
+        lambda doc: json.dumps({**doc, "cx": float("nan")}),
+        lambda doc: json.dumps({**doc, "fx": float("inf")}),
+        lambda doc: json.dumps({**doc, "cy": 10 ** 400}),
+        lambda doc: json.dumps({**doc, "translation": [0.0, 0.0, float("inf")]}),
+        lambda doc: json.dumps({**doc, "rotation": [1.0] * 9}),
+        lambda doc: json.dumps({**doc, "fy": 0.0}),
+    ], ids=["not_json", "not_an_object", "no_fx", "no_translation", "rotation_of_8",
+            "translation_of_4", "rotation_not_a_list", "translation_with_a_string",
+            "fx_a_string", "cy_a_bool", "cx_nan", "fx_inf", "cy_past_float_range",
+            "translation_inf", "not_a_rotation", "zero_focal_length"])
+    def test_malformed_file_names_the_file(self, scene, tmp_path, damage):
+        _, _, s = scene
+        d = tmp_path / "scene"
+        save_scene(d, s)
+        path = d / "pose.json"
+        path.write_text(damage(json.loads(path.read_text())))
+        with pytest.raises(ModelLoadError, match=f"^{re.escape(str(path))}: "):
+            load_scene(d)
+
+
+class TestLoadSceneMemory:
+    def test_peak_stays_near_the_masked_fields(self, tmp_path):
+        # a noisy 128 x 128 scene with 8 keypoints: its masked fields take
+        # about 0.1 MB, a dense (K, H, W, 2) copy 2.1 MB
+        save_scene(tmp_path / "scene", noisy_scene(1))
+        tracemalloc.start()
+        try:
+            load_scene(tmp_path / "scene")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
 def _npy(array, allow_pickle=False, savez=False):
     """The bytes np.save (or np.savez) writes for array."""
     buf = io.BytesIO()
@@ -430,3 +480,8 @@ class TestLoadPgm:
     def test_malformed_file_names_the_file(self, tmp_path, text):
         with pytest.raises(ModelLoadError, match="mask.pgm"):
             _load_pgm(write_pgm(tmp_path / "mask.pgm", text))
+
+    @pytest.mark.parametrize("size", ["0 2", "3 0", "-1 -1", "3 -2", "-3 -2"])
+    def test_non_positive_size_names_the_file(self, tmp_path, size):
+        with pytest.raises(ModelLoadError, match="mask.pgm: .*must be positive"):
+            _load_pgm(write_pgm(tmp_path / "mask.pgm", f"P2\n{size}\n255\n0 255 0\n255 255 0\n"))

@@ -1,32 +1,35 @@
 import numpy as np
 import pytest
 
-from helpers import cube_cloud, disc_mask, exact_field, rotate_field
+from helpers import disc_mask, exact_field, noisy_scene, rotate_field
 from oracles import (oracle_all_pairs_vote, oracle_inlier_counts, oracle_inlier_table,
                      oracle_squared_vote, oracle_vote)
 from proxyvote import voting
 from proxyvote.errors import InsufficientSupportError, NoValidHypothesisError
-from proxyvote.geometry import Intrinsics
-from proxyvote.model_tools import farthest_point_sampling
-from proxyvote.synth import NoiseSpec, PoseRanges, corrupt, make_scene, sample_pose
+from proxyvote.geometry import pixel_centers
 from proxyvote.trainer import vote_keypoints
 from proxyvote.voting import (SceneVote, VotingConfig, _exact_counts, _hypotheses,
                               _ill_conditioned, _inliers, _loose_counts, _loose_operands,
-                              _refine_location, _scene_pixels, _stride, _voters,
-                              vote_keypoint)
+                              _refine_location, _stride, _voters, vote_keypoint)
 
 K = np.array([20.3, 41.7])
 
 
+def scene_pixels(field, mask):
+    """Centres of the masked pixels, (M, 2), and the (1, M, 2) masked stack
+    of one dense field."""
+    return pixel_centers(*mask.shape)[mask], np.asarray(field, dtype=float)[mask][None]
+
+
 def sample_hypotheses(field, mask, cfg):
     """The valid hypotheses of one field, in draw order."""
-    locs, ok = _hypotheses(*_scene_pixels(np.asarray(field)[None], mask), cfg)
+    locs, ok = _hypotheses(*scene_pixels(field, mask), cfg)
     return locs[0, ok[0]]
 
 
 def field_voters(field, mask, threshold=0.99):
     """The voter columns of one field (see ``voting._voters``)."""
-    pts, dirs = _scene_pixels(np.asarray(field)[None], mask)
+    pts, dirs = scene_pixels(field, mask)
     return _voters(pts, dirs[0], threshold)
 
 
@@ -193,7 +196,7 @@ def package_counts(hyps, field, mask, thr=0.99):
 
 def raw_vote(field, mask, cfg):
     """vote_keypoint's location before refinement, and its votes."""
-    return SceneVote(np.asarray(field)[None], mask, cfg)._winner(0)[:2]
+    return SceneVote(scene_pixels(field, mask)[1], mask, cfg)._winner(0)[:2]
 
 
 class TestInlierParity:
@@ -445,17 +448,6 @@ class TestTwoStageParity:
         assert np.array_equal(bits(loc), bits(want[0]))
 
 
-def noisy_scene(seed):
-    """A scene like the bench's infer scenes: 128 x 128, f = 160, z 0.55-0.6, noisy."""
-    cloud = cube_cloud()
-    keys = farthest_point_sampling(cloud, 8)
-    intr = Intrinsics(fx=160.0, fy=160.0, cx=64.0, cy=64.0)
-    pose = sample_pose(np.random.default_rng(seed), PoseRanges(z_range=(0.55, 0.6)),
-                       cloud, intr, 128, 128)
-    return corrupt(make_scene(cloud, keys, pose, intr, 128, 128),
-                   NoiseSpec(angular_sigma=5.0, flip_prob=0.1, occlusion_frac=0.2, rng_seed=seed))
-
-
 class TestSceneVoteParity:
     """vote_keypoints votes a scene's K fields in one pass, and each keypoint
     gets the bits of its own dense float64 vote, or fails alone."""
@@ -483,7 +475,7 @@ class TestSceneVoteParity:
         away[u < 0.3] = 0.0
         fields[3, ii, jj] = away
         cfg = VotingConfig(inlier_cos_threshold=threshold, rng_seed=seed)
-        locs, votes, failures = vote_keypoints(fields, mask, cfg)
+        locs, votes, failures = vote_keypoints(fields[:, mask], mask, cfg)
         assert len(failures) == 1
         assert failures[0].startswith("keypoint 2: no sampled pixel pair formed a hypothesis")
         for k, field in enumerate(fields):
@@ -499,9 +491,9 @@ class TestSceneVoteParity:
     def test_keypoints_may_be_voted_in_any_order(self):
         scene = noisy_scene(4)
         cfg = VotingConfig(rng_seed=4)
-        locs, votes, failures = vote_keypoints(scene.gt_fields, scene.mask, cfg)
+        locs, votes, failures = vote_keypoints(scene.fields, scene.mask, cfg)
         assert not failures
-        shared = SceneVote(scene.gt_fields, scene.mask, cfg)
+        shared = SceneVote(scene.fields, scene.mask, cfg)
         for k in [7, 6, 5, 4, 3, 3, 2, 1, 0]:
             loc, n = shared.vote(k)
             assert n == votes[k]
