@@ -5,16 +5,21 @@ pairs; each is scored by the number of masked pixels whose direction
 agrees with it (cosine above a threshold). The winner is then refined
 as the least-squares intersection of its inlier rays.
 
-Inlier rule. A masked pixel p with direction v, |v| >= EPS_NORM, is an
-inlier of hypothesis h when |d| >= 0.5 and cos(d, v) = dot / (|d| |v|)
->= thr, with d = h - p and dot = d·v. Since thr > 0, the cosine test
-holds exactly when dot >= 0 and dot² >= thr²·|d|²·|v|²: both sides of
-dot >= thr·|d|·|v| are then non-negative, so squaring keeps the order.
-Likewise |d| >= 0.5 is |d|² >= 0.25. That holds in exact arithmetic; in
-float64 the two forms can part only for a pair within rounding of the
-threshold. The squared form needs no square root or division per
-pixel-hypothesis pair, and it is the one test that counting, scoring the
-hypotheses and refining the winner all use.
+Unit directions and the inlier rule. A vote depends only on directions:
+the inlier cosine, the intersections and the refinement are unchanged
+when a vector is scaled by a positive factor. So each masked direction v
+is divided once by its np.hypot, which does not overflow, into u = v/|v|,
+and a field of any finite scale votes as its unit copy does; a pixel with
+|v| < EPS_NORM gets a zero row and votes for nothing. A voter p is an
+inlier of hypothesis h when |d| >= 0.5 and cos(d, u) = dot / |d| >= thr,
+with d = h - p and dot = d·u. Since thr > 0, the cosine test holds
+exactly when dot >= 0 and dot² >= thr²·|d|²: both sides of dot >= thr·|d|
+are then non-negative, so squaring keeps the order. Likewise |d| >= 0.5
+is |d|² >= 0.25. That holds in exact arithmetic with |u| = 1; in float64
+the two forms can part only for a pair within rounding of the threshold.
+The squared form needs no square root or division per pixel-hypothesis
+pair, and it is the one test that counting, scoring the hypotheses and
+refining the winner all use.
 
 One pass per scene. The K fields of a scene, a (K, M, 2) stack of their
 directions at the M masked pixels in row-major order, share one pass
@@ -62,10 +67,12 @@ noisy 128² scenes (M ≈ 900) 40 times on a shared 2-core Xeon, one BLAS
 thread, stage 1 a keypoint at a time ran at a paired time ratio of 0.981
 (quartiles 0.926-1.036) against groups of 3 keypoints per batched
 matmul, and a scene vote's tracemalloc peak fell from 1.15 to 0.73 MB
-(median over the scenes).
+(median over the scenes). Unit directions in place of a norm in four
+steps timed level: 2 x 60 interleaved votes of 12 such scenes ran at
+paired ratios of 0.973 and 0.992 (quartiles 0.92-1.05).
 
 The loose test. With o the masked pixels' mean, q = p - o, g = h - o
-and the unit direction u = v/|v|, the float32 test is |d × u| <=
+and the voter's unit direction u, the float32 test is |d × u| <=
 t·(d·u) with t = tan(arccos(thr - η)), that is cos(d, v) >= thr - η, and
 it drops the |d| >= 0.5 test. Both sides are affine in g: t·(d·u) =
 t·(g·u - q·u) and d × u = g × u - q × u. So one float32 matmul per
@@ -77,15 +84,16 @@ for every finite hypothesis row.
 
 Why η = 16·u·(1 + 4B), with u = 2^-24 the float32 unit roundoff and
 B = max |q| over the masked pixels, makes the loose test a superset.
-Take a cell that the float64 test accepts: its angle φ between d and v
-has cos φ >= thr - ε with ε below 1e-14 (a few float64 roundings), and
-|d| >= 0.5. Each float32 entry is a sum of three products of factors
-rounded once from float64, so it is off by at most about 5u times the
-sum of the absolute products, and less than E = 5.1u·(|g| + B) for the
-cross table and t·E for the dot table, float64 roundings included. The
-float32 test then accepts whenever t·(d·u) - |d × u| >= (1 + t)·E. The
-left side is |d|·sin(θ - φ)/cos θ, with cos θ = thr - η; as
-0 < θ - φ < π/2, sin(θ - φ) >= (cos φ - cos θ)/√2 >= (η - ε)/√2, and
+Take a cell that the float64 test accepts: its angle φ between d and u
+has cos φ >= thr - ε with ε below 1e-14 (a few float64 roundings, and
+|u|² = 1 within a few ulps), and |d| >= 0.5. Each float32 entry is a
+sum of three products of factors rounded once from float64, so it is
+off by at most about 5u times the sum of the absolute products, and
+less than E = 5.1u·(|g| + B) for the cross table and t·E for the dot
+table, float64 roundings included. The float32 test then accepts
+whenever t·(d·u) - |d × u| >= (1 + t)·E. The left side is
+|d|·sin(θ - φ)/cos θ, with cos θ = thr - η; as 0 < θ - φ < π/2,
+sin(θ - φ) >= (cos φ - cos θ)/√2 >= (η - ε)/√2, and
 cos θ + sin θ <= √2, so η >= ε + 2E/|d| suffices. Since |g| <= |d| + B
 and |d| >= 0.5, 2E/|d| <= 10.2u·(1 + 4B), which 16u·(1 + 4B) covers
 with room for ε and for float32 underflow (at most 2^-126 per term,
@@ -94,15 +102,13 @@ voter; taking o and B over the masked pixels lets all K keypoints share
 them, and makes η scale with the mask's extent, not with its place in
 the image: about 1.1e-4 for the 128² scenes of the bench (B ≈ 28 px).
 
-Three rules keep the argument valid. A voter with |v| >= 1e100 gets a
-zero matrix row: its float64 test may overflow and accept, and 0 <= 0
-makes it a loose inlier of every hypothesis. Likewise a hypothesis with
-|g| > 1e20 gets a zero row, which every pixel row accepts; below both
-limits nothing overflows, in float64 (dot² < 1e242) or float32
-(t < 1/η), and a NaN hypothesis counts 0 in both stages. When thr <= 2η,
-stage 1 is skipped and every hypothesis is a candidate of stage 2;
-otherwise thr - η > η keeps t finite. And C >= M / 255, so a chunk never
-holds more than 255 rows and its uint8 counts are exact.
+Two rules keep the argument valid. A hypothesis with |g| > 1e20 gets a
+zero row, which every pixel row accepts; below that limit nothing
+overflows in float32 (t < 1/η) nor, as |u| = 1, in float64, and a NaN
+hypothesis counts 0 in both stages. When thr <= 2η, stage 1 is skipped
+and every hypothesis is a candidate of stage 2; otherwise thr - η > η
+keeps t finite. And C >= M / 255, so a chunk never holds more than 255
+rows and its uint8 counts are exact.
 
 Refinement sums over the winner's inliers in the original row-major
 order, not the chunk order: the order of a float sum decides its last
@@ -133,14 +139,22 @@ class VotingConfig:
             raise ValueError("inlier_cos_threshold must be in (0, 1)")
 
 
-def _hypotheses(pts, dirs, cfg: VotingConfig):
+def _units(dirs):
+    """u = v/|v| for each direction v of dirs (..., 2), and a zero row where
+    |v| < EPS_NORM: that pixel votes for nothing."""
+    norm = np.hypot(dirs[..., 0], dirs[..., 1])[..., None]
+    return np.divide(dirs, norm, out=np.zeros_like(dirs), where=norm >= EPS_NORM)
+
+
+def _hypotheses(pts, units, cfg: VotingConfig):
     """(K, n, 2) intersections of the rays of n sampled pixel pairs, one row
-    per field of the (K, M, 2) dirs, and the (K, n) bool of the valid ones.
+    per field of the (K, M, 2) unit directions, and the (K, n) bool of the
+    valid ones.
 
     Every field samples the same pairs, deterministic per seed; pairs of
-    one pixel twice are dropped. A pair of parallel or near-zero
-    directions forms no hypothesis for that field: its entry is NaN and
-    not valid. Needs M >= 2.
+    one pixel twice are dropped. A pair of parallel directions, or with a
+    non-voter's zero row, forms no hypothesis for that field: its entry is
+    NaN and not valid. Needs M >= 2.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     ia = rng.integers(0, len(pts), cfg.num_samples)
@@ -149,35 +163,26 @@ def _hypotheses(pts, dirs, cfg: VotingConfig):
     ia, ib = ia[keep], ib[keep]
     p1 = pts[ia]
     d = pts[ib] - p1
-    v1, v2 = dirs[:, ia], dirs[:, ib]
+    u1, u2 = units[:, ia], units[:, ib]
 
-    cross = v1[..., 0] * v2[..., 1] - v1[..., 1] * v2[..., 0]
-    n1 = np.hypot(v1[..., 0], v1[..., 1])
-    n2 = np.hypot(v2[..., 0], v2[..., 1])
-    ok = (n1 >= EPS_NORM) & (n2 >= EPS_NORM)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ok &= np.abs(cross) >= EPS_PARALLEL * n1 * n2
-        t1 = (d[:, 0] * v2[..., 1] - d[:, 1] * v2[..., 0]) / cross
-        locs = p1 + t1[..., None] * v1
+    cross = u1[..., 0] * u2[..., 1] - u1[..., 1] * u2[..., 0]
+    ok = np.abs(cross) >= EPS_PARALLEL
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (d[:, 0] * u2[..., 1] - d[:, 1] * u2[..., 0]) / cross
+        locs = p1 + t1[..., None] * u1
     locs[~ok] = np.nan
     return locs, ok
 
 
-def _voters(pts, dirs, threshold):
-    """Pixels that can vote (|v| >= EPS_NORM), in row-major order.
-
-    Returns the contiguous columns px, py, vx, vy and thr²·|v|².
-    """
-    ok = np.hypot(dirs[:, 0], dirs[:, 1]) >= EPS_NORM
-    px, py, vx, vy = pts[ok, 0], pts[ok, 1], dirs[ok, 0], dirs[ok, 1]
-    return px, py, vx, vy, threshold * threshold * (vx * vx + vy * vy)
+def _voters(pts, units, threshold):
+    """The contiguous columns px, py, ux, uy of the pixels that can vote (a
+    nonzero unit row), in row-major order, and the scalar thr²."""
+    ok = units.any(axis=1)
+    return pts[ok, 0], pts[ok, 1], units[ok, 0], units[ok, 1], threshold * threshold
 
 
 # Pixels per chunk at most, so that a chunk's loose counts fit in uint8.
 _MAX_CHUNK = 255
-# Directions at least this long count as loose inliers of every
-# hypothesis: the float64 test of such a voter may overflow.
-_HUGE_DIR = 1e100
 # Hypotheses farther than this from the masked pixels' mean count as
 # loose inliers of every pixel, which keeps the float32 test finite.
 _FAR = 1e20
@@ -196,11 +201,11 @@ def _inliers(hx, hy, voters):
     other: (n, 1) hypothesis columns against the (M,) voter columns give
     an (n, M) table, scalars one row.
     """
-    px, py, vx, vy, weight = voters
+    px, py, ux, uy, thr2 = voters
     dx, dy = hx - px, hy - py
-    dot = dx * vx + dy * vy
+    dot = dx * ux + dy * uy
     d2 = dx * dx + dy * dy
-    return (d2 >= 0.25) & (dot >= 0.0) & (dot * dot >= d2 * weight)
+    return (d2 >= 0.25) & (dot >= 0.0) & (dot * dot >= d2 * thr2)
 
 
 def _stride(n_hyp, n_px):
@@ -225,7 +230,7 @@ def _exact_counts(locs, voters):
     return counts
 
 
-def _loose_operands(hyps, pts, dirs, threshold, chunks):
+def _loose_operands(hyps, pts, units, threshold, chunks):
     """The stage-1 operands of one keypoint, or None when thr <= 2η: (3, n)
     float32 hypothesis rows and (C, 2m, 3) float32 pixel matrices, one per
     chunk of m = ceil(M / C) masked pixels.
@@ -234,9 +239,9 @@ def _loose_operands(hyps, pts, dirs, threshold, chunks):
     (n, 2) hyps, NaN for a NaN hypothesis, or zeros beyond _FAR. Chunk c
     holds pixels c, c + C, ... of the row-major order, padded to m. Its
     matrix holds t·[ux, uy, -q·u] for each of its pixels, then [uy, -ux,
-    -(q × u)], with v the pixel's row of the (M, 2) dirs, u = v/|v|,
-    q = p - o and t = tan(arccos(thr - η)); zeros for |v| >= _HUGE_DIR;
-    and dot row 0 and cross row [0, 0, 1] for a non-voter or a pad. Its
+    -(q × u)], with u the pixel's row of the (M, 2) unit directions,
+    q = p - o and t = tan(arccos(thr - η)); and dot row 0 and cross row
+    [0, 0, 1] for a non-voter's zero row or a pad. Its
     product with the rows is t·dot over cross, d = h - p, for every pixel
     and hypothesis.
     """
@@ -255,16 +260,10 @@ def _loose_operands(hyps, pts, dirs, threshold, chunks):
     # pad the pixels to C·m with zero directions, which vote for nothing
     n_px = len(pts)
     m = -(-n_px // chunks)
-    v = np.zeros((m * chunks, 2))
-    qx, qy = np.zeros((2, m * chunks))
-    v[:n_px] = dirs
+    ux, uy, qx, qy = np.zeros((4, m * chunks))
+    ux[:n_px], uy[:n_px] = units.T
     qx[:n_px], qy[:n_px] = q.T
-    norm = np.hypot(v[:, 0], v[:, 1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ux, uy = v[:, 0] / norm, v[:, 1] / norm
-    voter = norm >= EPS_NORM
-    never = ~voter | (norm >= _HUGE_DIR)
-    ux[never], uy[never] = 0.0, 0.0  # zero rows, so a huge voter accepts all
+    voter = (ux != 0.0) | (uy != 0.0)
     qxu = -(qx * uy - qy * ux)
     qxu[~voter] = 1.0  # cross row [0, 0, 1]: a non-voter accepts no finite row
     # chunk c is column c of the (m, C) row-major grid of the padded pixels;
@@ -333,14 +332,13 @@ def _ill_conditioned(A):
 
 
 def _refine_location(best, voters, inliers):
-    """Least-squares intersection of inlier rays via 2x2 normal equations.
+    """Least-squares intersection of inlier rays via 2x2 normal equations,
+    on the voters' unit columns n = u as they are.
 
     The sums run over the inliers in voter order, so the result depends
     on that order in its last bits.
     """
-    px, py, vx, vy = (a[inliers] for a in voters[:4])
-    norm = np.hypot(vx, vy)
-    nx, ny = vx / norm, vy / norm
+    px, py, nx, ny = (a[inliers] for a in voters[:4])
     # sum of (I - n n^T) per inlier
     A = np.array(
         [
@@ -377,20 +375,20 @@ class SceneVote:
 
     def __init__(self, fields, mask, cfg: VotingConfig):
         self.fields, self.mask, self.cfg = fields, np.asarray(mask, dtype=bool), cfg
-        self._pass = None  # pts, dirs, locs, ok, chunks
+        self._pass = None  # pts, units, locs, ok, chunks
 
     def _winner(self, k):
         """Keypoint k's most-voted hypothesis before refinement, its votes and
         its voters; ties go to the lexicographically smallest (x, y)."""
         if self._pass is None:
             pts = pixel_centers(*self.mask.shape)[self.mask]
-            dirs = np.asarray(self.fields, dtype=float)
             if len(pts) < 2:
                 raise InsufficientSupportError(f"need >= 2 masked pixels, got {len(pts)}")
-            locs, ok = _hypotheses(pts, dirs, self.cfg)
+            units = _units(np.asarray(self.fields, dtype=float))
+            locs, ok = _hypotheses(pts, units, self.cfg)
             chunks = min(_stride(locs.shape[1], len(pts)), len(pts))
-            self._pass = pts, dirs, locs, ok, chunks
-        pts, dirs, locs, ok, chunks = self._pass
+            self._pass = pts, units, locs, ok, chunks
+        pts, units, locs, ok, chunks = self._pass
         sel = np.flatnonzero(ok[k])
         if len(sel) == 0:
             raise NoValidHypothesisError("no sampled pixel pair formed a hypothesis: each was "
@@ -398,9 +396,9 @@ class SceneVote:
                                          "than EPS_NORM")
         threshold = self.cfg.inlier_cos_threshold
         hyps = locs[k, sel]
-        voters = _voters(pts, dirs[k], threshold)
+        voters = _voters(pts, units[k], threshold)
         cand = np.arange(len(sel))
-        loose = _loose_operands(hyps, pts, dirs[k], threshold, chunks)
+        loose = _loose_operands(hyps, pts, units[k], threshold, chunks)
         if loose is not None:
             rows, mats = loose
             counts = _loose_counts(rows, mats[0])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from proxyvote.geometry import pixel_centers
 from proxyvote.trainer import vote_keypoints
 from proxyvote.voting import (SceneVote, VotingConfig, _exact_counts, _hypotheses,
                               _ill_conditioned, _inliers, _loose_counts, _loose_operands,
-                              _refine_location, _stride, _voters, vote_keypoint)
+                              _refine_location, _stride, _units, _voters, vote_keypoint)
 
 K = np.array([20.3, 41.7])
 
@@ -23,14 +25,15 @@ def scene_pixels(field, mask):
 
 def sample_hypotheses(field, mask, cfg):
     """The valid hypotheses of one field, in draw order."""
-    locs, ok = _hypotheses(*scene_pixels(field, mask), cfg)
+    pts, dirs = scene_pixels(field, mask)
+    locs, ok = _hypotheses(pts, _units(dirs), cfg)
     return locs[0, ok[0]]
 
 
 def field_voters(field, mask, threshold=0.99):
     """The voter columns of one field (see ``voting._voters``)."""
     pts, dirs = scene_pixels(field, mask)
-    return _voters(pts, dirs[0], threshold)
+    return _voters(pts, _units(dirs[0]), threshold)
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +85,7 @@ def pair_intersections(p1, v1, p2, v2):
     """Hypotheses of a two-pixel input: its pair, sampled in either order."""
     pts = np.array([p1, p2], dtype=float)
     dirs = np.array([v1, v2], dtype=float)
-    locs, ok = _hypotheses(pts, dirs[None], VotingConfig(num_samples=16, rng_seed=0))
+    locs, ok = _hypotheses(pts, _units(dirs[None]), VotingConfig(num_samples=16, rng_seed=0))
     return locs[0, ok[0]]
 
 
@@ -500,6 +503,23 @@ class TestSceneVoteParity:
             assert np.array_equal(bits(loc), bits(locs[k]))
 
 
+class TestHugeFields:
+    """A field of any finite scale votes as its unit copy does."""
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_huge_fields_vote_like_their_unit_copy(self, seed):
+        scene = noisy_scene(seed)
+        cfg = VotingConfig(rng_seed=seed)
+        want_locs, want_votes, want_failures = vote_keypoints(scene.fields, scene.mask, cfg)
+        for scale in (1e150, 1e200, 1e300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                locs, votes, failures = vote_keypoints(scene.fields * scale, scene.mask, cfg)
+            assert failures == want_failures
+            assert np.array_equal(votes, want_votes)
+            assert np.max(np.abs(locs - want_locs)) <= 1e-9
+
+
 def boundary_cells(threshold, rng):
     """Voters and hypotheses whose float64 test sits on its cut-offs.
 
@@ -548,11 +568,12 @@ class TestLooseSuperset:
         on_cut = []
         for _ in range(20):
             hyps, pts, dirs, aimed = boundary_cells(threshold, rng)
-            voters = _voters(pts, dirs, threshold)
+            units = _units(dirs)
+            voters = _voters(pts, units, threshold)
             m = len(voters[0])
             assert m == len(pts)
             # m chunks: one voter per chunk, so each chunk count is one cell
-            rows, mats = _loose_operands(hyps, pts, dirs, threshold, m)
+            rows, mats = _loose_operands(hyps, pts, units, threshold, m)
             loose = np.array([_loose_counts(rows, mat) for mat in mats], dtype=bool)
             exact = np.stack([_inliers(h[0], h[1], voters) for h in hyps], axis=1)
             assert not np.any(exact & ~loose)
@@ -560,12 +581,11 @@ class TestLooseSuperset:
         # the float64 test falls on both sides of the cut
         assert 0.1 < np.mean(on_cut) < 0.9
 
-    def test_far_hypotheses_and_huge_directions_are_loose_inliers(self):
+    def test_far_hypotheses_are_loose_inliers(self):
         hyps, pts, dirs, _ = boundary_cells(0.99, np.random.default_rng(1))
-        rows, mats = _loose_operands(hyps, pts, dirs, 0.99, len(pts))
+        rows, mats = _loose_operands(hyps, pts, _units(dirs), 0.99, len(pts))
         loose = np.array([_loose_counts(rows, mat) for mat in mats], dtype=bool)
         assert np.all(loose[:, 2])
-        assert np.all(loose[np.hypot(dirs[:, 0], dirs[:, 1]) >= 1e100])
 
     def test_non_voters_and_pads_accept_only_far_hypotheses(self):
         # ten pixels in a row aimed at h along +x, three of them non-voters;
@@ -575,7 +595,7 @@ class TestLooseSuperset:
         dirs[[2, 5]] = 0.0
         dirs[7] = [5e-9, 0.0]
         hyps = np.array([[20.5, 0.5], [1e21, 0.0]])
-        rows, mats = _loose_operands(hyps, pts, dirs, 0.99, 4)
+        rows, mats = _loose_operands(hyps, pts, _units(dirs), 0.99, 4)
         assert mats.shape == (4, 6, 3)
         counts = sum(_loose_counts(rows, mat).astype(int) for mat in mats)
         assert counts.tolist() == [7, 12]
@@ -586,7 +606,7 @@ class TestLooseSuperset:
         eta = 16 * 2.0 ** -24 * 201
         hyps = np.array([[50.0, 50.0]])
         for threshold, skipped in ((2 * eta, True), (np.nextafter(2 * eta, 1.0), False)):
-            assert (_loose_operands(hyps, pts, dirs, threshold, 2) is None) == skipped
+            assert (_loose_operands(hyps, pts, _units(dirs), threshold, 2) is None) == skipped
 
     def test_noisy_scene_sends_few_hypotheses_to_stage_two(self, monkeypatch):
         scene = noisy_scene(5)
