@@ -155,14 +155,22 @@ def _built(cls, **kwargs):
         raise UsageError(str(e)) from None
 
 
+def _scene_order(name):
+    """Sort key of a sample_* name: by its integer suffix, so that gen's
+    sample_999 comes before sample_1000; other names follow, by name."""
+    suffix = name[len("sample_"):]
+    return (0, int(suffix), name) if suffix.isdecimal() else (1, 0, name)
+
+
 def _scene_dirs(scenes_dir):
     if not os.path.isdir(scenes_dir):
         raise FileNotFoundError(f"scene directory not found: {scenes_dir}")
-    dirs = sorted(
-        os.path.join(scenes_dir, d)
-        for d in os.listdir(scenes_dir)
-        if d.startswith("sample_") and os.path.isdir(os.path.join(scenes_dir, d))
+    names = sorted(
+        (d for d in os.listdir(scenes_dir)
+         if d.startswith("sample_") and os.path.isdir(os.path.join(scenes_dir, d))),
+        key=_scene_order,
     )
+    dirs = [os.path.join(scenes_dir, d) for d in names]
     if not dirs:
         raise FileNotFoundError(f"no sample_* directories under {scenes_dir}")
     return dirs

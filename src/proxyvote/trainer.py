@@ -18,9 +18,9 @@ Field stacks are (K, M, 2), at the M masked pixels in row-major order,
 as ``SceneSample.fields`` holds them. ``fit_field`` keeps the
 parameters, the ground truth, the keypoint offsets and both Adam moments
 as component-planar (2, K, M) arrays, and one ``PlanarLosses`` and one
-set of gradient and Adam buffers serve every iteration. The Adam step
-runs in place with the operations of the textbook update in the same
-order, so its bits are those of m = b1 m + (1 - b1) g,
+gradient buffer and both moments serve every iteration. The Adam step
+updates the moments in place and takes the operations of the textbook
+update in its order, so its bits are those of m = b1 m + (1 - b1) g,
 v = b2 v + (1 - b2) g g and x -= lr m̂ / (sqrt(v̂) + eps).
 
 A fit ends by voting its fields with ``vote_keypoints``, which ``vote``
@@ -150,6 +150,12 @@ def keypoint_errors(locs, keypoints2) -> np.ndarray:
     return np.where(np.isnan(errs), np.inf, errs)
 
 
+def _trace(rows):
+    """The TrainTrace of the (l_vf, l_pv, mean_proxy_dist, beta) rows of
+    iterations 0, 1, ..."""
+    return TrainTrace(np.arange(len(rows)), *np.array(rows, dtype=float).T)
+
+
 def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
     """Adam on the (K, M, 2) masked field stack, from init. Returns the
     fitted (K, M, 2) stack and the trace.
@@ -162,19 +168,14 @@ def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
     off = planar(sample.keypoints2[:, None, :] - pixel_centers(*mask.shape)[mask])  # k - p
 
     losses = PlanarLosses(est.shape[1:])
-    grad, m, v, step, denom = (np.zeros_like(est) for _ in range(5))
+    grad, m, v = (np.zeros_like(est) for _ in range(3))
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    n = cfg.iterations
-    tr_iter = np.arange(n)
-    tr_lvf = np.zeros(n)
-    tr_lpv = np.zeros(n)
-    tr_mpd = np.zeros(n)
-    tr_b = np.zeros(n)
+    rows = []  # l_vf, l_pv, mean_proxy_dist, beta per iteration
 
     # non-finite fields are tolerated here; the summed losses are checked
     # in every iteration and raise DivergenceError
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for it in range(n):
+        for it in range(cfg.iterations):
             epoch = it // cfg.iters_per_epoch
             beta = _beta(cfg, epoch)
             lr = _decayed_lr(cfg, epoch)
@@ -189,37 +190,24 @@ def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
                     np.add(losses.vf_grad, grad, out=grad)
                 np.divide(grad, n_masked, out=grad)
 
-            tr_lvf[it] = l_vf
-            tr_lpv[it] = l_pv
-            tr_mpd[it] = losses.mean_proxy_dist()
-            tr_b[it] = beta
+            rows.append((l_vf, l_pv, losses.mean_proxy_dist(), beta))
             if not (np.isfinite(l_vf) and np.isfinite(l_pv)):
-                trace = TrainTrace(tr_iter[: it + 1], tr_lvf[: it + 1], tr_lpv[: it + 1],
-                                   tr_mpd[: it + 1], tr_b[: it + 1])
-                raise DivergenceError(f"non-finite loss at iteration {it}", trace=trace)
+                raise DivergenceError(f"non-finite loss at iteration {it}", trace=_trace(rows))
 
-            # Adam step (bias-corrected), in place
-            np.multiply(m, b1, out=m)
-            np.multiply(grad, 1 - b1, out=step)
-            np.add(m, step, out=m)
-            np.multiply(v, b2, out=v)
-            np.multiply(grad, 1 - b2, out=step)
-            np.multiply(step, grad, out=step)
-            np.add(v, step, out=v)
-            np.divide(m, 1 - b1 ** (it + 1), out=step)  # m-hat
-            np.divide(v, 1 - b2 ** (it + 1), out=denom)  # v-hat
-            np.sqrt(denom, out=denom)
-            np.add(denom, ADAM_EPS, out=denom)
-            np.multiply(step, lr, out=step)
-            np.divide(step, denom, out=step)
-            np.subtract(est, step, out=est)
+            # Adam step (bias-corrected)
+            t = it + 1
+            m *= b1
+            m += (1 - b1) * grad
+            v *= b2
+            v += (1 - b2) * grad * grad
+            est -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + ADAM_EPS)
 
     fields = est.transpose(1, 2, 0)
 
     vote_cfg = VotingConfig(rng_seed=subseed(cfg.rng_seed, "voting"))
     locs, _, _ = vote_keypoints(fields, mask, vote_cfg)
-    trace = TrainTrace(tr_iter, tr_lvf, tr_lpv, tr_mpd, tr_b,
-                       keypoint_errors=keypoint_errors(locs, sample.keypoints2))
+    trace = _trace(rows)
+    trace.keypoint_errors = keypoint_errors(locs, sample.keypoints2)
     return fields, trace
 
 

@@ -1,9 +1,10 @@
 """RANSAC-style keypoint voting from a vector field.
 
 Hypotheses are intersections of the direction rays of sampled pixel
-pairs; each is scored by the number of masked pixels whose direction
-agrees with it (cosine above a threshold). The winner is then refined
-as the least-squares intersection of its inlier rays.
+pairs; each is scored by the number of voters, the masked pixels with
+a direction, whose direction agrees with it (cosine above a threshold).
+The winner is then refined as the least-squares intersection of its
+inlier rays.
 
 Unit directions and the inlier rule. A vote depends only on directions:
 the inlier cosine, the intersections and the refinement are unchanged
@@ -33,32 +34,31 @@ hypotheses, in draw order, and its own voters (the masked pixels whose
 direction for k has |v| >= EPS_NORM), so its vote is the one it would
 get alone; a keypoint without a hypothesis fails alone.
 
-Two-stage counting. The M masked pixels are split once, for all
-keypoints, into C = max(16, ceil(n / 32), ceil(M / 255)) strided chunks
-(at most M): chunk c holds pixels c, c + C, c + 2C, ... of the row-major
-order, padded to m = ceil(M / C) rows, so each chunk is a spatially
-uniform sample of the mask. Stage 1 counts every hypothesis with a loose
-float32 test that accepts every cell the float64 test accepts, so its
-count is an upper bound of the exact one. A pixel that does not vote
-for keypoint k, and a pad, gets a row that accepts no hypothesis of k
-but a far one (see below), so k's loose counts bound its own exact
-counts. Stage 1 runs for the keypoint being voted: best is the largest
-exact count among the _LEADERS = 8 of its valid hypotheses with the
-highest chunk-0 counts, and stage 1 prunes against it: before each
-further chunk a hypothesis is kept only while its count so far plus the
-number of pixels in the chunks still to come is >= best. Its candidates
-are the hypotheses whose loose count reaches best. Stage 2 counts the
-candidates exactly, with the float64 test, on all of k's voters in one
-flat pass. A hypothesis that is not a candidate thus has an exact count
-below best, and best is at most the maximum count, so it can neither
-win nor tie. Every hypothesis with the maximum count is a candidate and
-gets its exact count, and the winner, its (x, y) tie-break, its inlier
-row and the refinement are those of a dense float64 count, bit for bit;
-a NaN pad is never a candidate, even when the maximum count is 0. The
-float32 rounding, the BLAS kernel and its thread count and the choice of
-best only decide which hypotheses reach stage 2, never an output. Stage
-1's tables hold pixels on rows and hypotheses contiguous, stage 2's
-hypotheses on rows and voters contiguous.
+Two-stage counting. Both stages of keypoint k count its V voters and
+nothing else. Stage 1 splits them into C = max(16, ceil(n / 32),
+ceil(V / 255)) strided chunks (at most V): chunk c holds voters c,
+c + C, c + 2C, ... of the row-major order, padded to m = ceil(V / C)
+rows, so each chunk is a spatially uniform sample of them. It counts
+every hypothesis with a loose float32 test that accepts every cell the
+float64 test accepts, so its count is an upper bound of the exact one;
+a pad gets a row that accepts no hypothesis but a far one (see below).
+best is the largest exact count among the _LEADERS = 8 of k's valid
+hypotheses with the highest chunk-0 counts, and stage 1 prunes against
+it: before each further chunk a hypothesis is kept only while its count
+so far plus the number of rows in the chunks still to come is >= best.
+Its candidates are the hypotheses whose loose count reaches best. Stage
+2 counts the candidates exactly, with the float64 test, on all of k's
+voters in one flat pass. A hypothesis that is not a candidate thus has
+an exact count below best, and best is at most the maximum count, so it
+can neither win nor tie. Every hypothesis with the maximum count is a
+candidate and gets its exact count, and the winner, its (x, y)
+tie-break, its inlier row and the refinement are those of a dense
+float64 count, bit for bit; a NaN pad is never a candidate, even when
+the maximum count is 0. The float32 rounding, the BLAS kernel and its
+thread count and the choice of best only decide which hypotheses reach
+stage 2, never an output. Stage 1's tables hold voters on rows and
+hypotheses contiguous, stage 2's hypotheses on rows and voters
+contiguous.
 
 Sizes. Stage 2 counts in blocks of at most _STAGE2_CELLS = 8,192 cells
 (about 50 bytes of float64 temporaries each), or of one hypothesis when
@@ -69,21 +69,24 @@ thread, stage 1 a keypoint at a time ran at a paired time ratio of 0.981
 matmul, and a scene vote's tracemalloc peak fell from 1.15 to 0.73 MB
 (median over the scenes). Unit directions in place of a norm in four
 steps timed level: 2 x 60 interleaved votes of 12 such scenes ran at
-paired ratios of 0.973 and 0.992 (quartiles 0.92-1.05).
+paired ratios of 0.973 and 0.992 (quartiles 0.92-1.05). Stage 1 on k's
+voters in place of all masked pixels was no slower: 3 x 40 interleaved
+votes of 12 such scenes ran at paired ratios of 0.933-0.961 (quartiles
+0.88-1.02), faster in 88 of 120.
 
-The loose test. With o the masked pixels' mean, q = p - o, g = h - o
+The loose test. With o the mean of k's voters, q = p - o, g = h - o
 and the voter's unit direction u, the float32 test is |d × u| <=
 t·(d·u) with t = tan(arccos(thr - η)), that is cos(d, v) >= thr - η, and
 it drops the |d| >= 0.5 test. Both sides are affine in g: t·(d·u) =
 t·(g·u - q·u) and d × u = g × u - q × u. So one float32 matmul per
 chunk, of the (2m, 3) matrix with rows t·[ux, uy, -q·u] and then [uy,
--ux, -q × u] for its m pixels, by the (3, n) rows [gx; gy; 1], gives
+-ux, -q × u] for its m voters, by the (3, n) rows [gx; gy; 1], gives
 both tables; one comparison and a uint8 sum over the chunk finish it. A
-non-voter's or pad's rows are 0 and [0, 0, 1]: t·dot = 0 < 1 = |cross|
-for every finite hypothesis row.
+pad's rows are 0 and [0, 0, 1]: t·dot = 0 < 1 = |cross| for every
+finite hypothesis row.
 
 Why η = 16·u·(1 + 4B), with u = 2^-24 the float32 unit roundoff and
-B = max |q| over the masked pixels, makes the loose test a superset.
+B = max |q| over k's voters, makes the loose test a superset.
 Take a cell that the float64 test accepts: its angle φ between d and u
 has cos φ >= thr - ε with ε below 1e-14 (a few float64 roundings, and
 |u|² = 1 within a few ulps), and |d| >= 0.5. Each float32 entry is a
@@ -98,16 +101,16 @@ cos θ + sin θ <= √2, so η >= ε + 2E/|d| suffices. Since |g| <= |d| + B
 and |d| >= 0.5, 2E/|d| <= 10.2u·(1 + 4B), which 16u·(1 + 4B) covers
 with room for ε and for float32 underflow (at most 2^-126 per term,
 times |g|). The argument holds for any origin o with |q| <= B for every
-voter; taking o and B over the masked pixels lets all K keypoints share
-them, and makes η scale with the mask's extent, not with its place in
-the image: about 1.1e-4 for the 128² scenes of the bench (B ≈ 28 px).
+voter; taking o and B over k's voters makes η scale with their extent,
+not with their place in the image: about 1.1e-4 for the 128² scenes of
+the bench (B ≈ 28 px).
 
 Two rules keep the argument valid. A hypothesis with |g| > 1e20 gets a
-zero row, which every pixel row accepts; below that limit nothing
+zero row, which every voter row accepts; below that limit nothing
 overflows in float32 (t < 1/η) nor, as |u| = 1, in float64, and a NaN
 hypothesis counts 0 in both stages. When thr <= 2η, stage 1 is skipped
 and every hypothesis is a candidate of stage 2; otherwise thr - η > η
-keeps t finite. And C >= M / 255, so a chunk never holds more than 255
+keeps t finite. And C >= V / 255, so a chunk never holds more than 255
 rows and its uint8 counts are exact.
 
 Refinement sums over the winner's inliers in the original row-major
@@ -208,14 +211,14 @@ def _inliers(hx, hy, voters):
     return (d2 >= 0.25) & (dot >= 0.0) & (dot * dot >= d2 * thr2)
 
 
-def _stride(n_hyp, n_px):
-    """C, the number of strided chunks: max(16, ceil(n_hyp / 32), ceil(M / 255))
-    for M masked pixels.
+def _stride(n_hyp, n_voters):
+    """C, the number of strided chunks: max(16, ceil(n_hyp / 32), ceil(V / 255))
+    for V voters.
 
     A chunk's (m, n) table then has about as many cells as 32 hypotheses
-    over all pixels, or fewer, and no chunk holds more than 255 pixels.
+    over all voters, or fewer, and no chunk holds more than 255 voters.
     """
-    return max(16, -(-n_hyp // 32), -(-n_px // _MAX_CHUNK))
+    return max(16, -(-n_hyp // 32), -(-n_voters // _MAX_CHUNK))
 
 
 def _exact_counts(locs, voters):
@@ -230,24 +233,23 @@ def _exact_counts(locs, voters):
     return counts
 
 
-def _loose_operands(hyps, pts, units, threshold, chunks):
+def _loose_operands(hyps, voters, threshold, chunks):
     """The stage-1 operands of one keypoint, or None when thr <= 2η: (3, n)
-    float32 hypothesis rows and (C, 2m, 3) float32 pixel matrices, one per
-    chunk of m = ceil(M / C) masked pixels.
+    float32 hypothesis rows and (C, 2m, 3) float32 voter matrices, one per
+    chunk of m = ceil(V / C) of the V voters of ``_voters``.
 
     Column j of the rows is [hx - ox, hy - oy, 1] of hypothesis j of the
     (n, 2) hyps, NaN for a NaN hypothesis, or zeros beyond _FAR. Chunk c
-    holds pixels c, c + C, ... of the row-major order, padded to m. Its
-    matrix holds t·[ux, uy, -q·u] for each of its pixels, then [uy, -ux,
-    -(q × u)], with u the pixel's row of the (M, 2) unit directions,
-    q = p - o and t = tan(arccos(thr - η)); and dot row 0 and cross row
-    [0, 0, 1] for a non-voter's zero row or a pad. Its
-    product with the rows is t·dot over cross, d = h - p, for every pixel
-    and hypothesis.
+    holds voters c, c + C, ... in row-major order, padded to m. Its
+    matrix holds t·[ux, uy, -q·u] for each of its voters, then [uy, -ux,
+    -(q × u)], with q = p - o and t = tan(arccos(thr - η)); and dot row 0
+    and cross row [0, 0, 1] for a pad. Its product with the rows is t·dot
+    over cross, d = h - p, for every voter and hypothesis.
     """
-    o = pts.mean(axis=0)
-    q = pts - o
-    eta = 16.0 * _U32 * (1.0 + 4.0 * np.hypot(q[:, 0], q[:, 1]).max())
+    px, py, ux, uy, _ = voters
+    o = px.mean(), py.mean()
+    qx, qy = px - o[0], py - o[1]
+    eta = 16.0 * _U32 * (1.0 + 4.0 * np.hypot(qx, qy).max())
     if threshold <= 2.0 * eta:
         return None
     cos = threshold - eta
@@ -257,26 +259,14 @@ def _loose_operands(hyps, pts, units, threshold, chunks):
     rows[:2] = g.T
     rows[:, np.hypot(g[:, 0], g[:, 1]) > _FAR] = 0.0
 
-    # pad the pixels to C·m with zero directions, which vote for nothing
-    n_px = len(pts)
-    m = -(-n_px // chunks)
-    ux, uy, qx, qy = np.zeros((4, m * chunks))
-    ux[:n_px], uy[:n_px] = units.T
-    qx[:n_px], qy[:n_px] = q.T
-    voter = (ux != 0.0) | (uy != 0.0)
-    qxu = -(qx * uy - qy * ux)
-    qxu[~voter] = 1.0  # cross row [0, 0, 1]: a non-voter accepts no finite row
-    # chunk c is column c of the (m, C) row-major grid of the padded pixels;
-    # slots[r, j] views column j of the dot (r = 0) or cross (r = 1) rows
-    mats = np.empty((chunks, 2, m, 3), dtype=np.float32)
-    slots, grid = mats.transpose(1, 3, 2, 0), (m, chunks)
-    slots[0, 0] = (tan * ux).reshape(grid)
-    slots[0, 1] = (tan * uy).reshape(grid)
-    slots[0, 2] = (-tan * (qx * ux + qy * uy)).reshape(grid)
-    slots[1, 0] = uy.reshape(grid)
-    slots[1, 1] = (-ux).reshape(grid)
-    slots[1, 2] = qxu.reshape(grid)
-    return rows, mats.reshape(chunks, 2 * m, 3)
+    # columns of the dot then cross rows, voters then pads; chunk c takes
+    # column c of the (m, C) row-major grid of the padded voters
+    m = -(-len(px) // chunks)
+    cols = np.zeros((6, m * chunks), dtype=np.float32)
+    cols[5] = 1.0  # a pad's cross row [0, 0, 1] accepts no finite row
+    cols[:, :len(px)] = (tan * ux, tan * uy, -tan * (qx * ux + qy * uy),
+                         uy, -ux, -(qx * uy - qy * ux))
+    return rows, cols.reshape(2, 3, m, chunks).transpose(3, 0, 2, 1).reshape(chunks, 2 * m, 3)
 
 
 def _loose_counts(rows, mat):
@@ -295,8 +285,8 @@ def _prune(rows, mats, counts, best):
     loose counts.
 
     counts holds the loose counts of the columns of rows on chunk 0 of
-    the pixel matrices mats. Before each further chunk a hypothesis is
-    kept only while its count so far plus the number of pixels in the
+    the voter matrices mats. Before each further chunk a hypothesis is
+    kept only while its count so far plus the number of rows in the
     chunks still to come, a bound of their voters, is >= best. Returns
     the survivors' indices, ascending, and their full loose counts.
     """
@@ -339,15 +329,11 @@ def _refine_location(best, voters, inliers):
     on that order in its last bits.
     """
     px, py, nx, ny = (a[inliers] for a in voters[:4])
-    # sum of (I - n n^T) per inlier
-    A = np.array(
-        [
-            [np.sum(1.0 - nx * nx), np.sum(-nx * ny)],
-            [np.sum(-nx * ny), np.sum(1.0 - ny * ny)],
-        ]
-    )
-    b = np.stack([(1.0 - nx * nx) * px - nx * ny * py,
-                  -nx * ny * px + (1.0 - ny * ny) * py], axis=-1).sum(axis=0)
+    # the entries of I - n n^T per inlier; A sums them, b sums them times p
+    axx, axy, ayy = 1.0 - nx * nx, -nx * ny, 1.0 - ny * ny
+    sxy = np.sum(axy)
+    A = np.array([[np.sum(axx), sxy], [sxy, np.sum(ayy)]])
+    b = np.stack([axx * px + axy * py, axy * px + ayy * py], axis=-1).sum(axis=0)
     if _ill_conditioned(A):
         return best
     x = np.linalg.solve(A, b)
@@ -375,7 +361,7 @@ class SceneVote:
 
     def __init__(self, fields, mask, cfg: VotingConfig):
         self.fields, self.mask, self.cfg = fields, np.asarray(mask, dtype=bool), cfg
-        self._pass = None  # pts, units, locs, ok, chunks
+        self._pass = None  # pts, units, locs, ok
 
     def _winner(self, k):
         """Keypoint k's most-voted hypothesis before refinement, its votes and
@@ -385,10 +371,8 @@ class SceneVote:
             if len(pts) < 2:
                 raise InsufficientSupportError(f"need >= 2 masked pixels, got {len(pts)}")
             units = _units(np.asarray(self.fields, dtype=float))
-            locs, ok = _hypotheses(pts, units, self.cfg)
-            chunks = min(_stride(locs.shape[1], len(pts)), len(pts))
-            self._pass = pts, units, locs, ok, chunks
-        pts, units, locs, ok, chunks = self._pass
+            self._pass = pts, units, *_hypotheses(pts, units, self.cfg)
+        pts, units, locs, ok = self._pass
         sel = np.flatnonzero(ok[k])
         if len(sel) == 0:
             raise NoValidHypothesisError("no sampled pixel pair formed a hypothesis: each was "
@@ -397,8 +381,10 @@ class SceneVote:
         threshold = self.cfg.inlier_cos_threshold
         hyps = locs[k, sel]
         voters = _voters(pts, units[k], threshold)
+        n_voters = len(voters[0])
+        chunks = min(_stride(locs.shape[1], n_voters), n_voters)
         cand = np.arange(len(sel))
-        loose = _loose_operands(hyps, pts, units[k], threshold, chunks)
+        loose = _loose_operands(hyps, voters, threshold, chunks)
         if loose is not None:
             rows, mats = loose
             counts = _loose_counts(rows, mats[0])

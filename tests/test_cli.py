@@ -388,6 +388,16 @@ class TestGen:
                      "--out", str(tmp_path / "x")]) == 1
 
 
+class TestSceneDirs:
+    def test_scenes_follow_their_number_past_999(self, tmp_path):
+        names = ["sample_1000", "sample_101", "sample_099", "sample_100", "sample_x"]
+        for name in names:
+            (tmp_path / name).mkdir()
+        dirs = cli._scene_dirs(str(tmp_path))
+        assert [os.path.basename(d) for d in dirs] == [
+            "sample_099", "sample_100", "sample_101", "sample_1000", "sample_x"]
+
+
 class TestVote:
     def test_writes_csv(self, scenes_dir, tmp_path):
         out = str(tmp_path / "votes.csv")

@@ -573,7 +573,7 @@ class TestLooseSuperset:
             m = len(voters[0])
             assert m == len(pts)
             # m chunks: one voter per chunk, so each chunk count is one cell
-            rows, mats = _loose_operands(hyps, pts, units, threshold, m)
+            rows, mats = _loose_operands(hyps, voters, threshold, m)
             loose = np.array([_loose_counts(rows, mat) for mat in mats], dtype=bool)
             exact = np.stack([_inliers(h[0], h[1], voters) for h in hyps], axis=1)
             assert not np.any(exact & ~loose)
@@ -583,22 +583,24 @@ class TestLooseSuperset:
 
     def test_far_hypotheses_are_loose_inliers(self):
         hyps, pts, dirs, _ = boundary_cells(0.99, np.random.default_rng(1))
-        rows, mats = _loose_operands(hyps, pts, _units(dirs), 0.99, len(pts))
+        rows, mats = _loose_operands(hyps, _voters(pts, _units(dirs), 0.99), 0.99, len(pts))
         loose = np.array([_loose_counts(rows, mat) for mat in mats], dtype=bool)
         assert np.all(loose[:, 2])
 
     def test_non_voters_and_pads_accept_only_far_hypotheses(self):
-        # ten pixels in a row aimed at h along +x, three of them non-voters;
-        # 4 chunks of 3 rows hold two pads
+        # ten pixels in a row aimed at h along +x, three of them non-voters,
+        # which take no row; 4 chunks of 2 rows hold the 7 voters and a pad
         pts = np.stack([np.arange(10) + 0.5, np.full(10, 0.5)], axis=1)
         dirs = np.tile([1.0, 0.0], (10, 1))
         dirs[[2, 5]] = 0.0
         dirs[7] = [5e-9, 0.0]
         hyps = np.array([[20.5, 0.5], [1e21, 0.0]])
-        rows, mats = _loose_operands(hyps, pts, _units(dirs), 0.99, 4)
-        assert mats.shape == (4, 6, 3)
+        voters = _voters(pts, _units(dirs), 0.99)
+        assert len(voters[0]) == 7
+        rows, mats = _loose_operands(hyps, voters, 0.99, 4)
+        assert mats.shape == (4, 4, 3)
         counts = sum(_loose_counts(rows, mat).astype(int) for mat in mats)
-        assert counts.tolist() == [7, 12]
+        assert counts.tolist() == [7, 8]
 
     def test_threshold_at_or_below_twice_eta_skips_stage_one(self):
         # two voters 100 px apart: B = 50, so eta = 16·2^-24·201
@@ -606,7 +608,8 @@ class TestLooseSuperset:
         eta = 16 * 2.0 ** -24 * 201
         hyps = np.array([[50.0, 50.0]])
         for threshold, skipped in ((2 * eta, True), (np.nextafter(2 * eta, 1.0), False)):
-            assert (_loose_operands(hyps, pts, _units(dirs), threshold, 2) is None) == skipped
+            voters = _voters(pts, _units(dirs), threshold)
+            assert (_loose_operands(hyps, voters, threshold, 2) is None) == skipped
 
     def test_noisy_scene_sends_few_hypotheses_to_stage_two(self, monkeypatch):
         scene = noisy_scene(5)
