@@ -140,9 +140,8 @@ class PlanarLosses:
         np.divide(self.abs_cross, norm, out=d)
         if self.skipped:
             np.copyto(d, 0.0, where=~valid)
-        np.abs(d, out=self._a)
-        _smooth_l1_into(self._a, self.loss, self.dloss)
-        np.copysign(self.dloss, d, out=self.dloss)
+        # d = |cross| / |v| >= +0 is its own |d|, so the derivative is c itself
+        _smooth_l1_into(d, self.loss, self.dloss)
         return float(self.loss.sum())
 
     def proxy_grad(self, est, off):

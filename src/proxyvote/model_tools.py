@@ -69,6 +69,8 @@ def _parse_ply(lines, name):
                 else:
                     skip += count  # one data line per item of an element before vertex
         elif tok[0] == "property" and in_vertex:
+            if len(tok) < 3:
+                raise ModelLoadError(f"{name}: line {i}: property needs a type and a name")
             if tok[1] == "list":
                 raise ModelLoadError(f"{name}: line {i}: list property in vertex element")
             props.append(tok[-1])

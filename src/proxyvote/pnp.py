@@ -129,18 +129,16 @@ def solve_epnp(object_points, image_points, intr: Intrinsics) -> Pose:
     _, svals, Vt = np.linalg.svd(M, full_matrices=False)
     if svals[0] <= 0:
         raise DegenerateConfigurationError("projection system is all-zero")
-    # basis of the (approximate) null space, most-null first
-    n_basis = 4 if nc == 4 else 3
-    basis = Vt[::-1][:n_basis]  # (n_basis, 3*nc)
-    W = basis.reshape(n_basis, nc, 3)
+    # the nc - 1 most-null right singular vectors, most-null first; scale
+    # case m reads the first m of them
+    W = Vt[::-1][:nc - 1].reshape(nc - 1, nc, 3)
 
     pairs = list(itertools.combinations(range(nc), 2))
     dw = np.array([np.linalg.norm(C[i] - C[j]) for i, j in pairs])
-    dv_stack = np.stack([[W[a, i] - W[a, j] for i, j in pairs] for a in range(n_basis)])
+    dv_stack = np.stack([[w[i] - w[j] for i, j in pairs] for w in W])
 
-    max_case = 3 if nc == 4 else 2
     best = None
-    for m in range(1, max_case + 1):
+    for m in range(1, nc):
         if m == 1:
             norms = np.linalg.norm(dv_stack[0], axis=-1)
             denom = float(np.sum(norms * norms))

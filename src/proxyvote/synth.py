@@ -46,8 +46,14 @@ class SceneSample:
     keypoints2: np.ndarray  # (K, 2) projected keypoints, may fall outside mask
     keypoints3: np.ndarray  # (K, 3) model-frame keypoints
     fields: np.ndarray  # (K, M, 2) float64 directions at the M set pixels of mask, row-major
-    width: int
-    height: int
+
+    @property
+    def width(self) -> int:
+        return self.mask.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.mask.shape[0]
 
     @property
     def gt_fields(self) -> np.ndarray:
@@ -150,9 +156,7 @@ def _ideal_fields(mask, keypoints2) -> np.ndarray:
     keypoint, zero within 1e-9 of the keypoint."""
     diff = np.asarray(keypoints2, dtype=float)[:, None, :] - pixel_centers(*mask.shape)[mask]
     r = np.hypot(diff[..., 0], diff[..., 1])[..., None]  # (K, M, 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = diff / np.where(r > 0, r, 1.0)
-    return np.where(r >= 1e-9, f, 0.0)
+    return np.divide(diff, r, out=np.zeros_like(diff), where=r >= 1e-9)
 
 
 def make_scene(cloud: ModelCloud, keys: KeypointSet, pose: Pose, intr: Intrinsics,
@@ -163,11 +167,11 @@ def make_scene(cloud: ModelCloud, keys: KeypointSet, pose: Pose, intr: Intrinsic
     keypoints2 = project(pose, intr, keys.points3)
     return SceneSample(pose=pose, intr=intr, mask=mask, keypoints2=keypoints2,
                        keypoints3=np.asarray(keys.points3, dtype=float).copy(),
-                       fields=_ideal_fields(mask, keypoints2), width=width, height=height)
+                       fields=_ideal_fields(mask, keypoints2))
 
 
 def _grow_blob(mask, n_remove, rng):
-    """Contiguous pixel set grown breadth-first from a random masked seed."""
+    """Contiguous blob grown breadth-first from a random masked seed; queues masked pixels only."""
     idx = np.flatnonzero(mask.ravel())
     if n_remove <= 0 or len(idx) == 0:
         return np.zeros_like(mask)
@@ -180,8 +184,6 @@ def _grow_blob(mask, n_remove, rng):
     while queue and removed < n_remove:
         cur = queue.popleft()
         i, j = divmod(cur, w)
-        if not mask[i, j]:
-            continue
         blob[i, j] = True
         removed += 1
         for ni, nj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
@@ -272,12 +274,14 @@ def _load_pgm(path):
     if len(head) < 4 or head[0] != "P2":
         raise ModelLoadError(f"{path}: not a P2 PGM")
     try:
-        w, h = int(head[1]), int(head[2])
+        w, h, maxval = int(head[1]), int(head[2]), int(head[3])
         vals = np.fromstring(head[4] if len(head) > 4 else "", dtype=int, sep=" ")
     except ValueError as e:
         raise ModelLoadError(f"{path}: {e}") from None
     if w < 1 or h < 1:
         raise ModelLoadError(f"{path}: a {w}x{h} image; width and height must be positive")
+    if not 1 <= maxval <= 65535:
+        raise ModelLoadError(f"{path}: maxval {maxval}; it must be 1 to 65535")
     if len(vals) < w * h:
         raise ModelLoadError(f"{path}: {len(vals)} values for a {w}x{h} image")
     return vals[:w * h].reshape(h, w) > 0
@@ -345,10 +349,9 @@ def _load_pose(path):
 
 def load_scene(directory) -> SceneSample:
     mask = _load_pgm(os.path.join(directory, "mask.pgm"))
-    h, w = mask.shape
     pose, intr = _load_pose(os.path.join(directory, "pose.json"))
     keypoints = _load_csv(os.path.join(directory, "keypoints.csv"), 5)
     fields = _load_fields(os.path.join(directory, "fields.npy"),
                           (len(keypoints), int(np.count_nonzero(mask)), 2))
     return SceneSample(pose=pose, intr=intr, mask=mask, keypoints2=keypoints[:, :2],
-                       keypoints3=keypoints[:, 2:5], fields=fields, width=w, height=h)
+                       keypoints3=keypoints[:, 2:5], fields=fields)

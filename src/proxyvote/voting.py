@@ -28,11 +28,10 @@ with one config (``SceneVote``); ``vote_keypoint`` votes one keypoint of
 it, or one dense (H, W, 2) field's masked pixels as a stack of one. One
 draw of n pixel pairs serves every keypoint. A pair forms a hypothesis
 for keypoint k unless it is one pixel twice, or its two directions for k
-are parallel or shorter than EPS_NORM; the other entries of the (K, n)
-hypothesis table are NaN pads. Each keypoint goes on with its own valid
-hypotheses, in draw order, and its own voters (the masked pixels whose
-direction for k has |v| >= EPS_NORM), so its vote is the one it would
-get alone; a keypoint without a hypothesis fails alone.
+are parallel or shorter than EPS_NORM. Each keypoint goes on with its
+own hypotheses, in draw order, and its own voters (the masked pixels
+whose direction for k has |v| >= EPS_NORM), so its vote is the one it
+would get alone; a keypoint without a hypothesis fails alone.
 
 Two-stage counting. Both stages of keypoint k count its V voters and
 nothing else. Stage 1 splits them into C = max(16, ceil(n / 32),
@@ -41,11 +40,11 @@ c + C, c + 2C, ... of the row-major order, padded to m = ceil(V / C)
 rows, so each chunk is a spatially uniform sample of them. It counts
 every hypothesis with a loose float32 test that accepts every cell the
 float64 test accepts, so its count is an upper bound of the exact one;
-a pad gets a row that accepts no hypothesis but a far one (see below).
-best is the largest exact count among the _LEADERS = 8 of k's valid
-hypotheses with the highest chunk-0 counts, and stage 1 prunes against
-it: before each further chunk a hypothesis is kept only while its count
-so far plus the number of rows in the chunks still to come is >= best.
+a pad gets a row that accepts no hypothesis (see below). best is the
+largest exact count among the _LEADERS = 8 of k's hypotheses with the
+highest chunk-0 counts, and stage 1 prunes against it: before each
+further chunk a hypothesis is kept only while its count so far plus
+the number of rows in the chunks still to come is >= best.
 Its candidates are the hypotheses whose loose count reaches best. Stage
 2 counts the candidates exactly, with the float64 test, on all of k's
 voters in one flat pass. A hypothesis that is not a candidate thus has
@@ -53,11 +52,10 @@ an exact count below best, and best is at most the maximum count, so it
 can neither win nor tie. Every hypothesis with the maximum count is a
 candidate and gets its exact count, and the winner, its (x, y)
 tie-break, its inlier row and the refinement are those of a dense
-float64 count, bit for bit; a NaN pad is never a candidate, even when
-the maximum count is 0. The float32 rounding, the BLAS kernel and its
-thread count and the choice of best only decide which hypotheses reach
-stage 2, never an output. Stage 1's tables hold voters on rows and
-hypotheses contiguous, stage 2's hypotheses on rows and voters
+float64 count, bit for bit. The float32 rounding, the BLAS kernel and
+its thread count and the choice of best only decide which hypotheses
+reach stage 2, never an output. Stage 1's tables hold voters on rows
+and hypotheses contiguous, stage 2's hypotheses on rows and voters
 contiguous.
 
 Sizes. Stage 2 counts in blocks of at most _STAGE2_CELLS = 8,192 cells
@@ -72,7 +70,9 @@ steps timed level: 2 x 60 interleaved votes of 12 such scenes ran at
 paired ratios of 0.973 and 0.992 (quartiles 0.92-1.05). Stage 1 on k's
 voters in place of all masked pixels was no slower: 3 x 40 interleaved
 votes of 12 such scenes ran at paired ratios of 0.933-0.961 (quartiles
-0.88-1.02), faster in 88 of 120.
+0.88-1.02), faster in 88 of 120. Per-keypoint hypothesis arrays and
+unclamped rows timed level: 30 interleaved votes of 36 such scenes ran
+at a paired ratio of 0.971 (quartiles 0.87-1.08), faster in 17 of 30.
 
 The loose test. With o the mean of k's voters, q = p - o, g = h - o
 and the voter's unit direction u, the float32 test is |d × u| <=
@@ -83,7 +83,7 @@ chunk, of the (2m, 3) matrix with rows t·[ux, uy, -q·u] and then [uy,
 -ux, -q × u] for its m voters, by the (3, n) rows [gx; gy; 1], gives
 both tables; one comparison and a uint8 sum over the chunk finish it. A
 pad's rows are 0 and [0, 0, 1]: t·dot = 0 < 1 = |cross| for every
-finite hypothesis row.
+hypothesis.
 
 Why η = 16·u·(1 + 4B), with u = 2^-24 the float32 unit roundoff and
 B = max |q| over k's voters, makes the loose test a superset.
@@ -105,13 +105,14 @@ voter; taking o and B over k's voters makes η scale with their extent,
 not with their place in the image: about 1.1e-4 for the 128² scenes of
 the bench (B ≈ 28 px).
 
-Two rules keep the argument valid. A hypothesis with |g| > 1e20 gets a
-zero row, which every voter row accepts; below that limit nothing
-overflows in float32 (t < 1/η) nor, as |u| = 1, in float64, and a NaN
-hypothesis counts 0 in both stages. When thr <= 2η, stage 1 is skipped
-and every hypothesis is a candidate of stage 2; otherwise thr - η > η
-keeps t finite. And C >= V / 255, so a chunk never holds more than 255
-rows and its uint8 counts are exact.
+No hypothesis overflows. Unit rays with |u1 × u2| >= EPS_PARALLEL meet
+at h = p1 + t1·u1, |t1| = |d × u2| / |u1 × u2| <= |d|·(1 + ε)/EPS_PARALLEL
+for d = p2 - p1, and o lies in the image, so |g| <= (10⁶ + 1)·diagonal.
+With t < 1/η ≈ 10⁶, float32 cannot overflow below a diagonal of about
+10²⁶ px, nor float64 (|u| = 1); E is relative, so |g| needs no cap.
+When thr <= 2η, stage 1 is skipped and every hypothesis is a candidate
+of stage 2; otherwise thr - η > η keeps t finite. And C >= V / 255, so
+a chunk never holds more than 255 rows and its uint8 counts are exact.
 
 Refinement sums over the winner's inliers in the original row-major
 order, not the chunk order: the order of a float sum decides its last
@@ -150,31 +151,30 @@ def _units(dirs):
 
 
 def _hypotheses(pts, units, cfg: VotingConfig):
-    """(K, n, 2) intersections of the rays of n sampled pixel pairs, one row
-    per field of the (K, M, 2) unit directions, and the (K, n) bool of the
-    valid ones.
+    """The intersections of the rays of n sampled pixel pairs for each field
+    of the (K, M, 2) unit directions, K arrays of shape (n_k, 2) in draw
+    order, and n.
 
     Every field samples the same pairs, deterministic per seed; pairs of
-    one pixel twice are dropped. A pair of parallel directions, or with a
-    non-voter's zero row, forms no hypothesis for that field: its entry is
-    NaN and not valid. Needs M >= 2.
+    one pixel twice are dropped before n is counted. A pair of parallel
+    directions, or with a non-voter's zero row, forms no hypothesis for
+    that field. Needs M >= 2.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     ia = rng.integers(0, len(pts), cfg.num_samples)
     ib = rng.integers(0, len(pts), cfg.num_samples)
     keep = ia != ib
     ia, ib = ia[keep], ib[keep]
-    p1 = pts[ia]
-    d = pts[ib] - p1
     u1, u2 = units[:, ia], units[:, ib]
 
     cross = u1[..., 0] * u2[..., 1] - u1[..., 1] * u2[..., 0]
-    ok = np.abs(cross) >= EPS_PARALLEL
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (d[:, 0] * u2[..., 1] - d[:, 1] * u2[..., 0]) / cross
-        locs = p1 + t1[..., None] * u1
-    locs[~ok] = np.nan
-    return locs, ok
+    k, j = np.nonzero(np.abs(cross) >= EPS_PARALLEL)  # by field, then in draw order
+    p1 = pts[ia[j]]
+    d = pts[ib[j]] - p1
+    u1, u2 = u1[k, j], u2[k, j]
+    t1 = (d[:, 0] * u2[:, 1] - d[:, 1] * u2[:, 0]) / cross[k, j]
+    locs = p1 + t1[:, None] * u1
+    return np.split(locs, np.cumsum(np.bincount(k, minlength=len(units)))[:-1]), len(ia)
 
 
 def _voters(pts, units, threshold):
@@ -186,9 +186,6 @@ def _voters(pts, units, threshold):
 
 # Pixels per chunk at most, so that a chunk's loose counts fit in uint8.
 _MAX_CHUNK = 255
-# Hypotheses farther than this from the masked pixels' mean count as
-# loose inliers of every pixel, which keeps the float32 test finite.
-_FAR = 1e20
 # Unit roundoff of float32.
 _U32 = 2.0 ** -24
 # Chunk-0 leaders whose largest exact count is stage 1's bound best.
@@ -239,12 +236,13 @@ def _loose_operands(hyps, voters, threshold, chunks):
     chunk of m = ceil(V / C) of the V voters of ``_voters``.
 
     Column j of the rows is [hx - ox, hy - oy, 1] of hypothesis j of the
-    (n, 2) hyps, NaN for a NaN hypothesis, or zeros beyond _FAR. Chunk c
-    holds voters c, c + C, ... in row-major order, padded to m. Its
-    matrix holds t·[ux, uy, -q·u] for each of its voters, then [uy, -ux,
-    -(q × u)], with q = p - o and t = tan(arccos(thr - η)); and dot row 0
-    and cross row [0, 0, 1] for a pad. Its product with the rows is t·dot
-    over cross, d = h - p, for every voter and hypothesis.
+    (n, 2) hyps, unclamped: no hypothesis lies far enough away to
+    overflow (module docstring). Chunk c holds voters c, c + C, ... in
+    row-major order, padded to m. Its matrix holds t·[ux, uy, -q·u] for
+    each of its voters, then [uy, -ux, -(q × u)], with q = p - o and
+    t = tan(arccos(thr - η)); and dot row 0 and cross row [0, 0, 1] for a
+    pad. Its product with the rows is t·dot over cross, d = h - p, for
+    every voter and hypothesis.
     """
     px, py, ux, uy, _ = voters
     o = px.mean(), py.mean()
@@ -254,10 +252,8 @@ def _loose_operands(hyps, voters, threshold, chunks):
         return None
     cos = threshold - eta
     tan = np.sqrt((1.0 - cos) * (1.0 + cos)) / cos
-    g = hyps - o
     rows = np.ones((3, len(hyps)), dtype=np.float32)
-    rows[:2] = g.T
-    rows[:, np.hypot(g[:, 0], g[:, 1]) > _FAR] = 0.0
+    rows[:2] = (hyps - o).T
 
     # columns of the dot then cross rows, voters then pads; chunk c takes
     # column c of the (m, C) row-major grid of the padded voters
@@ -361,7 +357,7 @@ class SceneVote:
 
     def __init__(self, fields, mask, cfg: VotingConfig):
         self.fields, self.mask, self.cfg = fields, np.asarray(mask, dtype=bool), cfg
-        self._pass = None  # pts, units, locs, ok
+        self._pass = None  # pts, units, each keypoint's hypotheses, pairs drawn
 
     def _winner(self, k):
         """Keypoint k's most-voted hypothesis before refinement, its votes and
@@ -372,18 +368,17 @@ class SceneVote:
                 raise InsufficientSupportError(f"need >= 2 masked pixels, got {len(pts)}")
             units = _units(np.asarray(self.fields, dtype=float))
             self._pass = pts, units, *_hypotheses(pts, units, self.cfg)
-        pts, units, locs, ok = self._pass
-        sel = np.flatnonzero(ok[k])
-        if len(sel) == 0:
+        pts, units, hyps, n = self._pass
+        hyps = hyps[k]
+        if len(hyps) == 0:
             raise NoValidHypothesisError("no sampled pixel pair formed a hypothesis: each was "
                                          "one pixel twice, parallel or had a direction shorter "
                                          "than EPS_NORM")
         threshold = self.cfg.inlier_cos_threshold
-        hyps = locs[k, sel]
         voters = _voters(pts, units[k], threshold)
         n_voters = len(voters[0])
-        chunks = min(_stride(locs.shape[1], n_voters), n_voters)
-        cand = np.arange(len(sel))
+        chunks = min(_stride(n, n_voters), n_voters)
+        cand = np.arange(len(hyps))
         loose = _loose_operands(hyps, voters, threshold, chunks)
         if loose is not None:
             rows, mats = loose

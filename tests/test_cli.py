@@ -387,6 +387,12 @@ class TestGen:
         assert main(["gen", "--model", str(tmp_path / "no.ply"),
                      "--out", str(tmp_path / "x")]) == 1
 
+    def test_malformed_model_header_is_an_error_line(self, tmp_path, capsys):
+        model = tmp_path / "bad.ply"
+        model.write_text(CUBE_PLY.replace("property float z", "property"))
+        assert main(["gen", "--model", str(model), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.startswith("error: bad.ply: line 6: ")
+
 
 class TestSceneDirs:
     def test_scenes_follow_their_number_past_999(self, tmp_path):

@@ -126,6 +126,12 @@ class TestLoadModel:
         with pytest.raises(ModelLoadError, match="line 11"):
             load_model(p)
 
+    def test_bare_property_line_reports_line_number(self, tmp_path):
+        p = tmp_path / "m.ply"
+        p.write_text(PLY_OK.replace("property float y", "property"))
+        with pytest.raises(ModelLoadError, match="line 5: property needs a type and a name"):
+            load_model(p)
+
     def test_missing_axis_property(self, tmp_path):
         p = tmp_path / "m.ply"
         p.write_text(PLY_OK.replace("property float z", "property float w"))

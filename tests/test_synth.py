@@ -474,9 +474,11 @@ class TestLoadPgm:
                                       "P2\n3 2\n255\n0 255 0\n255 x 0\n",
                                       "P2\n3 2\n255\n0 255 0\n255 2.5 0\n",
                                       "P2\n3 2\n",
+                                      "P2\n3 2\njunk\n0 255 0\n255 255 0\n",
+                                      "P2\n3 2\n0\n0 255 0\n255 255 0\n",
                                       "P5\n3 2\n255\n0 255 0\n255 255 0\n"],
                              ids=["short", "no_values", "non_numeric", "fraction", "no_maxval",
-                                  "not_p2"])
+                                  "junk_maxval", "zero_maxval", "not_p2"])
     def test_malformed_file_names_the_file(self, tmp_path, text):
         with pytest.raises(ModelLoadError, match="mask.pgm"):
             _load_pgm(write_pgm(tmp_path / "mask.pgm", text))
