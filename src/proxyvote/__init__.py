@@ -9,8 +9,7 @@ scene + training harness for desk-scale experiments.
 from .geometry import Intrinsics, Pose, pixel_centers, point_line_distance, project
 from .losses import LossReport, dpvl, smooth_l1, vf_loss
 from .metrics import EvalRecord, add_s_score, add_score, evaluate, judge, proj2d_error
-from .model_tools import (KeypointSet, ModelCloud, farthest_point_sampling,
-                          load_model, model_diameter)
+from .model_tools import ModelCloud, farthest_point_sampling, load_model, model_diameter
 from .pnp import reprojection_rmse, solve_epnp, umeyama
 from .synth import (NoiseSpec, PoseRanges, SceneSample, corrupt, load_scene,
                     make_scene, sample_pose, save_scene)

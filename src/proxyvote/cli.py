@@ -36,8 +36,8 @@ from .geometry import Intrinsics
 from .metrics import EvalRecord, evaluate
 from .model_tools import farthest_point_sampling, load_model, model_diameter
 from .pnp import solve_epnp
-from .synth import (NoiseSpec, PoseRanges, _fmt, _load_csv, corrupt, load_scene,
-                    make_scene, sample_pose, save_scene, write_atomic)
+from .synth import (NoiseSpec, PoseRanges, _load_csv, corrupt, csv_text, load_scene,
+                    make_scene, sample_pose, save_scene, write_atomic, write_json)
 from .trainer import (MODES, TrainConfig, keypoint_errors, run_experiment, subseed,
                       substream, vote_keypoints)
 from .voting import VotingConfig
@@ -124,8 +124,7 @@ def _write_manifest(out_dir, command, config, seeds, outputs, t0, error=None):
     }
     if error is not None:  # the run failed after writing outputs
         doc["error"] = error
-    write_atomic(os.path.join(out_dir, "manifest.json"),
-                 json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(os.path.join(out_dir, "manifest.json"), doc)
 
 
 def _check_seed(seed):
@@ -200,7 +199,7 @@ def cmd_gen(args) -> int:
 
     width, height = cfg["width"], cfg["height"]
     cloud = load_model(cfg["model"])
-    keys = farthest_point_sampling(cloud, cfg["keypoints"])
+    keypoints3 = cloud.points[farthest_point_sampling(cloud, cfg["keypoints"])]
     # poses are drawn here, in scene order, from one stream, so scene i is
     # the same whatever n; --out is made once every step that can fail on
     # the model or the pose ranges has passed
@@ -211,7 +210,7 @@ def cmd_gen(args) -> int:
     os.makedirs(cfg["out"], exist_ok=True)
     outputs = []
     for i, pose in enumerate(poses):
-        sample = make_scene(cloud, keys, pose, intr, width, height)
+        sample = make_scene(cloud, keypoints3, pose, intr, width, height)
         if noisy:
             sample = corrupt(sample, replace(spec, rng_seed=noise_seed + i))
         outputs.append(os.path.join(cfg["out"], f"sample_{i:03d}"))
@@ -287,15 +286,15 @@ def cmd_vote(args) -> int:
     t0 = time.monotonic()
     cfg = _settings(args, "scenes", "out")
     vcfg = _voting_config(cfg)
-    lines = ["scene,keypoint,kx_voted,ky_voted,kx_true,ky_true,error_px,votes"]
+    scenes = []  # each scene's columns
     for si, (sample, locs, votes) in enumerate(_voted_scenes(cfg["scenes"], vcfg)):
-        errs = keypoint_errors(locs, sample.keypoints2)
-        for ki, (loc, true) in enumerate(zip(locs, sample.keypoints2)):
-            lines.append(",".join([str(si), str(ki), _fmt(loc[0]), _fmt(loc[1]),
-                                   _fmt(true[0]), _fmt(true[1]), _fmt(errs[ki]),
-                                   str(votes[ki])]))
+        k = len(locs)
+        scenes.append((np.full(k, si), np.arange(k), *locs.T, *sample.keypoints2.T,
+                       keypoint_errors(locs, sample.keypoints2), votes))
     os.makedirs(os.path.dirname(os.path.abspath(cfg["out"])), exist_ok=True)
-    write_atomic(cfg["out"], "\n".join(lines) + "\n")
+    write_atomic(cfg["out"], csv_text(
+        "scene keypoint kx_voted ky_voted kx_true ky_true error_px votes".split(),
+        map(np.concatenate, zip(*scenes))))
     _write_manifest(os.path.dirname(os.path.abspath(cfg["out"])), "vote", cfg,
                     [cfg["seed"]], [cfg["out"]], t0)
     return 0
@@ -316,8 +315,6 @@ def cmd_eval(args) -> int:
     cloud = load_model(cfg["model"], symmetric=cfg["symmetric"])
     diameter = model_diameter(cloud)
 
-    lines = ["scene,add,proj2d,add_correct,proj_correct"
-             + (",add_s,add_s_correct" if cloud.symmetric else "")]
     records = []
     for si, (sample, locs, _) in enumerate(_voted_scenes(cfg["scenes"], vcfg)):
         rec = _FAILED
@@ -328,14 +325,14 @@ def cmd_eval(args) -> int:
             except (ProxyVoteError, np.linalg.LinAlgError) as e:
                 print(f"warning: scene {si}: {e}", file=sys.stderr)
         records.append(rec)
-        row = [str(si), _fmt(rec.add), _fmt(rec.proj2d),
-               str(int(rec.add_correct)), str(int(rec.proj_correct))]
-        if cloud.symmetric:
-            row += [_fmt(rec.add_s), str(int(rec.add_s_correct))]
-        lines.append(",".join(row))
 
+    names = ["add", "proj2d", "add_correct", "proj_correct"]
+    if cloud.symmetric:
+        names += ["add_s", "add_s_correct"]
     os.makedirs(cfg["out"], exist_ok=True)
-    write_atomic(os.path.join(cfg["out"], "records.csv"), "\n".join(lines) + "\n")
+    write_atomic(os.path.join(cfg["out"], "records.csv"), csv_text(
+        ["scene", *names],
+        [np.arange(len(records)), *([getattr(r, n) for r in records] for n in names)]))
     summary = {
         "scenes": len(records),
         "failed": sum(r is _FAILED for r in records),
@@ -345,8 +342,7 @@ def cmd_eval(args) -> int:
     }
     if cloud.symmetric:
         summary["add_s_accuracy"] = float(np.mean([r.add_s_correct for r in records]))
-    write_atomic(os.path.join(cfg["out"], "summary.json"),
-                 json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_json(os.path.join(cfg["out"], "summary.json"), summary)
     outputs = [os.path.join(cfg["out"], f) for f in ("records.csv", "summary.json")]
     _write_manifest(cfg["out"], "eval", cfg, [cfg["seed"]], outputs, t0)
     return 0
@@ -409,12 +405,9 @@ def cmd_report(args) -> int:
 
     os.makedirs(cfg["out"], exist_ok=True)
     labels = sorted(traces)
-    lines = ["iter," + ",".join(f"{lab}_l_pv" for lab in labels)]
-    iters = traces[labels[0]]["iter"].astype(int)
-    for r in range(length):
-        lines.append(",".join([str(int(iters[r]))] +
-                              [_fmt(traces[lab]["l_pv"][r]) for lab in labels]))
-    write_atomic(os.path.join(cfg["out"], "curves.csv"), "\n".join(lines) + "\n")
+    write_atomic(os.path.join(cfg["out"], "curves.csv"), csv_text(
+        ["iter", *(f"{lab}_l_pv" for lab in labels)],
+        [traces[labels[0]]["iter"].astype(int), *(traces[lab]["l_pv"] for lab in labels)]))
 
     # per-mode summary: final values and iterations to the L_pv threshold
     by_mode = {}
@@ -441,8 +434,7 @@ def cmd_report(args) -> int:
             "median_iters_to_threshold": med_thr,
         }
     write_atomic(os.path.join(cfg["out"], "report.txt"), "\n".join(table) + "\n")
-    write_atomic(os.path.join(cfg["out"], "report.json"),
-                 json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_json(os.path.join(cfg["out"], "report.json"), report)
     outputs = [os.path.join(cfg["out"], f) for f in ("curves.csv", "report.txt", "report.json")]
     _write_manifest(cfg["out"], "report", cfg, [], outputs, t0)
     return 0

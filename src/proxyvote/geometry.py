@@ -85,7 +85,7 @@ def project(pose: Pose, intr: Intrinsics, points):
     return np.stack([x, y], axis=-1)
 
 
-def pixel_centers(height: int, width: int) -> np.ndarray:
-    """(H, W, 2) array of pixel-center coordinates (x, y)."""
-    xs, ys = np.meshgrid(np.arange(width) + 0.5, np.arange(height) + 0.5, copy=False)
-    return np.stack([xs, ys], axis=-1)
+def pixel_centers(mask) -> np.ndarray:
+    """(M, 2) centres (x, y) of the set pixels of an (H, W) mask, row-major."""
+    rows, cols = np.nonzero(mask)
+    return np.column_stack([cols + 0.5, rows + 0.5])

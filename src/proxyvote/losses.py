@@ -198,7 +198,7 @@ def _masked_proxy(est, mask, k):
     mask = np.asarray(mask, dtype=bool)
     _check_dims(est, mask[..., None], "est vs mask")
     est_m = planar(est[mask])
-    off = planar(np.asarray(k, dtype=float) - pixel_centers(*mask.shape)[mask])
+    off = planar(np.asarray(k, dtype=float) - pixel_centers(mask))
     losses = PlanarLosses(est_m.shape[1:])
     value = losses.proxy(est_m, off)
     return mask, est_m, off, losses, value

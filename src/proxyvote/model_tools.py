@@ -8,7 +8,7 @@ The module runs on numpy alone: ``model_diameter`` reproduces scipy's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,12 +32,6 @@ class ModelCloud:
         if not np.all(np.isfinite(pts)):
             raise ModelLoadError(f"model '{self.name}' has non-finite coordinates")
         self.points = pts
-
-
-@dataclass
-class KeypointSet:
-    points3: np.ndarray  # (count, 3), drawn from the model cloud
-    indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
 
 def _parse_ply(lines, name):
@@ -138,8 +132,8 @@ def load_model(path, symmetric=False) -> ModelCloud:
     return ModelCloud(points=pts, name=path.stem, symmetric=symmetric)
 
 
-def farthest_point_sampling(cloud: ModelCloud, n: int) -> KeypointSet:
-    """Greedy max-min subset of n points.
+def farthest_point_sampling(cloud: ModelCloud, n: int) -> np.ndarray:
+    """The indices of a greedy max-min subset of n points, in pick order.
 
     Starts from the point farthest from the centroid, then repeatedly
     adds the point with the largest distance to the selected set; ties
@@ -157,8 +151,7 @@ def farthest_point_sampling(cloud: ModelCloud, n: int) -> KeypointSet:
         nxt = int(np.argmax(mind))  # argmax takes the lowest index on ties
         chosen.append(nxt)
         mind = np.minimum(mind, np.linalg.norm(pts - pts[nxt], axis=1))
-    idx = np.array(chosen, dtype=int)
-    return KeypointSet(points3=pts[idx].copy(), indices=idx)
+    return np.array(chosen, dtype=int)
 
 
 def _sq_dists(a, b):

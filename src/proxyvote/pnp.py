@@ -113,7 +113,8 @@ def solve_epnp(object_points, image_points, intr: Intrinsics) -> Pose:
     """Recover a pose from N >= 4 correspondences.
 
     Tries the 1-, 2- and 3-basis-vector scale cases and keeps the one
-    with the lowest reprojection error.
+    with the lowest reprojection error among those whose pose puts every
+    object point in front of the camera.
     """
     Pw = np.asarray(object_points, dtype=float).reshape(-1, 3)
     U = np.asarray(image_points, dtype=float).reshape(-1, 2)
@@ -126,9 +127,8 @@ def solve_epnp(object_points, image_points, intr: Intrinsics) -> Pose:
     nc = len(C)
     alphas = _barycentric(Pw, C)
     M = _build_M(alphas, U, intr)
-    _, svals, Vt = np.linalg.svd(M, full_matrices=False)
-    if svals[0] <= 0:
-        raise DegenerateConfigurationError("projection system is all-zero")
+    # M is never all-zero: each alpha row sums to 1 and fx, fy > 0
+    Vt = np.linalg.svd(M, full_matrices=False)[2]
     # the nc - 1 most-null right singular vectors, most-null first; scale
     # case m reads the first m of them
     W = Vt[::-1][:nc - 1].reshape(nc - 1, nc, 3)
@@ -157,8 +157,9 @@ def solve_epnp(object_points, image_points, intr: Intrinsics) -> Pose:
             Pc = -Pc
         if np.any(Pc[:, 2] <= 0):
             continue
-        R, t = umeyama(Pw, Pc)
-        pose = Pose(R, t)
+        pose = Pose(*umeyama(Pw, Pc))
+        if np.any(pose.apply(Pw)[:, 2] <= 0):  # the rigid fit put a point behind the camera
+            continue
         err = reprojection_rmse(pose, Pw, U, intr)
         if best is None or err < best[0]:
             best = (err, pose)

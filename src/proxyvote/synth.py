@@ -14,9 +14,11 @@ pose.json ({rotation: 9 row-major, translation: 3, fx, fy, cx, cy}),
 keypoints.csv (kx,ky,X,Y,Z), and fields.npy, a float64 array of shape
 (K, M, 2): each keypoint's field (vx, vy) at the M set pixels of
 mask.pgm, in row-major order, so a value's row and column come from the
-mask. A SceneSample holds its fields in the same (K, M, 2) form. Every
-file is written through a temp file and os.replace, and a rewrite of the
-same scene gives the same bytes.
+mask. A SceneSample holds its fields in the same (K, M, 2) form.
+
+Every file the package writes goes through ``write_atomic`` (a temp file
+and os.replace), its CSV text from ``csv_text`` and its JSON from
+``write_json``, so a rewrite of the same data gives the same bytes.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ModelLoadError
 from .geometry import Intrinsics, Pose, pixel_centers, project
-from .model_tools import KeypointSet, ModelCloud
+from .model_tools import ModelCloud
 
 SPLAT_RADIUS = 1.5
 
@@ -154,19 +156,20 @@ def _splat_mask(proj, width, height, radius=SPLAT_RADIUS) -> np.ndarray:
 def _ideal_fields(mask, keypoints2) -> np.ndarray:
     """(K, M, 2) unit directions from each masked pixel centre to each
     keypoint, zero within 1e-9 of the keypoint."""
-    diff = np.asarray(keypoints2, dtype=float)[:, None, :] - pixel_centers(*mask.shape)[mask]
+    diff = np.asarray(keypoints2, dtype=float)[:, None, :] - pixel_centers(mask)
     r = np.hypot(diff[..., 0], diff[..., 1])[..., None]  # (K, M, 1)
     return np.divide(diff, r, out=np.zeros_like(diff), where=r >= 1e-9)
 
 
-def make_scene(cloud: ModelCloud, keys: KeypointSet, pose: Pose, intr: Intrinsics,
+def make_scene(cloud: ModelCloud, keypoints3, pose: Pose, intr: Intrinsics,
                width: int, height: int) -> SceneSample:
-    """Rasterize the mask and build ideal direction fields for each keypoint."""
+    """Rasterize the mask and build ideal direction fields for each of the
+    (K, 3) model-frame keypoints."""
     proj = project(pose, intr, cloud.points)
     mask = _splat_mask(proj, width, height)
-    keypoints2 = project(pose, intr, keys.points3)
+    keypoints2 = project(pose, intr, keypoints3)
     return SceneSample(pose=pose, intr=intr, mask=mask, keypoints2=keypoints2,
-                       keypoints3=np.asarray(keys.points3, dtype=float).copy(),
+                       keypoints3=np.array(keypoints3, dtype=float),
                        fields=_ideal_fields(mask, keypoints2))
 
 
@@ -219,11 +222,7 @@ def corrupt(sample: SceneSample, spec: NoiseSpec) -> SceneSample:
 
 
 # ---------------------------------------------------------------------------
-# scene directory format
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
+# output writers and the scene directory format
 
 
 def write_atomic(path, data):
@@ -232,6 +231,20 @@ def write_atomic(path, data):
     with open(tmp, "wb" if isinstance(data, bytes) else "w") as f:
         f.write(data)
     os.replace(tmp, path)
+
+
+def write_json(path, doc):
+    """Write doc to path as JSON: indent 2, sorted keys, a trailing newline."""
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def csv_text(header, columns) -> str:
+    """CSV text: the header names, then one row per item of the equal-length
+    columns. An integer or bool column is written in decimal, any other as
+    repr of each float, which reads back to the same bits."""
+    cells = [map(str, a.astype(int).tolist()) if a.dtype.kind in "biu"
+             else map(repr, a.astype(float).tolist()) for a in map(np.asarray, columns)]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells, strict=True))]) + "\n"
 
 
 def save_scene(directory, sample: SceneSample):
@@ -249,14 +262,10 @@ def save_scene(directory, sample: SceneSample):
         "cx": sample.intr.cx,
         "cy": sample.intr.cy,
     }
-    write_atomic(os.path.join(directory, "pose.json"),
-                 json.dumps(pose_doc, indent=2, sort_keys=True) + "\n")
-
-    lines = ["kx,ky,X,Y,Z"]
-    for k2, k3 in zip(sample.keypoints2, sample.keypoints3):
-        lines.append(",".join([_fmt(k2[0]), _fmt(k2[1]),
-                               _fmt(k3[0]), _fmt(k3[1]), _fmt(k3[2])]))
-    write_atomic(os.path.join(directory, "keypoints.csv"), "\n".join(lines) + "\n")
+    write_json(os.path.join(directory, "pose.json"), pose_doc)
+    write_atomic(os.path.join(directory, "keypoints.csv"),
+                 csv_text("kx ky X Y Z".split(),
+                          np.hstack([sample.keypoints2, sample.keypoints3]).T))
 
     # np.save writes no timestamp, so equal fields give equal bytes
     npy = io.BytesIO()

@@ -28,12 +28,12 @@ and ``eval`` share too: it calls ``vote_keypoint`` once per keypoint,
 the K calls sharing one ``voting.SceneVote`` pass, and turns each
 keypoint's failure into a "keypoint i: reason" entry. ``run_experiment``
 saves each fitted field stack as a scene for them; the trainer scores no
-pose.
+pose. Its trace CSVs and JSON summaries are written by ``synth.csv_text``
+and ``synth.write_json``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field, replace
 
@@ -42,7 +42,7 @@ import numpy as np
 from .errors import DivergenceError, ProxyVoteError
 from .geometry import pixel_centers
 from .losses import PlanarLosses, planar
-from .synth import SceneSample, save_scene, write_atomic
+from .synth import SceneSample, csv_text, save_scene, write_atomic, write_json
 from .voting import SceneVote, VotingConfig, vote_keypoint
 
 MODES = ("vf_only", "vf_plus_dpvl", "dpvl_only")
@@ -98,12 +98,9 @@ class TrainTrace:
     keypoint_errors: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def to_csv(self, path):
-        # a column at a time: repr of .tolist()'s floats is synth._fmt's text
-        cols = [map(str, np.asarray(self.iters).astype(int).tolist())]
-        cols += [map(repr, np.asarray(c, dtype=float).tolist())
-                 for c in (self.l_vf, self.l_pv, self.mean_proxy_dist, self.beta)]
-        lines = ["iter,l_vf,l_pv,mean_proxy_dist,beta", *map(",".join, zip(*cols))]
-        write_atomic(path, "\n".join(lines) + "\n")
+        write_atomic(path, csv_text("iter l_vf l_pv mean_proxy_dist beta".split(),
+                                    [self.iters, self.l_vf, self.l_pv, self.mean_proxy_dist,
+                                     self.beta]))
 
 
 def _decayed_lr(cfg: TrainConfig, epoch: int) -> float:
@@ -165,7 +162,7 @@ def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
 
     est = planar(np.asarray(init, dtype=float))  # (2, K, M)
     gt = planar(sample.fields)
-    off = planar(sample.keypoints2[:, None, :] - pixel_centers(*mask.shape)[mask])  # k - p
+    off = planar(sample.keypoints2[:, None, :] - pixel_centers(mask))  # k - p
 
     losses = PlanarLosses(est.shape[1:])
     grad, m, v = (np.zeros_like(est) for _ in range(3))
@@ -241,11 +238,9 @@ def run_experiment(scenes, modes, seeds, cfg_base: TrainConfig, out_dir):
                     "final_mean_proxy_dist": float(trace.mean_proxy_dist[-1]),
                     "keypoint_errors": [float(e) for e in trace.keypoint_errors],
                 }
-                write_atomic(os.path.join(out_dir, f"summary_{tag}.json"),
-                             json.dumps(run, indent=2, sort_keys=True) + "\n")
+                write_json(os.path.join(out_dir, f"summary_{tag}.json"), run)
                 runs.append(run)
     summary = {"runs": runs, "modes": list(modes), "seeds": [int(s) for s in seeds]}
-    write_atomic(os.path.join(out_dir, "summary.json"),
-                 json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary
 

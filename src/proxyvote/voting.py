@@ -363,7 +363,7 @@ class SceneVote:
         """Keypoint k's most-voted hypothesis before refinement, its votes and
         its voters; ties go to the lexicographically smallest (x, y)."""
         if self._pass is None:
-            pts = pixel_centers(*self.mask.shape)[self.mask]
+            pts = pixel_centers(self.mask)
             if len(pts) < 2:
                 raise InsufficientSupportError(f"need >= 2 masked pixels, got {len(pts)}")
             units = _units(np.asarray(self.fields, dtype=float))

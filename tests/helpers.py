@@ -19,7 +19,7 @@ def default_intrinsics(width=64, height=64):
 
 def make_cube_scene(seed=3, width=64, height=64, z_range=(0.45, 0.7), n_keypoints=8):
     cloud = cube_cloud()
-    keys = farthest_point_sampling(cloud, n_keypoints)
+    keys = cloud.points[farthest_point_sampling(cloud, n_keypoints)]
     intr = default_intrinsics(width, height)
     pose = sample_pose(np.random.default_rng(seed), PoseRanges(z_range=z_range), cloud, intr,
                        width, height)
@@ -29,7 +29,7 @@ def make_cube_scene(seed=3, width=64, height=64, z_range=(0.45, 0.7), n_keypoint
 def noisy_scene(seed):
     """A scene like the bench's infer scenes: 128 x 128, f = 160, z 0.55-0.6, noisy."""
     cloud = cube_cloud()
-    keys = farthest_point_sampling(cloud, 8)
+    keys = cloud.points[farthest_point_sampling(cloud, 8)]
     intr = Intrinsics(fx=160.0, fy=160.0, cx=64.0, cy=64.0)
     pose = sample_pose(np.random.default_rng(seed), PoseRanges(z_range=(0.55, 0.6)),
                        cloud, intr, 128, 128)
@@ -37,17 +37,20 @@ def noisy_scene(seed):
                    NoiseSpec(angular_sigma=5.0, flip_prob=0.1, occlusion_frac=0.2, rng_seed=seed))
 
 
+def centre_grid(height, width):
+    """(H, W, 2) centres (x, y) of every pixel of an H x W image."""
+    return pixel_centers(np.ones((height, width), dtype=bool)).reshape(height, width, 2)
+
+
 def disc_mask(height=64, width=64, center=(32.0, 32.0), radius=24.0):
-    ctr = pixel_centers(height, width)
+    ctr = centre_grid(height, width)
     d = np.hypot(ctr[..., 0] - center[0], ctr[..., 1] - center[1])
     return d <= radius
 
 
 def exact_field(mask, k):
     """Unit directions from each masked pixel center toward k."""
-    h, w = mask.shape
-    ctr = pixel_centers(h, w)
-    diff = np.asarray(k, dtype=float)[None, None, :] - ctr
+    diff = np.asarray(k, dtype=float)[None, None, :] - centre_grid(*mask.shape)
     r = np.hypot(diff[..., 0], diff[..., 1])
     ok = mask & (r > 1e-9)
     f = np.where(ok[..., None], diff / np.where(r[..., None] > 0, r[..., None], 1.0), 0.0)

@@ -308,7 +308,7 @@ class TestGen:
                      "--seed", "6", "--sigma", "3", "--flip-prob", "0.1",
                      "--occlusion", "0.2", "--z-min", "0.45", "--z-max", "0.7"]) == 0
         cloud = load_model(model_file)
-        keys = farthest_point_sampling(cloud, 8)
+        keys = cloud.points[farthest_point_sampling(cloud, 8)]
         intr = Intrinsics(80.0, 80.0, 32.0, 32.0)
         ranges = PoseRanges(z_range=(0.45, 0.7))
         base = int(substream(6, "noise").integers(2 ** 63))
@@ -340,7 +340,7 @@ class TestGen:
                      "--seed", "4", "--sigma", "5", "--flip-prob", "0.1",
                      "--occlusion", "0.2", "--z-min", "0.45", "--z-max", "0.7"]) == 0
         cloud = load_model(model_file)
-        keys = farthest_point_sampling(cloud, 8)
+        keys = cloud.points[farthest_point_sampling(cloud, 8)]
         intr = Intrinsics(80.0, 80.0, 32.0, 32.0)
         rng = substream(4, "scene")
         base = int(substream(4, "noise").integers(2 ** 63))
@@ -675,14 +675,30 @@ class TestGoldenDigests:
         "trace_scene001_vf_plus_dpvl_seed1.csv": "512b1c388de15548ea7af7660cd9eef1dac0768008ef0965613f5afab307a939",
     }
 
+    TRAIN_ARGS = ["--mode", "vf_only,vf_plus_dpvl", "--seeds", "0,1", "--iters", "30",
+                  "--iters-per-epoch", "10"]
+
     def test_train_outputs(self, scenes_dir, tmp_path):
         out = tmp_path / "train"
-        assert main(["train", "--scenes", scenes_dir, "--out", str(out),
-                     "--mode", "vf_only,vf_plus_dpvl", "--seeds", "0,1", "--iters", "30",
-                     "--iters-per-epoch", "10"]) == 0
+        assert main(["train", "--scenes", scenes_dir, "--out", str(out), *self.TRAIN_ARGS]) == 0
         digests = {p.relative_to(out).as_posix(): sha256(p)
                    for p in out.rglob("*") if p.is_file() and p.name != "manifest.json"}
         assert digests == self.TRAIN_FILES
+
+    # report's files over the same train run, taken before its CSV and JSON
+    # text came from synth's shared writers
+    REPORT_FILES = {
+        "curves.csv": "0fff679eb49bf4bcd132f8e215815cbe099721f0e0b288e68bc44765ee5194a5",
+        "report.txt": "fb7f4ec10987d0421fc3a2dcca937f1c60555fe49935e6e3200751b23c1e9558",
+        "report.json": "8788710bb7312cae0d8ed2b93dbf5a37beeb22d4c9b2ede52043505de761919f",
+    }
+
+    def test_report_outputs(self, scenes_dir, tmp_path):
+        train, out = tmp_path / "train", tmp_path / "report"
+        assert main(["train", "--scenes", scenes_dir, "--out", str(train),
+                     *self.TRAIN_ARGS]) == 0
+        assert main(["report", "--traces", str(train), "--out", str(out)]) == 0
+        assert {name: sha256(out / name) for name in self.REPORT_FILES} == self.REPORT_FILES
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from helpers import random_pose
 from oracles import oracle_line_distance, oracle_project
 from proxyvote.errors import BehindCameraError, DegenerateInputError
-from proxyvote.geometry import Intrinsics, Pose, point_line_distance, project
+from proxyvote.geometry import Intrinsics, Pose, pixel_centers, point_line_distance, project
 
 coord = st.floats(-100, 100, allow_nan=False)
 
@@ -107,3 +107,10 @@ class TestPose:
 def test_intrinsics_requires_positive_focals():
     with pytest.raises(ValueError):
         Intrinsics(0.0, 1.0, 0.0, 0.0)
+
+
+class TestPixelCenters:
+    def test_set_pixels_in_row_major_order(self):
+        mask = np.array([[False, True, True], [True, False, False]])
+        assert np.array_equal(pixel_centers(mask), [[1.5, 0.5], [2.5, 0.5], [0.5, 1.5]])
+        assert pixel_centers(np.zeros((2, 3), dtype=bool)).shape == (0, 2)

@@ -161,7 +161,7 @@ class TestMaskedCore:
             return np.ascontiguousarray(np.moveaxis(a, -1, 0))
 
         est_p, gt_p = planar(est[:, mask]), planar(gt[:, mask])
-        off = planar(ks[:, None, :] - pixel_centers(8, 8)[mask])
+        off = planar(ks[:, None, :] - pixel_centers(mask))
         losses = PlanarLosses(est_p.shape[1:])
         l_vf = losses.vf(est_p, gt_p)
         l_pv = losses.proxy(est_p, off)
@@ -193,7 +193,7 @@ class TestTwoBranchParity:
         gt[ii[20:23], jj[20:23]] = est[ii[20:23], jj[20:23]]
         gt[ii[23], jj[23], 1] = est[ii[23], jj[23], 1]
         est[ii[24], jj[24], 0], gt[ii[24], jj[24], 0] = -0.0, 0.0
-        want = oracle_field_terms(est[mask], gt[mask], k - pixel_centers(12, 12)[mask])
+        want = oracle_field_terms(est[mask], gt[mask], k - pixel_centers(mask))
 
         def bits(a):
             return np.asarray(a, dtype=float).view(np.uint64)

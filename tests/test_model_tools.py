@@ -161,31 +161,31 @@ class TestFarthestPointSampling:
     def test_greedy_invariant(self):
         cloud = cube_cloud(n_extra=200, seed=0)
         ks = farthest_point_sampling(cloud, 8)
-        assert oracle_fps_verify(cloud.points, ks.indices)
+        assert oracle_fps_verify(cloud.points, ks)
 
     def test_default_start_is_farthest_from_centroid(self):
         cloud = cube_cloud(n_extra=100, seed=1)
         ks = farthest_point_sampling(cloud, 4)
         ctr = cloud.points.mean(axis=0)
         d = np.linalg.norm(cloud.points - ctr, axis=1)
-        assert ks.indices[0] == np.argmax(d)
+        assert ks[0] == np.argmax(d)
 
     def test_opposite_corner_second_and_spread(self):
         # corners sit first in the cloud; the second pick is the corner
         # opposite the start, and the selection stays well spread out
         cloud = cube_cloud(n_extra=600, seed=3, side=0.1)
         ks = farthest_point_sampling(cloud, 8)
-        assert ks.indices[0] < 8 and ks.indices[1] < 8
-        assert np.linalg.norm(ks.points3[1] - ks.points3[0]) == pytest.approx(
-            0.1 * np.sqrt(3.0))
-        d = np.linalg.norm(ks.points3[:, None] - ks.points3[None, :], axis=-1)
+        assert ks[0] < 8 and ks[1] < 8
+        pts = cloud.points[ks]
+        assert np.linalg.norm(pts[1] - pts[0]) == pytest.approx(0.1 * np.sqrt(3.0))
+        d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
         np.fill_diagonal(d, np.inf)
         assert d.min() > 0.05
 
     def test_n_equals_cloud_size(self):
         cloud = cube_cloud(n_extra=2, seed=4)
         ks = farthest_point_sampling(cloud, len(cloud.points))
-        assert sorted(ks.indices.tolist()) == list(range(len(cloud.points)))
+        assert sorted(ks.tolist()) == list(range(len(cloud.points)))
 
     def test_n_too_large(self):
         cloud = cube_cloud(n_extra=0)
@@ -196,7 +196,7 @@ class TestFarthestPointSampling:
         cloud = cube_cloud(n_extra=300, seed=5)
         a = farthest_point_sampling(cloud, 10)
         b = farthest_point_sampling(cloud, 10)
-        assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a, b)
 
 
 class TestModelDiameter:

@@ -101,6 +101,21 @@ class TestSolveEpnp:
         with pytest.raises(TooFewPointsError):
             solve_epnp(CUBE[:3], np.zeros((3, 2)), INTR)
 
+    def test_case_putting_a_point_behind_the_camera_is_skipped(self):
+        # 8 points in a 0.1 m cube at z = 0.6 m, 2 px noise: one scale
+        # case's rigid fit puts a point behind the camera; another case
+        # gives the pose
+        Pw = np.array([[0.004, 0.0152, 0.0123], [0.0044, -0.0079, 0.039],
+                       [0.0388, -0.0494, 0.0346], [-0.0339, 0.021, 0.0249],
+                       [0.0017, -0.0024, 0.0407], [-0.0462, 0.0117, -0.0082],
+                       [0.0495, 0.0324, 0.0389], [0.0143, 0.019, 0.0239]])
+        U = np.array([[64.16, 67.25], [63.48, 61.03], [76.43, 53.26], [52.8, 69.74],
+                      [64.87, 70.32], [48.4, 66.44], [76.97, 70.23], [67.21, 68.03]])
+        intr = Intrinsics(160.0, 160.0, 64.0, 64.0)
+        pose = solve_epnp(Pw, U, intr)
+        assert np.all(pose.apply(Pw)[:, 2] > 0)
+        assert np.isfinite(reprojection_rmse(pose, Pw, U, intr))
+
 
 class TestReprojectionRmse:
     def test_exact_pose_zero(self):

@@ -5,15 +5,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dataclasses import replace
 
-from helpers import cube_cloud, default_intrinsics, dense, make_cube_scene, noisy_scene
+from helpers import (centre_grid, cube_cloud, default_intrinsics, dense, make_cube_scene,
+                     noisy_scene)
 from oracles import oracle_corrupt, oracle_ideal_fields, oracle_splat_mask
 from proxyvote.errors import ConfigurationError, ModelLoadError
-from proxyvote.geometry import pixel_centers, project
-from proxyvote.synth import (NoiseSpec, PoseRanges, _ideal_fields, _load_pgm, _splat_mask, corrupt,
-                             load_scene, sample_pose, save_scene)
+from proxyvote.geometry import project
+from proxyvote.synth import (NoiseSpec, PoseRanges, _ideal_fields, _load_csv, _load_pgm,
+                             _splat_mask, corrupt, csv_text, load_scene, sample_pose, save_scene,
+                             write_atomic)
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +95,7 @@ class TestMakeScene:
 
     def test_fields_point_at_keypoints(self, scene):
         _, _, s = scene
-        ctr = pixel_centers(s.height, s.width)
+        ctr = centre_grid(s.height, s.width)
         for f, k in zip(s.gt_fields, s.keypoints2):
             diff = k[None, None] - ctr
             r = np.linalg.norm(diff, axis=-1)
@@ -102,7 +107,7 @@ class TestMakeScene:
 
     def test_keypoints2_match_projection(self, scene):
         _, keys, s = scene
-        assert np.allclose(s.keypoints2, project(s.pose, s.intr, keys.points3))
+        assert np.allclose(s.keypoints2, project(s.pose, s.intr, keys))
 
 
 class TestSplatMask:
@@ -251,6 +256,37 @@ class TestCorrupt:
         assert np.array_equal(out.gt_fields.view(np.uint64), fields.view(np.uint64))
         if spec.occlusion_frac == 1.0 or empty_input:
             assert not out.mask.any()
+
+
+@st.composite
+def csv_tables(draw):
+    """An (n,) int64 column within +-2**53 and an (n, c) finite float64 table."""
+    n = draw(st.integers(0, 8))
+    ints = draw(hnp.arrays(np.int64, n, elements=st.integers(-2 ** 53, 2 ** 53)))
+    floats = draw(hnp.arrays(np.float64, (n, draw(st.integers(1, 3))),
+                             elements=st.floats(allow_nan=False, allow_infinity=False)))
+    return ints, floats
+
+
+class TestCsvText:
+    @given(table=csv_tables())
+    @example(table=(np.array([0, -2 ** 53, 2 ** 53]),
+                    np.array([[5e-324, -0.0], [0.0, 1.7976931348623157e308],
+                              [-1.7976931348623157e308, -2.2250738585072014e-308]])))
+    @settings(max_examples=100, deadline=None)
+    def test_load_csv_reads_it_back_bit_for_bit(self, table, tmp_path_factory):
+        ints, floats = table
+        path = tmp_path_factory.getbasetemp() / "csv_text.csv"
+        names = ["i"] + [f"f{j}" for j in range(floats.shape[1])]
+        write_atomic(path, csv_text(names, [ints, *floats.T]))
+        data = _load_csv(path, len(names))
+        assert np.array_equal(data[:, 0], ints)
+        assert np.array_equal(data[:, 1:].view(np.uint64), floats.view(np.uint64))
+
+    def test_ints_bools_and_non_finite_floats(self):
+        text = csv_text(["n", "ok", "x"], [np.arange(4), [True, False, True, False],
+                                            [np.nan, np.inf, -np.inf, 0.1]])
+        assert text == "n,ok,x\n0,1,nan\n1,0,inf\n2,1,-inf\n3,0,0.1\n"
 
 
 class TestSceneIO:

@@ -8,7 +8,7 @@ from oracles import oracle_fit_field
 from proxyvote import trainer
 from proxyvote.errors import DivergenceError, NoValidHypothesisError
 from proxyvote.losses import dpvl, proxy_distances, vf_loss
-from proxyvote.synth import _fmt, load_scene
+from proxyvote.synth import load_scene
 from proxyvote.trainer import (MODES, TrainConfig, TrainTrace, _beta, fit_field,
                                random_init_field, run_experiment, substream)
 from proxyvote.voting import VotingConfig, vote_keypoint
@@ -268,7 +268,7 @@ class TestTraceCsv:
         trace.to_csv(tmp_path / "trace.csv")
         cols = (trace.l_vf, trace.l_pv, trace.mean_proxy_dist, trace.beta)
         want = ["iter,l_vf,l_pv,mean_proxy_dist,beta"]
-        want += [",".join([str(int(it))] + [_fmt(c[i]) for c in cols])
+        want += [",".join([str(int(it))] + [repr(float(c[i])) for c in cols])
                  for i, it in enumerate(trace.iters)]
         assert (tmp_path / "trace.csv").read_bytes() == ("\n".join(want) + "\n").encode()
 

@@ -20,7 +20,7 @@ K = np.array([20.3, 41.7])
 def scene_pixels(field, mask):
     """Centres of the masked pixels, (M, 2), and the (1, M, 2) masked stack
     of one dense field."""
-    return pixel_centers(*mask.shape)[mask], np.asarray(field, dtype=float)[mask][None]
+    return pixel_centers(mask), np.asarray(field, dtype=float)[mask][None]
 
 
 def sample_hypotheses(field, mask, cfg):
@@ -121,7 +121,8 @@ class TestRayIntersection:
         rng = np.random.default_rng(24)
         worst = 0.0
         for _ in range(20):
-            pts = pixel_centers(4096, 4096)[tuple(rng.integers(0, 4096, (2, 2)))]
+            rows, cols = rng.integers(0, 4096, (2, 2))
+            pts = np.column_stack([cols + 0.5, rows + 0.5])
             d = pts[1] - pts[0]
             base = np.arctan2(d[0], -d[1]) + rng.normal(0.0, 1e-3, 64)
             turn = np.arcsin(EPS_PARALLEL) * rng.uniform(1.0 + 1e-9, 1.01, 64)
