@@ -38,8 +38,8 @@ from .model_tools import farthest_point_sampling, load_model, model_diameter
 from .pnp import solve_epnp
 from .synth import (NoiseSpec, PoseRanges, _load_csv, corrupt, csv_text, load_scene,
                     make_scene, sample_pose, save_scene, write_atomic, write_json)
-from .trainer import (MODES, TrainConfig, keypoint_errors, run_experiment, subseed,
-                      substream, vote_keypoints)
+from .trainer import (TrainConfig, keypoint_errors, run_experiment, subseed, substream,
+                      vote_keypoints)
 from .voting import VotingConfig
 
 
@@ -132,15 +132,21 @@ def _check_seed(seed):
         raise UsageError(f"a seed must be >= 0, got {seed}")
 
 
+def _parse_list(text, what, item) -> list:
+    """The items of comma-separated text, each parsed by item: at least one, no repeat."""
+    values = [item(s) for s in str(text).split(",") if s != ""]
+    if not values:
+        raise UsageError(f"{what} list names no {what}: {text!r}")
+    if len(set(values)) < len(values):
+        raise UsageError(f"{what} list repeats a {what}: {text!r}")
+    return values
+
+
 def _parse_seeds(text) -> list[int]:
     try:
-        seeds = [int(s) for s in str(text).split(",") if s != ""]
+        seeds = _parse_list(text, "seed", int)
     except ValueError:
         raise UsageError(f"bad seed list: {text!r}")
-    if not seeds:
-        raise UsageError(f"seed list names no seed: {text!r}")
-    if len(set(seeds)) < len(seeds):
-        raise UsageError(f"seed list repeats a seed: {text!r}")
     for seed in seeds:
         _check_seed(seed)
     return seeds
@@ -195,7 +201,6 @@ def cmd_gen(args) -> int:
     ranges = _built(PoseRanges, z_range=(cfg["z_min"], cfg["z_max"]), margin=cfg["margin"])
     spec = _built(NoiseSpec, angular_sigma=cfg["sigma"], flip_prob=cfg["flip_prob"],
                   occlusion_frac=cfg["occlusion"])
-    noisy = cfg["sigma"] > 0 or cfg["flip_prob"] > 0 or cfg["occlusion"] > 0
 
     width, height = cfg["width"], cfg["height"]
     cloud = load_model(cfg["model"])
@@ -210,9 +215,8 @@ def cmd_gen(args) -> int:
     os.makedirs(cfg["out"], exist_ok=True)
     outputs = []
     for i, pose in enumerate(poses):
-        sample = make_scene(cloud, keypoints3, pose, intr, width, height)
-        if noisy:
-            sample = corrupt(sample, replace(spec, rng_seed=noise_seed + i))
+        sample = corrupt(make_scene(cloud, keypoints3, pose, intr, width, height),
+                         replace(spec, rng_seed=noise_seed + i))
         outputs.append(os.path.join(cfg["out"], f"sample_{i:03d}"))
         save_scene(outputs[-1], sample)
     _write_manifest(cfg["out"], "gen", cfg, [cfg["seed"]], outputs, t0)
@@ -227,14 +231,7 @@ def cmd_train(args) -> int:
     cfg = _settings(args, "scenes", "out")
     if cfg["scene_limit"] < 0:
         raise UsageError(f"--scene-limit must be >= 0, got {cfg['scene_limit']}")
-    modes = [m for m in str(cfg["mode"]).split(",") if m]
-    if not modes:
-        raise UsageError(f"mode list names no mode: {cfg['mode']!r}")
-    for m in modes:
-        if m not in MODES:
-            raise UsageError(f"unknown mode {m!r}; expected one of {MODES}")
-    if len(set(modes)) < len(modes):
-        raise UsageError(f"mode list repeats a mode: {cfg['mode']!r}")
+    modes = _parse_list(cfg["mode"], "mode", lambda m: _built(TrainConfig, mode=m).mode)
     seeds = _parse_seeds(cfg["seeds"])
     base = _built(TrainConfig, iterations=cfg["iters"], learning_rate=cfg["lr"],
                   iters_per_epoch=cfg["iters_per_epoch"], lr_decay=cfg["lr_decay"],
@@ -245,18 +242,15 @@ def cmd_train(args) -> int:
         dirs = dirs[: cfg["scene_limit"]]
     scenes = [load_scene(d) for d in dirs]
 
-    def written():
-        return [os.path.join(cfg["out"], f) for f in os.listdir(cfg["out"])
-                if f != "manifest.json"]
-
+    written = []
     try:
-        run_experiment(scenes, modes, seeds, base, cfg["out"])
+        run_experiment(scenes, modes, seeds, base, cfg["out"], written)
     except ProxyVoteError as e:
         # the runs before the failed fit stay on disk: record them and why it stopped
         if os.path.isdir(cfg["out"]):
-            _write_manifest(cfg["out"], "train", cfg, seeds, written(), t0, error=str(e))
+            _write_manifest(cfg["out"], "train", cfg, seeds, written, t0, error=str(e))
         raise
-    _write_manifest(cfg["out"], "train", cfg, seeds, written(), t0)
+    _write_manifest(cfg["out"], "train", cfg, seeds, written, t0)
     return 0
 
 

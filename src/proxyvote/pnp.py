@@ -53,16 +53,11 @@ def _control_points(Pw):
     evals, evecs = np.linalg.eigh(cov)  # ascending
     if evals[-1] <= 0:
         raise DegenerateConfigurationError("all object points coincide")
-    planar = evals[0] < _PLANAR_EIG_RATIO * evals[-1]
-    if planar:
-        axes = evecs[:, [2, 1]]
-        scales = np.sqrt(evals[[2, 1]])
-        C = np.vstack([c0, c0 + scales[0] * axes[:, 0], c0 + scales[1] * axes[:, 1]])
-    else:
-        axes = evecs[:, ::-1]
-        scales = np.sqrt(evals[::-1])
-        C = np.vstack([c0] + [c0 + scales[i] * axes[:, i] for i in range(3)])
-    return C  # (3 or 4, 3)
+    # the centroid and the n leading principal axes, n = 2 if planar: only
+    # their eigenvalues are rooted, as a planar cloud's smallest may be < 0
+    n = 2 if evals[0] < _PLANAR_EIG_RATIO * evals[-1] else 3
+    scales = np.sqrt(evals[:-n - 1:-1])
+    return np.vstack([c0, c0 + scales[:, None] * evecs[:, :-n - 1:-1].T])  # (n + 1, 3)
 
 
 def _barycentric(Pw, C):

@@ -226,11 +226,17 @@ def corrupt(sample: SceneSample, spec: NoiseSpec) -> SceneSample:
 
 
 def write_atomic(path, data):
-    """Write data, a str or bytes, to path through a temp file and os.replace."""
+    """Write data, a str or bytes, to path through a temp file and os.replace;
+    the temp file is removed if the write or the replace fails."""
     tmp = f"{path}.tmp"
-    with open(tmp, "wb" if isinstance(data, bytes) else "w") as f:
-        f.write(data)
-    os.replace(tmp, path)
+    f = open(tmp, "wb" if isinstance(data, bytes) else "w")
+    try:
+        with f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def write_json(path, doc):

@@ -12,7 +12,8 @@ masked pixels and keypoints.
 A ``TrainConfig`` holds every setting of a fit. Per epoch of
 iters_per_epoch iterations, ``_beta`` grows the proxy term's weight by
 BETA_FACTOR from beta0 up to beta_cap, and ``_decayed_lr`` cuts the
-learning rate by 0.85 every 5 epochs down to 1e-5.
+learning rate by 0.85 every 5 epochs down to 1e-5, or to the rate
+itself when that is lower.
 
 Field stacks are (K, M, 2), at the M masked pixels in row-major order,
 as ``SceneSample.fields`` holds them. ``fit_field`` keeps the
@@ -73,7 +74,7 @@ class TrainConfig:
     iters_per_epoch: int = 100
     mode: str = "vf_plus_dpvl"
     rng_seed: int = 0
-    lr_decay: bool = True  # 0.85 every 5 epochs, floored at 1e-5
+    lr_decay: bool = True  # 0.85 every 5 epochs, floored at min(learning_rate, 1e-5)
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -106,7 +107,7 @@ class TrainTrace:
 def _decayed_lr(cfg: TrainConfig, epoch: int) -> float:
     if not cfg.lr_decay:
         return cfg.learning_rate
-    return max(cfg.learning_rate * 0.85 ** (epoch // 5), 1e-5)
+    return max(cfg.learning_rate * 0.85 ** (epoch // 5), min(cfg.learning_rate, 1e-5))
 
 
 def _beta(cfg: TrainConfig, epoch: int) -> float:
@@ -208,14 +209,17 @@ def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
     return fields, trace
 
 
-def run_experiment(scenes, modes, seeds, cfg_base: TrainConfig, out_dir):
+def run_experiment(scenes, modes, seeds, cfg_base: TrainConfig, out_dir, written=None):
     """Paired fits across modes and seeds over one or more scenes.
 
     Same seed means same random init across modes. Writes one trace CSV,
     one JSON summary and one fitted scene,
     ``fields/<mode>_seed<seed>/sample_<scene:03d>/``, per (scene, mode,
-    seed) run plus a top-level summary; returns the summary dict.
+    seed) run plus a top-level summary; returns the summary dict. The
+    path of each top-level entry of out_dir is appended to the list
+    written, if given, once that entry is written.
     """
+    written = [] if written is None else written
     os.makedirs(out_dir, exist_ok=True)
     runs = []
     for si, sample in enumerate(scenes):
@@ -226,8 +230,12 @@ def run_experiment(scenes, modes, seeds, cfg_base: TrainConfig, out_dir):
                 fields, trace = fit_field(sample, init, cfg)
                 save_scene(os.path.join(out_dir, "fields", f"{mode}_seed{seed}", f"sample_{si:03d}"),
                            replace(sample, fields=fields))
+                if not runs:  # the first run makes fields/
+                    written.append(os.path.join(out_dir, "fields"))
                 tag = f"scene{si:03d}_{mode}_seed{seed}"
-                trace.to_csv(os.path.join(out_dir, f"trace_{tag}.csv"))
+                trace_csv = os.path.join(out_dir, f"trace_{tag}.csv")
+                trace.to_csv(trace_csv)
+                written.append(trace_csv)
 
                 run = {
                     "scene": si,
@@ -238,9 +246,12 @@ def run_experiment(scenes, modes, seeds, cfg_base: TrainConfig, out_dir):
                     "final_mean_proxy_dist": float(trace.mean_proxy_dist[-1]),
                     "keypoint_errors": [float(e) for e in trace.keypoint_errors],
                 }
-                write_json(os.path.join(out_dir, f"summary_{tag}.json"), run)
+                summary_json = os.path.join(out_dir, f"summary_{tag}.json")
+                write_json(summary_json, run)
+                written.append(summary_json)
                 runs.append(run)
     summary = {"runs": runs, "modes": list(modes), "seeds": [int(s) for s in seeds]}
     write_json(os.path.join(out_dir, "summary.json"), summary)
+    written.append(os.path.join(out_dir, "summary.json"))
     return summary
 

@@ -34,17 +34,18 @@ whose direction for k has |v| >= EPS_NORM), so its vote is the one it
 would get alone; a keypoint without a hypothesis fails alone.
 
 Two-stage counting. Both stages of keypoint k count its V voters and
-nothing else. Stage 1 splits them into C = max(16, ceil(n / 32),
-ceil(V / 255)) strided chunks (at most V): chunk c holds voters c,
-c + C, c + 2C, ... of the row-major order, padded to m = ceil(V / C)
-rows, so each chunk is a spatially uniform sample of them. It counts
-every hypothesis with a loose float32 test that accepts every cell the
-float64 test accepts, so its count is an upper bound of the exact one;
-a pad gets a row that accepts no hypothesis (see below). best is the
-largest exact count among the _LEADERS = 8 of k's hypotheses with the
-highest chunk-0 counts, and stage 1 prunes against it: before each
-further chunk a hypothesis is kept only while its count so far plus
-the number of rows in the chunks still to come is >= best.
+nothing else. Stage 1 splits them into C = max(16, ceil(n_k / 32),
+ceil(V / 255)) strided chunks (at most V), n_k the number of k's
+hypotheses: chunk c holds voters c, c + C, c + 2C, ... of the row-major
+order, padded to m = ceil(V / C) rows, so each chunk is a spatially
+uniform sample of them. It counts every hypothesis with a loose float32
+test that accepts every cell the float64 test accepts, so its count is
+an upper bound of the exact one; a pad gets a row that accepts no
+hypothesis (see below). best is the largest exact count among the
+_LEADERS = 8 of k's hypotheses with the highest chunk-0 counts, and
+stage 1 prunes against it: before each further chunk a hypothesis is
+kept only while its count so far plus the number of rows in the chunks
+still to come is >= best.
 Its candidates are the hypotheses whose loose count reaches best. Stage
 2 counts the candidates exactly, with the float64 test, on all of k's
 voters in one flat pass. A hypothesis that is not a candidate thus has
@@ -151,14 +152,13 @@ def _units(dirs):
 
 
 def _hypotheses(pts, units, cfg: VotingConfig):
-    """The intersections of the rays of n sampled pixel pairs for each field
-    of the (K, M, 2) unit directions, K arrays of shape (n_k, 2) in draw
-    order, and n.
+    """The intersections of the rays of sampled pixel pairs for each field
+    of the (K, M, 2) unit directions: K arrays of shape (n_k, 2) in draw
+    order.
 
     Every field samples the same pairs, deterministic per seed; pairs of
-    one pixel twice are dropped before n is counted. A pair of parallel
-    directions, or with a non-voter's zero row, forms no hypothesis for
-    that field. Needs M >= 2.
+    one pixel twice are dropped. A pair of parallel directions, or with a
+    non-voter's zero row, forms no hypothesis for that field. Needs M >= 2.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     ia = rng.integers(0, len(pts), cfg.num_samples)
@@ -174,7 +174,7 @@ def _hypotheses(pts, units, cfg: VotingConfig):
     u1, u2 = u1[k, j], u2[k, j]
     t1 = (d[:, 0] * u2[:, 1] - d[:, 1] * u2[:, 0]) / cross[k, j]
     locs = p1 + t1[:, None] * u1
-    return np.split(locs, np.cumsum(np.bincount(k, minlength=len(units)))[:-1]), len(ia)
+    return np.split(locs, np.cumsum(np.bincount(k, minlength=len(units)))[:-1])
 
 
 def _voters(pts, units, threshold):
@@ -357,7 +357,7 @@ class SceneVote:
 
     def __init__(self, fields, mask, cfg: VotingConfig):
         self.fields, self.mask, self.cfg = fields, np.asarray(mask, dtype=bool), cfg
-        self._pass = None  # pts, units, each keypoint's hypotheses, pairs drawn
+        self._pass = None  # pts, units, each keypoint's hypotheses
 
     def _winner(self, k):
         """Keypoint k's most-voted hypothesis before refinement, its votes and
@@ -367,8 +367,8 @@ class SceneVote:
             if len(pts) < 2:
                 raise InsufficientSupportError(f"need >= 2 masked pixels, got {len(pts)}")
             units = _units(np.asarray(self.fields, dtype=float))
-            self._pass = pts, units, *_hypotheses(pts, units, self.cfg)
-        pts, units, hyps, n = self._pass
+            self._pass = pts, units, _hypotheses(pts, units, self.cfg)
+        pts, units, hyps = self._pass
         hyps = hyps[k]
         if len(hyps) == 0:
             raise NoValidHypothesisError("no sampled pixel pair formed a hypothesis: each was "
@@ -377,7 +377,7 @@ class SceneVote:
         threshold = self.cfg.inlier_cos_threshold
         voters = _voters(pts, units[k], threshold)
         n_voters = len(voters[0])
-        chunks = min(_stride(n, n_voters), n_voters)
+        chunks = min(_stride(len(hyps), n_voters), n_voters)
         cand = np.arange(len(hyps))
         loose = _loose_operands(hyps, voters, threshold, chunks)
         if loose is not None:

@@ -428,6 +428,13 @@ class TestVote:
         _replay(tmp_path, "vote", a, b / "votes.csv")
         _assert_same_outputs(a, b)
 
+    def test_out_that_is_a_directory_leaves_no_temp_file(self, scenes_dir, tmp_path, capsys):
+        out = tmp_path / "votes.csv"
+        out.mkdir()
+        assert main(["vote", "--scenes", scenes_dir, "--out", str(out)]) == 1
+        assert "Is a directory" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_bad_fields_file_is_reported(self, scenes_dir, tmp_path, capsys):
         # an empty fields.npy (np.load raises EOFError) is an error naming the file
         scenes = tmp_path / "scenes"
@@ -754,6 +761,17 @@ class TestTrainAndReport:
         assert doc["outputs"] == written
         assert [os.path.basename(f) for f in written] == [
             "fields", "summary_scene000_vf_only_seed0.json", "trace_scene000_vf_only_seed0.csv"]
+
+    def test_manifest_names_only_its_own_runs(self, scenes_dir, tmp_path):
+        # a second train into the same --out lists its files, not the first's
+        out = tmp_path / "run"
+        for mode in ("vf_only", "dpvl_only"):
+            assert main(["train", "--scenes", scenes_dir, "--out", str(out), "--mode", mode,
+                         "--iters", "5", "--scene-limit", "1"]) == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["outputs"] == [str(out / f) for f in (
+            "fields", "summary.json", "summary_scene000_dpvl_only_seed0.json",
+            "trace_scene000_dpvl_only_seed0.csv")]
 
     def test_vote_reproduces_the_fit_errors(self, train_dir, tmp_path):
         # vote --seed s over fields/<mode>_seed<s>/ gives each fit's

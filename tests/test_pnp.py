@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from helpers import default_intrinsics, random_pose, rotation_angle
 from proxyvote.errors import TooFewPointsError
 from proxyvote.geometry import Intrinsics, Pose, project
-from proxyvote.pnp import reprojection_rmse, solve_epnp, umeyama
+from proxyvote.pnp import _control_points, reprojection_rmse, solve_epnp, umeyama
 
 INTR = Intrinsics(320.0, 320.0, 160.0, 160.0)
 
@@ -74,6 +76,22 @@ class TestSolveEpnp:
         img = project(pose, INTR, pts)
         est = solve_epnp(pts, img, INTR)
         assert reprojection_rmse(est, pts, img, INTR) < 1e-4
+
+    def test_planar_cloud_with_a_negative_eigenvalue(self):
+        # a rotated planar cloud's smallest covariance eigenvalue rounds
+        # below 0: the control points must not take its square root
+        rng = np.random.default_rng(1)
+        pts = np.column_stack([rng.uniform(-0.2, 0.2, (8, 2)), np.zeros(8)])
+        pts = random_pose(rng, t_scale=0.1, z_offset=0.0).apply(pts)
+        centered = pts - pts.mean(axis=0)
+        assert np.linalg.eigvalsh(centered.T @ centered / len(pts))[0] < 0
+        pose = random_pose(rng, t_scale=0.1, z_offset=1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _control_points(pts).shape == (3, 3)
+            est = solve_epnp(pts, project(pose, INTR, pts), INTR)
+        assert rotation_angle(est.rotation, pose.rotation) < 1e-6
+        assert np.allclose(est.translation, pose.translation, atol=1e-6)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)

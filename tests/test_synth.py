@@ -15,7 +15,7 @@ from helpers import (centre_grid, cube_cloud, default_intrinsics, dense, make_cu
                      noisy_scene)
 from oracles import oracle_corrupt, oracle_ideal_fields, oracle_splat_mask
 from proxyvote.errors import ConfigurationError, ModelLoadError
-from proxyvote.geometry import project
+from proxyvote.geometry import pixel_centers, project
 from proxyvote.synth import (NoiseSpec, PoseRanges, _ideal_fields, _load_csv, _load_pgm,
                              _splat_mask, corrupt, csv_text, load_scene, sample_pose, save_scene,
                              write_atomic)
@@ -159,10 +159,18 @@ class TestIdealFields:
 
 class TestCorrupt:
     def test_identity_noise_is_identity(self, scene):
+        # bit for bit, -0.0 included, with a keypoint on a pixel centre: its
+        # pixel's zero row and the zero components of its row and column
         _, _, s = scene
-        out = corrupt(s, NoiseSpec())
-        assert np.array_equal(out.mask, s.mask)
-        assert np.array_equal(out.gt_fields, s.gt_fields)
+        centre = pixel_centers(s.mask)[len(s.fields[0]) // 2]
+        keypoints2 = np.vstack([s.keypoints2, centre])
+        s = replace(s, keypoints2=keypoints2, fields=_ideal_fields(s.mask, keypoints2))
+        last = s.fields[-1]
+        assert (last == 0).all(axis=1).any() and ((last == 0) & (last[:, ::-1] < 0)).any()
+        for seed in (0, 5, 2 ** 40):
+            out = corrupt(s, NoiseSpec(rng_seed=seed))
+            assert out.mask.tobytes() == s.mask.tobytes()
+            assert out.fields.tobytes() == s.fields.tobytes()
 
     def test_angular_noise_preserves_norms(self, scene):
         _, _, s = scene
@@ -316,6 +324,15 @@ class TestSceneIO:
         d = tmp_path / "scene"
         save_scene(d, s)
         assert not list(d.glob("*.tmp"))
+
+    def test_failed_write_removes_only_its_own_temp_file(self, tmp_path):
+        (tmp_path / "out").mkdir()  # a file cannot replace a directory
+        with pytest.raises(IsADirectoryError):
+            write_atomic(tmp_path / "out", "x")
+        (tmp_path / "b.tmp").mkdir()  # the temp file cannot be opened
+        with pytest.raises(IsADirectoryError):
+            write_atomic(tmp_path / "b", "x")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.tmp", "out"]
 
     def test_corrupt_field_file_rejected(self, scene, tmp_path):
         _, _, s = scene

@@ -206,6 +206,12 @@ class TestFitField:
         assert _decayed_lr(cfg, 500) == pytest.approx(1e-5)
         assert _decayed_lr(short_cfg(lr_decay=False), 500) == pytest.approx(1e-3)
 
+    def test_lr_below_the_floor_is_kept(self):
+        from proxyvote.trainer import _decayed_lr
+
+        cfg = TrainConfig(learning_rate=1e-6)
+        assert _decayed_lr(cfg, 0) == _decayed_lr(cfg, 500) == 1e-6
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             TrainConfig(iterations=0)

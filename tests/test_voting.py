@@ -26,7 +26,7 @@ def scene_pixels(field, mask):
 def sample_hypotheses(field, mask, cfg):
     """The valid hypotheses of one field, in draw order."""
     pts, dirs = scene_pixels(field, mask)
-    return _hypotheses(pts, _units(dirs), cfg)[0][0]
+    return _hypotheses(pts, _units(dirs), cfg)[0]
 
 
 def field_voters(field, mask, threshold=0.99):
@@ -84,7 +84,7 @@ def pair_intersections(p1, v1, p2, v2):
     """Hypotheses of a two-pixel input: its pair, sampled in either order."""
     pts = np.array([p1, p2], dtype=float)
     dirs = np.array([v1, v2], dtype=float)
-    return _hypotheses(pts, _units(dirs[None]), VotingConfig(num_samples=16, rng_seed=0))[0][0]
+    return _hypotheses(pts, _units(dirs[None]), VotingConfig(num_samples=16, rng_seed=0))[0]
 
 
 class TestRayIntersection:
@@ -128,7 +128,7 @@ class TestRayIntersection:
             turn = np.arcsin(EPS_PARALLEL) * rng.uniform(1.0 + 1e-9, 1.01, 64)
             angles = np.stack([base + rng.choice([-1.0, 1.0], 64) * turn, base], axis=1)
             units = _units(np.stack([np.cos(angles), np.sin(angles)], axis=-1))
-            hyps, _ = _hypotheses(pts, units, VotingConfig(num_samples=8, rng_seed=0))
+            hyps = _hypotheses(pts, units, VotingConfig(num_samples=8, rng_seed=0))
             bound = np.hypot(*d) / EPS_PARALLEL
             for h in np.concatenate(hyps):
                 dist = np.hypot(*(h - pts).T).max()
