@@ -14,9 +14,9 @@ or out-of-range value, such as a negative seed, a --mode list that
 names no mode, a --mode or --seeds list that names one twice, an
 unparseable --config file or a --config value of the wrong type). A
 keypoint or pose that fails in vote or eval is a recorded row and a
-warning, not a failure of the run. A train run that fails after making
---out still writes its manifest, with the outputs written so far and an
-"error" key holding the message, and exits 1.
+warning, not a failure of the run. A train run that fails with any
+exit-1 error after making --out still writes its manifest, with the
+outputs written so far and an "error" key holding the message.
 """
 
 from __future__ import annotations
@@ -45,6 +45,10 @@ from .voting import VotingConfig
 
 class UsageError(ProxyVoteError):
     pass
+
+
+# the failures of a run that main reports as exit 1
+_RUN_ERRORS = (ProxyVoteError, OSError, ValueError)
 
 
 def _version() -> str:
@@ -191,8 +195,6 @@ def cmd_gen(args) -> int:
         if cfg[key] < 1:
             raise UsageError(f"--{key} must be at least 1, got {cfg[key]}")
     _check_seed(cfg["seed"])
-    if not os.path.exists(cfg["model"]):
-        raise FileNotFoundError(f"model file not found: {cfg['model']}")
     if cfg["cx"] is None:
         cfg["cx"] = cfg["width"] / 2.0
     if cfg["cy"] is None:
@@ -245,8 +247,8 @@ def cmd_train(args) -> int:
     written = []
     try:
         run_experiment(scenes, modes, seeds, base, cfg["out"], written)
-    except ProxyVoteError as e:
-        # the runs before the failed fit stay on disk: record them and why it stopped
+    except _RUN_ERRORS as e:
+        # the runs before the failure stay on disk: record them and why it stopped
         if os.path.isdir(cfg["out"]):
             _write_manifest(cfg["out"], "train", cfg, seeds, written, t0, error=str(e))
         raise
@@ -323,19 +325,15 @@ def cmd_eval(args) -> int:
     names = ["add", "proj2d", "add_correct", "proj_correct"]
     if cloud.symmetric:
         names += ["add_s", "add_s_correct"]
+    columns = {n: [getattr(r, n) for r in records] for n in names}
     os.makedirs(cfg["out"], exist_ok=True)
     write_atomic(os.path.join(cfg["out"], "records.csv"), csv_text(
-        ["scene", *names],
-        [np.arange(len(records)), *([getattr(r, n) for r in records] for n in names)]))
-    summary = {
-        "scenes": len(records),
-        "failed": sum(r is _FAILED for r in records),
-        "diameter": diameter,
-        "add_accuracy": float(np.mean([r.add_correct for r in records])),
-        "proj_accuracy": float(np.mean([r.proj_correct for r in records])),
-    }
-    if cloud.symmetric:
-        summary["add_s_accuracy"] = float(np.mean([r.add_s_correct for r in records]))
+        ["scene", *columns], [np.arange(len(records)), *columns.values()]))
+    summary = {"scenes": len(records), "failed": sum(r is _FAILED for r in records),
+               "diameter": diameter}
+    # an accuracy per flag column: add, proj, and add_s for a symmetric model
+    summary.update((n.removesuffix("_correct") + "_accuracy", float(np.mean(c)))
+                   for n, c in columns.items() if n.endswith("_correct"))
     write_json(os.path.join(cfg["out"], "summary.json"), summary)
     outputs = [os.path.join(cfg["out"], f) for f in ("records.csv", "summary.json")]
     _write_manifest(cfg["out"], "eval", cfg, [cfg["seed"]], outputs, t0)
@@ -345,7 +343,8 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 # report
 
-_TRACE_RE = re.compile(r"trace_(scene\d+)_(\w+?)_seed(\d+)\.csv$")
+# a trace file name as train writes it; its groups are the label and the mode
+_TRACE_RE = re.compile(r"trace_(scene\d+_(\w+?)_seed\d+)\.csv")
 
 _TRACE_NEEDS = ("iter", "l_pv", "mean_proxy_dist")
 
@@ -367,28 +366,30 @@ def cmd_report(args) -> int:
     t0 = time.monotonic()
     cfg = _settings(args, "traces", "out")
 
-    paths = []
+    found = []  # (path, match of its file name) per trace
     for p in cfg["traces"]:
         if os.path.isdir(p):
-            paths.extend(sorted(os.path.join(p, f) for f in os.listdir(p)
-                                if _TRACE_RE.search(f)))
-        else:
-            paths.append(p)
-    if not paths:
+            found += [(os.path.join(p, f), m) for f in sorted(os.listdir(p))
+                      if (m := _TRACE_RE.fullmatch(f))]
+        elif m := _TRACE_RE.fullmatch(os.path.basename(p)):
+            found.append((p, m))
+        else:  # the mode comes from the name
+            raise ValueError(f"{p}: not a trace name that train writes, "
+                             "trace_scene###_<mode>_seed<seed>.csv")
+    if not found:
         raise FileNotFoundError("no trace CSV files found")
 
     # traces from several directories are labelled by their directory
     # relative to the common parent, so equal file names stay apart
-    dirs = [os.path.dirname(os.path.abspath(p)) for p in paths]
+    dirs = [os.path.dirname(os.path.abspath(p)) for p, _ in found]
     root = os.path.commonpath(dirs)
     traces = {}
     modes = {}
     length = None
-    for p, d in zip(paths, dirs):
-        m = _TRACE_RE.search(os.path.basename(p))
-        name = f"{m.group(1)}_{m.group(2)}_seed{m.group(3)}" if m else os.path.basename(p)
+    for (p, m), d in zip(found, dirs):
+        name, mode = m.groups()
         label = os.path.normpath(os.path.join(os.path.relpath(d, root), name))
-        modes[label] = m.group(2) if m else name
+        modes[label] = mode
         data = _trace_columns(p)
         rows = len(data["iter"])
         if length is None:
@@ -412,21 +413,20 @@ def cmd_report(args) -> int:
     report = {}
     for mode in sorted(by_mode):
         ts = by_mode[mode]
-        finals = [t["l_pv"][-1] for t in ts]
-        proxies = [t["mean_proxy_dist"][-1] for t in ts]
         to_thr = []
         for t in ts:
             hits = np.flatnonzero(t["l_pv"] <= thr)
             to_thr.append(int(t["iter"][hits[0]]) if len(hits) else np.inf)
-        med_thr = float(np.median(to_thr))
-        table.append(f"{mode}  {len(ts)}  {np.median(finals):.6g}  "
-                     f"{np.median(proxies):.6g}  {med_thr:.6g}")
-        report[mode] = {
+        r = report[mode] = {
             "n_traces": len(ts),
-            "median_final_l_pv": float(np.median(finals)),
-            "median_final_mean_proxy_dist": float(np.median(proxies)),
-            "median_iters_to_threshold": med_thr,
+            "median_final_l_pv": float(np.median([t["l_pv"][-1] for t in ts])),
+            "median_final_mean_proxy_dist": float(np.median([t["mean_proxy_dist"][-1]
+                                                             for t in ts])),
+            "median_iters_to_threshold": float(np.median(to_thr)),
         }
+        table.append(f"{mode}  {r['n_traces']}  {r['median_final_l_pv']:.6g}  "
+                     f"{r['median_final_mean_proxy_dist']:.6g}  "
+                     f"{r['median_iters_to_threshold']:.6g}")
     write_atomic(os.path.join(cfg["out"], "report.txt"), "\n".join(table) + "\n")
     write_json(os.path.join(cfg["out"], "report.json"), report)
     outputs = [os.path.join(cfg["out"], f) for f in ("curves.csv", "report.txt", "report.json")]
@@ -535,7 +535,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except (ProxyVoteError, OSError, ValueError) as e:
+    except _RUN_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

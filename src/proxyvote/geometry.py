@@ -55,6 +55,8 @@ class Intrinsics:
     cy: float
 
     def __post_init__(self):
+        if not np.isfinite([self.fx, self.fy, self.cx, self.cy]).all():
+            raise ValueError(f"non-finite value in {self}")
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
 

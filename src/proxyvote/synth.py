@@ -73,6 +73,8 @@ class NoiseSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
+        if not np.isfinite([self.angular_sigma, self.flip_prob, self.occlusion_frac]).all():
+            raise ValueError(f"non-finite value in {self}")
         if self.angular_sigma < 0:
             raise ValueError("angular_sigma must be >= 0")
         if not (0 <= self.flip_prob <= 1 and 0 <= self.occlusion_frac <= 1):
@@ -88,6 +90,8 @@ class PoseRanges:
     margin: float = 4.0  # px kept clear of the image border
 
     def __post_init__(self):
+        if not np.isfinite([*self.z_range, self.margin]).all():
+            raise ValueError(f"non-finite value in {self}")
         if self.z_range[0] <= 0:
             raise ValueError("z range must be positive")
         if self.z_range[0] > self.z_range[1]:

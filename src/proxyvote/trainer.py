@@ -148,10 +148,10 @@ def keypoint_errors(locs, keypoints2) -> np.ndarray:
     return np.where(np.isnan(errs), np.inf, errs)
 
 
-def _trace(rows):
+def _trace(rows, *errors):
     """The TrainTrace of the (l_vf, l_pv, mean_proxy_dist, beta) rows of
-    iterations 0, 1, ..."""
-    return TrainTrace(np.arange(len(rows)), *np.array(rows, dtype=float).T)
+    iterations 0, 1, ..., and of the keypoint errors, if given."""
+    return TrainTrace(np.arange(len(rows)), *np.array(rows, dtype=float).T, *errors)
 
 
 def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
@@ -204,9 +204,7 @@ def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
 
     vote_cfg = VotingConfig(rng_seed=subseed(cfg.rng_seed, "voting"))
     locs, _, _ = vote_keypoints(fields, mask, vote_cfg)
-    trace = _trace(rows)
-    trace.keypoint_errors = keypoint_errors(locs, sample.keypoints2)
-    return fields, trace
+    return fields, _trace(rows, keypoint_errors(locs, sample.keypoints2))
 
 
 def run_experiment(scenes, modes, seeds, cfg_base: TrainConfig, out_dir, written=None):

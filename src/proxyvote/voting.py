@@ -66,14 +66,7 @@ noisy 128² scenes (M ≈ 900) 40 times on a shared 2-core Xeon, one BLAS
 thread, stage 1 a keypoint at a time ran at a paired time ratio of 0.981
 (quartiles 0.926-1.036) against groups of 3 keypoints per batched
 matmul, and a scene vote's tracemalloc peak fell from 1.15 to 0.73 MB
-(median over the scenes). Unit directions in place of a norm in four
-steps timed level: 2 x 60 interleaved votes of 12 such scenes ran at
-paired ratios of 0.973 and 0.992 (quartiles 0.92-1.05). Stage 1 on k's
-voters in place of all masked pixels was no slower: 3 x 40 interleaved
-votes of 12 such scenes ran at paired ratios of 0.933-0.961 (quartiles
-0.88-1.02), faster in 88 of 120. Per-keypoint hypothesis arrays and
-unclamped rows timed level: 30 interleaved votes of 36 such scenes ran
-at a paired ratio of 0.971 (quartiles 0.87-1.08), faster in 17 of 30.
+(median over the scenes).
 
 The loose test. With o the mean of k's voters, q = p - o, g = h - o
 and the voter's unit direction u, the float32 test is |d × u| <=

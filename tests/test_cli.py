@@ -199,6 +199,15 @@ class TestConfigTypes:
         assert json.loads((b / "manifest.json").read_text())["config"]["lr_decay"] is False
         _assert_same_outputs(a, b)
 
+    def test_non_finite_value_is_usage_error(self, tmp_path, model_file, capsys):
+        # JSON's NaN takes the path of --sigma nan
+        config, out = tmp_path / "c.json", tmp_path / "x"
+        config.write_text('{"sigma": NaN}')
+        assert main(["gen", "--model", model_file, "--out", str(out),
+                     "--config", str(config)]) == 2
+        assert "usage error: non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integer_seed_list(self, tmp_path, scenes_dir):
         out = tmp_path / "t"
         cfg = tmp_path / "c.json"
@@ -368,7 +377,8 @@ class TestGen:
     @pytest.mark.parametrize("flags", [
         "--sigma -1", "--keypoints 0", "--flip-prob 2", "--occlusion -0.5", "--z-min -1",
         "--z-min 0.7 --z-max 0.45", "--fx 0", "--fy -80", "--width 0", "--height 0",
-        "--seed -1"])
+        "--seed -1", "--sigma nan", "--sigma inf", "--z-max inf", "--z-min nan", "--fx inf",
+        "--cx nan", "--margin nan"])
     def test_out_of_range_value_is_usage_error(self, tmp_path, model_file, capsys, flags):
         out = tmp_path / "x"
         assert main(["gen", "--model", model_file, "--out", str(out)] + flags.split()) == 2
@@ -402,6 +412,11 @@ class TestSceneDirs:
         dirs = cli._scene_dirs(str(tmp_path))
         assert [os.path.basename(d) for d in dirs] == [
             "sample_099", "sample_100", "sample_101", "sample_1000", "sample_x"]
+
+    def test_no_scene_is_an_error(self, tmp_path):
+        (tmp_path / "scene_000").mkdir()
+        with pytest.raises(FileNotFoundError, match="no sample_"):
+            cli._scene_dirs(str(tmp_path))
 
 
 class TestVote:
@@ -762,6 +777,19 @@ class TestTrainAndReport:
         assert [os.path.basename(f) for f in written] == [
             "fields", "summary_scene000_vf_only_seed0.json", "trace_scene000_vf_only_seed0.csv"]
 
+    def test_io_failure_writes_a_failure_manifest(self, scenes_dir, tmp_path, capsys):
+        # a directory where train writes summary.json: the run fails on I/O
+        # after writing its fit
+        out = tmp_path / "run"
+        (out / "summary.json").mkdir(parents=True)
+        assert main(["train", "--scenes", scenes_dir, "--out", str(out), "--mode", "vf_only",
+                     "--iters", "5", "--scene-limit", "1"]) == 1
+        assert "Is a directory" in capsys.readouterr().err
+        doc = json.loads((out / "manifest.json").read_text())
+        assert "Is a directory" in doc["error"]
+        assert doc["outputs"] == [str(out / f) for f in (
+            "fields", "summary_scene000_vf_only_seed0.json", "trace_scene000_vf_only_seed0.csv")]
+
     def test_manifest_names_only_its_own_runs(self, scenes_dir, tmp_path):
         # a second train into the same --out lists its files, not the first's
         out = tmp_path / "run"
@@ -900,6 +928,31 @@ class TestTrainAndReport:
                           "a/scene000_vf_plus_dpvl_seed0_l_pv", "b/scene000_vf_only_seed0_l_pv",
                           "b/scene000_vf_plus_dpvl_seed0_l_pv"]
 
+    def test_report_reads_only_the_names_train_writes(self, train_dir, tmp_path):
+        # a file whose name only contains a trace name is not a trace
+        traces = tmp_path / "traces"
+        shutil.copytree(train_dir, traces)
+        lines = (traces / "trace_scene000_vf_only_seed0.csv").read_text().splitlines()
+        (traces / "xtrace_scene000_vf_only_seed0.csv").write_text("\n".join(
+            [lines[0]] + [",".join(["999"] * len(r.split(","))) for r in lines[1:]]) + "\n")
+        for d, out in ((train_dir, tmp_path / "a"), (traces, tmp_path / "b")):
+            assert main(["report", "--traces", str(d), "--out", str(out)]) == 0
+        for f in ("curves.csv", "report.txt", "report.json"):
+            assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()
+
+    def test_report_rejects_a_file_not_named_as_a_trace(self, train_dir, tmp_path, capsys):
+        # report takes the mode from the name, so this file has none
+        trace = tmp_path / "mytrace.csv"
+        shutil.copy(os.path.join(train_dir, "trace_scene000_vf_only_seed0.csv"), trace)
+        out = tmp_path / "r"
+        assert main(["report", "--traces", str(trace), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {trace}: ")
+        assert not out.exists()
+
+    def test_report_of_a_directory_with_no_trace(self, scenes_dir, tmp_path, capsys):
+        assert main(["report", "--traces", scenes_dir, "--out", str(tmp_path / "r")]) == 1
+        assert "no trace CSV files found" in capsys.readouterr().err
+
     def test_report_row_mismatch(self, train_dir, tmp_path):
         short = tmp_path / "trace_scene000_vf_only_seed9.csv"
         src = open(os.path.join(train_dir, "trace_scene000_vf_only_seed0.csv")).read()
@@ -972,6 +1025,18 @@ def test_only_eval_loads_scipy(model_file, tmp_path):
     assert steps == [["import", 0, False], ["gen", 0, False], ["train", 0, False],
                      ["vote", 0, False], ["report", 0, False], ["eval", 0, False],
                      ["eval", 0, True]]
+
+
+@pytest.mark.parametrize("argv, code, prefix", [
+    (["gen", "--out", "x"], 2, "usage error: "),
+    (["vote", "--scenes", "none", "--out", "v.csv"], 1, "error: ")])
+def test_module_entry_point(tmp_path, argv, code, prefix):
+    # python -m proxyvote.cli exits with main's code
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "proxyvote.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code
+    assert proc.stderr.startswith(prefix)
 
 
 class TestVersion:

@@ -103,10 +103,20 @@ class TestPose:
         with pytest.raises(ValueError):
             Pose(np.diag([1.0, 1.0, -1.0]), [0, 0, 0])
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            Pose(np.eye(3), [0.0, np.nan, 1.0])
+
 
 def test_intrinsics_requires_positive_focals():
     with pytest.raises(ValueError):
         Intrinsics(0.0, 1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_intrinsics_requires_finite_values(value):
+    with pytest.raises(ValueError, match="non-finite"):
+        Intrinsics(80.0, 80.0, value, 32.0)
 
 
 class TestPixelCenters:

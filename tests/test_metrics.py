@@ -83,6 +83,11 @@ class TestAddS:
         ba = add_s_score(est, gt, pts)
         assert ab != pytest.approx(ba, rel=1e-6)
 
+    def test_empty_raises(self):
+        pose = Pose(np.eye(3), [0, 0, 1.0])
+        with pytest.raises(InsufficientSupportError):
+            add_s_score(pose, pose, np.empty((0, 3)))
+
     def test_matches_enumeration(self):
         rng = np.random.default_rng(6)
         gt, est = random_pose(rng), random_pose(rng)
@@ -112,6 +117,11 @@ class TestProj2d:
         est = Pose(np.eye(3), [0.0, 0.03, 1.0])
         pt = np.array([[0.0, 0.0, 0.0]])
         assert proj2d_error(gt, est, pt, INTR) == pytest.approx(3.0)
+
+    def test_empty_raises(self):
+        pose = Pose(np.eye(3), [0, 0, 1.0])
+        with pytest.raises(InsufficientSupportError):
+            proj2d_error(pose, pose, np.empty((0, 3)), INTR)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(8)

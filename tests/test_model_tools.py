@@ -103,12 +103,36 @@ class TestLoadModel:
         with pytest.raises(ModelLoadError, match="line 15"):
             load_model(p)
 
+    @pytest.mark.parametrize("old, new, match", [
+        ("ply\n", "", "line 1: missing 'ply' magic"),
+        ("ascii", "binary_little_endian", "line 2: only ASCII PLY is supported"),
+        ("float z\n", "float z\nproperty list uchar int i\n",
+         "line 7: list property in vertex element"),
+        ("end_header\n", "", "missing end_header"),
+        ("element vertex", "element point", "no vertex element in header"),
+        ("0 0 1", "0 0", "line 11: expected 3 values"),
+    ], ids=["no_magic", "binary_format", "list_property", "no_end_header", "no_vertex_element",
+            "short_vertex_line"])
+    def test_malformed_ply_names_the_fault(self, tmp_path, old, new, match):
+        p = tmp_path / "m.ply"
+        p.write_text(PLY_OK.replace(old, new))
+        with pytest.raises(ModelLoadError, match=f"^m.ply: {match}"):
+            load_model(p)
+
     def test_obj(self, tmp_path):
         p = tmp_path / "m.obj"
         p.write_text(OBJ_OK)
         cloud = load_model(p)
         assert cloud.points.shape == (4, 3)
         assert np.allclose(cloud.points[3], [0, 0, 1])
+
+    @pytest.mark.parametrize("line, match", [("v 1 0", "vertex needs 3 coordinates"),
+                                             ("v 1 0 x", "non-numeric vertex value")])
+    def test_bad_obj_vertex_line_reports_line_number(self, tmp_path, line, match):
+        p = tmp_path / "m.obj"
+        p.write_text(OBJ_OK.replace("v 0 0 1", line))
+        with pytest.raises(ModelLoadError, match=f"^m.obj: line 6: {match}"):
+            load_model(p)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ModelLoadError):
@@ -191,6 +215,10 @@ class TestFarthestPointSampling:
         cloud = cube_cloud(n_extra=0)
         with pytest.raises(InsufficientSupportError):
             farthest_point_sampling(cloud, 9)
+
+    def test_n_below_one(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            farthest_point_sampling(cube_cloud(n_extra=0), 0)
 
     def test_deterministic(self):
         cloud = cube_cloud(n_extra=300, seed=5)

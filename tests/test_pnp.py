@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import default_intrinsics, random_pose, rotation_angle
-from proxyvote.errors import TooFewPointsError
+from proxyvote.errors import DegenerateConfigurationError, TooFewPointsError
 from proxyvote.geometry import Intrinsics, Pose, project
 from proxyvote.pnp import _control_points, reprojection_rmse, solve_epnp, umeyama
 
@@ -118,6 +118,14 @@ class TestSolveEpnp:
     def test_too_few_points(self):
         with pytest.raises(TooFewPointsError):
             solve_epnp(CUBE[:3], np.zeros((3, 2)), INTR)
+
+    def test_mismatched_counts(self):
+        with pytest.raises(TooFewPointsError, match="mismatched"):
+            solve_epnp(CUBE, np.zeros((7, 2)), INTR)
+
+    def test_coincident_object_points(self):
+        with pytest.raises(DegenerateConfigurationError, match="coincide"):
+            solve_epnp(np.full((6, 3), 0.5), np.zeros((6, 2)), INTR)
 
     def test_case_putting_a_point_behind_the_camera_is_skipped(self):
         # 8 points in a 0.1 m cube at z = 0.6 m, 2 px noise: one scale

@@ -67,6 +67,9 @@ class TestSamplePose:
             PoseRanges(z_range=(-1.0, 1.0))
         with pytest.raises(ValueError):
             PoseRanges(z_range=(0.7, 0.45))
+        for z_range, margin in (((0.5, np.inf), 4.0), ((np.nan, 1.0), 4.0), ((0.5, 1.0), np.nan)):
+            with pytest.raises(ValueError, match="non-finite"):
+                PoseRanges(z_range=z_range, margin=margin)
         PoseRanges(z_range=(0.5, 0.5))
 
 
@@ -245,6 +248,9 @@ class TestCorrupt:
             NoiseSpec(flip_prob=1.5)
         with pytest.raises(ValueError):
             NoiseSpec(angular_sigma=-1.0)
+        for sigma in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                NoiseSpec(angular_sigma=sigma)
 
     @pytest.mark.parametrize("spec, empty_input", [
         (NoiseSpec(angular_sigma=5.0, flip_prob=0.1, occlusion_frac=0.2, rng_seed=11), False),
@@ -342,6 +348,16 @@ class TestSceneIO:
         values[0, 0, 1] = np.nan
         np.save(d / "fields.npy", values)
         with pytest.raises(ModelLoadError, match="fields.npy: non-finite"):
+            load_scene(d)
+
+    def test_non_finite_keypoint_rejected(self, scene, tmp_path):
+        _, _, s = scene
+        d = tmp_path / "scene"
+        save_scene(d, s)
+        path = d / "keypoints.csv"
+        header, first, *rest = path.read_text().splitlines()
+        path.write_text("\n".join([header, "nan" + first[first.index(","):], *rest]) + "\n")
+        with pytest.raises(ModelLoadError, match="keypoints.csv: non-finite"):
             load_scene(d)
 
     def test_pgm_is_plain_p2(self, scene, tmp_path):
