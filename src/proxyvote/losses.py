@@ -1,19 +1,19 @@
 """Loss terms for vector-field keypoint regression with analytic gradients.
 Only the formulas live here; ``trainer.py`` weights them per epoch.
 
-The core, ``PlanarLosses``, works on component-planar masked-pixel
+The core is three plain functions on component-planar masked-pixel
 arrays: est and gt are (2, ...) directions of masked pixels, plane 0
 holding the x and plane 1 the y components, and off = k - p the (2, ...)
 offsets from each pixel centre p to its keypoint k. The axes after the
 first are free; the trainer passes (2, K, M) arrays, all keypoints at
-once. So every x/y step runs on contiguous planes, with no strided view
-and no ``np.stack``. Intermediates go into buffers that a
-``PlanarLosses`` allocates once for its shape and overwrites on every
-call, so a fit allocates them once, not once per iteration. Values are
-sums (not means); any per-pixel normalization is the caller's business.
-``vf_loss``, ``dpvl`` and ``proxy_distances`` apply the core to
-(H, W, 2) fields and (H, W) masks, with per-pixel results zero outside
-the mask.
+once. So every x/y step runs on contiguous planes, with no strided view.
+``vf_terms`` gives the regression value and gradient, ``proxy_terms``
+the keypoint-to-line distances and their loss as a ``ProxyTerms``
+record, and ``proxy_grad`` that loss's gradient from the record. Values
+are sums (not means); any per-pixel normalization is the caller's
+business. ``vf_loss``, ``dpvl`` and ``proxy_distances`` apply the core
+to (H, W, 2) fields and (H, W) masks, with per-pixel results zero
+outside the mask.
 
 Smooth-L1 has no branch: with c = min(|a|, 1) the value is
 c (|a| - c/2) and the derivative copysign(c, a). This is bit for bit the
@@ -41,6 +41,7 @@ positive rescaling and to negation of any direction vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,13 +58,11 @@ class LossReport:
     skipped: int = 0  # masked pixels dropped for near-zero direction
 
 
-def _smooth_l1_into(abs_a, value, c):
-    """Smooth-L1 of a into value and c = min(|a|, 1) into c, given
-    abs_a = |a|; the derivative is copysign(c, a)."""
-    np.minimum(abs_a, 1.0, out=c)
-    np.multiply(c, 0.5, out=value)
-    np.subtract(abs_a, value, out=value)
-    np.multiply(value, c, out=value)  # c (|a| - c/2)
+def _smooth_l1_abs(abs_a):
+    """Smooth-L1 of a and c = min(|a|, 1), given abs_a = |a|; the
+    derivative is copysign(c, a)."""
+    c = np.minimum(abs_a, 1.0)
+    return (abs_a - c * 0.5) * c, c
 
 
 def smooth_l1(a):
@@ -72,106 +71,82 @@ def smooth_l1(a):
     0.5 a^2 on |a| < 1, |a| - 0.5 otherwise; derivative a resp. sign(a).
     """
     a = np.asarray(a, dtype=float)
-    value, deriv = np.empty_like(a), np.empty_like(a)
-    _smooth_l1_into(np.abs(a), value, deriv)
-    np.copysign(deriv, a, out=deriv)
-    return value, deriv
+    value, c = _smooth_l1_abs(np.abs(a))
+    return value, np.copysign(c, a)
 
 
-class PlanarLosses:
-    """Regression and proxy-voting losses of planar (2, *shape) fields.
+def vf_terms(est, gt):
+    """Smooth-L1 regression of est against gt: the summed value and the
+    (2, ...) gradient.
 
-    Results stay in the buffers until the next call overwrites them:
-    ``vf`` leaves the regression gradient in ``vf_grad``; ``proxy``
-    leaves, each of the given shape, ``d`` (|cross| / |v|, the
-    keypoint-to-line distance; 0 where invalid), ``valid``
-    (|v| >= EPS_NORM), ``loss`` (exactly 0 where invalid), ``dloss`` (its
-    derivative in d), ``cross`` (v x (k - p)), ``abs_cross`` and ``norm``
-    (|v| where valid, 1 elsewhere), plus the counts ``n_valid`` and
-    ``skipped``. ``proxy_grad`` then needs only est and off.
+    Per pixel the residual is the L1 norm |du| + |dv| fed through one
+    smooth-L1 evaluation (not per-component).
     """
+    r = est - gt
+    abs_r = np.abs(r)
+    # a >= 0 is its own |a|, so the derivative is c itself
+    value, c = _smooth_l1_abs(abs_r[0] + abs_r[1])
+    grad = np.copysign(c, r)  # c * sign(r) ...
+    if not r.all():
+        grad[r == 0] = 0.0  # ... which is +0 at r = ±0
+    return float(value.sum()), grad
 
-    def __init__(self, shape):
-        shape = tuple(shape)
-        self.vf_grad = np.empty((2,) + shape)
-        self.pv_grad = np.empty((2,) + shape)
-        self._pair = np.empty((2,) + shape)
-        self.d, self.loss, self.dloss, self.cross, self.abs_cross, self.norm = (
-            np.empty(shape) for _ in range(6))
-        self._a, self._value, self._deriv = (np.empty(shape) for _ in range(3))
-        self.valid = np.empty(shape, dtype=bool)
-        self.n_valid = 0
+
+class ProxyTerms(NamedTuple):
+    """Per-pixel proxy-voting quantities of ``proxy_terms``, each of the
+    shape of one component plane."""
+
+    d: np.ndarray  # |cross| / |v|, the keypoint-to-line distance; 0 where invalid
+    valid: np.ndarray  # |v| >= EPS_NORM
+    loss: np.ndarray  # smooth-L1 of d; exactly 0 where invalid
+    dloss: np.ndarray  # its derivative in d
+    cross: np.ndarray  # v x (k - p)
+    abs_cross: np.ndarray
+    norm: np.ndarray  # |v| where valid, 1 elsewhere
+    skipped: int  # pixels dropped for near-zero direction
 
     @property
-    def skipped(self) -> int:
-        """Pixels of the last ``proxy`` call dropped for near-zero direction."""
-        return self.valid.size - self.n_valid
-
-    def vf(self, est, gt) -> float:
-        """Smooth-L1 regression of est against gt; the summed value.
-
-        Per pixel the residual is the L1 norm |du| + |dv| fed through one
-        smooth-L1 evaluation (not per-component).
-        """
-        r, a, deriv = self.vf_grad, self._a, self._deriv
-        np.subtract(est, gt, out=r)
-        np.abs(r, out=self._pair)
-        np.add(self._pair[0], self._pair[1], out=a)
-        # a >= 0 is its own |a|, so the derivative is c itself
-        _smooth_l1_into(a, self._value, deriv)
-        zero = None if r.all() else r == 0
-        np.copysign(deriv, r, out=r)  # deriv * sign(r) ...
-        if zero is not None:
-            r[zero] = 0.0  # ... which is +0 at r = ±0
-        return float(self._value.sum())
-
-    def proxy(self, est, off) -> float:
-        """Distance from each keypoint to each pixel's direction line, and
-        its summed smooth-L1 loss."""
-        norm, valid, cross, d = self.norm, self.valid, self.cross, self.d
-        np.hypot(est[0], est[1], out=norm)
-        np.greater_equal(norm, EPS_NORM, out=valid)
-        self.n_valid = int(np.count_nonzero(valid))
-        if self.skipped:
-            np.copyto(norm, 1.0, where=~valid)
-        np.multiply(est, off[::-1], out=self._pair)  # (v_x o_y, v_y o_x)
-        np.subtract(self._pair[0], self._pair[1], out=cross)
-        np.abs(cross, out=self.abs_cross)
-        np.divide(self.abs_cross, norm, out=d)
-        if self.skipped:
-            np.copyto(d, 0.0, where=~valid)
-        # d = |cross| / |v| >= +0 is its own |d|, so the derivative is c itself
-        _smooth_l1_into(d, self.loss, self.dloss)
+    def value(self) -> float:
         return float(self.loss.sum())
 
-    def proxy_grad(self, est, off):
-        """Gradient of the last ``proxy`` loss w.r.t. est, zero at invalid
-        pixels, in ``pv_grad``.
-
-        The analytic derivative through the |cross| / |v| quotient,
-        including the normalization term.
-        """
-        g, t, n3 = self.pv_grad, self._pair, self._a
-        s = g[0]
-        np.copysign(1.0, self.cross, out=s)  # sign(cross) ...
-        if not self.cross.all():
-            s[self.cross == 0] = 0.0  # ... which is +0 at cross = ±0
-        np.negative(s, out=g[1])
-        np.multiply(g, off[::-1], out=g)  # (s o_y, -s o_x)
-        np.divide(g, self.norm, out=g)
-        np.power(self.norm, 3, out=n3)
-        np.multiply(self.abs_cross, est, out=t)
-        np.divide(t, n3, out=t)
-        np.subtract(g, t, out=g)
-        np.multiply(self.dloss, g, out=g)
-        if self.skipped:
-            np.copyto(g, 0.0, where=~self.valid)
-        return g
-
-    def mean_proxy_dist(self) -> float:
-        """Mean of d over the valid pixels of the last ``proxy`` call."""
+    def mean_dist(self) -> float:
+        """Mean of d over the valid pixels."""
         d = self.d[self.valid] if self.skipped else self.d
-        return float(d.sum()) / max(self.n_valid, 1)
+        return float(d.sum()) / max(self.valid.size - self.skipped, 1)
+
+
+def proxy_terms(est, off) -> ProxyTerms:
+    """Distance from each keypoint to each pixel's direction line, and its loss."""
+    norm = np.hypot(est[0], est[1])
+    valid = norm >= EPS_NORM
+    skipped = valid.size - int(np.count_nonzero(valid))
+    if skipped:
+        norm[~valid] = 1.0
+    pair = est * off[::-1]  # (v_x o_y, v_y o_x)
+    cross = pair[0] - pair[1]
+    abs_cross = np.abs(cross)
+    d = abs_cross / norm
+    if skipped:
+        d[~valid] = 0.0
+    # d = |cross| / |v| >= +0 is its own |d|, so the derivative is c itself
+    loss, dloss = _smooth_l1_abs(d)
+    return ProxyTerms(d, valid, loss, dloss, cross, abs_cross, norm, skipped)
+
+
+def proxy_grad(est, off, pt: ProxyTerms):
+    """Gradient of the proxy loss of pt w.r.t. est, zero at invalid pixels.
+
+    The analytic derivative through the |cross| / |v| quotient,
+    including the normalization term.
+    """
+    s = np.copysign(1.0, pt.cross)  # sign(cross) ...
+    if not pt.cross.all():
+        s[pt.cross == 0] = 0.0  # ... which is +0 at cross = ±0
+    g = np.stack([s, -s]) * off[::-1] / pt.norm  # (s o_y, -s o_x) / |v|
+    g = pt.dloss * (g - pt.abs_cross * est / np.power(pt.norm, 3))
+    if pt.skipped:
+        g[:, ~pt.valid] = 0.0
+    return g
 
 
 def planar(a):
@@ -193,28 +168,24 @@ def _scatter(mask, values):
 
 def _masked_proxy(est, mask, k):
     """Planar masked directions and keypoint offsets of an (H, W) field,
-    with their proxy terms computed."""
+    and their proxy terms."""
     est = np.asarray(est, dtype=float)
     mask = np.asarray(mask, dtype=bool)
     _check_dims(est, mask[..., None], "est vs mask")
     est_m = planar(est[mask])
     off = planar(np.asarray(k, dtype=float) - pixel_centers(mask))
-    losses = PlanarLosses(est_m.shape[1:])
-    value = losses.proxy(est_m, off)
-    return mask, est_m, off, losses, value
+    return mask, est_m, off, proxy_terms(est_m, off)
 
 
 def vf_loss(est, gt, mask) -> LossReport:
-    """Smooth-L1 regression of the field against ground truth (see ``PlanarLosses.vf``)."""
+    """Smooth-L1 regression of the field against ground truth (see ``vf_terms``)."""
     est = np.asarray(est, dtype=float)
     gt = np.asarray(gt, dtype=float)
     mask = np.asarray(mask, dtype=bool)
     _check_dims(est, gt, "est vs gt")
     _check_dims(est, mask[..., None], "est vs mask")
-    est_m = planar(est[mask])
-    losses = PlanarLosses(est_m.shape[1:])
-    value = losses.vf(est_m, planar(gt[mask]))
-    return LossReport(value=value, grad=_scatter(mask, losses.vf_grad.T))
+    value, grad = vf_terms(planar(est[mask]), planar(gt[mask]))
+    return LossReport(value=value, grad=_scatter(mask, grad.T))
 
 
 def proxy_distances(est, mask, k):
@@ -223,12 +194,12 @@ def proxy_distances(est, mask, k):
     Returns (d, valid, skipped): d is (H, W) with zeros where invalid;
     valid marks masked pixels with usable direction norms.
     """
-    mask, _, _, losses, _ = _masked_proxy(est, mask, k)
-    return _scatter(mask, losses.d), _scatter(mask, losses.valid), losses.skipped
+    mask, _, _, pt = _masked_proxy(est, mask, k)
+    return _scatter(mask, pt.d), _scatter(mask, pt.valid), pt.skipped
 
 
 def dpvl(est, mask, k) -> LossReport:
     """Proxy-voting loss: smooth-L1 of the keypoint-to-line distance."""
-    mask, est_m, off, losses, value = _masked_proxy(est, mask, k)
-    return LossReport(value=value, grad=_scatter(mask, losses.proxy_grad(est_m, off).T),
-                      skipped=losses.skipped)
+    mask, est_m, off, pt = _masked_proxy(est, mask, k)
+    return LossReport(value=pt.value, grad=_scatter(mask, proxy_grad(est_m, off, pt).T),
+                      skipped=pt.skipped)

@@ -18,11 +18,10 @@ itself when that is lower.
 Field stacks are (K, M, 2), at the M masked pixels in row-major order,
 as ``SceneSample.fields`` holds them. ``fit_field`` keeps the
 parameters, the ground truth, the keypoint offsets and both Adam moments
-as component-planar (2, K, M) arrays, and one ``PlanarLosses`` and one
-gradient buffer and both moments serve every iteration. The Adam step
-updates the moments in place and takes the operations of the textbook
-update in its order, so its bits are those of m = b1 m + (1 - b1) g,
-v = b2 v + (1 - b2) g g and x -= lr m̂ / (sqrt(v̂) + eps).
+as component-planar (2, K, M) arrays. The Adam step updates the moments
+in place and takes the operations of the textbook update in its order,
+so its bits are those of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g
+and x -= lr m̂ / (sqrt(v̂) + eps).
 
 A fit ends by voting its fields with ``vote_keypoints``, which ``vote``
 and ``eval`` share too: it calls ``vote_keypoint`` once per keypoint,
@@ -42,7 +41,7 @@ import numpy as np
 
 from .errors import DivergenceError, ProxyVoteError
 from .geometry import pixel_centers
-from .losses import PlanarLosses, planar
+from .losses import planar, proxy_grad, proxy_terms, vf_terms
 from .synth import SceneSample, csv_text, save_scene, write_atomic, write_json
 from .voting import SceneVote, VotingConfig, vote_keypoint
 
@@ -165,8 +164,7 @@ def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
     gt = planar(sample.fields)
     off = planar(sample.keypoints2[:, None, :] - pixel_centers(mask))  # k - p
 
-    losses = PlanarLosses(est.shape[1:])
-    grad, m, v = (np.zeros_like(est) for _ in range(3))
+    m, v = np.zeros_like(est), np.zeros_like(est)
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     rows = []  # l_vf, l_pv, mean_proxy_dist, beta per iteration
 
@@ -178,17 +176,18 @@ def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
             beta = _beta(cfg, epoch)
             lr = _decayed_lr(cfg, epoch)
 
-            l_vf = losses.vf(est, gt)
-            l_pv = losses.proxy(est, off)
+            l_vf, g_vf = vf_terms(est, gt)
+            pt = proxy_terms(est, off)
             if cfg.mode == "vf_only":
-                np.divide(losses.vf_grad, n_masked, out=grad)
+                grad = g_vf / n_masked
             else:
-                np.multiply(losses.proxy_grad(est, off), beta, out=grad)
+                grad = proxy_grad(est, off, pt) * beta
                 if cfg.mode == "vf_plus_dpvl":
-                    np.add(losses.vf_grad, grad, out=grad)
-                np.divide(grad, n_masked, out=grad)
+                    grad = g_vf + grad
+                grad /= n_masked
 
-            rows.append((l_vf, l_pv, losses.mean_proxy_dist(), beta))
+            l_pv = pt.value
+            rows.append((l_vf, l_pv, pt.mean_dist(), beta))
             if not (np.isfinite(l_vf) and np.isfinite(l_pv)):
                 raise DivergenceError(f"non-finite loss at iteration {it}", trace=_trace(rows))
 

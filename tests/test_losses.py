@@ -5,7 +5,8 @@ from oracles import (oracle_fd_gradient, oracle_fd_scalar, oracle_field_terms,
                      oracle_smooth_l1)
 from proxyvote.errors import DimensionMismatchError
 from proxyvote.geometry import pixel_centers
-from proxyvote.losses import PlanarLosses, dpvl, proxy_distances, smooth_l1, vf_loss
+from proxyvote.losses import (dpvl, proxy_distances, proxy_grad, proxy_terms, smooth_l1,
+                              vf_loss, vf_terms)
 
 
 class TestSmoothL1:
@@ -162,16 +163,15 @@ class TestMaskedCore:
 
         est_p, gt_p = planar(est[:, mask]), planar(gt[:, mask])
         off = planar(ks[:, None, :] - pixel_centers(mask))
-        losses = PlanarLosses(est_p.shape[1:])
-        l_vf = losses.vf(est_p, gt_p)
-        l_pv = losses.proxy(est_p, off)
-        g_pv = losses.proxy_grad(est_p, off)
+        l_vf, g_vf = vf_terms(est_p, gt_p)
+        pt = proxy_terms(est_p, off)
+        l_pv, g_pv = pt.value, proxy_grad(est_p, off, pt)
         vfs = [vf_loss(est[i], gt[i], mask) for i in range(3)]
         pvs = [dpvl(est[i], mask, ks[i]) for i in range(3)]
         assert l_vf == pytest.approx(sum(r.value for r in vfs), rel=1e-12)
         assert l_pv == pytest.approx(sum(r.value for r in pvs), rel=1e-12)
         for i in range(3):
-            assert np.array_equal(losses.vf_grad[:, i].T, vfs[i].grad[mask])
+            assert np.array_equal(g_vf[:, i].T, vfs[i].grad[mask])
             assert np.array_equal(g_pv[:, i].T, pvs[i].grad[mask])
 
 
