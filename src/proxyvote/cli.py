@@ -12,7 +12,8 @@ manifest.json records; replaying them through --config reproduces the run.
 Exit codes: 0 success, 1 runtime/I/O failure, 2 usage error (a missing
 or out-of-range value, such as a negative seed, a --mode list that
 names no mode, a --mode or --seeds list that names one twice, an
-unparseable --config file or a --config value of the wrong type). A
+unparseable --config file, a --config value of the wrong type, or a
+vote --out whose directory holds another command's manifest.json). A
 keypoint or pose that fails in vote or eval is a recorded row and a
 warning, not a failure of the run. A train run that fails with any
 exit-1 error after making --out still writes its manifest, with the
@@ -282,17 +283,24 @@ def cmd_vote(args) -> int:
     t0 = time.monotonic()
     cfg = _settings(args, "scenes", "out")
     vcfg = _voting_config(cfg)
+    out_dir = os.path.dirname(os.path.abspath(cfg["out"]))
+    manifest = os.path.join(out_dir, "manifest.json")
+    if os.path.isfile(manifest):  # vote's manifest would replace it
+        with open(manifest) as f:
+            doc = json.load(f)
+        if not isinstance(doc, dict) or doc.get("command") != "vote":
+            raise UsageError(f"{manifest} is not a vote manifest; write --out to a "
+                             "directory of its own")
     scenes = []  # each scene's columns
     for si, (sample, locs, votes) in enumerate(_voted_scenes(cfg["scenes"], vcfg)):
         k = len(locs)
         scenes.append((np.full(k, si), np.arange(k), *locs.T, *sample.keypoints2.T,
                        keypoint_errors(locs, sample.keypoints2), votes))
-    os.makedirs(os.path.dirname(os.path.abspath(cfg["out"])), exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     write_atomic(cfg["out"], csv_text(
         "scene keypoint kx_voted ky_voted kx_true ky_true error_px votes".split(),
         map(np.concatenate, zip(*scenes))))
-    _write_manifest(os.path.dirname(os.path.abspath(cfg["out"])), "vote", cfg,
-                    [cfg["seed"]], [cfg["out"]], t0)
+    _write_manifest(out_dir, "vote", cfg, [cfg["seed"]], [cfg["out"]], t0)
     return 0
 
 
@@ -404,7 +412,8 @@ def cmd_report(args) -> int:
         ["iter", *(f"{lab}_l_pv" for lab in labels)],
         [traces[labels[0]]["iter"].astype(int), *(traces[lab]["l_pv"] for lab in labels)]))
 
-    # per-mode summary: final values and iterations to the L_pv threshold
+    # per-mode summary: final values and iterations until the mean proxy
+    # distance reaches the threshold
     by_mode = {}
     for lab in labels:
         by_mode.setdefault(modes[lab], []).append(traces[lab])
@@ -413,10 +422,8 @@ def cmd_report(args) -> int:
     report = {}
     for mode in sorted(by_mode):
         ts = by_mode[mode]
-        to_thr = []
-        for t in ts:
-            hits = np.flatnonzero(t["l_pv"] <= thr)
-            to_thr.append(int(t["iter"][hits[0]]) if len(hits) else np.inf)
+        hits = [np.flatnonzero(t["mean_proxy_dist"] <= thr) for t in ts]
+        to_thr = [t["iter"][h[0]] if len(h) else np.inf for t, h in zip(ts, hits)]
         r = report[mode] = {
             "n_traces": len(ts),
             "median_final_l_pv": float(np.median([t["l_pv"][-1] for t in ts])),
@@ -513,8 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--traces", nargs="+")
     r.add_argument("--out")
     r.add_argument("--lpv-threshold", dest="lpv_threshold", type=float, default=1.0,
-                   help="l_pv level for iterations-to-threshold; the traced l_pv is a "
-                        "raw sum over masked pixels and keypoints, not a per-pixel mean")
+                   help="mean proxy distance, px, for iterations-to-threshold: the first "
+                        "iteration whose traced mean_proxy_dist is at or below it")
     r.set_defaults(func=cmd_report)
 
     return parser

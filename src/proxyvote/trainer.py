@@ -1,13 +1,14 @@
-"""Desk-scale field optimization: per-pixel vector-field parameters fitted
-by Adam against the regression and proxy-voting losses.
+"""Desk-scale field optimization: an affine vector field per keypoint
+fitted by Adam against the regression and proxy-voting losses.
 
 Modes: vf_only (regression only), vf_plus_dpvl (regression plus the
-scheduled proxy term), dpvl_only (proxy term alone; expected to suffer
-the direction/sign ambiguity). The losses come from ``losses.py``,
-computed on the masked pixels of all keypoints at once. Only the
-gradients are divided by the masked-pixel count, so that learning rates
-transfer across mask sizes; the traced l_vf and l_pv are raw sums over
-masked pixels and keypoints.
+scheduled proxy term), dpvl_only (proxy term alone; it suffers the
+direction/sign ambiguity). The losses come from ``losses.py``, computed
+on the masked pixels of all keypoints at once. Only the gradients are
+divided by the masked-pixel count, so that learning rates transfer
+across mask sizes; the traced l_vf and l_pv are raw sums over masked
+pixels and keypoints, and the traced mean_proxy_dist is a per-pixel
+mean, in px.
 
 A ``TrainConfig`` holds every setting of a fit. Per epoch of
 iters_per_epoch iterations, ``_beta`` grows the proxy term's weight by
@@ -16,12 +17,17 @@ learning rate by 0.85 every 5 epochs down to 1e-5, or to the rate
 itself when that is lower.
 
 Field stacks are (K, M, 2), at the M masked pixels in row-major order,
-as ``SceneSample.fields`` holds them. ``fit_field`` keeps the
-parameters, the ground truth, the keypoint offsets and both Adam moments
-as component-planar (2, K, M) arrays. The Adam step updates the moments
-in place and takes the operations of the textbook update in its order,
-so its bits are those of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g
-and x -= lr m̂ / (sqrt(v̂) + eps).
+as ``SceneSample.fields`` holds them. ``fit_field`` fits (2, K, 3)
+coefficients: each component of keypoint k's field is c0 + c1 x̃ + c2 ỹ,
+x̃ and ỹ the masked pixel centres centred on their mean and divided by
+their std. Like the paper's network, the affine field couples the
+pixels: DPVL alone is zero on every c·(k - p), so the sign of c comes
+from the init. The fit starts at the least-squares projection of init;
+each iteration expands the coefficients to the component-planar
+(2, K, M) field, coef @ Φ, and steps on g·Φᵀ, g the losses' gradient
+there. Through these matmuls the fitted bits depend on the BLAS kernel.
+The Adam step is the textbook one, m = b1 m + (1 - b1) g,
+v = b2 v + (1 - b2) g g and x -= lr m̂ / (sqrt(v̂) + eps).
 
 A fit ends by voting its fields with ``vote_keypoints``, which ``vote``
 and ``eval`` share too: it calls ``vote_keypoint`` once per keypoint,
@@ -67,7 +73,7 @@ def subseed(seed: int, name: str) -> int:
 @dataclass(frozen=True)
 class TrainConfig:
     iterations: int = 2000
-    learning_rate: float = 1e-3
+    learning_rate: float = 3e-3
     beta0: float = 1e-3  # proxy-term weight at epoch 0, grown by BETA_FACTOR per epoch
     beta_cap: float = 1e-2
     iters_per_epoch: int = 100
@@ -119,9 +125,7 @@ def _beta(cfg: TrainConfig, epoch: int) -> float:
 
 def random_init_field(sample: SceneSample, rng) -> np.ndarray:
     """(K, M, 2) standard-normal init at the masked pixels."""
-    # a normal per pixel of the whole image: the stream fixes train's outputs
-    shape = (len(sample.keypoints2), sample.height, sample.width, 2)
-    return rng.standard_normal(shape)[:, sample.mask]
+    return rng.standard_normal(sample.fields.shape)
 
 
 def vote_keypoints(fields, mask, cfg: VotingConfig):
@@ -154,17 +158,24 @@ def _trace(rows, *errors):
 
 
 def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
-    """Adam on the (K, M, 2) masked field stack, from init. Returns the
-    fitted (K, M, 2) stack and the trace.
+    """Adam on the (2, K, 3) coefficients of an affine field per keypoint
+    and component, from the least-squares projection of the (K, M, 2)
+    init. Returns the fitted (K, M, 2) stack and the trace.
     """
     mask = sample.mask
-    n_masked = max(int(np.count_nonzero(mask)), 1)
+    pts = pixel_centers(mask)
+    n_masked = max(len(pts), 1)
+    std = pts.std(axis=0)  # a coordinate that all centres share is divided by 1
+    xy = (pts - pts.mean(axis=0)) / np.where(std > 0, std, 1.0)
+    phi = np.vstack([np.ones(len(pts)), xy.T])  # (3, M): 1, x̃, ỹ
 
-    est = planar(np.asarray(init, dtype=float))  # (2, K, M)
+    x0 = planar(np.asarray(init, dtype=float))  # (2, K, M)
+    coef = np.linalg.lstsq(phi.T, x0.reshape(-1, len(pts)).T, rcond=None)[0]
+    coef = coef.T.reshape(x0.shape[:2] + (3,))  # (2, K, 3)
     gt = planar(sample.fields)
-    off = planar(sample.keypoints2[:, None, :] - pixel_centers(mask))  # k - p
+    off = planar(sample.keypoints2[:, None, :] - pts)  # k - p
 
-    m, v = np.zeros_like(est), np.zeros_like(est)
+    m, v = np.zeros_like(coef), np.zeros_like(coef)
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     rows = []  # l_vf, l_pv, mean_proxy_dist, beta per iteration
 
@@ -176,6 +187,7 @@ def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
             beta = _beta(cfg, epoch)
             lr = _decayed_lr(cfg, epoch)
 
+            est = coef @ phi  # (2, K, M)
             l_vf, g_vf = vf_terms(est, gt)
             pt = proxy_terms(est, off)
             if cfg.mode == "vf_only":
@@ -191,15 +203,14 @@ def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
             if not (np.isfinite(l_vf) and np.isfinite(l_pv)):
                 raise DivergenceError(f"non-finite loss at iteration {it}", trace=_trace(rows))
 
-            # Adam step (bias-corrected)
+            # Adam step (bias-corrected) on the coefficients' gradient g·Φᵀ
+            g = grad @ phi.T
             t = it + 1
-            m *= b1
-            m += (1 - b1) * grad
-            v *= b2
-            v += (1 - b2) * grad * grad
-            est -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + ADAM_EPS)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            coef -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + ADAM_EPS)
 
-    fields = est.transpose(1, 2, 0)
+        fields = (coef @ phi).transpose(1, 2, 0)
 
     vote_cfg = VotingConfig(rng_seed=subseed(cfg.rng_seed, "voting"))
     locs, _, _ = vote_keypoints(fields, mask, vote_cfg)

@@ -6,6 +6,13 @@ a direction, whose direction agrees with it (cosine above a threshold).
 The winner is then refined as the least-squares intersection of its
 inlier rays.
 
+Forward rays, where PVNet intersects lines: a pair's hypothesis is
+p1 + t1·u1 = p2 + t2·u2 only where t1 > 0 and t2 > 0. A line cannot
+tell a direction from its negation, so a field that points away from
+its keypoint, as the proxy-voting loss alone may leave it, would still
+vote the keypoint from line intersections. The inlier test below needs
+d·u >= 0 too: no pixel votes for a point behind it.
+
 Unit directions and the inlier rule. A vote depends only on directions:
 the inlier cosine, the intersections and the refinement are unchanged
 when a vector is scaled by a positive factor. So each masked direction v
@@ -28,10 +35,11 @@ with one config (``SceneVote``); ``vote_keypoint`` votes one keypoint of
 it, or one dense (H, W, 2) field's masked pixels as a stack of one. One
 draw of n pixel pairs serves every keypoint. A pair forms a hypothesis
 for keypoint k unless it is one pixel twice, or its two directions for k
-are parallel or shorter than EPS_NORM. Each keypoint goes on with its
-own hypotheses, in draw order, and its own voters (the masked pixels
-whose direction for k has |v| >= EPS_NORM), so its vote is the one it
-would get alone; a keypoint without a hypothesis fails alone.
+are parallel or shorter than EPS_NORM, or their rays meet behind either
+pixel. Each keypoint goes on with its own hypotheses, in draw order, and
+its own voters (the masked pixels whose direction for k has
+|v| >= EPS_NORM), so its vote is the one it would get alone; a keypoint
+without a hypothesis fails alone.
 
 Two-stage counting. Both stages of keypoint k count its V voters and
 nothing else. Stage 1 splits them into C = max(16, ceil(n_k / 32),
@@ -151,7 +159,8 @@ def _hypotheses(pts, units, cfg: VotingConfig):
 
     Every field samples the same pairs, deterministic per seed; pairs of
     one pixel twice are dropped. A pair of parallel directions, or with a
-    non-voter's zero row, forms no hypothesis for that field. Needs M >= 2.
+    non-voter's zero row, forms no hypothesis for that field, nor does a
+    pair whose rays meet behind a pixel (t1 <= 0 or t2 <= 0). Needs M >= 2.
     """
     rng = np.random.default_rng(cfg.rng_seed)
     ia = rng.integers(0, len(pts), cfg.num_samples)
@@ -159,14 +168,16 @@ def _hypotheses(pts, units, cfg: VotingConfig):
     keep = ia != ib
     ia, ib = ia[keep], ib[keep]
     u1, u2 = units[:, ia], units[:, ib]
+    p1 = pts[ia]
+    d = pts[ib] - p1
 
     cross = u1[..., 0] * u2[..., 1] - u1[..., 1] * u2[..., 0]
-    k, j = np.nonzero(np.abs(cross) >= EPS_PARALLEL)  # by field, then in draw order
-    p1 = pts[ia[j]]
-    d = pts[ib[j]] - p1
-    u1, u2 = u1[k, j], u2[k, j]
-    t1 = (d[:, 0] * u2[:, 1] - d[:, 1] * u2[:, 0]) / cross[k, j]
-    locs = p1 + t1[:, None] * u1
+    with np.errstate(divide="ignore", invalid="ignore"):  # at parallel pairs
+        t1 = (d[:, 0] * u2[..., 1] - d[:, 1] * u2[..., 0]) / cross  # (d × u2) / (u1 × u2)
+        t2 = (d[:, 0] * u1[..., 1] - d[:, 1] * u1[..., 0]) / cross  # (d × u1) / (u1 × u2)
+    # by field, then in draw order
+    k, j = np.nonzero((np.abs(cross) >= EPS_PARALLEL) & (t1 > 0) & (t2 > 0))
+    locs = p1[j] + t1[k, j, None] * u1[k, j]
     return np.split(locs, np.cumsum(np.bincount(k, minlength=len(units)))[:-1])
 
 
@@ -365,8 +376,8 @@ class SceneVote:
         hyps = hyps[k]
         if len(hyps) == 0:
             raise NoValidHypothesisError("no sampled pixel pair formed a hypothesis: each was "
-                                         "one pixel twice, parallel or had a direction shorter "
-                                         "than EPS_NORM")
+                                         "one pixel twice, parallel, met behind a pixel or had "
+                                         "a direction shorter than EPS_NORM")
         threshold = self.cfg.inlier_cos_threshold
         voters = _voters(pts, units[k], threshold)
         n_voters = len(voters[0])

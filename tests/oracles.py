@@ -6,7 +6,7 @@ checker, exhaustive all-pairs hypothesis enumerator, dense cosine
 inlier counter and unpruned vote, the dense float64 squared-form vote
 with its sampling and refinement, greedy FPS re-verifier, a second
 pinhole projection, a per-point disc splatter, per-pixel ideal fields,
-the dense-grid scene corruption and the straightforward (K, M, 2)
+the dense-grid scene corruption and the straightforward affine
 field-fitting loop.
 """
 
@@ -68,7 +68,8 @@ class AllPairsStats:
 
 
 def oracle_all_pairs_vote(field, mask, k_true, inlier_cos=0.99):
-    """Exhaustive hypothesis set over every masked pixel pair."""
+    """Exhaustive hypothesis set over every masked pixel pair whose rays
+    meet in front of both pixels."""
     mask = np.asarray(mask, dtype=bool)
     m = int(mask.sum())
     assert m <= 2000, "all-pairs budget exceeded"
@@ -87,6 +88,8 @@ def oracle_all_pairs_vote(field, mask, k_true, inlier_cos=0.99):
                 continue
             d = pts[b] - pts[a]
             t = (d[0] * v2[1] - d[1] * v2[0]) / cr
+            if t <= 0 or (d[0] * v1[1] - d[1] * v1[0]) / cr <= 0:  # met behind a pixel
+                continue
             hyps.append(pts[a] + t * v1)
     hyps = np.asarray(hyps).reshape(-1, 2)
     if len(hyps) == 0:
@@ -157,8 +160,9 @@ def oracle_squared_vote(field, mask, num_samples=512, threshold=0.99, seed=0, re
     u; a shorter one gives no hypothesis and no vote. Hypotheses are the
     ray intersections of num_samples random pixel pairs (a generator
     seeded with seed draws every first pixel, then every second one;
-    pairs of one pixel, of a direction shorter than 1e-8 or with
-    |u1 × u2| < 1e-6 give none). Every hypothesis is tested on every
+    pairs of one pixel, of a direction shorter than 1e-8, with
+    |u1 × u2| < 1e-6 or whose rays meet behind a pixel, t1 <= 0 or t2 <= 0
+    in p1 + t1·u1 = p2 + t2·u2, give none). Every hypothesis is tested on every
     pixel with |v| >= 1e-8 by the squared form d² >= 0.25, dot >= 0 and
     dot² >= d²·thr², d = h - p and dot = d·u, and the (x, y)-smallest of
     the most-voted wins. With refine, the least-squares intersection of
@@ -186,7 +190,11 @@ def oracle_squared_vote(field, mask, num_samples=512, threshold=0.99, seed=0, re
         if abs(cr) < 1e-6:
             continue
         d = pts[b] - pts[a]
-        hyps.append(pts[a] + (d[0] * u2[1] - d[1] * u2[0]) / cr * u1)
+        t1 = (d[0] * u2[1] - d[1] * u2[0]) / cr
+        t2 = (d[0] * u1[1] - d[1] * u1[0]) / cr
+        if t1 <= 0 or t2 <= 0:  # the rays meet behind a pixel
+            continue
+        hyps.append(pts[a] + t1 * u1)
     if not hyps:
         return None
     hyps = np.array(hyps)
@@ -372,8 +380,17 @@ def oracle_field_terms(est, gt, off):
 
 
 def oracle_fit_field(init, mask, gt_fields, keypoints2, cfg):
-    """Adam on the regression and proxy-voting losses on (K, M, 2)
-    masked-pixel arrays, with fresh arrays at every step.
+    """Adam on the (2, K, 3) coefficients of an affine field per keypoint
+    and component, with fresh arrays at every step.
+
+    The basis is 1, x̃, ỹ over the masked pixel centres, x̃ and ỹ centred
+    on their mean and divided by their std. The coefficients start at the
+    least-squares projection of the masked pixels of the dense
+    (K, H, W, 2) init; each step takes the losses of
+    ``oracle_field_terms`` at the field the coefficients give, and the
+    coefficients' gradient is the pixels' gradient times the basis. The
+    products with the basis are the (2, K, ·) matmuls of the trainer,
+    whose bits depend on the BLAS kernel.
 
     Returns (fields, columns, diverged): columns maps iter, l_vf, l_pv,
     mean_proxy_dist and beta to their values up to and including
@@ -385,11 +402,18 @@ def oracle_fit_field(init, mask, gt_fields, keypoints2, cfg):
     ii, jj = np.nonzero(mask)
     centres = np.stack([jj + 0.5, ii + 0.5], axis=-1).astype(float)
     n_masked = max(len(ii), 1)
-    est = init[:, mask, :].copy()
+    xy = (centres - centres.mean(axis=0)) / centres.std(axis=0)
+    phi = np.stack([np.ones(len(ii)), xy[:, 0], xy[:, 1]])  # (3, M)
+    x0 = init[:, mask, :]
+    k = len(x0)
+    # column c·K + k of the right-hand side is component c of keypoint k
+    sol = np.linalg.lstsq(phi.T, np.concatenate([x0[..., 0].T, x0[..., 1].T], axis=1),
+                          rcond=None)[0]
+    coef = np.stack([sol[:, :k].T, sol[:, k:].T])  # (2, K, 3)
     gt = np.asarray(gt_fields, dtype=float)[:, mask, :]
     off = np.asarray(keypoints2, dtype=float)[:, None, :] - centres[None, :, :]
-    m = np.zeros_like(est)
-    v = np.zeros_like(est)
+    m = np.zeros_like(coef)
+    v = np.zeros_like(coef)
     cols = {name: [] for name in ("iter", "l_vf", "l_pv", "mean_proxy_dist", "beta")}
     for it in range(cfg.iterations):
         epoch = it // cfg.iters_per_epoch
@@ -397,15 +421,16 @@ def oracle_fit_field(init, mask, gt_fields, keypoints2, cfg):
         lr = cfg.learning_rate
         if cfg.lr_decay:
             lr = max(lr * 0.85 ** (epoch // 5), 1e-5)
-        terms = oracle_field_terms(est, gt, off)
-        d, valid = terms["d"], terms["valid"]
         with np.errstate(all="ignore"):
+            est = np.moveaxis(coef @ phi, 0, -1)  # (K, M, 2)
+            terms = oracle_field_terms(est, gt, off)
             if cfg.mode == "vf_only":
                 grad = terms["g_vf"] / n_masked
             elif cfg.mode == "vf_plus_dpvl":
                 grad = (terms["g_vf"] + beta * terms["g_pv"]) / n_masked
             else:
                 grad = beta * terms["g_pv"] / n_masked
+        d, valid = terms["d"], terms["valid"]
         l_vf, l_pv = float(np.sum(terms["vf"])), float(np.sum(terms["pv"]))
         for name, x in zip(cols, (it, l_vf, l_pv,
                                   float(np.sum(d[valid])) / max(int(np.count_nonzero(valid)), 1),
@@ -414,11 +439,13 @@ def oracle_fit_field(init, mask, gt_fields, keypoints2, cfg):
         if not (np.isfinite(l_vf) and np.isfinite(l_pv)):
             return None, {k: np.array(x) for k, x in cols.items()}, True
         with np.errstate(all="ignore"):
-            m = 0.9 * m + (1 - 0.9) * grad
-            v = 0.999 * v + (1 - 0.999) * grad * grad
+            g = np.ascontiguousarray(np.moveaxis(grad, -1, 0)) @ phi.T  # (2, K, 3)
+            m = 0.9 * m + (1 - 0.9) * g
+            v = 0.999 * v + (1 - 0.999) * g * g
             mhat = m / (1 - 0.9 ** (it + 1))
             vhat = v / (1 - 0.999 ** (it + 1))
-            est = est - lr * mhat / (np.sqrt(vhat) + 1e-8)
-    fields = init.copy()
-    fields[:, mask, :] = est
+            coef = coef - lr * mhat / (np.sqrt(vhat) + 1e-8)
+    fields = np.zeros_like(init)
+    with np.errstate(all="ignore"):
+        fields[:, mask, :] = np.moveaxis(coef @ phi, 0, -1)
     return fields, {k: np.array(x) for k, x in cols.items()}, False

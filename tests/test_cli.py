@@ -443,6 +443,21 @@ class TestVote:
         _replay(tmp_path, "vote", a, b / "votes.csv")
         _assert_same_outputs(a, b)
 
+    def test_out_beside_another_commands_manifest_is_usage_error(self, model_file, tmp_path,
+                                                                 monkeypatch, capsys):
+        # vote's manifest would replace gen's; no scene is read
+        scenes = tmp_path / "scenes"
+        assert main(["gen", "--model", model_file, "--out", str(scenes), "--n", "1",
+                     "--z-min", "0.45", "--z-max", "0.7"]) == 0
+        gen_manifest = (scenes / "manifest.json").read_bytes()
+        monkeypatch.setattr(cli, "load_scene", lambda d: pytest.fail("a scene was read"))
+        assert main(["vote", "--scenes", str(scenes), "--out", str(scenes / "votes.csv")]) == 2
+        assert "is not a vote manifest" in capsys.readouterr().err
+        assert (scenes / "manifest.json").read_bytes() == gen_manifest
+        assert sorted(os.listdir(scenes)) == ["manifest.json", "sample_000"]
+        (tmp_path / "manifest.json").write_text("[]\n")  # JSON, but not a manifest
+        assert main(["vote", "--scenes", str(scenes), "--out", str(tmp_path / "v.csv")]) == 2
+
     def test_out_that_is_a_directory_leaves_no_temp_file(self, scenes_dir, tmp_path, capsys):
         out = tmp_path / "votes.csv"
         out.mkdir()
@@ -586,16 +601,17 @@ def sha256(path):
 
 
 class TestGoldenDigests:
-    """Each command writes the bytes it wrote when its digests were taken,
-    vote and eval's before voting was batched over keypoints; a change that
-    alters them on purpose updates these."""
+    """Each command writes the bytes it wrote when its digests were taken;
+    a change that alters them on purpose updates these. Vote and eval's
+    records were taken once hypotheses came only from rays that meet in
+    front of both pixels."""
 
-    VOTES = "a6726ef50d6a22af38e2d39a4b702eb02572d9abe06391b5684ce81a8b01c2dc"
-    RECORDS = "3a6de35394b011b504d146f09325bdcdd1f351bfec7597061f5ed0e7d9a54626"
+    VOTES = "da8ed6d67fc2cc56807952694fb7674aac590e5bcaaf3ef73d6dd2a3949e8676"
+    RECORDS = "bad1bf48c9a327890832ab4a72f3194e81a3fcbfc031820291e286c2c4df3ff0"
     SUMMARY = "7362a344eeec352cf31f5b2f43fc40ac4946d3d42e644eeb059fd1787fac8994"
-    # eval without --symmetric, taken while every eval still scored ADD-S
-    # and took the diameter from scipy's pdist
-    PLAIN_RECORDS = "9e848c9bc7be5ac1b118368242dd8da1fd6071decca0c897e8ee728e4b87a68f"
+    # eval without --symmetric; its summary was taken while every eval
+    # still scored ADD-S and took the diameter from scipy's pdist
+    PLAIN_RECORDS = "126c843f22a7e38f2abb915b09e67646851da1d9e1443ee650eb3480df314c0a"
     PLAIN_SUMMARY = "ea99238745e30e4e8388ee25a9e1ed8dc1feb5a423ea90f110c2cde3d74b28ca"
 
     def test_vote_and_eval_outputs(self, model_file, tmp_path):
@@ -643,58 +659,59 @@ class TestGoldenDigests:
                    for p in scenes.rglob("*") if p.is_file() and p.name != "manifest.json"}
         assert digests == self.SCENE_FILES
 
-    # train's files on the clean 2-scene set, taken before voting's byte
-    # workspace was replaced by plain arrays; the manifest is left out
+    # train's files on the clean 2-scene set, taken once the fit ran on
+    # affine coefficients from a masked init at lr 3e-3 and voting kept
+    # only forward hypotheses; the manifest is left out
     TRAIN_FILES = {
-        "fields/vf_only_seed0/sample_000/fields.npy": "a1158b931f3e97df5208f4a54d3797cb392e41e455b41694ddb7f12589e778b1",
+        "fields/vf_only_seed0/sample_000/fields.npy": "6c9f214c610595449237928ba932b125558ea80e2730a81b7dac5cc913d31f9d",
         "fields/vf_only_seed0/sample_000/keypoints.csv": "876fb2aa6e722cb34e4f6194b3559fc3bd6ad5420ed1ab8f8a22eb0b46caaaaa",
         "fields/vf_only_seed0/sample_000/mask.pgm": "cc1a05866e93afd64de0bec1d43a67b32aa2b72d9ec956c76c070dd6bda4ecfd",
         "fields/vf_only_seed0/sample_000/pose.json": "83f8425455154730dee06862a13fff22ddf5ab38da36c78d56b1ca5298ac449b",
-        "fields/vf_only_seed0/sample_001/fields.npy": "62595b42141f9b5d7101f28bf6cf863f58764ee707c2b9e341e1e93964b00db4",
+        "fields/vf_only_seed0/sample_001/fields.npy": "e2564eb5349794d55d52658628f71b44f756e75413ca3eb37e2d7c18276de899",
         "fields/vf_only_seed0/sample_001/keypoints.csv": "dec0cb598408edd17f4d87fe7f55e0c5595ad2ec6e58ea665e97e8b868790c79",
         "fields/vf_only_seed0/sample_001/mask.pgm": "0953f97ffa613b60c916bfd6bb089df91b4489abfedb0c16e7c29914381e327f",
         "fields/vf_only_seed0/sample_001/pose.json": "db35ed7f0e00993e6f98e6f3feed1f9526360ab3d6730b7c699014120a74ba19",
-        "fields/vf_only_seed1/sample_000/fields.npy": "14441d9d80e10927cf7c6f7f81c8429588912ecdca3f7aea0e76c404b649c929",
+        "fields/vf_only_seed1/sample_000/fields.npy": "070982ee0fabef0da3c130b7bfbc2cf5232dfeab518519b8cf90f8f2a2187ab4",
         "fields/vf_only_seed1/sample_000/keypoints.csv": "876fb2aa6e722cb34e4f6194b3559fc3bd6ad5420ed1ab8f8a22eb0b46caaaaa",
         "fields/vf_only_seed1/sample_000/mask.pgm": "cc1a05866e93afd64de0bec1d43a67b32aa2b72d9ec956c76c070dd6bda4ecfd",
         "fields/vf_only_seed1/sample_000/pose.json": "83f8425455154730dee06862a13fff22ddf5ab38da36c78d56b1ca5298ac449b",
-        "fields/vf_only_seed1/sample_001/fields.npy": "1799e2f65dbe25a436b29b5eb0486a3117ddec290e238e585baf5e6d85f8d124",
+        "fields/vf_only_seed1/sample_001/fields.npy": "55bccb87cb6adb7bdd7311671204120aae2387bb17075e7466dab262490c3758",
         "fields/vf_only_seed1/sample_001/keypoints.csv": "dec0cb598408edd17f4d87fe7f55e0c5595ad2ec6e58ea665e97e8b868790c79",
         "fields/vf_only_seed1/sample_001/mask.pgm": "0953f97ffa613b60c916bfd6bb089df91b4489abfedb0c16e7c29914381e327f",
         "fields/vf_only_seed1/sample_001/pose.json": "db35ed7f0e00993e6f98e6f3feed1f9526360ab3d6730b7c699014120a74ba19",
-        "fields/vf_plus_dpvl_seed0/sample_000/fields.npy": "1e4cad0f873163f12a224d6aa2ff0a242319a9b54c70621fa4a5c018cf908d3b",
+        "fields/vf_plus_dpvl_seed0/sample_000/fields.npy": "fc3c6769e5bc9f2ad771752fcea60d3c8af18687abcb702be078faad408091ba",
         "fields/vf_plus_dpvl_seed0/sample_000/keypoints.csv": "876fb2aa6e722cb34e4f6194b3559fc3bd6ad5420ed1ab8f8a22eb0b46caaaaa",
         "fields/vf_plus_dpvl_seed0/sample_000/mask.pgm": "cc1a05866e93afd64de0bec1d43a67b32aa2b72d9ec956c76c070dd6bda4ecfd",
         "fields/vf_plus_dpvl_seed0/sample_000/pose.json": "83f8425455154730dee06862a13fff22ddf5ab38da36c78d56b1ca5298ac449b",
-        "fields/vf_plus_dpvl_seed0/sample_001/fields.npy": "80d578af8736de283b5d6f757bd3c4d71a69c89540a3e56fff80550bc390c570",
+        "fields/vf_plus_dpvl_seed0/sample_001/fields.npy": "c49fe412c842552985bbcc36e89e68b1223ef60e97080a0ed2702e1fa69e44a0",
         "fields/vf_plus_dpvl_seed0/sample_001/keypoints.csv": "dec0cb598408edd17f4d87fe7f55e0c5595ad2ec6e58ea665e97e8b868790c79",
         "fields/vf_plus_dpvl_seed0/sample_001/mask.pgm": "0953f97ffa613b60c916bfd6bb089df91b4489abfedb0c16e7c29914381e327f",
         "fields/vf_plus_dpvl_seed0/sample_001/pose.json": "db35ed7f0e00993e6f98e6f3feed1f9526360ab3d6730b7c699014120a74ba19",
-        "fields/vf_plus_dpvl_seed1/sample_000/fields.npy": "42a6b005a140d0c1fc8d7896ce4e8ba698c0713ea16709e0ad25284c014d3d73",
+        "fields/vf_plus_dpvl_seed1/sample_000/fields.npy": "9b0e03719bbef170d4206153ed6ffb36ba6afe3c41d09bbd713715d7429689b8",
         "fields/vf_plus_dpvl_seed1/sample_000/keypoints.csv": "876fb2aa6e722cb34e4f6194b3559fc3bd6ad5420ed1ab8f8a22eb0b46caaaaa",
         "fields/vf_plus_dpvl_seed1/sample_000/mask.pgm": "cc1a05866e93afd64de0bec1d43a67b32aa2b72d9ec956c76c070dd6bda4ecfd",
         "fields/vf_plus_dpvl_seed1/sample_000/pose.json": "83f8425455154730dee06862a13fff22ddf5ab38da36c78d56b1ca5298ac449b",
-        "fields/vf_plus_dpvl_seed1/sample_001/fields.npy": "fbbf24ff6bc8f40071daa6ba72e319f94a61c82c43b114b9b183d804f70bf104",
+        "fields/vf_plus_dpvl_seed1/sample_001/fields.npy": "8955188bb7435d1d4944c0288ac377330a398a3468eae5bd37e6bf1b2df2ebc6",
         "fields/vf_plus_dpvl_seed1/sample_001/keypoints.csv": "dec0cb598408edd17f4d87fe7f55e0c5595ad2ec6e58ea665e97e8b868790c79",
         "fields/vf_plus_dpvl_seed1/sample_001/mask.pgm": "0953f97ffa613b60c916bfd6bb089df91b4489abfedb0c16e7c29914381e327f",
         "fields/vf_plus_dpvl_seed1/sample_001/pose.json": "db35ed7f0e00993e6f98e6f3feed1f9526360ab3d6730b7c699014120a74ba19",
-        "summary.json": "e900d02a5946f30358105bab927b122460cd332fc3a682e2e52831253b3f29a3",
-        "summary_scene000_vf_only_seed0.json": "704d5906030c083ce1466e61602b70ca62c1f538f832961e008c9c614df412b4",
-        "summary_scene000_vf_only_seed1.json": "adf68565fcbf49bc32b69cbee829636ddc05ae6490ae74aaa88a50212c3b365d",
-        "summary_scene000_vf_plus_dpvl_seed0.json": "d39965ba39fb36ea280a8e4ad4fc86e82a69af484a151248a11d5e010f454a68",
-        "summary_scene000_vf_plus_dpvl_seed1.json": "dbf031fbfa2b97aed7ce6390df84a3962e6853c00069d05534aab17564dafa17",
-        "summary_scene001_vf_only_seed0.json": "d800430618143643fa4d6505fcb275d3b0f24424dc5bb70f917247f5d786b8e4",
-        "summary_scene001_vf_only_seed1.json": "c15d6af28f5ceff4f30a3f4de1009fc7630bccf339ea0efb6a974cdac6555983",
-        "summary_scene001_vf_plus_dpvl_seed0.json": "b8e1434906b5e4d8abd69925526ab549cc748068e54de5c43af67b9677056e11",
-        "summary_scene001_vf_plus_dpvl_seed1.json": "5d12d13ecf7620cb3823b9049fed7923495903d0977a334f1de732aebe98f5e0",
-        "trace_scene000_vf_only_seed0.csv": "6eca3191c9046df37a6c3a8d3b80e145f8b90b5e6dba0a97e2c512034206e550",
-        "trace_scene000_vf_only_seed1.csv": "8335a59f3ae2032e34855c48f14c856393e3dc3c9425bb2017230c1d9fd3c5df",
-        "trace_scene000_vf_plus_dpvl_seed0.csv": "68d3197e1f3062747810e5143bb7612bebbce941f11e7658f215aa848f66ee48",
-        "trace_scene000_vf_plus_dpvl_seed1.csv": "53bf1b0757e7287d0837ea5743d236187202d0a68dade1710fa9dc11df1cc86a",
-        "trace_scene001_vf_only_seed0.csv": "e9ca3398bd87d80df145820566c57f1a6f4007c9e43c195eb8c082f9ad124983",
-        "trace_scene001_vf_only_seed1.csv": "94f0a2b5f3ef1ce784240448f7f2a2eadb78116a9de4a465468921f55a410928",
-        "trace_scene001_vf_plus_dpvl_seed0.csv": "3ec567eaa59ac1c7df435cfc328848f19a1a7dc49451bcd793fde6d17f000738",
-        "trace_scene001_vf_plus_dpvl_seed1.csv": "512b1c388de15548ea7af7660cd9eef1dac0768008ef0965613f5afab307a939",
+        "summary.json": "892838182faaa518be2fcb8517ca1d321c4d688d3328f6dd01abd6f36a4d22f7",
+        "summary_scene000_vf_only_seed0.json": "e9658719ed3fc18447fca3eb5dc47947d462e872776e6e3cf91977ae27c99286",
+        "summary_scene000_vf_only_seed1.json": "f1436b0f3f3089f938b93fab4a63b87f14587e8dd96eb823c3588e8c5c214e05",
+        "summary_scene000_vf_plus_dpvl_seed0.json": "47d94293d6419b6e4364ef04851fb774943d4834795071233e3e0a2422823fae",
+        "summary_scene000_vf_plus_dpvl_seed1.json": "78d67585fc367323be5c63a2528bdf22ce2554a8e00d8b58d544ad73868788a5",
+        "summary_scene001_vf_only_seed0.json": "8ac5c3b8bec06a21561c5f93ada9371d56d46e333888b2409200e93eb704731f",
+        "summary_scene001_vf_only_seed1.json": "9509b46d1507ae1e79f82aa0b52c2a29c404e2c46849f1fc1eb2bcbf4f1eb388",
+        "summary_scene001_vf_plus_dpvl_seed0.json": "c9e05079c970407192fd8c0acc46e56d51ceda418280db9f2beb8ff8a843c670",
+        "summary_scene001_vf_plus_dpvl_seed1.json": "ab79f06393c064021b50929bc5b08428671046bb8006db1062a312bd43b03be3",
+        "trace_scene000_vf_only_seed0.csv": "3d54573e510b9eb2bdc21ff1e0b6d67c3469013229c47da98c2bb6c89db2c96d",
+        "trace_scene000_vf_only_seed1.csv": "0be6807b03be2959fecee53a89b42b2e4550b82cec4638cbfc1254e602849ec3",
+        "trace_scene000_vf_plus_dpvl_seed0.csv": "37481d70c637e44a26f4df8b89047197ad25d817b610f1fd200ce6b452047c4e",
+        "trace_scene000_vf_plus_dpvl_seed1.csv": "c100feabd2599973c41ed7a2ef72643c399eeb3c602757847d8eda3bfc2e4a46",
+        "trace_scene001_vf_only_seed0.csv": "841ba5037f7ce10f295f891b4fba717cd9ba2964c4b22b7cab3ef30ad76e7b70",
+        "trace_scene001_vf_only_seed1.csv": "3ae7ca3b269b46cc5be9a7d4a5640c0c144890e6e4c6a30a32c72dac249c228f",
+        "trace_scene001_vf_plus_dpvl_seed0.csv": "379d2ff5ff53cbeb12257fd1b267be5cf7eb5c5de3c5d85c5e8d427d55090831",
+        "trace_scene001_vf_plus_dpvl_seed1.csv": "f80ebd29a2825d7190c4273c3623a36878b2316d04e198b6805579a0f9098b9f",
     }
 
     TRAIN_ARGS = ["--mode", "vf_only,vf_plus_dpvl", "--seeds", "0,1", "--iters", "30",
@@ -707,12 +724,12 @@ class TestGoldenDigests:
                    for p in out.rglob("*") if p.is_file() and p.name != "manifest.json"}
         assert digests == self.TRAIN_FILES
 
-    # report's files over the same train run, taken before its CSV and JSON
-    # text came from synth's shared writers
+    # report's files over the same train run, taken once iterations to
+    # the threshold read the traced mean proxy distance
     REPORT_FILES = {
-        "curves.csv": "0fff679eb49bf4bcd132f8e215815cbe099721f0e0b288e68bc44765ee5194a5",
-        "report.txt": "fb7f4ec10987d0421fc3a2dcca937f1c60555fe49935e6e3200751b23c1e9558",
-        "report.json": "8788710bb7312cae0d8ed2b93dbf5a37beeb22d4c9b2ede52043505de761919f",
+        "curves.csv": "3fad32098680ec5c93f3ca2af2cb0c0660651cf2aad531d683bea31a6339c686",
+        "report.txt": "02916ddd6a50d8479858082a0b492d3ac2e8d549f848d2d2a3cbdc100fde9d51",
+        "report.json": "7199230228b7fa8a984353a4d4021cdc437acb32ce59c7e057d500bb715223fc",
     }
 
     def test_report_outputs(self, scenes_dir, tmp_path):
@@ -982,6 +999,21 @@ class TestTrainAndReport:
         bad.write_text("\n".join(lines) + "\n")
         assert main(["report", "--traces", str(bad), "--out", str(tmp_path / "r")]) == 1
         assert str(bad) in capsys.readouterr().err
+
+    def test_threshold_is_on_the_mean_proxy_distance(self, tmp_path):
+        # the traced l_pv is a sum over masked pixels and keypoints, far
+        # above a per-pixel threshold; iterations-to-threshold read the
+        # traced mean_proxy_dist, in px
+        trace = tmp_path / "trace_scene000_vf_only_seed0.csv"
+        trace.write_text("iter,l_vf,l_pv,mean_proxy_dist,beta\n"
+                         "0,9.0,2500.0,4.0,0.001\n1,8.0,1800.0,1.5,0.001\n"
+                         "2,7.0,1200.0,0.9,0.001\n3,6.0,900.0,0.8,0.001\n")
+        for flags, want in (([], 2.0), (["--lpv-threshold", "1.5"], 1.0),
+                            (["--lpv-threshold", "0.5"], np.inf)):
+            out = tmp_path / f"r{want}"
+            assert main(["report", "--traces", str(trace), "--out", str(out), *flags]) == 0
+            rep = json.loads((out / "report.json").read_text())["vf_only"]
+            assert rep["median_iters_to_threshold"] == want
 
     def test_report_reads_a_one_row_trace(self, tmp_path):
         trace = tmp_path / "trace_scene000_vf_only_seed0.csv"

@@ -5,8 +5,8 @@ from oracles import (oracle_fd_gradient, oracle_fd_scalar, oracle_field_terms,
                      oracle_smooth_l1)
 from proxyvote.errors import DimensionMismatchError
 from proxyvote.geometry import pixel_centers
-from proxyvote.losses import (dpvl, proxy_distances, proxy_grad, proxy_terms, smooth_l1,
-                              vf_loss, vf_terms)
+from proxyvote.losses import (dpvl, planar, proxy_distances, proxy_grad, proxy_terms,
+                              smooth_l1, vf_loss, vf_terms)
 
 
 class TestSmoothL1:
@@ -157,10 +157,6 @@ class TestMaskedCore:
         est = rng.normal(0, 1, (3, 8, 8, 2))
         gt = rng.normal(0, 1, (3, 8, 8, 2))
         ks = rng.uniform(0, 8, (3, 2))
-
-        def planar(a):
-            return np.ascontiguousarray(np.moveaxis(a, -1, 0))
-
         est_p, gt_p = planar(est[:, mask]), planar(gt[:, mask])
         off = planar(ks[:, None, :] - pixel_centers(mask))
         l_vf, g_vf = vf_terms(est_p, gt_p)
@@ -173,6 +169,10 @@ class TestMaskedCore:
         for i in range(3):
             assert np.array_equal(g_vf[:, i].T, vfs[i].grad[mask])
             assert np.array_equal(g_pv[:, i].T, pvs[i].grad[mask])
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
 
 
 class TestTwoBranchParity:
@@ -195,9 +195,6 @@ class TestTwoBranchParity:
         est[ii[24], jj[24], 0], gt[ii[24], jj[24], 0] = -0.0, 0.0
         want = oracle_field_terms(est[mask], gt[mask], k - pixel_centers(mask))
 
-        def bits(a):
-            return np.asarray(a, dtype=float).view(np.uint64)
-
         vf, pv = vf_loss(est, gt, mask), dpvl(est, mask, k)
         d, valid, _ = proxy_distances(est, mask, k)
         assert np.array_equal(bits(vf.grad[mask]), bits(want["g_vf"]))
@@ -206,3 +203,40 @@ class TestTwoBranchParity:
         assert np.array_equal(valid[mask], want["valid"])
         assert bits(vf.value) == bits(np.sum(want["vf"]))
         assert bits(pv.value) == bits(np.sum(want["pv"]))
+
+
+class TestPlanarParity:
+    def test_degenerate_pixels(self):
+        # the core on a planar (2, K, M) stack, as the trainer calls it,
+        # against the two-branch oracle: zero and near-EPS_NORM directions
+        # (invalid pixels), directions along k - p (cross exactly ±0 at a
+        # valid pixel) and components equal to the ground truth (residual ±0)
+        rng = np.random.default_rng(8)
+        mask = rng.random((10, 10)) < 0.8
+        n_kp = 3
+        off = rng.uniform(0, 10, (n_kp, 1, 2)) - pixel_centers(mask)  # (K, M, 2)
+        est = rng.normal(0, 1, off.shape)
+        gt = rng.normal(0, 1, off.shape)
+        tiny = [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [1e-8, 0.0],
+                [0.0, 2e-8], [5e-9, 0.0], [-7e-9, 7e-9], [5e-324, 0.0]]
+        for ki in range(n_kp):
+            est[ki, ki:ki + len(tiny)] = tiny
+            est[ki, 20:23] = np.array([[1.0], [-1.0], [0.25]]) * off[ki, 20:23]
+            gt[ki, 30:33] = est[ki, 30:33]
+            gt[ki, 33, 0] = est[ki, 33, 0]
+            est[ki, 34, 1], gt[ki, 34, 1] = -0.0, 0.0
+        want = oracle_field_terms(est, gt, off)
+
+        l_vf, g_vf = vf_terms(planar(est), planar(gt))
+        pt = proxy_terms(planar(est), planar(off))
+        g_pv = proxy_grad(planar(est), planar(off), pt)
+        assert pt.skipped == 7 * n_kp  # 1e-8 is EPS_NORM itself, so valid
+        assert np.array_equal(pt.cross[:, 20:23] == 0, np.ones((n_kp, 3), bool))
+        assert np.array_equal(bits(g_vf), bits(planar(want["g_vf"])))
+        assert np.array_equal(bits(g_pv), bits(planar(want["g_pv"])))
+        assert np.array_equal(bits(pt.d), bits(want["d"]))
+        assert np.array_equal(pt.valid, want["valid"])
+        assert bits(l_vf) == bits(np.sum(want["vf"]))
+        assert bits(pt.value) == bits(np.sum(want["pv"]))
+        mean = float(np.sum(want["d"][want["valid"]])) / np.count_nonzero(want["valid"])
+        assert bits(pt.mean_dist()) == bits(mean)

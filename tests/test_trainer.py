@@ -7,6 +7,7 @@ from helpers import dense, make_cube_scene
 from oracles import oracle_fit_field
 from proxyvote import trainer
 from proxyvote.errors import DivergenceError, NoValidHypothesisError
+from proxyvote.geometry import pixel_centers
 from proxyvote.losses import dpvl, proxy_distances, vf_loss
 from proxyvote.synth import load_scene
 from proxyvote.trainer import (MODES, TrainConfig, TrainTrace, _beta, fit_field,
@@ -76,8 +77,11 @@ class TestSchedule:
 class TestTraceMatchesLosses:
     def test_first_iteration_matches_public_losses(self, scene):
         # the traced values before the first step are the (H, W) losses
-        # summed over keypoints, in every mode, whichever gradients it uses
-        init = random_init_field(scene, substream(0, "init"))
+        # summed over keypoints, in every mode, whichever gradients it uses;
+        # an affine init is its own least-squares projection, up to rounding
+        x, y = pixel_centers(scene.mask).T
+        c = np.random.default_rng(0).normal(0.0, 1.0, (3, len(scene.keypoints2), 1, 2))
+        init = c[0] + 0.1 * x[:, None] * c[1] + 0.1 * y[:, None] * c[2]  # (K, M, 2)
         field = dense(init, scene.mask)
         kps = range(len(init))
         want_vf = sum(vf_loss(field[i], scene.gt_fields[i], scene.mask).value for i in kps)
@@ -121,32 +125,11 @@ class TestOracleParity:
         assert not self.check(scene, init, short_cfg(iterations=300, iters_per_epoch=50,
                                                      mode=mode))
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_degenerate_pixels(self, scene, mode):
-        # zero and near-EPS_NORM directions (invalid pixels), directions
-        # along k - p (cross exactly 0 at a valid pixel) and components
-        # equal to the ground truth (residual exactly 0)
-        init = random_init_field(scene, substream(8, "init"))
-        ii, jj = np.nonzero(scene.mask)
-        tiny = [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [1e-8, 0.0],
-                [0.0, 2e-8], [5e-9, 0.0], [-7e-9, 7e-9], [5e-324, 0.0]]
-        for ki in range(len(init)):
-            for p, vec in enumerate(tiny):
-                init[ki, p + ki] = vec
-            for p, scale in zip(range(20, 23), (1.0, -1.0, 0.25)):
-                init[ki, p] = scale * (scene.keypoints2[ki] - [jj[p] + 0.5, ii[p] + 0.5])
-            init[ki, 30:33] = scene.fields[ki, 30:33]
-            init[ki, 33, 0] = scene.fields[ki, 33, 0]
-            init[ki, 34, 1] = -0.0
-        _, valid, skipped = proxy_distances(dense(init, scene.mask)[0], scene.mask,
-                                            scene.keypoints2[0])
-        assert skipped == 7 and valid[ii[4], jj[4]]  # 1e-8 is EPS_NORM itself
-        assert not self.check(scene, init, short_cfg(iterations=40, mode=mode))
-
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # voting the 1e300 field
     @pytest.mark.parametrize("mode", MODES)
     def test_divergence_partial_trace(self, scene, mode):
-        # a finite 1e300 direction keeps the losses finite at iteration 0,
+        # a finite 1e300 direction at one pixel projects to a field of 1e295
+        # to 1e298 for its keypoint: the losses stay finite at iteration 0,
         # but the proxy gradient is inf / inf there, so fits using it
         # diverge one iteration later
         init = random_init_field(scene, substream(9, "init"))
@@ -201,10 +184,11 @@ class TestFitField:
         from proxyvote.trainer import _decayed_lr
 
         cfg = short_cfg(lr_decay=True)
-        assert _decayed_lr(cfg, 0) == pytest.approx(1e-3)
-        assert _decayed_lr(cfg, 5) == pytest.approx(0.85e-3)
+        lr = cfg.learning_rate
+        assert _decayed_lr(cfg, 0) == pytest.approx(lr)
+        assert _decayed_lr(cfg, 5) == pytest.approx(0.85 * lr)
         assert _decayed_lr(cfg, 500) == pytest.approx(1e-5)
-        assert _decayed_lr(short_cfg(lr_decay=False), 500) == pytest.approx(1e-3)
+        assert _decayed_lr(short_cfg(lr_decay=False), 500) == pytest.approx(lr)
 
     def test_lr_below_the_floor_is_kept(self):
         from proxyvote.trainer import _decayed_lr

@@ -95,6 +95,13 @@ class TestRayIntersection:
     def test_parallel_returns_none(self):
         assert pair_intersections((0, 0), (1, 1), (3, 0), (2, 2)).shape == (0, 2)
 
+    @pytest.mark.parametrize("v1, v2", [((-1, 0), (0, 1)), ((1, 0), (0, -1)),
+                                        ((-1, 0), (0, -1))])
+    def test_rays_meeting_behind_a_pixel_return_none(self, v1, v2):
+        # the lines through (0, 0) and (4, -2) cross at (4, 0), behind the
+        # first pixel, the second or both
+        assert pair_intersections((0, 0), v1, (4, -2), v2).shape == (0, 2)
+
     def test_directions_toward_a_point_meet_there(self):
         k = np.array([10.0, 7.0])
         p1, p2 = np.array([1.0, 2.0]), np.array([8.0, 1.0])
@@ -369,6 +376,11 @@ class TestPrunedVoteParity:
         mask.flat[rng.choice(mask.size, n_px, replace=False)] = True
         field = rotate_field(exact_field(mask, K / 4), mask, 20.0, rng)
         for cfg in (VotingConfig(rng_seed=n_px), VotingConfig(num_samples=16, rng_seed=n_px)):
+            if n_px == 2:  # the two rays point apart: no forward hypothesis
+                assert oracle_squared_vote(field, mask, cfg.num_samples, seed=n_px) is None
+                with pytest.raises(NoValidHypothesisError, match="met behind a pixel"):
+                    raw_vote(field, mask, cfg)
+                continue
             assert_matches_dense_vote(field, mask, cfg)
 
     def test_exact_ties_keep_the_dense_tie_break(self):
@@ -490,24 +502,23 @@ class TestSceneVoteParity:
         fields[1, ii, jj] = short
         # keypoint 2: one direction everywhere, so no pair forms a hypothesis
         fields[2, ii, jj] = [0.6, 0.8]
-        # keypoint 3: rays from one point outwards meet behind every pixel, so
-        # every hypothesis counts 0; its zero directions leave NaN pads
+        # keypoint 3: rays from one point outwards meet behind every pixel,
+        # so no pair forms a hypothesis either
         pts = np.stack([jj + 0.5, ii + 0.5], axis=1)
         away = pts - (pts.mean(axis=0) + 0.25)
         away[u < 0.3] = 0.0
         fields[3, ii, jj] = away
         cfg = VotingConfig(inlier_cos_threshold=threshold, rng_seed=seed)
         locs, votes, failures = vote_keypoints(fields[:, mask], mask, cfg)
-        assert len(failures) == 1
-        assert failures[0].startswith("keypoint 2: no sampled pixel pair formed a hypothesis")
+        assert [f.split(":")[0] for f in failures] == ["keypoint 2", "keypoint 3"]
+        assert all("no sampled pixel pair formed a hypothesis" in f for f in failures)
         for k, field in enumerate(fields):
             want = oracle_squared_vote(field, mask, cfg.num_samples, threshold, seed)
-            if k == 2:
+            if k in (2, 3):
                 assert want is None and np.all(np.isnan(locs[k])) and votes[k] == 0
                 continue
             assert votes[k] == want[1]
             assert np.array_equal(bits(locs[k]), bits(want[0]))
-        assert votes[3] == 0 and np.all(np.isfinite(locs[3]))
         assert min(votes[k] for k in range(8) if k not in (2, 3)) > 100
 
     def test_keypoints_may_be_voted_in_any_order(self):
@@ -640,9 +651,12 @@ class TestLooseSuperset:
 
         monkeypatch.setattr(voting, "_prune", prune_spy)
         monkeypatch.setattr(voting, "_exact_counts", exact_counts_spy)
+        formed = []
         for k, field in enumerate(scene.gt_fields):
+            formed.append(len(sample_hypotheses(field, scene.mask, VotingConfig(rng_seed=k))))
             vote_keypoint(field, scene.mask, VotingConfig(rng_seed=k))
-        assert len(stage1) == len(stage2) == 8 and min(stage1) > 500
+        # every hypothesis a keypoint forms reaches stage 1
+        assert len(stage1) == len(stage2) == 8 and stage1 == formed
         assert np.median(stage2) <= 64
 
 
