@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -124,6 +125,35 @@ class TestOracleParity:
         init = random_init_field(scene, substream(7, "init"))
         assert not self.check(scene, init, short_cfg(iterations=300, iters_per_epoch=50,
                                                      mode=mode))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_degenerate_pixels(self, scene, mode):
+        # a zero component projects to exact zeros, so at iteration 0:
+        # keypoint 0 has a zero direction at every pixel (all invalid),
+        # keypoint 1 a field through zero whose norms straddle EPS_NORM,
+        # keypoint 2 sits on a row of pixel centres and has a zero y
+        # component (cross exactly ±0 at the valid pixels of that row),
+        # and keypoint 3 has a zero x component where the ground truth
+        # holds 0.0 and -0.0 (residual exactly 0)
+        pts = pixel_centers(scene.mask)
+        xy = (pts - pts.mean(axis=0)) / pts.std(axis=0)
+        init = random_init_field(scene, substream(8, "init"))
+        init[0] = 0.0
+        init[1] = 1e-8 * xy * [1.0, -1.5]
+        init[2, :, 1] = 0.0
+        init[3, :, 0] = 0.0
+        norm = np.hypot(*init[1].T)
+        assert (norm < 0.9e-8).any() and (norm > 1.1e-8).any()
+        kps = scene.keypoints2.copy()
+        row = pts[40, 1]
+        kps[2, 1] = row
+        on_row = pts[:, 1] == row
+        assert on_row.sum() > 1 and (init[2, on_row, 0] != 0).all()
+        gt = scene.fields.copy()
+        gt[3, 30:33, 0] = 0.0
+        gt[3, 33:36, 0] = -0.0
+        sample = replace(scene, keypoints2=kps, fields=gt)
+        assert not self.check(sample, init, short_cfg(iterations=40, mode=mode))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # voting the 1e300 field
     @pytest.mark.parametrize("mode", MODES)
