@@ -9,15 +9,23 @@ defaults and parses again, so explicit flags > --config > defaults. A
 command's settings, its parser's dests but --config, are the config its
 manifest.json records; replaying them through --config reproduces the run.
 
+main runs every command by one protocol. It checks the settings, parses
+the seeds (the --seeds list, or --seed) once for the run and its
+manifest, and claims the output directory, --out or the directory of
+vote's --out file, before the command reads anything. The command adds
+each path to its outputs once the path is written; main then writes
+the manifest there, also when the run fails with an exit-1 error once
+that directory exists: it lists the outputs written so far and holds
+the message under an "error" key.
+
 Exit codes: 0 success, 1 runtime/I/O failure, 2 usage error (a missing
 or out-of-range value, such as a negative seed, a --mode list that
 names no mode, a --mode or --seeds list that names one twice, an
-unparseable --config file, a --config value of the wrong type, or a
-vote --out whose directory holds another command's manifest.json). A
-keypoint or pose that fails in vote or eval is a recorded row and a
-warning, not a failure of the run. A train run that fails with any
-exit-1 error after making --out still writes its manifest, with the
-outputs written so far and an "error" key holding the message.
+unparseable --config file, a --config value of the wrong type, or an
+output directory whose manifest.json is not a JSON object naming this
+command). A usage error writes no manifest. A keypoint or pose that
+fails in vote or eval is a recorded row and a warning, not a failure
+of the run.
 """
 
 from __future__ import annotations
@@ -109,13 +117,36 @@ def _config_defaults(path, parser) -> dict:
     return cfg
 
 
-def _settings(args, *required) -> dict:
+def _settings(args) -> dict:
     """A command's settings, the values of its parser's dests but --config;
-    UsageError unless each of required is set."""
-    cfg = {k: v for k, v in vars(args).items() if k not in ("command", "func", "config")}
-    if not all(cfg[k] for k in required):
-        raise UsageError(f"{args.command} requires " + ", ".join(f"--{k}" for k in required))
+    UsageError unless each flag its parser needs is set."""
+    cfg = {k: v for k, v in vars(args).items() if k not in ("command", "func", "needs", "config")}
+    if not all(cfg[k] for k in args.needs):
+        raise UsageError(f"{args.command} requires " + ", ".join(f"--{k}" for k in args.needs))
     return cfg
+
+
+def _claim(command, out) -> str:
+    """The directory of a run's manifest: out, or for vote the directory of
+    its --out file. UsageError if a manifest.json there is not command's."""
+    out_dir = os.path.dirname(os.path.abspath(out)) if command == "vote" else out
+    manifest = os.path.join(out_dir, "manifest.json")
+    if os.path.isfile(manifest):  # this run's manifest would replace it
+        try:
+            with open(manifest) as f:
+                doc = json.load(f)
+        except ValueError:  # not JSON, or not UTF-8
+            doc = None
+        if not isinstance(doc, dict) or doc.get("command") != command:
+            raise UsageError(f"{manifest} is not a {command} manifest; write --out to a "
+                             "directory of its own")
+    return out_dir
+
+
+def _output(outputs, write, path, data):
+    """write(path, data), then path added to outputs."""
+    write(path, data)
+    outputs.append(path)
 
 
 def _write_manifest(out_dir, command, config, seeds, outputs, t0, error=None):
@@ -127,14 +158,9 @@ def _write_manifest(out_dir, command, config, seeds, outputs, t0, error=None):
         "outputs": sorted(outputs),
         "wall_time_s": round(time.monotonic() - t0, 3),
     }
-    if error is not None:  # the run failed after writing outputs
+    if error is not None:  # the run failed after making its output directory
         doc["error"] = error
     write_json(os.path.join(out_dir, "manifest.json"), doc)
-
-
-def _check_seed(seed):
-    if seed < 0:
-        raise UsageError(f"a seed must be >= 0, got {seed}")
 
 
 def _parse_list(text, what, item) -> list:
@@ -148,12 +174,14 @@ def _parse_list(text, what, item) -> list:
 
 
 def _parse_seeds(text) -> list[int]:
+    """The seeds of a comma-separated list, or of one integer seed, each >= 0."""
     try:
         seeds = _parse_list(text, "seed", int)
     except ValueError:
         raise UsageError(f"bad seed list: {text!r}")
     for seed in seeds:
-        _check_seed(seed)
+        if seed < 0:
+            raise UsageError(f"a seed must be >= 0, got {seed}")
     return seeds
 
 
@@ -189,13 +217,10 @@ def _scene_dirs(scenes_dir):
 # ---------------------------------------------------------------------------
 # gen
 
-def cmd_gen(args) -> int:
-    t0 = time.monotonic()
-    cfg = _settings(args, "model", "out")
+def cmd_gen(cfg, seeds, outputs):
     for key in ("n", "keypoints", "width", "height"):
         if cfg[key] < 1:
             raise UsageError(f"--{key} must be at least 1, got {cfg[key]}")
-    _check_seed(cfg["seed"])
     if cfg["cx"] is None:
         cfg["cx"] = cfg["width"] / 2.0
     if cfg["cy"] is None:
@@ -211,31 +236,24 @@ def cmd_gen(args) -> int:
     # poses are drawn here, in scene order, from one stream, so scene i is
     # the same whatever n; --out is made once every step that can fail on
     # the model or the pose ranges has passed
-    scene_rng = substream(cfg["seed"], "scene")
-    noise_seed = subseed(cfg["seed"], "noise")
+    scene_rng = substream(seeds[0], "scene")
+    noise_seed = subseed(seeds[0], "noise")
     poses = [sample_pose(scene_rng, ranges, cloud, intr, width, height)
              for _ in range(cfg["n"])]
     os.makedirs(cfg["out"], exist_ok=True)
-    outputs = []
     for i, pose in enumerate(poses):
         sample = corrupt(make_scene(cloud, keypoints3, pose, intr, width, height),
                          replace(spec, rng_seed=noise_seed + i))
-        outputs.append(os.path.join(cfg["out"], f"sample_{i:03d}"))
-        save_scene(outputs[-1], sample)
-    _write_manifest(cfg["out"], "gen", cfg, [cfg["seed"]], outputs, t0)
-    return 0
+        _output(outputs, save_scene, os.path.join(cfg["out"], f"sample_{i:03d}"), sample)
 
 
 # ---------------------------------------------------------------------------
 # train
 
-def cmd_train(args) -> int:
-    t0 = time.monotonic()
-    cfg = _settings(args, "scenes", "out")
+def cmd_train(cfg, seeds, outputs):
     if cfg["scene_limit"] < 0:
         raise UsageError(f"--scene-limit must be >= 0, got {cfg['scene_limit']}")
     modes = _parse_list(cfg["mode"], "mode", lambda m: _built(TrainConfig, mode=m).mode)
-    seeds = _parse_seeds(cfg["seeds"])
     base = _built(TrainConfig, iterations=cfg["iters"], learning_rate=cfg["lr"],
                   iters_per_epoch=cfg["iters_per_epoch"], lr_decay=cfg["lr_decay"],
                   beta0=cfg["beta0"], beta_cap=cfg["beta_cap"])
@@ -244,28 +262,16 @@ def cmd_train(args) -> int:
     if cfg["scene_limit"]:
         dirs = dirs[: cfg["scene_limit"]]
     scenes = [load_scene(d) for d in dirs]
-
-    written = []
-    try:
-        run_experiment(scenes, modes, seeds, base, cfg["out"], written)
-    except _RUN_ERRORS as e:
-        # the runs before the failure stay on disk: record them and why it stopped
-        if os.path.isdir(cfg["out"]):
-            _write_manifest(cfg["out"], "train", cfg, seeds, written, t0, error=str(e))
-        raise
-    _write_manifest(cfg["out"], "train", cfg, seeds, written, t0)
-    return 0
+    run_experiment(scenes, modes, seeds, base, cfg["out"], outputs)
 
 
 # ---------------------------------------------------------------------------
 # vote
 
-def _voting_config(cfg) -> VotingConfig:
-    """The VotingConfig of cfg's seed, num_samples and inlier_cos."""
-    _check_seed(cfg["seed"])
+def _voting_config(cfg, seed) -> VotingConfig:
+    """The VotingConfig of seed and cfg's num_samples and inlier_cos."""
     return _built(VotingConfig, num_samples=cfg["num_samples"],
-                  inlier_cos_threshold=cfg["inlier_cos"],
-                  rng_seed=subseed(cfg["seed"], "voting"))
+                  inlier_cos_threshold=cfg["inlier_cos"], rng_seed=subseed(seed, "voting"))
 
 
 def _voted_scenes(scenes_dir, vcfg):
@@ -279,29 +285,17 @@ def _voted_scenes(scenes_dir, vcfg):
         yield sample, locs, votes
 
 
-def cmd_vote(args) -> int:
-    t0 = time.monotonic()
-    cfg = _settings(args, "scenes", "out")
-    vcfg = _voting_config(cfg)
-    out_dir = os.path.dirname(os.path.abspath(cfg["out"]))
-    manifest = os.path.join(out_dir, "manifest.json")
-    if os.path.isfile(manifest):  # vote's manifest would replace it
-        with open(manifest) as f:
-            doc = json.load(f)
-        if not isinstance(doc, dict) or doc.get("command") != "vote":
-            raise UsageError(f"{manifest} is not a vote manifest; write --out to a "
-                             "directory of its own")
+def cmd_vote(cfg, seeds, outputs):
+    vcfg = _voting_config(cfg, seeds[0])
     scenes = []  # each scene's columns
     for si, (sample, locs, votes) in enumerate(_voted_scenes(cfg["scenes"], vcfg)):
         k = len(locs)
         scenes.append((np.full(k, si), np.arange(k), *locs.T, *sample.keypoints2.T,
                        keypoint_errors(locs, sample.keypoints2), votes))
-    os.makedirs(out_dir, exist_ok=True)
-    write_atomic(cfg["out"], csv_text(
+    os.makedirs(os.path.dirname(os.path.abspath(cfg["out"])), exist_ok=True)
+    _output(outputs, write_atomic, cfg["out"], csv_text(
         "scene keypoint kx_voted ky_voted kx_true ky_true error_px votes".split(),
         map(np.concatenate, zip(*scenes))))
-    _write_manifest(out_dir, "vote", cfg, [cfg["seed"]], [cfg["out"]], t0)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +306,8 @@ _FAILED = EvalRecord(add=np.nan, add_s=np.nan, proj2d=np.nan, add_correct=False,
                      proj_correct=False, add_s_correct=False)
 
 
-def cmd_eval(args) -> int:
-    t0 = time.monotonic()
-    cfg = _settings(args, "scenes", "model", "out")
-    vcfg = _voting_config(cfg)
+def cmd_eval(cfg, seeds, outputs):
+    vcfg = _voting_config(cfg, seeds[0])
     cloud = load_model(cfg["model"], symmetric=cfg["symmetric"])
     diameter = model_diameter(cloud)
 
@@ -335,17 +327,14 @@ def cmd_eval(args) -> int:
         names += ["add_s", "add_s_correct"]
     columns = {n: [getattr(r, n) for r in records] for n in names}
     os.makedirs(cfg["out"], exist_ok=True)
-    write_atomic(os.path.join(cfg["out"], "records.csv"), csv_text(
+    _output(outputs, write_atomic, os.path.join(cfg["out"], "records.csv"), csv_text(
         ["scene", *columns], [np.arange(len(records)), *columns.values()]))
     summary = {"scenes": len(records), "failed": sum(r is _FAILED for r in records),
                "diameter": diameter}
     # an accuracy per flag column: add, proj, and add_s for a symmetric model
     summary.update((n.removesuffix("_correct") + "_accuracy", float(np.mean(c)))
                    for n, c in columns.items() if n.endswith("_correct"))
-    write_json(os.path.join(cfg["out"], "summary.json"), summary)
-    outputs = [os.path.join(cfg["out"], f) for f in ("records.csv", "summary.json")]
-    _write_manifest(cfg["out"], "eval", cfg, [cfg["seed"]], outputs, t0)
-    return 0
+    _output(outputs, write_json, os.path.join(cfg["out"], "summary.json"), summary)
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +359,10 @@ def _trace_columns(path) -> dict:
     return {name: data[:, i] for i, name in enumerate(names)}
 
 
-def cmd_report(args) -> int:
-    t0 = time.monotonic()
-    cfg = _settings(args, "traces", "out")
+def cmd_report(cfg, seeds, outputs):
+    thr = cfg["lpv_threshold"]
+    if not thr >= 0:  # NaN, or a distance no trace can reach
+        raise UsageError(f"--lpv-threshold must be >= 0, got {thr}")
 
     found = []  # (path, match of its file name) per trace
     for p in cfg["traces"]:
@@ -408,7 +398,7 @@ def cmd_report(args) -> int:
 
     os.makedirs(cfg["out"], exist_ok=True)
     labels = sorted(traces)
-    write_atomic(os.path.join(cfg["out"], "curves.csv"), csv_text(
+    _output(outputs, write_atomic, os.path.join(cfg["out"], "curves.csv"), csv_text(
         ["iter", *(f"{lab}_l_pv" for lab in labels)],
         [traces[labels[0]]["iter"].astype(int), *(traces[lab]["l_pv"] for lab in labels)]))
 
@@ -417,7 +407,6 @@ def cmd_report(args) -> int:
     by_mode = {}
     for lab in labels:
         by_mode.setdefault(modes[lab], []).append(traces[lab])
-    thr = cfg["lpv_threshold"]
     table = ["mode  n_traces  median_final_l_pv  median_final_proxy  median_iters_to_threshold"]
     report = {}
     for mode in sorted(by_mode):
@@ -434,11 +423,9 @@ def cmd_report(args) -> int:
         table.append(f"{mode}  {r['n_traces']}  {r['median_final_l_pv']:.6g}  "
                      f"{r['median_final_mean_proxy_dist']:.6g}  "
                      f"{r['median_iters_to_threshold']:.6g}")
-    write_atomic(os.path.join(cfg["out"], "report.txt"), "\n".join(table) + "\n")
-    write_json(os.path.join(cfg["out"], "report.json"), report)
-    outputs = [os.path.join(cfg["out"], f) for f in ("curves.csv", "report.txt", "report.json")]
-    _write_manifest(cfg["out"], "report", cfg, [], outputs, t0)
-    return 0
+    _output(outputs, write_atomic, os.path.join(cfg["out"], "report.txt"),
+            "\n".join(table) + "\n")
+    _output(outputs, write_json, os.path.join(cfg["out"], "report.json"), report)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--z-min", dest="z_min", type=float, default=PoseRanges.z_range[0])
     g.add_argument("--z-max", dest="z_max", type=float, default=PoseRanges.z_range[1])
     g.add_argument("--margin", type=float, default=PoseRanges.margin)
-    g.set_defaults(func=cmd_gen)
+    g.set_defaults(func=cmd_gen, needs=("model", "out"))
 
     t = sub.add_parser("train", help="fit vector fields to scenes")
     add_common(t)
@@ -497,14 +484,14 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--beta0", type=float, default=TrainConfig.beta0)
     t.add_argument("--beta-cap", dest="beta_cap", type=float, default=TrainConfig.beta_cap)
     t.add_argument("--scene-limit", dest="scene_limit", type=int, default=0, help="0 = all")
-    t.set_defaults(func=cmd_train)
+    t.set_defaults(func=cmd_train, needs=("scenes", "out"))
 
     v = sub.add_parser("vote", help="vote keypoints from stored scene fields")
     add_common(v)
     v.add_argument("--scenes")
     v.add_argument("--out")
     add_voting(v)
-    v.set_defaults(func=cmd_vote)
+    v.set_defaults(func=cmd_vote, needs=("scenes", "out"))
 
     e = sub.add_parser("eval", help="vote, solve poses and score them")
     add_common(e)
@@ -513,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--out")
     e.add_argument("--symmetric", action="store_true")
     add_voting(e)
-    e.set_defaults(func=cmd_eval)
+    e.set_defaults(func=cmd_eval, needs=("scenes", "model", "out"))
 
     r = sub.add_parser("report", help="merge traces into an ablation report")
     add_common(r)
@@ -522,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--lpv-threshold", dest="lpv_threshold", type=float, default=1.0,
                    help="mean proxy distance, px, for iterations-to-threshold: the first "
                         "iteration whose traced mean_proxy_dist is at or below it")
-    r.set_defaults(func=cmd_report)
+    r.set_defaults(func=cmd_report, needs=("traces", "out"))
 
     return parser
 
@@ -538,7 +525,20 @@ def main(argv=None) -> int:
             sub = next(a for a in parser._actions if a.dest == "command").choices[args.command]
             sub.set_defaults(**_config_defaults(args.config, sub))
             args = parser.parse_args(argv)
-        return args.func(args)
+        cfg = _settings(args)
+        seed_key = next((k for k in ("seeds", "seed") if k in cfg), None)
+        seeds = _parse_seeds(cfg[seed_key]) if seed_key else []
+        out_dir = _claim(args.command, cfg["out"])
+        t0, outputs = time.monotonic(), []
+        try:
+            args.func(cfg, seeds, outputs)
+        except _RUN_ERRORS as e:
+            # what the run wrote before it failed stays on disk: record it and why
+            if not isinstance(e, UsageError) and os.path.isdir(out_dir):
+                _write_manifest(out_dir, args.command, cfg, seeds, outputs, t0, error=str(e))
+            raise
+        _write_manifest(out_dir, args.command, cfg, seeds, outputs, t0)
+        return 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

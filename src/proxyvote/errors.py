@@ -23,7 +23,8 @@ class InsufficientSupportError(ProxyVoteError, ValueError):
 
 class NoValidHypothesisError(ProxyVoteError, RuntimeError):
     """No sampled pixel pair formed a hypothesis: each pair was one pixel
-    twice, or had parallel directions or one shorter than EPS_NORM."""
+    twice, had parallel directions or one shorter than EPS_NORM, or had
+    rays that met behind a pixel."""
 
 
 class TooFewPointsError(ProxyVoteError, ValueError):

@@ -163,14 +163,15 @@ def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
     init. Returns the fitted (K, M, 2) stack and the trace.
     """
     mask = sample.mask
-    pts = pixel_centers(mask)
+    pts = xy = pixel_centers(mask)
     n_masked = max(len(pts), 1)
-    std = pts.std(axis=0)  # a coordinate that all centres share is divided by 1
-    xy = (pts - pts.mean(axis=0)) / np.where(std > 0, std, 1.0)
+    if len(pts):  # an empty mask has no centre; its fit is the empty field
+        std = pts.std(axis=0)  # a coordinate that all centres share is divided by 1
+        xy = (pts - pts.mean(axis=0)) / np.where(std > 0, std, 1.0)
     phi = np.vstack([np.ones(len(pts)), xy.T])  # (3, M): 1, x̃, ỹ
 
     x0 = planar(np.asarray(init, dtype=float))  # (2, K, M)
-    coef = np.linalg.lstsq(phi.T, x0.reshape(-1, len(pts)).T, rcond=None)[0]
+    coef = np.linalg.lstsq(phi.T, x0.reshape(2 * x0.shape[1], len(pts)).T, rcond=None)[0]
     coef = coef.T.reshape(x0.shape[:2] + (3,))  # (2, K, 3)
     gt = planar(sample.fields)
     off = planar(sample.keypoints2[:, None, :] - pts)  # k - p

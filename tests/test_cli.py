@@ -364,6 +364,18 @@ class TestGen:
             ref = np.array([[f[i, j] for i, j in cells] for f in fields])
             assert np.array_equal(np.load(d / "fields.npy").view(np.uint64), ref.view(np.uint64))
 
+    def test_failure_manifest_lists_only_the_scenes_written(self, model_file, tmp_path,
+                                                            capsys):
+        out = tmp_path / "set"
+        out.mkdir()
+        (out / "sample_001").write_text("")  # where gen writes its second scene
+        assert main(["gen", "--model", model_file, "--out", str(out), "--n", "2",
+                     "--z-min", "0.45", "--z-max", "0.7"]) == 1
+        err = capsys.readouterr().err
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["outputs"] == [str(out / "sample_000")]
+        assert f"error: {doc['error']}\n" == err and "sample_001" in err
+
     def test_missing_model_is_usage_error(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "x")]) == 2
 
@@ -457,6 +469,12 @@ class TestVote:
         assert sorted(os.listdir(scenes)) == ["manifest.json", "sample_000"]
         (tmp_path / "manifest.json").write_text("[]\n")  # JSON, but not a manifest
         assert main(["vote", "--scenes", str(scenes), "--out", str(tmp_path / "v.csv")]) == 2
+        capsys.readouterr()
+        (tmp_path / "manifest.json").write_text("not json\n")  # named, not a JSON error
+        assert main(["vote", "--scenes", str(scenes), "--out", str(tmp_path / "v.csv")]) == 2
+        assert capsys.readouterr().err == (f"usage error: {tmp_path / 'manifest.json'} is not "
+                                           "a vote manifest; write --out to a directory of "
+                                           "its own\n")
 
     def test_out_that_is_a_directory_leaves_no_temp_file(self, scenes_dir, tmp_path, capsys):
         out = tmp_path / "votes.csv"
@@ -1015,6 +1033,22 @@ class TestTrainAndReport:
             rep = json.loads((out / "report.json").read_text())["vf_only"]
             assert rep["median_iters_to_threshold"] == want
 
+    @pytest.mark.parametrize("value", ["nan", "-0.5", "-inf"])
+    def test_threshold_no_trace_can_reach_is_usage_error(self, train_dir, tmp_path, capsys,
+                                                         value):
+        out = tmp_path / "r"
+        assert main(["report", "--traces", train_dir, "--out", str(out),
+                     f"--lpv-threshold={value}"]) == 2
+        assert "usage error: --lpv-threshold" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_threshold_is_reached_at_once(self, train_dir, tmp_path):
+        out = tmp_path / "r"
+        assert main(["report", "--traces", train_dir, "--out", str(out),
+                     "--lpv-threshold", "inf"]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert {r["median_iters_to_threshold"] for r in rep.values()} == {0.0}
+
     def test_report_reads_a_one_row_trace(self, tmp_path):
         trace = tmp_path / "trace_scene000_vf_only_seed0.csv"
         trace.write_text("iter,l_vf,l_pv,mean_proxy_dist,alpha,beta\n0,1.5,0.25,3.0,1.0,0.001\n")
@@ -1022,6 +1056,38 @@ class TestTrainAndReport:
         assert main(["report", "--traces", str(trace), "--out", str(out)]) == 0
         assert (out / "curves.csv").read_text() == "iter,scene000_vf_only_seed0_l_pv\n0,0.25\n"
         assert json.loads((out / "report.json").read_text())["vf_only"]["n_traces"] == 1
+
+
+def _tree(d) -> dict:
+    """Every path under d, relative to d, with its bytes; None for a directory."""
+    return {p.relative_to(d): None if p.is_dir() else p.read_bytes() for p in d.rglob("*")}
+
+
+class TestManifestClaim:
+    """A run's manifest.json would replace the one in its output directory:
+    main refuses one of another command before the run reads or writes."""
+
+    @pytest.mark.parametrize("command", ["gen", "train", "eval", "report"])
+    def test_out_holding_another_commands_manifest_is_usage_error(
+            self, model_file, scenes_dir, train_dir, tmp_path, capsys, command):
+        scenes, traces = tmp_path / "scenes", tmp_path / "train"
+        shutil.copytree(scenes_dir, scenes)
+        shutil.copytree(train_dir, traces)
+        argv = {"gen": ["gen", "--model", model_file, "--n", "1", "--z-min", "0.45",
+                        "--z-max", "0.7"],
+                "train": ["train", "--scenes", str(scenes), "--iters", "5",
+                          "--scene-limit", "1"],
+                "eval": ["eval", "--scenes", str(scenes), "--model", model_file],
+                "report": ["report", "--traces", str(traces)]}[command]
+        other = traces if command == "gen" else scenes
+        before = _tree(other)
+        assert main(argv + ["--out", str(other)]) == 2
+        assert capsys.readouterr().err == (f"usage error: {other / 'manifest.json'} is not "
+                                           f"a {command} manifest; write --out to a "
+                                           "directory of its own\n")
+        assert _tree(other) == before
+        for _ in range(2):  # a rerun into its own directory
+            assert main(argv + ["--out", str(tmp_path / "own")]) == 0
 
 
 # run in a fresh interpreter: imports the package, runs each command and

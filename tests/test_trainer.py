@@ -210,6 +210,17 @@ class TestFitField:
             fit_field(scene, init, short_cfg(iterations=10))
         assert len(exc.value.trace.iters) >= 1
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_empty_mask_fits_the_empty_field(self, scene, mode):
+        # a scene that occlusion emptied: no warning (the suite makes one an
+        # error), zero losses and every keypoint failed
+        empty = replace(scene, mask=np.zeros_like(scene.mask), fields=scene.fields[:, :0])
+        init = random_init_field(empty, substream(0, "init"))
+        fields, trace = fit_field(empty, init, short_cfg(iterations=3, mode=mode))
+        assert fields.shape == (8, 0, 2)
+        assert not (trace.l_vf.any() or trace.l_pv.any() or trace.mean_proxy_dist.any())
+        assert np.array_equal(trace.keypoint_errors, np.full(8, np.inf))
+
     def test_lr_decay_flag(self, scene):
         from proxyvote.trainer import _decayed_lr
 
