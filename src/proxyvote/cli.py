@@ -16,16 +16,18 @@ vote's --out file, before the command reads anything. The command adds
 each path to its outputs once the path is written; main then writes
 the manifest there, also when the run fails with an exit-1 error once
 that directory exists: it lists the outputs written so far and holds
-the message under an "error" key.
+the message under an "error" key. A run that fails before writing
+anything keeps a manifest already there, an earlier run's.
 
-Exit codes: 0 success, 1 runtime/I/O failure, 2 usage error (a missing
-or out-of-range value, such as a negative seed, a --mode list that
-names no mode, a --mode or --seeds list that names one twice, an
-unparseable --config file, a --config value of the wrong type, or an
-output directory whose manifest.json is not a JSON object naming this
-command). A usage error writes no manifest. A keypoint or pose that
-fails in vote or eval is a recorded row and a warning, not a failure
-of the run.
+Exit codes: 0 success, 1 a ProxyVoteError or an OSError, 2 usage error
+(a missing or out-of-range value, such as a negative seed, a --mode list
+that names no mode, a --mode or --seeds list that names one twice, an
+unparseable --config file, a --config value of the wrong type, one past
+the largest float or a string holding a NUL, or an output directory
+whose manifest.json is not a JSON object naming this command). Any other
+exception is a bug and propagates. A usage error writes no manifest. A
+keypoint or pose that fails in vote or eval is a recorded row and a
+warning, not a failure of the run.
 """
 
 from __future__ import annotations
@@ -40,24 +42,24 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import AlignmentError, ProxyVoteError
+from .errors import ModelLoadError, ProxyVoteError
 from .geometry import Intrinsics
 from .metrics import EvalRecord, evaluate
 from .model_tools import farthest_point_sampling, load_model, model_diameter
 from .pnp import solve_epnp
-from .synth import (NoiseSpec, PoseRanges, _load_csv, corrupt, csv_text, load_scene,
-                    make_scene, sample_pose, save_scene, write_atomic, write_json)
+from .synth import (NoiseSpec, PoseRanges, _load_csv, _read_text, corrupt, csv_text,
+                    load_scene, make_scene, sample_pose, save_scene, write_atomic, write_json)
 from .trainer import (TrainConfig, keypoint_errors, run_experiment, subseed, substream,
                       vote_keypoints)
 from .voting import VotingConfig
 
 
-class UsageError(ProxyVoteError):
+class UsageError(Exception):
     pass
 
 
-# the failures of a run that main reports as exit 1
-_RUN_ERRORS = (ProxyVoteError, OSError, ValueError)
+# the failures of a run that main reports as exit 1; any other is a bug
+_RUN_ERRORS = (ProxyVoteError, OSError)
 
 
 def _version() -> str:
@@ -110,8 +112,14 @@ def _config_defaults(path, parser) -> dict:
         if not ok:
             names = " or ".join("list of str" if t is list else t.__name__ for t in types)
             raise UsageError(f"config key {key!r} must be {names}, got {value!r}")
+        items = value if isinstance(value, list) else [value]
+        if any(isinstance(v, str) and "\0" in v for v in items):  # no path holds one
+            raise UsageError(f"config key {key!r} holds a NUL character")
         if action.type is float and value is not None:
-            cfg[key] = float(value)
+            try:
+                cfg[key] = float(value)
+            except OverflowError:  # an integer past the largest float
+                raise UsageError(f"config key {key!r} is too large for a float") from None
         elif action.nargs == 0:
             cfg[key] = bool(value)
     return cfg
@@ -348,14 +356,13 @@ _TRACE_NEEDS = ("iter", "l_pv", "mean_proxy_dist")
 
 def _trace_columns(path) -> dict:
     """The columns of a trace CSV by header name."""
-    with open(path) as f:
-        names = f.readline().rstrip("\n").split(",")
+    names = _read_text(path).partition("\n")[0].split(",")
     missing = [c for c in _TRACE_NEEDS if c not in names]
     if missing:
-        raise ValueError(f"{path}: no {', '.join(missing)} column")
+        raise ModelLoadError(f"{path}: no {', '.join(missing)} column")
     data = _load_csv(path, len(names))
     if not len(data):
-        raise ValueError(f"{path}: no rows")
+        raise ModelLoadError(f"{path}: no rows")
     return {name: data[:, i] for i, name in enumerate(names)}
 
 
@@ -372,8 +379,8 @@ def cmd_report(cfg, seeds, outputs):
         elif m := _TRACE_RE.fullmatch(os.path.basename(p)):
             found.append((p, m))
         else:  # the mode comes from the name
-            raise ValueError(f"{p}: not a trace name that train writes, "
-                             "trace_scene###_<mode>_seed<seed>.csv")
+            raise ModelLoadError(f"{p}: not a trace name that train writes, "
+                                 "trace_scene###_<mode>_seed<seed>.csv")
     if not found:
         raise FileNotFoundError("no trace CSV files found")
 
@@ -393,7 +400,7 @@ def cmd_report(cfg, seeds, outputs):
         if length is None:
             length = rows
         elif rows != length:
-            raise AlignmentError(f"trace {p} has {rows} rows, expected {length}")
+            raise ModelLoadError(f"trace {p} has {rows} rows, expected {length}")
         traces[label] = data
 
     os.makedirs(cfg["out"], exist_ok=True)
@@ -533,8 +540,10 @@ def main(argv=None) -> int:
         try:
             args.func(cfg, seeds, outputs)
         except _RUN_ERRORS as e:
-            # what the run wrote before it failed stays on disk: record it and why
-            if not isinstance(e, UsageError) and os.path.isdir(out_dir):
+            # what the run wrote before it failed stays on disk: record it and
+            # why, but keep an earlier run's manifest where this one wrote nothing
+            manifest = os.path.join(out_dir, "manifest.json")
+            if outputs or (os.path.isdir(out_dir) and not os.path.exists(manifest)):
                 _write_manifest(out_dir, args.command, cfg, seeds, outputs, t0, error=str(e))
             raise
         _write_manifest(out_dir, args.command, cfg, seeds, outputs, t0)

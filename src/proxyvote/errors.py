@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A caller catches ProxyVoteError: vote and eval record a keypoint or pose
+that raises one as a failed row, and the CLI reports one as exit 1. The
+subclasses are kept where a type says more than the message: a
+DegenerateInputError is also a ValueError, a ModelLoadError names the
+file it could not read, and a DivergenceError carries the trace so far.
+"""
 
 
 class ProxyVoteError(Exception):
@@ -6,41 +13,15 @@ class ProxyVoteError(Exception):
 
 
 class DegenerateInputError(ProxyVoteError, ValueError):
-    """Input is geometrically degenerate (coincident points, near-zero direction)."""
-
-
-class DimensionMismatchError(ProxyVoteError, ValueError):
-    """Array shapes of paired inputs do not agree."""
-
-
-class BehindCameraError(ProxyVoteError, ValueError):
-    """A point has non-positive depth in the camera frame."""
-
-
-class InsufficientSupportError(ProxyVoteError, ValueError):
-    """Too few masked pixels (or points) to run the operation."""
-
-
-class NoValidHypothesisError(ProxyVoteError, RuntimeError):
-    """No sampled pixel pair formed a hypothesis: each pair was one pixel
-    twice, had parallel directions or one shorter than EPS_NORM, or had
-    rays that met behind a pixel."""
-
-
-class TooFewPointsError(ProxyVoteError, ValueError):
-    """Fewer correspondences / points than the solver requires."""
-
-
-class DegenerateConfigurationError(ProxyVoteError, ValueError):
-    """Point configuration is rank-deficient for the solver."""
+    """Input that cannot support the computation: coincident or too few
+    points, a near-zero direction, a point behind the camera, mismatched
+    shapes, pose ranges no pose fits, or no sampled pixel pair that forms a
+    hypothesis (each pair was one pixel twice, had parallel directions or
+    one shorter than EPS_NORM, or had rays that met behind a pixel)."""
 
 
 class ModelLoadError(ProxyVoteError, ValueError):
-    """A model file failed to parse; message carries the offending line."""
-
-
-class ConfigurationError(ProxyVoteError, ValueError):
-    """A configuration cannot be satisfied (e.g. pose sampling rejection limit)."""
+    """An input file failed to parse or check; the message names the file."""
 
 
 class DivergenceError(ProxyVoteError, RuntimeError):
@@ -49,7 +30,3 @@ class DivergenceError(ProxyVoteError, RuntimeError):
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
-
-
-class AlignmentError(ProxyVoteError, ValueError):
-    """Trace files to be merged have mismatched lengths."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCameraError, DegenerateInputError
+from .errors import DegenerateInputError
 
 # Direction vectors shorter than this are treated as degenerate.
 EPS_NORM = 1e-8
@@ -81,7 +81,7 @@ def project(pose: Pose, intr: Intrinsics, points):
     cam = pose.apply(points)
     z = cam[..., 2]
     if np.any(z <= 0):
-        raise BehindCameraError("point has non-positive camera-frame depth")
+        raise DegenerateInputError("point has non-positive camera-frame depth")
     x = intr.fx * cam[..., 0] / z + intr.cx
     y = intr.fy * cam[..., 1] / z + intr.cy
     return np.stack([x, y], axis=-1)

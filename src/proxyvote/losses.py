@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DegenerateInputError
 from .geometry import EPS_NORM, pixel_centers
 
 
@@ -156,7 +156,7 @@ def planar(a):
 
 def _check_dims(a, b, what):
     if a.shape[:2] != b.shape[:2]:
-        raise DimensionMismatchError(f"{what}: {a.shape} vs {b.shape}")
+        raise DegenerateInputError(f"{what}: {a.shape} vs {b.shape}")
 
 
 def _scatter(mask, values):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSupportError
+from .errors import DegenerateInputError
 from .geometry import Intrinsics, Pose, project
 from .model_tools import ModelCloud
 
@@ -37,7 +37,7 @@ def add_score(gt: Pose, est: Pose, points) -> float:
     """Mean 3D distance between model points under the two poses."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) == 0:
-        raise InsufficientSupportError("empty point set")
+        raise DegenerateInputError("empty point set")
     d = np.linalg.norm(gt.apply(pts) - est.apply(pts), axis=-1)
     return float(np.mean(d))
 
@@ -47,7 +47,7 @@ def add_s_score(gt: Pose, est: Pose, points) -> float:
     points of the distance to the nearest estimated-pose point."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) == 0:
-        raise InsufficientSupportError("empty point set")
+        raise DegenerateInputError("empty point set")
     from scipy.spatial import cKDTree  # lazy: a 0.5 s import only eval --symmetric needs
 
     d, _ = cKDTree(est.apply(pts)).query(gt.apply(pts), k=1)
@@ -58,7 +58,7 @@ def proj2d_error(gt: Pose, est: Pose, points, intr: Intrinsics) -> float:
     """Mean pixel distance between projections under the two poses."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) == 0:
-        raise InsufficientSupportError("empty point set")
+        raise DegenerateInputError("empty point set")
     d = np.linalg.norm(project(gt, intr, pts) - project(est, intr, pts), axis=-1)
     return float(np.mean(d))
 

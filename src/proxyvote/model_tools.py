@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientSupportError, ModelLoadError
+from .errors import DegenerateInputError, ModelLoadError
 
 DIAMETER_SUBSAMPLE = 5000
 _DIAMETER_BLOCK = 1 << 16  # cells per block of model_diameter's pair search
@@ -141,7 +141,7 @@ def farthest_point_sampling(cloud: ModelCloud, n: int) -> np.ndarray:
     """
     pts = cloud.points
     if n > len(pts):
-        raise InsufficientSupportError(f"n={n} exceeds cloud size {len(pts)}")
+        raise DegenerateInputError(f"n={n} exceeds cloud size {len(pts)}")
     if n < 1:
         raise ValueError("n must be >= 1")
     start = int(np.argmax(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))
@@ -204,5 +204,5 @@ def model_diameter(cloud: ModelCloud) -> float:
                for i in range(0, len(kept), rows))
     diameter = float(np.sqrt(best))
     if diameter == 0.0:
-        raise InsufficientSupportError("need two distinct points for a diameter")
+        raise DegenerateInputError("need two distinct points for a diameter")
     return diameter

@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .errors import DegenerateConfigurationError, TooFewPointsError
+from .errors import DegenerateInputError
 from .geometry import Intrinsics, Pose, project
 
 # eigenvalue ratio below which the cloud is treated as planar
@@ -52,7 +52,7 @@ def _control_points(Pw):
     cov = centered.T @ centered / len(Pw)
     evals, evecs = np.linalg.eigh(cov)  # ascending
     if evals[-1] <= 0:
-        raise DegenerateConfigurationError("all object points coincide")
+        raise DegenerateInputError("all object points coincide")
     # the centroid and the n leading principal axes, n = 2 if planar: only
     # their eigenvalues are rooted, as a planar cloud's smallest may be < 0
     n = 2 if evals[0] < _PLANAR_EIG_RATIO * evals[-1] else 3
@@ -114,9 +114,9 @@ def solve_epnp(object_points, image_points, intr: Intrinsics) -> Pose:
     Pw = np.asarray(object_points, dtype=float).reshape(-1, 3)
     U = np.asarray(image_points, dtype=float).reshape(-1, 2)
     if len(Pw) != len(U):
-        raise TooFewPointsError("mismatched correspondence counts")
+        raise DegenerateInputError("mismatched correspondence counts")
     if len(Pw) < 4:
-        raise TooFewPointsError(f"need >= 4 correspondences, got {len(Pw)}")
+        raise DegenerateInputError(f"need >= 4 correspondences, got {len(Pw)}")
 
     C = _control_points(Pw)
     nc = len(C)
@@ -160,5 +160,5 @@ def solve_epnp(object_points, image_points, intr: Intrinsics) -> Pose:
             best = (err, pose)
 
     if best is None:
-        raise DegenerateConfigurationError("no valid scale case produced a pose")
+        raise DegenerateInputError("no valid scale case produced a pose")
     return best[1]

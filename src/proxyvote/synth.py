@@ -33,7 +33,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import ConfigurationError, ModelLoadError
+from .errors import DegenerateInputError, ModelLoadError
 from .geometry import Intrinsics, Pose, pixel_centers, project
 from .model_tools import ModelCloud
 
@@ -125,7 +125,7 @@ def sample_pose(rng: np.random.Generator, ranges: PoseRanges, cloud: ModelCloud,
         if (proj[:, 0] >= m).all() and (proj[:, 0] <= width - m).all() \
                 and (proj[:, 1] >= m).all() and (proj[:, 1] <= height - m).all():
             return pose
-    raise ConfigurationError("pose sampling failed after 1000 rejections")
+    raise DegenerateInputError("pose sampling failed after 1000 rejections")
 
 
 def _splat_mask(proj, width, height, radius=SPLAT_RADIUS) -> np.ndarray:
@@ -283,10 +283,18 @@ def save_scene(directory, sample: SceneSample):
     write_atomic(os.path.join(directory, "fields.npy"), npy.getvalue())
 
 
+def _read_text(path) -> str:
+    """The text of the file at path; ModelLoadError naming it if it does not decode."""
+    try:
+        with open(path) as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise ModelLoadError(f"{path}: {e}") from None
+
+
 def _load_pgm(path):
     """Mask (value > 0) of a P2 PGM: any line wrapping, # comments, values past w·h ignored."""
-    with open(path) as f:
-        text = f.read()
+    text = _read_text(path)
     if "#" in text:
         text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
     head = text.split(maxsplit=4)
@@ -308,8 +316,7 @@ def _load_pgm(path):
 
 def _load_csv(path, columns) -> np.ndarray:
     """(M, columns) floats of a comma-separated file below its header line."""
-    with open(path) as f:
-        rows = f.read().splitlines()[1:]
+    rows = _read_text(path).splitlines()[1:]
     # checked per row: a long row and a short one keep the total token count
     if set(map(str.count, rows, repeat(","))) - {columns - 1}:
         raise ModelLoadError(f"{path}: expected {columns} columns per row")

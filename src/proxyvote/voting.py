@@ -128,7 +128,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSupportError, NoValidHypothesisError
+from .errors import DegenerateInputError
 from .geometry import EPS_NORM, EPS_PARALLEL, pixel_centers
 
 
@@ -369,15 +369,15 @@ class SceneVote:
         if self._pass is None:
             pts = pixel_centers(self.mask)
             if len(pts) < 2:
-                raise InsufficientSupportError(f"need >= 2 masked pixels, got {len(pts)}")
+                raise DegenerateInputError(f"need >= 2 masked pixels, got {len(pts)}")
             units = _units(np.asarray(self.fields, dtype=float))
             self._pass = pts, units, _hypotheses(pts, units, self.cfg)
         pts, units, hyps = self._pass
         hyps = hyps[k]
         if len(hyps) == 0:
-            raise NoValidHypothesisError("no sampled pixel pair formed a hypothesis: each was "
-                                         "one pixel twice, parallel, met behind a pixel or had "
-                                         "a direction shorter than EPS_NORM")
+            raise DegenerateInputError("no sampled pixel pair formed a hypothesis: each was "
+                                       "one pixel twice, parallel, met behind a pixel or had "
+                                       "a direction shorter than EPS_NORM")
         threshold = self.cfg.inlier_cos_threshold
         voters = _voters(pts, units[k], threshold)
         n_voters = len(voters[0])

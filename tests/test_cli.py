@@ -13,8 +13,7 @@ import pytest
 from oracles import oracle_corrupt
 from proxyvote import cli, trainer
 from proxyvote.cli import _parse_seeds, main
-from proxyvote.errors import (DegenerateConfigurationError, DivergenceError,
-                              NoValidHypothesisError)
+from proxyvote.errors import DegenerateInputError, DivergenceError
 from proxyvote.metrics import evaluate
 from proxyvote.model_tools import load_model, model_diameter
 from proxyvote.pnp import solve_epnp
@@ -140,6 +139,11 @@ class TestConfigTypes:
         ("train", "lr_decay", "no"),
         ("eval", "symmetric", "yes"),
         ("report", "traces", "runs"),
+        pytest.param("gen", "fx", 10 ** 400, id="gen-fx-int_past_the_largest_float"),
+        # no system call takes a path with a NUL in it
+        pytest.param("gen", "model", "cube\0.ply", id="gen-model-nul"),
+        pytest.param("gen", "out", "x\0y", id="gen-out-nul"),
+        pytest.param("report", "traces", ["x\0y"], id="report-traces-nul"),
     ])
     def test_wrong_type_is_usage_error(self, tmp_path, model_file, capsys, command, key, value):
         out = tmp_path / "out"
@@ -152,7 +156,7 @@ class TestConfigTypes:
         assert main([command, "--config", str(cfg), "--out", str(out)] + flags) == 2
         err = capsys.readouterr().err
         assert "usage error" in err and repr(key) in err
-        assert not out.exists()
+        assert os.listdir(tmp_path) == ["c.json"]
 
     @pytest.mark.parametrize("doc", [[], 5])
     def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, model_file, doc):
@@ -497,13 +501,18 @@ class TestVote:
         ("pose.json", lambda doc: json.dumps({**json.loads(doc),
                                               "rotation": json.loads(doc)["rotation"][:8]})),
         ("mask.pgm", lambda pgm: pgm.replace("\n64 64\n", "\n-1 -1\n", 1)),
-    ], ids=["pose_without_fx", "pose_with_8_rotation_values", "mask_of_negative_size"])
+        ("mask.pgm", lambda pgm: "\udcff" + pgm),
+        ("keypoints.csv", lambda csv: "\udcff" + csv),
+        ("pose.json", lambda doc: "\udcff" + doc),
+    ], ids=["pose_without_fx", "pose_with_8_rotation_values", "mask_of_negative_size",
+            "mask_not_utf8", "keypoints_not_utf8", "pose_not_utf8"])
     def test_bad_pose_or_mask_file_is_reported(self, scenes_dir, tmp_path, capsys, name, damage):
         # exit 1 with an error naming the file, not a traceback or a bare numpy message
         scenes = tmp_path / "scenes"
         shutil.copytree(os.path.join(scenes_dir, "sample_000"), scenes / "sample_000")
         path = scenes / "sample_000" / name
-        path.write_text(damage(path.read_text()))
+        # "\udcff" is written as the byte 0xff, which no UTF-8 text holds
+        path.write_bytes(damage(path.read_text()).encode(errors="surrogateescape"))
         assert main(["vote", "--scenes", str(scenes), "--out", str(tmp_path / "v.csv")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
@@ -512,7 +521,7 @@ class TestVote:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["vote", "--scenes", scenes_dir, "--out", str(a)]) == 0
         failing_once(monkeypatch, trainer, "vote_keypoint",
-                     NoValidHypothesisError("no pair"), at=8 + 3)
+                     DegenerateInputError("no pair"), at=8 + 3)
         assert main(["vote", "--scenes", scenes_dir, "--out", str(b)]) == 0
         assert "warning: scene 1: keypoint 3: no pair" in capsys.readouterr().err
         want, got = a.read_text().splitlines(), b.read_text().splitlines()
@@ -524,6 +533,15 @@ class TestVote:
         failing_once(monkeypatch, trainer, "vote_keypoint", TypeError("bug"), at=0)
         with pytest.raises(TypeError):
             main(["vote", "--scenes", scenes_dir, "--out", str(tmp_path / "v.csv")])
+
+    def test_value_error_bug_propagates(self, scenes_dir, tmp_path, monkeypatch):
+        # a ValueError is no package error: not exit 1, and no failure manifest
+        out = tmp_path / "v"
+        out.mkdir()
+        failing_once(monkeypatch, cli, "keypoint_errors", ValueError("bug"), at=0)
+        with pytest.raises(ValueError, match="^bug$"):
+            main(["vote", "--scenes", scenes_dir, "--out", str(out / "votes.csv")])
+        assert os.listdir(out) == []
 
     def test_missing_scenes_dir(self, tmp_path):
         assert main(["vote", "--scenes", str(tmp_path / "none"),
@@ -571,11 +589,11 @@ class TestEval:
         _assert_same_outputs(a, b)
 
     @pytest.mark.parametrize("module, name, exc, at", [
-        pytest.param(cli, "solve_epnp", DegenerateConfigurationError("rank-deficient"), 0,
+        pytest.param(cli, "solve_epnp", DegenerateInputError("rank-deficient"), 0,
                      id="pose-error"),
         pytest.param(cli, "solve_epnp", np.linalg.LinAlgError("singular"), 0,
                      id="pose-linalg-error"),
-        pytest.param(trainer, "vote_keypoint", NoValidHypothesisError("no pair"), 2,
+        pytest.param(trainer, "vote_keypoint", DegenerateInputError("no pair"), 2,
                      id="keypoint-error")])
     def test_pose_failure_is_recorded(self, scenes_dir, model_file, tmp_path, monkeypatch,
                                       capsys, module, name, exc, at):
@@ -998,7 +1016,7 @@ class TestTrainAndReport:
         assert rc == 1
 
     @pytest.mark.parametrize("damage", ["missing_column", "ragged_row", "short_row",
-                                        "non_numeric", "header_only"])
+                                        "non_numeric", "header_only", "not_utf8"])
     def test_report_bad_trace_names_the_file(self, train_dir, tmp_path, capsys, damage):
         lines = open(os.path.join(train_dir, "trace_scene000_vf_only_seed0.csv")).read()
         lines = lines.splitlines()
@@ -1011,10 +1029,12 @@ class TestTrainAndReport:
             lines[7] = lines[7].rsplit(",", 1)[0]
         elif damage == "non_numeric":
             lines[3] = lines[3].replace(",", ",x", 1)
+        elif damage == "not_utf8":  # written as the byte 0xff, which no UTF-8 text holds
+            lines[1] = "\udcff" + lines[1]
         else:
             lines = lines[:1]
         bad = tmp_path / "trace_scene000_vf_only_seed3.csv"
-        bad.write_text("\n".join(lines) + "\n")
+        bad.write_bytes(("\n".join(lines) + "\n").encode(errors="surrogateescape"))
         assert main(["report", "--traces", str(bad), "--out", str(tmp_path / "r")]) == 1
         assert str(bad) in capsys.readouterr().err
 
@@ -1089,6 +1109,22 @@ class TestManifestClaim:
         for _ in range(2):  # a rerun into its own directory
             assert main(argv + ["--out", str(tmp_path / "own")]) == 0
 
+    def test_failed_rerun_that_wrote_nothing_keeps_the_manifest(self, model_file, tmp_path,
+                                                                 capsys):
+        out = tmp_path / "g"
+        argv = ["gen", "--out", str(out), "--n", "2", "--z-min", "0.45", "--z-max", "0.7"]
+        assert main(argv + ["--model", model_file]) == 0
+        before = _tree(out)
+        assert main(argv + ["--model", str(tmp_path / "nosuch.ply")]) == 1
+        assert "nosuch.ply" in capsys.readouterr().err
+        assert _tree(out) == before
+        # a rerun that fails after writing a scene records that it failed
+        (out / "sample_002").write_text("")
+        assert main(argv + ["--model", model_file, "--n", "3"]) == 1
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["outputs"] == [str(out / "sample_000"), str(out / "sample_001")]
+        assert "sample_002" in doc["error"]
+
 
 # run in a fresh interpreter: imports the package, runs each command and
 # prints, per step, its exit code and whether any scipy module is loaded
@@ -1114,10 +1150,16 @@ for argv in steps:
 """
 
 
-def test_only_eval_loads_scipy(model_file, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+def _env(pytestconfig) -> dict:
+    """The environment of a fresh interpreter that imports the package from
+    this tree and turns warnings into errors as pytest's filterwarnings do."""
+    return dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+                PYTHONWARNINGS=",".join(pytestconfig.getini("filterwarnings")))
+
+
+def test_only_eval_loads_scipy(model_file, tmp_path, pytestconfig):
     proc = subprocess.run([sys.executable, "-c", _START_UP, model_file, str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=_env(pytestconfig), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     steps = [json.loads(line) for line in proc.stdout.splitlines()]
     assert steps == [["import", 0, False], ["gen", 0, False], ["train", 0, False],
@@ -1128,11 +1170,10 @@ def test_only_eval_loads_scipy(model_file, tmp_path):
 @pytest.mark.parametrize("argv, code, prefix", [
     (["gen", "--out", "x"], 2, "usage error: "),
     (["vote", "--scenes", "none", "--out", "v.csv"], 1, "error: ")])
-def test_module_entry_point(tmp_path, argv, code, prefix):
+def test_module_entry_point(tmp_path, pytestconfig, argv, code, prefix):
     # python -m proxyvote.cli exits with main's code
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-m", "proxyvote.cli", *argv], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_env(pytestconfig), capture_output=True, text=True, timeout=120)
     assert proc.returncode == code
     assert proc.stderr.startswith(prefix)
 

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import (oracle_fd_gradient, oracle_fd_scalar, oracle_field_terms,
                      oracle_smooth_l1)
-from proxyvote.errors import DimensionMismatchError
+from proxyvote.errors import DegenerateInputError
 from proxyvote.geometry import pixel_centers
 from proxyvote.losses import (dpvl, planar, proxy_distances, proxy_grad, proxy_terms,
                               smooth_l1, vf_loss, vf_terms)
@@ -80,7 +80,7 @@ class TestVfLoss:
         assert np.all(grad_off == 0.0)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DegenerateInputError, match=r"\(4, 4, 2\) vs \(5, 4, 2\)"):
             vf_loss(np.zeros((4, 4, 2)), np.zeros((5, 4, 2)), np.ones((4, 4), bool))
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from helpers import random_pose
 from proxyvote import metrics
-from proxyvote.errors import InsufficientSupportError
+from proxyvote.errors import DegenerateInputError
 from proxyvote.geometry import Intrinsics, Pose
 from proxyvote.metrics import (add_s_score, add_score, evaluate, judge,
                                proj2d_error)
@@ -41,7 +41,7 @@ class TestAdd:
 
     def test_empty_raises(self):
         pose = Pose(np.eye(3), [0, 0, 1.0])
-        with pytest.raises(InsufficientSupportError):
+        with pytest.raises(DegenerateInputError, match="empty point set"):
             add_score(pose, pose, np.empty((0, 3)))
 
     def test_symmetric_in_poses(self):
@@ -85,7 +85,7 @@ class TestAddS:
 
     def test_empty_raises(self):
         pose = Pose(np.eye(3), [0, 0, 1.0])
-        with pytest.raises(InsufficientSupportError):
+        with pytest.raises(DegenerateInputError, match="empty point set"):
             add_s_score(pose, pose, np.empty((0, 3)))
 
     def test_matches_enumeration(self):
@@ -120,7 +120,7 @@ class TestProj2d:
 
     def test_empty_raises(self):
         pose = Pose(np.eye(3), [0, 0, 1.0])
-        with pytest.raises(InsufficientSupportError):
+        with pytest.raises(DegenerateInputError, match="empty point set"):
             proj2d_error(pose, pose, np.empty((0, 3)), INTR)
 
     def test_permutation_invariant(self):

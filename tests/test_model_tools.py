@@ -4,7 +4,7 @@ from scipy.spatial.distance import pdist
 
 from helpers import cube_cloud
 from oracles import oracle_fps_verify
-from proxyvote.errors import InsufficientSupportError, ModelLoadError
+from proxyvote.errors import DegenerateInputError, ModelLoadError
 from proxyvote.model_tools import (DIAMETER_SUBSAMPLE, ModelCloud,
                                    farthest_point_sampling, load_model,
                                    model_diameter)
@@ -213,7 +213,7 @@ class TestFarthestPointSampling:
 
     def test_n_too_large(self):
         cloud = cube_cloud(n_extra=0)
-        with pytest.raises(InsufficientSupportError):
+        with pytest.raises(DegenerateInputError, match="n=9 exceeds cloud size 8"):
             farthest_point_sampling(cloud, 9)
 
     def test_n_below_one(self):
@@ -280,5 +280,5 @@ class TestModelDiameter:
 
     def test_single_point_raises(self):
         # one point listed four times has no extent
-        with pytest.raises(InsufficientSupportError):
+        with pytest.raises(DegenerateInputError, match="two distinct points"):
             model_diameter(ModelCloud(np.ones((4, 3))))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import default_intrinsics, random_pose, rotation_angle
-from proxyvote.errors import DegenerateConfigurationError, TooFewPointsError
+from proxyvote.errors import DegenerateInputError
 from proxyvote.geometry import Intrinsics, Pose, project
 from proxyvote.pnp import _control_points, reprojection_rmse, solve_epnp, umeyama
 
@@ -116,15 +116,15 @@ class TestSolveEpnp:
             assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-9)
 
     def test_too_few_points(self):
-        with pytest.raises(TooFewPointsError):
+        with pytest.raises(DegenerateInputError, match="need >= 4 correspondences, got 3"):
             solve_epnp(CUBE[:3], np.zeros((3, 2)), INTR)
 
     def test_mismatched_counts(self):
-        with pytest.raises(TooFewPointsError, match="mismatched"):
+        with pytest.raises(DegenerateInputError, match="mismatched"):
             solve_epnp(CUBE, np.zeros((7, 2)), INTR)
 
     def test_coincident_object_points(self):
-        with pytest.raises(DegenerateConfigurationError, match="coincide"):
+        with pytest.raises(DegenerateInputError, match="coincide"):
             solve_epnp(np.full((6, 3), 0.5), np.zeros((6, 2)), INTR)
 
     def test_case_putting_a_point_behind_the_camera_is_skipped(self):

@@ -14,7 +14,7 @@ from dataclasses import replace
 from helpers import (centre_grid, cube_cloud, default_intrinsics, dense, make_cube_scene,
                      noisy_scene)
 from oracles import oracle_corrupt, oracle_ideal_fields, oracle_splat_mask
-from proxyvote.errors import ConfigurationError, ModelLoadError
+from proxyvote.errors import DegenerateInputError, ModelLoadError
 from proxyvote.geometry import pixel_centers, project
 from proxyvote.synth import (NoiseSpec, PoseRanges, _ideal_fields, _load_csv, _load_pgm,
                              _splat_mask, corrupt, csv_text, load_scene, sample_pose, save_scene,
@@ -50,7 +50,7 @@ class TestSamplePose:
         cloud = cube_cloud()
         intr = default_intrinsics()
         # object too close: it cannot fit inside a 64 px frame
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DegenerateInputError, match="after 1000 rejections"):
             sample_pose(np.random.default_rng(0), PoseRanges(z_range=(0.01, 0.02)), cloud, intr,
                         64, 64)
 

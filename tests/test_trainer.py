@@ -7,7 +7,7 @@ import pytest
 from helpers import dense, make_cube_scene
 from oracles import oracle_fit_field
 from proxyvote import trainer
-from proxyvote.errors import DivergenceError, NoValidHypothesisError
+from proxyvote.errors import DegenerateInputError, DivergenceError
 from proxyvote.geometry import pixel_centers
 from proxyvote.losses import dpvl, proxy_distances, vf_loss
 from proxyvote.synth import load_scene
@@ -333,7 +333,7 @@ class TestVotedKeypoints:
         assert len(calls) == len(scene.keypoints2)
 
     def test_vote_failure_is_a_failed_keypoint(self, scene, monkeypatch):
-        monkeypatch.setattr(trainer, "vote_keypoint", raising(NoValidHypothesisError("parallel")))
+        monkeypatch.setattr(trainer, "vote_keypoint", raising(DegenerateInputError("parallel")))
         init = random_init_field(scene, substream(0, "init"))
         _, trace = fit_field(scene, init, short_cfg(iterations=5))
         assert np.all(np.isinf(trace.keypoint_errors))

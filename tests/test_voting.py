@@ -7,7 +7,7 @@ from helpers import disc_mask, exact_field, noisy_scene, rotate_field
 from oracles import (oracle_all_pairs_vote, oracle_inlier_counts, oracle_inlier_table,
                      oracle_squared_vote, oracle_vote)
 from proxyvote import voting
-from proxyvote.errors import InsufficientSupportError, NoValidHypothesisError
+from proxyvote.errors import DegenerateInputError
 from proxyvote.geometry import EPS_PARALLEL, pixel_centers
 from proxyvote.trainer import vote_keypoints
 from proxyvote.voting import (SceneVote, VotingConfig, _exact_counts, _hypotheses,
@@ -58,7 +58,7 @@ class TestGenerateHypotheses:
     def test_insufficient_support(self):
         mask = np.zeros((4, 4), bool)
         mask[0, 0] = True
-        with pytest.raises(InsufficientSupportError):
+        with pytest.raises(DegenerateInputError, match="need >= 2 masked pixels, got 1"):
             vote_keypoint(np.zeros((4, 4, 2)), mask, VotingConfig())
 
     def test_deterministic_per_seed(self, disc):
@@ -378,7 +378,7 @@ class TestPrunedVoteParity:
         for cfg in (VotingConfig(rng_seed=n_px), VotingConfig(num_samples=16, rng_seed=n_px)):
             if n_px == 2:  # the two rays point apart: no forward hypothesis
                 assert oracle_squared_vote(field, mask, cfg.num_samples, seed=n_px) is None
-                with pytest.raises(NoValidHypothesisError, match="met behind a pixel"):
+                with pytest.raises(DegenerateInputError, match="met behind a pixel"):
                     raw_vote(field, mask, cfg)
                 continue
             assert_matches_dense_vote(field, mask, cfg)
@@ -464,7 +464,7 @@ class TestTwoStageParity:
         for vote, refine in ((raw_vote, False), (vote_keypoint, True)):
             want = oracle_squared_vote(field, mask, num_samples, threshold, case, refine)
             if want is None:
-                with pytest.raises(NoValidHypothesisError):
+                with pytest.raises(DegenerateInputError, match="no sampled pixel pair"):
                     vote(field, mask, cfg)
                 continue
             loc, votes = vote(field, mask, cfg)
@@ -720,7 +720,7 @@ class TestVoteKeypoint:
         mask = disc_mask(16, 16, center=(8, 8), radius=5)
         field = np.zeros((16, 16, 2))
         field[mask] = [0.0, 1.0]
-        with pytest.raises(NoValidHypothesisError):
+        with pytest.raises(DegenerateInputError, match="no sampled pixel pair"):
             vote_keypoint(field, mask, VotingConfig(rng_seed=0))
 
     def test_determinism_bit_for_bit(self, disc):
