@@ -225,10 +225,15 @@ def _scene_dirs(scenes_dir):
 # ---------------------------------------------------------------------------
 # gen
 
+_GEN_MAX = {"n": 100_000, "width": 2048, "height": 2048}  # 2,048 px > LINEMOD's 640 x 480
+
+
 def cmd_gen(cfg, seeds, outputs):
     for key in ("n", "keypoints", "width", "height"):
         if cfg[key] < 1:
             raise UsageError(f"--{key} must be at least 1, got {cfg[key]}")
+        if cfg[key] > _GEN_MAX.get(key, cfg[key]):
+            raise UsageError(f"--{key} must be at most {_GEN_MAX[key]}, got {cfg[key]}")
     if cfg["cx"] is None:
         cfg["cx"] = cfg["width"] / 2.0
     if cfg["cy"] is None:

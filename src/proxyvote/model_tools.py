@@ -2,8 +2,8 @@
 and diameter computation.
 
 The module runs on numpy alone: ``model_diameter`` reproduces scipy's
-``pdist`` maximum bit for bit without importing scipy, which costs about
-0.5 s and 35 MB per process.
+``pdist`` maximum bit for bit, over a fixed subsample above 5,000
+points, without importing scipy (about 0.5 s and 35 MB per process).
 """
 
 from __future__ import annotations
@@ -32,6 +32,20 @@ class ModelCloud:
         if not np.all(np.isfinite(pts)):
             raise ModelLoadError(f"model '{self.name}' has non-finite coordinates")
         self.points = pts
+
+
+def _vertices(rows, cols, min_tokens, short, name):
+    """The (N, 3) points of N (line number, tokens) rows: float() of the tokens
+    at cols; a row of fewer than min_tokens tokens raises the message short."""
+    pts = []
+    for lineno, tok in rows:
+        if len(tok) < min_tokens:
+            raise ModelLoadError(f"{name}: line {lineno}: {short}")
+        try:
+            pts.append([float(tok[c]) for c in cols])
+        except ValueError:
+            raise ModelLoadError(f"{name}: line {lineno}: non-numeric vertex value")
+    return np.array(pts).reshape(-1, 3)
 
 
 def _parse_ply(lines, name):
@@ -78,38 +92,19 @@ def _parse_ply(lines, name):
     for axis in ("x", "y", "z"):
         if axis not in props:
             raise ModelLoadError(f"{name}: vertex element lacks property '{axis}'")
-    cols = [props.index(a) for a in ("x", "y", "z")]
 
-    pts = np.empty((n_vertex, 3))
     data_start += skip
     data_lines = lines[data_start:]
     if len(data_lines) < n_vertex:
         raise ModelLoadError(f"{name}: expected {n_vertex} vertex lines, got {len(data_lines)}")
-    for r in range(n_vertex):
-        tok = data_lines[r].split()
-        lineno = data_start + r + 1
-        if len(tok) < len(props):
-            raise ModelLoadError(f"{name}: line {lineno}: expected {len(props)} values")
-        try:
-            pts[r] = [float(tok[c]) for c in cols]
-        except ValueError:
-            raise ModelLoadError(f"{name}: line {lineno}: non-numeric vertex value")
-    return pts
+    rows = enumerate(map(str.split, data_lines[:n_vertex]), start=data_start + 1)
+    return _vertices(rows, [props.index(a) for a in ("x", "y", "z")], len(props),
+                     f"expected {len(props)} values", name)
 
 
 def _parse_obj(lines, name):
-    pts = []
-    for i, line in enumerate(lines, start=1):
-        tok = line.split()
-        if not tok or tok[0] != "v":
-            continue
-        if len(tok) < 4:
-            raise ModelLoadError(f"{name}: line {i}: vertex needs 3 coordinates")
-        try:
-            pts.append([float(tok[1]), float(tok[2]), float(tok[3])])
-        except ValueError:
-            raise ModelLoadError(f"{name}: line {i}: non-numeric vertex value")
-    return np.asarray(pts, dtype=float).reshape(-1, 3)
+    rows = ((i, tok) for i, tok in enumerate(map(str.split, lines), start=1) if tok[:1] == ["v"])
+    return _vertices(rows, (1, 2, 3), 4, "vertex needs 3 coordinates", name)
 
 
 def load_model(path, symmetric=False) -> ModelCloud:

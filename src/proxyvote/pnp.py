@@ -71,15 +71,11 @@ def _barycentric(Pw, C):
 
 def _build_M(alphas, U, intr):
     n, nc = alphas.shape
-    M = np.zeros((2 * n, 3 * nc))
-    du = intr.cx - U[:, 0]
-    dv = intr.cy - U[:, 1]
-    for j in range(nc):
-        a = alphas[:, j]
-        M[0::2, 3 * j] = a * intr.fx
-        M[0::2, 3 * j + 2] = a * du
-        M[1::2, 3 * j + 1] = a * intr.fy
-        M[1::2, 3 * j + 2] = a * dv
+    M = np.zeros((2 * n, 3 * nc))  # column 3j + c holds control point j's coordinate c
+    M[0::2, 0::3] = alphas * intr.fx
+    M[0::2, 2::3] = alphas * (intr.cx - U[:, :1])
+    M[1::2, 1::3] = alphas * intr.fy
+    M[1::2, 2::3] = alphas * (intr.cy - U[:, 1:])
     return M
 
 
@@ -88,7 +84,7 @@ def _betas_from_products(y, m):
     b1 = np.sqrt(abs(y[0]))
     if b1 < 1e-12:
         return None
-    return np.array([b1] + [y[a] / b1 for a in range(1, m)])
+    return np.concatenate([[b1], y[1:m] / b1])  # y[a] = b1·ba for a < m
 
 
 def _product_rows(dv_stack, m):
@@ -97,11 +93,10 @@ def _product_rows(dv_stack, m):
     dv_stack: (m, n_pairs, 3) control-point difference vectors per basis.
     Product order: (0,0), (0,1), ..., (0,m-1), (1,1), (1,2), ..., (m-1,m-1).
     """
-    cols = []
-    for a, b in itertools.combinations_with_replacement(range(m), 2):
-        dot = np.sum(dv_stack[a] * dv_stack[b], axis=-1)
-        cols.append(dot if a == b else 2.0 * dot)
-    return np.column_stack(cols)
+    a, b = np.array(list(itertools.combinations_with_replacement(range(m), 2))).T
+    dots = np.sum(dv_stack[a] * dv_stack[b], axis=-1)
+    dots[a != b] *= 2.0
+    return dots.T
 
 
 def solve_epnp(object_points, image_points, intr: Intrinsics) -> Pose:
@@ -128,9 +123,9 @@ def solve_epnp(object_points, image_points, intr: Intrinsics) -> Pose:
     # case m reads the first m of them
     W = Vt[::-1][:nc - 1].reshape(nc - 1, nc, 3)
 
-    pairs = list(itertools.combinations(range(nc), 2))
-    dw = np.array([np.linalg.norm(C[i] - C[j]) for i, j in pairs])
-    dv_stack = np.stack([[w[i] - w[j] for i, j in pairs] for w in W])
+    i, j = np.array(list(itertools.combinations(range(nc), 2))).T
+    dw = np.array([np.linalg.norm(C[p] - C[q]) for p, q in zip(i, j)])
+    dv_stack = W[:, i] - W[:, j]  # (nc - 1, n_pairs, 3)
 
     best = None
     for m in range(1, nc):

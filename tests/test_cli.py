@@ -632,6 +632,43 @@ class TestEval:
         assert "add_s_accuracy" in summary
 
 
+class TestSizeBounds:
+    """A size past the bound README names is a usage error. Each value is one
+    the check rejects before anything is allocated; none near a bound runs."""
+
+    @staticmethod
+    def _run(tmp_path, argv, key, value, via):
+        if via == "config":
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({key: value}))
+            return main(argv + ["--config", str(cfg)])
+        return main(argv + [f"--{key.replace('_', '-')}", str(value)])
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("key, bound", [("n", 100000), ("width", 2048), ("height", 2048)])
+    @pytest.mark.parametrize("past", ["bound_plus_1", "1e30"])
+    def test_gen(self, tmp_path, model_file, capsys, via, key, bound, past):
+        out = tmp_path / "g"
+        value = bound + 1 if past == "bound_plus_1" else 10 ** 30
+        argv = ["gen", "--model", model_file, "--out", str(out)]
+        assert self._run(tmp_path, argv, key, value, via) == 2
+        assert f"--{key} must be at most {bound}, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["vote", "eval"])
+    @pytest.mark.parametrize("past", ["bound_plus_1", "1e30"])
+    def test_num_samples(self, tmp_path, scenes_dir, model_file, capsys, via, command, past):
+        out = tmp_path / "o"
+        value = 100001 if past == "bound_plus_1" else 10 ** 30
+        argv = ([command, "--scenes", scenes_dir, "--out", str(out / "votes.csv")]
+                if command == "vote" else
+                [command, "--scenes", scenes_dir, "--model", model_file, "--out", str(out)])
+        assert self._run(tmp_path, argv, "num_samples", value, via) == 2
+        assert "num_samples must be in [1, 100000]" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 

@@ -168,6 +168,32 @@ class TestLoadModel:
         with pytest.raises(ModelLoadError):
             load_model(p)
 
+    def test_vertex_count_past_the_array_limit_is_a_short_file(self, tmp_path):
+        # the line count is checked before any vertex line is read
+        p = tmp_path / "m.ply"
+        p.write_text(PLY_OK.replace("vertex 4", f"vertex {10 ** 30}"))
+        with pytest.raises(ModelLoadError, match=f"^m.ply: expected {10 ** 30} vertex lines, "
+                                                 "got 4$"):
+            load_model(p)
+
+    def test_ply_and_obj_read_the_same_bits(self, tmp_path):
+        # one set of vertex tokens: a PLY with an element before the vertices
+        # and properties around x, y, z, and an OBJ with a w coordinate
+        rows = [["0.1", "1e-3", "-0.0"], [repr(0.1 + 0.2), "-12", "2.5e-300"],
+                [repr(np.nextafter(1.0, 2.0).item()), "+7", "0"], ["1E3", "-1e-3", ".5"]]
+        ply = tmp_path / "m.ply"
+        ply.write_text("ply\nformat ascii 1.0\nelement face 1\n"
+                       "property list uchar int vertex_indices\nelement vertex 4\n"
+                       "property float nx\nproperty float x\nproperty float y\n"
+                       "property float z\nproperty uchar red\nend_header\n3 0 1 2\n"
+                       + "".join(f"9 {x} {y} {z} 255\n" for x, y, z in rows))
+        obj = tmp_path / "m.obj"
+        obj.write_text("# made by hand\n" + "".join(f"v {x} {y} {z} 1.0\nvn 0 0 1\n"
+                                                    for x, y, z in rows) + "f 1 2 3\n")
+        want = np.array([[float(t) for t in row] for row in rows])
+        assert load_model(ply).points.tobytes() == want.tobytes()
+        assert load_model(obj).points.tobytes() == want.tobytes()
+
 
 class TestModelCloud:
     def test_too_few_points(self):

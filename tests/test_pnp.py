@@ -79,8 +79,10 @@ class TestSolveEpnp:
 
     def test_planar_cloud_with_a_negative_eigenvalue(self):
         # a rotated planar cloud's smallest covariance eigenvalue rounds
-        # below 0: the control points must not take its square root
-        rng = np.random.default_rng(1)
+        # below 0: the control points must not take its square root. Seed 2
+        # rounds it below 0 under OpenBLAS's SkylakeX, Haswell, Sandybridge
+        # and Prescott kernels alike (OPENBLAS_CORETYPE)
+        rng = np.random.default_rng(2)
         pts = np.column_stack([rng.uniform(-0.2, 0.2, (8, 2)), np.zeros(8)])
         pts = random_pose(rng, t_scale=0.1, z_offset=0.0).apply(pts)
         centered = pts - pts.mean(axis=0)
