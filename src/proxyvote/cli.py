@@ -8,6 +8,8 @@ keys and value types against the flags, makes its values the parser's
 defaults and parses again, so explicit flags > --config > defaults. A
 command's settings, its parser's dests but --config, are the config its
 manifest.json records; replaying them through --config reproduces the run.
+synth names and lists scene sets; trainer names train runs, reads their
+traces and makes a seed's voting config. The cli re-encodes neither.
 
 main runs every command by one protocol. It checks the settings, parses
 the seeds (the --seeds list, or --seed) once for the run and its
@@ -35,7 +37,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 import time
 from dataclasses import replace
@@ -47,10 +48,10 @@ from .geometry import Intrinsics
 from .metrics import EvalRecord, evaluate
 from .model_tools import farthest_point_sampling, load_model, model_diameter
 from .pnp import solve_epnp
-from .synth import (NoiseSpec, PoseRanges, _load_csv, _read_text, corrupt, csv_text,
-                    load_scene, make_scene, sample_pose, save_scene, write_atomic, write_json)
-from .trainer import (TrainConfig, keypoint_errors, run_experiment, subseed, substream,
-                      vote_keypoints)
+from .synth import (NoiseSpec, PoseRanges, corrupt, csv_text, load_scene, make_scene,
+                    sample_pose, save_scene, scene_dir, scene_dirs, write_atomic, write_json)
+from .trainer import (TRACE_NAME, TrainConfig, TrainTrace, keypoint_errors, run_experiment,
+                      subseed, substream, vote_keypoints, voting_config)
 from .voting import VotingConfig
 
 
@@ -201,27 +202,6 @@ def _built(cls, **kwargs):
         raise UsageError(str(e)) from None
 
 
-def _scene_order(name):
-    """Sort key of a sample_* name: by its integer suffix, so that gen's
-    sample_999 comes before sample_1000; other names follow, by name."""
-    suffix = name[len("sample_"):]
-    return (0, int(suffix), name) if suffix.isdecimal() else (1, 0, name)
-
-
-def _scene_dirs(scenes_dir):
-    if not os.path.isdir(scenes_dir):
-        raise FileNotFoundError(f"scene directory not found: {scenes_dir}")
-    names = sorted(
-        (d for d in os.listdir(scenes_dir)
-         if d.startswith("sample_") and os.path.isdir(os.path.join(scenes_dir, d))),
-        key=_scene_order,
-    )
-    dirs = [os.path.join(scenes_dir, d) for d in names]
-    if not dirs:
-        raise FileNotFoundError(f"no sample_* directories under {scenes_dir}")
-    return dirs
-
-
 # ---------------------------------------------------------------------------
 # gen
 
@@ -257,7 +237,7 @@ def cmd_gen(cfg, seeds, outputs):
     for i, pose in enumerate(poses):
         sample = corrupt(make_scene(cloud, keypoints3, pose, intr, width, height),
                          replace(spec, rng_seed=noise_seed + i))
-        _output(outputs, save_scene, os.path.join(cfg["out"], f"sample_{i:03d}"), sample)
+        _output(outputs, save_scene, scene_dir(cfg["out"], i), sample)
 
 
 # ---------------------------------------------------------------------------
@@ -271,37 +251,33 @@ def cmd_train(cfg, seeds, outputs):
                   iters_per_epoch=cfg["iters_per_epoch"], lr_decay=cfg["lr_decay"],
                   beta0=cfg["beta0"], beta_cap=cfg["beta_cap"])
 
-    dirs = _scene_dirs(cfg["scenes"])
-    if cfg["scene_limit"]:
-        dirs = dirs[: cfg["scene_limit"]]
-    scenes = [load_scene(d) for d in dirs]
+    scenes = [load_scene(d) for d in scene_dirs(cfg["scenes"])[: cfg["scene_limit"] or None]]
     run_experiment(scenes, modes, seeds, base, cfg["out"], outputs)
 
 
 # ---------------------------------------------------------------------------
 # vote
 
-def _voting_config(cfg, seed) -> VotingConfig:
-    """The VotingConfig of seed and cfg's num_samples and inlier_cos."""
-    return _built(VotingConfig, num_samples=cfg["num_samples"],
-                  inlier_cos_threshold=cfg["inlier_cos"], rng_seed=subseed(seed, "voting"))
+def _voted_scenes(cfg, seed):
+    """Each scene under cfg's scenes, loaded, with its keypoints voted by
+    ``vote_keypoints``; a failed keypoint is warned about on stderr. The
+    ``voting_config`` of seed is built at once, so its range errors come first."""
+    vcfg = _built(voting_config, seed=seed, num_samples=cfg["num_samples"],
+                  inlier_cos_threshold=cfg["inlier_cos"])
 
-
-def _voted_scenes(scenes_dir, vcfg):
-    """Each scene under scenes_dir, loaded, with its keypoints voted with vcfg
-    by ``vote_keypoints``; each failed keypoint is warned about on stderr."""
-    for si, d in enumerate(_scene_dirs(scenes_dir)):
-        sample = load_scene(d)
-        locs, votes, failures = vote_keypoints(sample.fields, sample.mask, vcfg)
-        for reason in failures:
-            print(f"warning: scene {si}: {reason}", file=sys.stderr)
-        yield sample, locs, votes
+    def voted():
+        for si, d in enumerate(scene_dirs(cfg["scenes"])):
+            sample = load_scene(d)
+            locs, votes, failures = vote_keypoints(sample.fields, sample.mask, vcfg)
+            for reason in failures:
+                print(f"warning: scene {si}: {reason}", file=sys.stderr)
+            yield sample, locs, votes
+    return voted()
 
 
 def cmd_vote(cfg, seeds, outputs):
-    vcfg = _voting_config(cfg, seeds[0])
     scenes = []  # each scene's columns
-    for si, (sample, locs, votes) in enumerate(_voted_scenes(cfg["scenes"], vcfg)):
+    for si, (sample, locs, votes) in enumerate(_voted_scenes(cfg, seeds[0])):
         k = len(locs)
         scenes.append((np.full(k, si), np.arange(k), *locs.T, *sample.keypoints2.T,
                        keypoint_errors(locs, sample.keypoints2), votes))
@@ -320,12 +296,12 @@ _FAILED = EvalRecord(add=np.nan, add_s=np.nan, proj2d=np.nan, add_correct=False,
 
 
 def cmd_eval(cfg, seeds, outputs):
-    vcfg = _voting_config(cfg, seeds[0])
+    voted = _voted_scenes(cfg, seeds[0])
     cloud = load_model(cfg["model"], symmetric=cfg["symmetric"])
     diameter = model_diameter(cloud)
 
     records = []
-    for si, (sample, locs, _) in enumerate(_voted_scenes(cfg["scenes"], vcfg)):
+    for si, (sample, locs, _) in enumerate(voted):
         rec = _FAILED
         if not np.isnan(locs).any():
             try:
@@ -353,35 +329,17 @@ def cmd_eval(cfg, seeds, outputs):
 # ---------------------------------------------------------------------------
 # report
 
-# a trace file name as train writes it; its groups are the label and the mode
-_TRACE_RE = re.compile(r"trace_(scene\d+_(\w+?)_seed\d+)\.csv")
-
-_TRACE_NEEDS = ("iter", "l_pv", "mean_proxy_dist")
-
-
-def _trace_columns(path) -> dict:
-    """The columns of a trace CSV by header name."""
-    names = _read_text(path).partition("\n")[0].split(",")
-    missing = [c for c in _TRACE_NEEDS if c not in names]
-    if missing:
-        raise ModelLoadError(f"{path}: no {', '.join(missing)} column")
-    data = _load_csv(path, len(names))
-    if not len(data):
-        raise ModelLoadError(f"{path}: no rows")
-    return {name: data[:, i] for i, name in enumerate(names)}
-
-
 def cmd_report(cfg, seeds, outputs):
     thr = cfg["lpv_threshold"]
     if not thr >= 0:  # NaN, or a distance no trace can reach
         raise UsageError(f"--lpv-threshold must be >= 0, got {thr}")
 
-    found = []  # (path, match of its file name) per trace
+    found = []  # (path, TRACE_NAME match of its file name) per trace
     for p in cfg["traces"]:
         if os.path.isdir(p):
             found += [(os.path.join(p, f), m) for f in sorted(os.listdir(p))
-                      if (m := _TRACE_RE.fullmatch(f))]
-        elif m := _TRACE_RE.fullmatch(os.path.basename(p)):
+                      if (m := TRACE_NAME.fullmatch(f))]
+        elif m := TRACE_NAME.fullmatch(os.path.basename(p)):
             found.append((p, m))
         else:  # the mode comes from the name
             raise ModelLoadError(f"{p}: not a trace name that train writes, "
@@ -393,26 +351,22 @@ def cmd_report(cfg, seeds, outputs):
     # relative to the common parent, so equal file names stay apart
     dirs = [os.path.dirname(os.path.abspath(p)) for p, _ in found]
     root = os.path.commonpath(dirs)
-    traces = {}
-    modes = {}
-    length = None
+    # keyed by label, so a trace named twice counts once
+    traces, modes, length = {}, {}, None
     for (p, m), d in zip(found, dirs):
         name, mode = m.groups()
         label = os.path.normpath(os.path.join(os.path.relpath(d, root), name))
         modes[label] = mode
-        data = _trace_columns(p)
-        rows = len(data["iter"])
-        if length is None:
-            length = rows
-        elif rows != length:
-            raise ModelLoadError(f"trace {p} has {rows} rows, expected {length}")
-        traces[label] = data
+        traces[label] = trace = TrainTrace.read(p)
+        length = length or len(trace.iters)  # the first trace's; read refuses an empty one
+        if len(trace.iters) != length:
+            raise ModelLoadError(f"trace {p} has {len(trace.iters)} rows, expected {length}")
 
     os.makedirs(cfg["out"], exist_ok=True)
     labels = sorted(traces)
     _output(outputs, write_atomic, os.path.join(cfg["out"], "curves.csv"), csv_text(
         ["iter", *(f"{lab}_l_pv" for lab in labels)],
-        [traces[labels[0]]["iter"].astype(int), *(traces[lab]["l_pv"] for lab in labels)]))
+        [traces[labels[0]].iters.astype(int), *(traces[lab].l_pv for lab in labels)]))
 
     # per-mode summary: final values and iterations until the mean proxy
     # distance reaches the threshold
@@ -423,13 +377,12 @@ def cmd_report(cfg, seeds, outputs):
     report = {}
     for mode in sorted(by_mode):
         ts = by_mode[mode]
-        hits = [np.flatnonzero(t["mean_proxy_dist"] <= thr) for t in ts]
-        to_thr = [t["iter"][h[0]] if len(h) else np.inf for t, h in zip(ts, hits)]
+        hits = [np.flatnonzero(t.mean_proxy_dist <= thr) for t in ts]
+        to_thr = [t.iters[h[0]] if len(h) else np.inf for t, h in zip(ts, hits)]
         r = report[mode] = {
             "n_traces": len(ts),
-            "median_final_l_pv": float(np.median([t["l_pv"][-1] for t in ts])),
-            "median_final_mean_proxy_dist": float(np.median([t["mean_proxy_dist"][-1]
-                                                             for t in ts])),
+            "median_final_l_pv": float(np.median([t.l_pv[-1] for t in ts])),
+            "median_final_mean_proxy_dist": float(np.median([t.mean_proxy_dist[-1] for t in ts])),
             "median_iters_to_threshold": float(np.median(to_thr)),
         }
         table.append(f"{mode}  {r['n_traces']}  {r['median_final_l_pv']:.6g}  "

@@ -14,11 +14,13 @@ pose.json ({rotation: 9 row-major, translation: 3, fx, fy, cx, cy}),
 keypoints.csv (kx,ky,X,Y,Z), and fields.npy, a float64 array of shape
 (K, M, 2): each keypoint's field (vx, vy) at the M set pixels of
 mask.pgm, in row-major order, so a value's row and column come from the
-mask. A SceneSample holds its fields in the same (K, M, 2) form.
+mask. A SceneSample holds its fields in the same (K, M, 2) form. A scene
+set holds scene i in ``scene_dir(root, i)``; ``scene_dirs`` lists them.
 
 Every file the package writes goes through ``write_atomic`` (a temp file
 and os.replace), its CSV text from ``csv_text`` and its JSON from
-``write_json``, so a rewrite of the same data gives the same bytes.
+``write_json``, so a rewrite of the same data gives the same bytes;
+``read_text`` and ``load_csv`` read text back.
 """
 
 from __future__ import annotations
@@ -117,10 +119,10 @@ def sample_pose(rng: np.random.Generator, ranges: PoseRanges, cloud: ModelCloud,
         t = np.array([rng.uniform(*XY_RANGE), rng.uniform(*XY_RANGE),
                       rng.uniform(*ranges.z_range)])
         pose = Pose(R, t)
-        cam = pose.apply(pts)
-        if np.any(cam[:, 2] <= 0):
+        try:
+            proj = project(pose, intr, pts)
+        except DegenerateInputError:  # a point at or behind the camera
             continue
-        proj = project(pose, intr, pts)
         m = ranges.margin
         if (proj[:, 0] >= m).all() and (proj[:, 0] <= width - m).all() \
                 and (proj[:, 1] >= m).all() and (proj[:, 1] <= height - m).all():
@@ -257,6 +259,24 @@ def csv_text(header, columns) -> str:
     return "\n".join([",".join(header), *map(",".join, zip(*cells, strict=True))]) + "\n"
 
 
+def scene_dir(root, i) -> str:
+    """The directory of scene i of the scene set at root: gen's and train's."""
+    return os.path.join(root, f"sample_{i:03d}")
+
+
+def scene_dirs(root) -> list:
+    """The sample_* directories under root: scene_dir's in scene order (sample_999
+    before sample_1000), then others by name; FileNotFoundError if there is none."""
+    if not os.path.isdir(root):
+        raise FileNotFoundError(f"scene directory not found: {root}")
+    names = sorted((d for d in os.listdir(root)
+                    if d.startswith("sample_") and os.path.isdir(os.path.join(root, d))),
+                   key=lambda d: (0, int(d[7:]), d) if d[7:].isdecimal() else (1, 0, d))
+    if not names:
+        raise FileNotFoundError(f"no sample_* directories under {root}")
+    return [os.path.join(root, d) for d in names]
+
+
 def save_scene(directory, sample: SceneSample):
     os.makedirs(directory, exist_ok=True)
     # mask as P2 PGM
@@ -283,7 +303,7 @@ def save_scene(directory, sample: SceneSample):
     write_atomic(os.path.join(directory, "fields.npy"), npy.getvalue())
 
 
-def _read_text(path) -> str:
+def read_text(path) -> str:
     """The text of the file at path; ModelLoadError naming it if it does not decode."""
     try:
         with open(path) as f:
@@ -294,7 +314,7 @@ def _read_text(path) -> str:
 
 def _load_pgm(path):
     """Mask (value > 0) of a P2 PGM: any line wrapping, # comments, values past w·h ignored."""
-    text = _read_text(path)
+    text = read_text(path)
     if "#" in text:
         text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
     head = text.split(maxsplit=4)
@@ -314,9 +334,9 @@ def _load_pgm(path):
     return vals[:w * h].reshape(h, w) > 0
 
 
-def _load_csv(path, columns) -> np.ndarray:
+def load_csv(path, columns) -> np.ndarray:
     """(M, columns) floats of a comma-separated file below its header line."""
-    rows = _read_text(path).splitlines()[1:]
+    rows = read_text(path).splitlines()[1:]
     # checked per row: a long row and a short one keep the total token count
     if set(map(str.count, rows, repeat(","))) - {columns - 1}:
         raise ModelLoadError(f"{path}: expected {columns} columns per row")
@@ -376,7 +396,7 @@ def _load_pose(path):
 def load_scene(directory) -> SceneSample:
     mask = _load_pgm(os.path.join(directory, "mask.pgm"))
     pose, intr = _load_pose(os.path.join(directory, "pose.json"))
-    keypoints = _load_csv(os.path.join(directory, "keypoints.csv"), 5)
+    keypoints = load_csv(os.path.join(directory, "keypoints.csv"), 5)
     fields = _load_fields(os.path.join(directory, "fields.npy"),
                           (len(keypoints), int(np.count_nonzero(mask)), 2))
     return SceneSample(pose=pose, intr=intr, mask=mask, keypoints2=keypoints[:, :2],

@@ -32,26 +32,32 @@ v = b2 v + (1 - b2) g g and x -= lr m̂ / (sqrt(v̂) + eps).
 A fit ends by voting its fields with ``vote_keypoints``, which ``vote``
 and ``eval`` share too: it calls ``vote_keypoint`` once per keypoint,
 the K calls sharing one ``voting.SceneVote`` pass, and turns each
-keypoint's failure into a "keypoint i: reason" entry. ``run_experiment``
-saves each fitted field stack as a scene for them; the trainer scores no
-pose. Its trace CSVs and JSON summaries are written by ``synth.csv_text``
-and ``synth.write_json``.
+keypoint's failure into a "keypoint i: reason" entry; all three vote
+with the config that ``voting_config`` makes of a seed.
+``run_experiment`` saves each fitted field stack as a scene for them;
+the trainer scores no pose. It owns a train run's layout: its file names
+(``TRACE_NAME`` matches a trace's) and the trace CSV's ``TRACE_COLUMNS``,
+which ``TrainTrace.to_csv`` writes through ``synth.csv_text`` and
+``TrainTrace.read`` reads back; summaries go through ``synth.write_json``.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DivergenceError, ProxyVoteError
+from .errors import DivergenceError, ModelLoadError, ProxyVoteError
 from .geometry import pixel_centers
 from .losses import planar, proxy_grad, proxy_terms, vf_terms
-from .synth import SceneSample, csv_text, save_scene, write_atomic, write_json
+from .synth import (SceneSample, csv_text, load_csv, read_text, save_scene, scene_dir,
+                    write_atomic, write_json)
 from .voting import SceneVote, VotingConfig, vote_keypoint
 
 MODES = ("vf_only", "vf_plus_dpvl", "dpvl_only")
+TRACE_COLUMNS = ("iter", "l_vf", "l_pv", "mean_proxy_dist", "beta")  # TrainTrace's, in order
 
 # named sub-streams hanging off a single user seed
 _STREAMS = {"scene": 0, "noise": 1, "voting": 2, "init": 3}
@@ -68,6 +74,11 @@ def subseed(seed: int, name: str) -> int:
     """The integer seed that the named sub-stream of seed hands a consumer
     with a seed of its own, such as a VotingConfig or a NoiseSpec."""
     return int(substream(seed, name).integers(2 ** 63))
+
+
+def voting_config(seed: int, **settings) -> VotingConfig:
+    """seed's VotingConfig, with settings: a fit's vote and vote or eval's alike."""
+    return VotingConfig(rng_seed=subseed(seed, "voting"), **settings)
 
 
 @dataclass(frozen=True)
@@ -104,9 +115,22 @@ class TrainTrace:
     keypoint_errors: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def to_csv(self, path):
-        write_atomic(path, csv_text("iter l_vf l_pv mean_proxy_dist beta".split(),
-                                    [self.iters, self.l_vf, self.l_pv, self.mean_proxy_dist,
-                                     self.beta]))
+        write_atomic(path, csv_text(TRACE_COLUMNS, [self.iters, self.l_vf, self.l_pv,
+                                                    self.mean_proxy_dist, self.beta]))
+
+    @classmethod
+    def read(cls, path) -> TrainTrace:
+        """The trace in the CSV at path, its columns found by name, others (older
+        traces' alpha) skipped; ModelLoadError naming path if one is missing or
+        there is no row."""
+        names = read_text(path).partition("\n")[0].split(",")
+        missing = [c for c in TRACE_COLUMNS if c not in names]
+        if missing:
+            raise ModelLoadError(f"{path}: no {', '.join(missing)} column")
+        data = load_csv(path, len(names))
+        if not len(data):
+            raise ModelLoadError(f"{path}: no rows")
+        return cls(*(data[:, names.index(c)] for c in TRACE_COLUMNS))
 
 
 def _decayed_lr(cfg: TrainConfig, epoch: int) -> float:
@@ -213,9 +237,12 @@ def fit_field(sample: SceneSample, init: np.ndarray, cfg: TrainConfig):
 
         fields = (coef @ phi).transpose(1, 2, 0)
 
-    vote_cfg = VotingConfig(rng_seed=subseed(cfg.rng_seed, "voting"))
-    locs, _, _ = vote_keypoints(fields, mask, vote_cfg)
+    locs, _, _ = vote_keypoints(fields, mask, voting_config(cfg.rng_seed))
     return fields, _trace(rows, keypoint_errors(locs, sample.keypoints2))
+
+
+# a run's trace file name; its groups are the run tag and the mode
+TRACE_NAME = re.compile(r"trace_(scene\d+_(\w+?)_seed\d+)\.csv")
 
 
 def run_experiment(scenes, modes, seeds, cfg_base: TrainConfig, out_dir, written=None):
@@ -237,7 +264,7 @@ def run_experiment(scenes, modes, seeds, cfg_base: TrainConfig, out_dir, written
             for mode in modes:
                 cfg = replace(cfg_base, mode=mode, rng_seed=seed)
                 fields, trace = fit_field(sample, init, cfg)
-                save_scene(os.path.join(out_dir, "fields", f"{mode}_seed{seed}", f"sample_{si:03d}"),
+                save_scene(scene_dir(os.path.join(out_dir, "fields", f"{mode}_seed{seed}"), si),
                            replace(sample, fields=fields))
                 if not runs:  # the first run makes fields/
                     written.append(os.path.join(out_dir, "fields"))

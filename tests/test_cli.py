@@ -420,21 +420,6 @@ class TestGen:
         assert capsys.readouterr().err.startswith("error: bad.ply: line 6: ")
 
 
-class TestSceneDirs:
-    def test_scenes_follow_their_number_past_999(self, tmp_path):
-        names = ["sample_1000", "sample_101", "sample_099", "sample_100", "sample_x"]
-        for name in names:
-            (tmp_path / name).mkdir()
-        dirs = cli._scene_dirs(str(tmp_path))
-        assert [os.path.basename(d) for d in dirs] == [
-            "sample_099", "sample_100", "sample_101", "sample_1000", "sample_x"]
-
-    def test_no_scene_is_an_error(self, tmp_path):
-        (tmp_path / "scene_000").mkdir()
-        with pytest.raises(FileNotFoundError, match="no sample_"):
-            cli._scene_dirs(str(tmp_path))
-
-
 class TestVote:
     def test_writes_csv(self, scenes_dir, tmp_path):
         out = str(tmp_path / "votes.csv")
@@ -1029,6 +1014,18 @@ class TestTrainAndReport:
             assert main(["report", "--traces", str(d), "--out", str(out)]) == 0
         for f in ("curves.csv", "report.txt", "report.json"):
             assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()
+
+    def test_report_counts_a_trace_named_twice_once(self, train_dir, tmp_path):
+        # a trace's label keys it, so naming it again adds no curve or count
+        trace = os.path.join(train_dir, "trace_scene000_vf_only_seed0.csv")
+        runs = {"dir": [train_dir], "dir_twice": [train_dir, train_dir],
+                "dir_and_file": [train_dir, trace], "file": [trace], "file_twice": [trace, trace]}
+        for name, traces in runs.items():
+            assert main(["report", "--traces", *traces, "--out", str(tmp_path / name)]) == 0
+        for f in ("curves.csv", "report.txt", "report.json"):
+            out = {name: (tmp_path / name / f).read_bytes() for name in runs}
+            assert out["dir_twice"] == out["dir_and_file"] == out["dir"]
+            assert out["file_twice"] == out["file"]
 
     def test_report_rejects_a_file_not_named_as_a_trace(self, train_dir, tmp_path, capsys):
         # report takes the mode from the name, so this file has none

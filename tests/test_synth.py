@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import re
 import tracemalloc
 
@@ -16,9 +17,9 @@ from helpers import (centre_grid, cube_cloud, default_intrinsics, dense, make_cu
 from oracles import oracle_corrupt, oracle_ideal_fields, oracle_splat_mask
 from proxyvote.errors import DegenerateInputError, ModelLoadError
 from proxyvote.geometry import pixel_centers, project
-from proxyvote.synth import (NoiseSpec, PoseRanges, _ideal_fields, _load_csv, _load_pgm,
-                             _splat_mask, corrupt, csv_text, load_scene, sample_pose, save_scene,
-                             write_atomic)
+from proxyvote.synth import (NoiseSpec, PoseRanges, _ideal_fields, _load_pgm, _splat_mask,
+                             corrupt, csv_text, load_csv, load_scene, sample_pose, save_scene,
+                             scene_dir, scene_dirs, write_atomic)
 
 
 @pytest.fixture(scope="module")
@@ -293,7 +294,7 @@ class TestCsvText:
         path = tmp_path_factory.getbasetemp() / "csv_text.csv"
         names = ["i"] + [f"f{j}" for j in range(floats.shape[1])]
         write_atomic(path, csv_text(names, [ints, *floats.T]))
-        data = _load_csv(path, len(names))
+        data = load_csv(path, len(names))
         assert np.array_equal(data[:, 0], ints)
         assert np.array_equal(data[:, 1:].view(np.uint64), floats.view(np.uint64))
 
@@ -301,6 +302,30 @@ class TestCsvText:
         text = csv_text(["n", "ok", "x"], [np.arange(4), [True, False, True, False],
                                             [np.nan, np.inf, -np.inf, 0.1]])
         assert text == "n,ok,x\n0,1,nan\n1,0,inf\n2,1,-inf\n3,0,0.1\n"
+
+
+class TestSceneDirs:
+    def test_scenes_follow_their_number_past_999(self, tmp_path):
+        names = ["sample_1000", "sample_101", "sample_099", "sample_100", "sample_x"]
+        for name in names:
+            (tmp_path / name).mkdir()
+        dirs = scene_dirs(str(tmp_path))
+        assert [os.path.basename(d) for d in dirs] == [
+            "sample_099", "sample_100", "sample_101", "sample_1000", "sample_x"]
+
+    def test_scene_dir_names_list_in_scene_order(self, tmp_path):
+        for i in (1000, 0, 999):
+            os.mkdir(scene_dir(str(tmp_path), i))
+        assert scene_dirs(str(tmp_path)) == [scene_dir(str(tmp_path), i) for i in (0, 999, 1000)]
+
+    def test_no_scene_is_an_error(self, tmp_path):
+        (tmp_path / "scene_000").mkdir()
+        with pytest.raises(FileNotFoundError, match="no sample_"):
+            scene_dirs(str(tmp_path))
+
+    def test_missing_directory_is_an_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="scene directory not found"):
+            scene_dirs(str(tmp_path / "none"))
 
 
 class TestSceneIO:

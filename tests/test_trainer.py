@@ -7,7 +7,7 @@ import pytest
 from helpers import dense, make_cube_scene
 from oracles import oracle_fit_field
 from proxyvote import trainer
-from proxyvote.errors import DegenerateInputError, DivergenceError
+from proxyvote.errors import DegenerateInputError, DivergenceError, ModelLoadError
 from proxyvote.geometry import pixel_centers
 from proxyvote.losses import dpvl, proxy_distances, vf_loss
 from proxyvote.synth import load_scene
@@ -302,6 +302,33 @@ class TestTraceCsv:
         want += [",".join([str(int(it))] + [repr(float(c[i])) for c in cols])
                  for i, it in enumerate(trace.iters)]
         assert (tmp_path / "trace.csv").read_bytes() == ("\n".join(want) + "\n").encode()
+
+    def test_read_gives_back_what_to_csv_wrote_bit_for_bit(self, tmp_path):
+        vals = np.array([-0.0, 1e-300, 0.1, 1.0, 5e-324, 1.7976931348623157e308, -2.5, 1e16,
+                         123456.789])
+        trace = TrainTrace(np.arange(len(vals)), vals, vals[::-1].copy(), np.roll(vals, 3),
+                           np.roll(vals, 7))
+        trace.to_csv(tmp_path / "trace.csv")
+        back = TrainTrace.read(tmp_path / "trace.csv")
+        assert np.array_equal(back.iters, trace.iters)
+        for name in ("l_vf", "l_pv", "mean_proxy_dist", "beta"):
+            assert np.array_equal(bits(getattr(back, name)), bits(getattr(trace, name)))
+
+    def test_read_skips_the_alpha_column_of_older_traces(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("iter,l_vf,l_pv,mean_proxy_dist,alpha,beta\n"
+                        "0,1.5,0.25,3.0,1.0,0.001\n1,1.25,0.5,2.0,1.0,0.002\n")
+        back = TrainTrace.read(path)
+        assert [back.iters.tolist(), back.l_vf.tolist(), back.l_pv.tolist(),
+                back.mean_proxy_dist.tolist(), back.beta.tolist()] == [
+            [0, 1], [1.5, 1.25], [0.25, 0.5], [3.0, 2.0], [0.001, 0.002]]
+
+    def test_read_names_the_file_lacking_a_column(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("iter,l_vf,l_pv,beta\n0,1.5,0.25,0.001\n")
+        with pytest.raises(ModelLoadError) as e:
+            TrainTrace.read(path)
+        assert str(e.value) == f"{path}: no mean_proxy_dist column"
 
 
 def raising(exc):
