@@ -77,7 +77,7 @@ def subseed(seed: int, name: str) -> int:
 
 
 def voting_config(seed: int, **settings) -> VotingConfig:
-    """seed's VotingConfig, with settings: a fit's vote and vote or eval's alike."""
+    """The VotingConfig of seed's voting sub-stream, with settings: fit, vote, eval."""
     return VotingConfig(rng_seed=subseed(seed, "voting"), **settings)
 
 
